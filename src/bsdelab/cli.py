@@ -26,6 +26,7 @@ from .core import BSDEProblem, ExperimentConfig, builtin_generator
 from .envelope import convergence_curve
 from .errors import BsdeLabError, ExperimentFailure, ValidationError
 from .feynmankac import (
+    _const,
     affine_problem,
     heat_cos_problem,
     heat_cos_solution,
@@ -110,18 +111,12 @@ _SCHEMAS = {
         "seed": ("int", 0),
         "n_paths": ("int", 20_000),
         "n_steps": ("int", 100),
-        "generator1": ("str", _REQUIRED),
-        "g1_a": ("float", _OPTIONAL),
-        "g1_b": ("floats", _OPTIONAL),
-        "g1_c": ("float", _OPTIONAL),
-        "g1_scale": ("float", _OPTIONAL),
-        "g1_delta": ("float", _OPTIONAL),
-        "generator2": ("str", _REQUIRED),
-        "g2_a": ("float", _OPTIONAL),
-        "g2_b": ("floats", _OPTIONAL),
-        "g2_c": ("float", _OPTIONAL),
-        "g2_scale": ("float", _OPTIONAL),
-        "g2_delta": ("float", _OPTIONAL),
+        # generator1, g1_a, ..., generator2, g2_a, ...: _GEN_KEYS per driver
+        **{
+            (f"generator{n}" if key == "generator" else f"g{n}_{key}"): spec
+            for n in (1, 2)
+            for key, spec in _GEN_KEYS.items()
+        },
         "points_t": ("floats", _REQUIRED),
         "points_x": ("floats", _REQUIRED),
         "points_y": ("floats", _REQUIRED),
@@ -350,18 +345,13 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
 
 def _generator_from(cfg: dict, name_key: str = "generator", prefix: str = ""):
     name = cfg[name_key]
-    params = {}
-    for short in ("a", "b", "c", "scale", "delta"):
-        key = prefix + short
-        if key in cfg:
-            v = cfg[key]
-            params[short] = v if short == "b" else float(v)
+    params = {
+        short: cfg[prefix + short]
+        for short in _GEN_KEYS
+        if short != "generator" and prefix + short in cfg
+    }
     # builtin_generator rejects parameters the named generator does not take
     return builtin_generator(name, **params)
-
-
-def _const_fn(v: float):
-    return lambda t, x: v
 
 
 _TERMINALS = {
@@ -372,15 +362,22 @@ _TERMINALS = {
 }
 
 
-def _run_simulate(cfg: dict, threads: int):
-    grid = TimeGrid(cfg["t_start"], cfg["t_end"], cfg["n_steps"])
-    batch = sample_brownian(grid, cfg["n_paths"], cfg["d"], cfg["seed"], threads=threads)
+def _forward(cfg: dict, threads: int):
+    """Constant-coefficient diffusion of simulate and solve: (grid, batch, forward)."""
+    d = cfg["d"]
     x0 = cfg["x0"]
-    if len(x0) == 1 and cfg["d"] > 1:
-        x0 = x0 * cfg["d"]
-    if len(x0) != cfg["d"]:
-        raise ValidationError(f"x0 has {len(x0)} coordinate(s), expected d={cfg['d']}")
-    fw = euler_maruyama(grid, _const_fn(cfg["drift"]), _const_fn(cfg["sigma"]), x0, batch)
+    if len(x0) == 1 and d > 1:
+        x0 = x0 * d
+    if len(x0) != d:
+        raise ValidationError(f"x0 has {len(x0)} coordinate(s), expected d={d}")
+    grid = TimeGrid(cfg["t_start"], cfg["t_end"], cfg["n_steps"])
+    batch = sample_brownian(grid, cfg["n_paths"], d, cfg["seed"], threads=threads)
+    fw = euler_maruyama(grid, _const(cfg["drift"]), _const(cfg["sigma"]), x0, batch)
+    return grid, batch, fw
+
+
+def _run_simulate(cfg: dict, threads: int):
+    grid, _, fw = _forward(cfg, threads)
     times = grid.times()
     n = fw.states.shape[2]
     columns = ["step", "t"]
@@ -404,14 +401,7 @@ def _run_solve(cfg: dict, threads: int):
         )
     terminal = _TERMINALS[cfg["terminal"]]
     d = cfg["d"]
-    grid = TimeGrid(cfg["t_start"], cfg["t_end"], cfg["n_steps"])
-    batch = sample_brownian(grid, cfg["n_paths"], d, cfg["seed"], threads=threads)
-    x0 = cfg["x0"]
-    if len(x0) == 1 and d > 1:
-        x0 = x0 * d
-    if len(x0) != d:
-        raise ValidationError(f"x0 has {len(x0)} coordinate(s), expected d={d}")
-    fw = euler_maruyama(grid, _const_fn(cfg["drift"]), _const_fn(cfg["sigma"]), x0, batch)
+    grid, batch, fw = _forward(cfg, threads)
     problem = BSDEProblem(
         generator=g,
         t_start=cfg["t_start"],
@@ -523,25 +513,26 @@ def _run_converse(cfg: dict, threads: int):
     return columns, rows, post
 
 
+# pde name -> (problem factory taking the config, exact solution or None);
+# touch needs the exact solution, fk only the problem
+_PDES = {
+    "affine": (lambda cfg, **kw: affine_problem(cfg["c0"], cfg["c1"], cfg["T"], **kw), None),
+    "heat_cos": (lambda cfg, **kw: heat_cos_problem(cfg["T"], **kw), heat_cos_solution),
+    "semilinear_cos": (
+        lambda cfg, **kw: semilinear_cos_problem(cfg["T"], **kw),
+        semilinear_cos_solution,
+    ),
+    "square": (lambda cfg, **kw: square_problem(cfg["T"], **kw), None),
+}
+
+
 def _pde_from(cfg: dict):
     name = cfg["pde"]
-    T = cfg["T"]
-    hw = cfg.get("half_width")
-    if name == "heat_cos":
-        return heat_cos_problem(T) if hw is None else heat_cos_problem(T, hw)
-    if name == "semilinear_cos":
-        return semilinear_cos_problem(T) if hw is None else semilinear_cos_problem(T, hw)
-    if name == "affine":
-        return (
-            affine_problem(cfg["c0"], cfg["c1"], T)
-            if hw is None
-            else affine_problem(cfg["c0"], cfg["c1"], T, hw)
-        )
-    if name == "square":
-        return square_problem(T) if hw is None else square_problem(T, hw)
-    raise ValidationError(
-        f"unknown pde {name!r}; choose from affine, heat_cos, semilinear_cos, square"
-    )
+    if name not in _PDES:
+        raise ValidationError(f"unknown pde {name!r}; choose from {', '.join(_PDES)}")
+    factory, _ = _PDES[name]
+    hw = {"half_width": cfg["half_width"]} if "half_width" in cfg else {}
+    return factory(cfg, **hw)
 
 
 def _run_fk(cfg: dict, threads: int):
@@ -565,18 +556,12 @@ def _run_fk(cfg: dict, threads: int):
 
 def _run_touch(cfg: dict, threads: int):
     name = cfg["pde"]
-    T = cfg["T"]
-    if name == "heat_cos":
-        problem, solution = heat_cos_problem(T), heat_cos_solution(T)
-    elif name == "semilinear_cos":
-        problem, solution = semilinear_cos_problem(T), semilinear_cos_solution(T)
-    else:
-        raise ValidationError(
-            f"touch supports pde in (heat_cos, semilinear_cos), got {name!r}"
-        )
+    exact = tuple(k for k, (_, sol) in _PDES.items() if sol is not None)
+    if name not in exact:
+        raise ValidationError(f"touch supports pde in ({', '.join(exact)}), got {name!r}")
+    problem = _pde_from(cfg)
+    solution = _PDES[name][1](cfg["T"])
     mode = cfg["mode"]
-    if mode not in ("sub", "super"):
-        raise ValidationError(f"mode must be 'sub' or 'super', got {mode!r}")
     if cfg["phi"] == "exact":
         phi = solution
     elif cfg["phi"] == "bump":
@@ -684,7 +669,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="sampling threads (never changes the output bytes)",
+            help=(
+                "path-sampling threads for simulate and solve; accepted but unused "
+                "by the other subcommands (never changes the output bytes)"
+            ),
         )
     return parser
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -91,9 +91,6 @@ class Generator:
         psi(alpha, t) dominating sup_{|y|<=alpha} |g(t,x,y,0) - g(t,x,0,0)|
         uniformly in x.  Omitted when no x-uniform bound exists; consumers
         then fall back to an empirical sup over a y-grid.
-    deterministic_in_t : bool
-        Whether t |-> g(t,x,y,z) is a deterministic continuous map for fixed
-        (x, y, z).  True for every built-in.
     state_dependent : bool
         Whether eval actually reads x.
     """
@@ -103,16 +100,10 @@ class Generator:
     lipschitz_z: float
     monotonicity_modulus: Callable | None = None
     growth_bound: Callable | None = None
-    deterministic_in_t: bool = True
     state_dependent: bool = False
 
     def __call__(self, t, x, y, z):
         return self.eval(t, x, y, z)
-
-    @property
-    def deterministic(self) -> bool:
-        """True when the generator carries no randomness at all."""
-        return self.deterministic_in_t and not self.state_dependent
 
 
 def _linear_generator(a: float, b, c: float) -> Generator:
@@ -139,7 +130,6 @@ def _linear_generator(a: float, b, c: float) -> Generator:
         lipschitz_z=float(np.linalg.norm(b)),
         monotonicity_modulus=lambda u: abs(a) * np.asarray(u, dtype=float),
         growth_bound=lambda alpha, t: abs(a) * float(alpha),
-        deterministic_in_t=True,
         state_dependent=False,
     )
 
@@ -156,7 +146,6 @@ def _z_abs_generator(scale: float) -> Generator:
         lipschitz_z=abs(scale),
         monotonicity_modulus=lambda u: np.asarray(u, dtype=float),
         growth_bound=lambda alpha, t: 0.0,
-        deterministic_in_t=True,
         state_dependent=False,
     )
 
@@ -197,7 +186,6 @@ def _stress_generator(delta: float) -> Generator:
         lipschitz_z=1.0,
         monotonicity_modulus=modulus,
         growth_bound=None,
-        deterministic_in_t=True,
         state_dependent=True,
     )
 
@@ -212,7 +200,6 @@ def _negative_exponential_generator() -> Generator:
         lipschitz_z=0.0,
         monotonicity_modulus=lambda u: 0.0 * np.asarray(u, dtype=float),
         growth_bound=lambda alpha, t: float(alpha),
-        deterministic_in_t=True,
         state_dependent=False,
     )
 

@@ -52,7 +52,14 @@ def _growth_scale(g, alpha, t, x):
     return empirical_growth_bound(g, alpha, t, x)
 
 
-def _scan(g, alpha, n, t, x, u_resolution):
+def envelopes(g: Generator, alpha, n, t, x, u_resolution: float = 1e-4) -> EnvelopeResult:
+    """Both envelopes of g at (t, x) from one grid scan over u.
+
+    The lower envelope grid-minimizes g(t, x, q_alpha(u), 0) + n|u|, the
+    upper one grid-maximizes g(t, x, q_alpha(u), 0) - n|u|.  The scanned
+    interval [-U, U] with U = (2*psi_hat + 2|g0| + 1)/n provably contains
+    both optimizers: beyond it the penalty exceeds the u = 0 value.
+    """
     if n <= 0:
         raise ValidationError(f"penalty slope n must be > 0, got {n}")
     if u_resolution <= 0:
@@ -77,22 +84,6 @@ def _scan(g, alpha, n, t, x, u_resolution):
         argmax_u=float(u[i_hi]),
         search_bound=float(U),
     )
-
-
-def lower_envelope(g: Generator, alpha, n, t, x, u_resolution: float = 1e-4) -> EnvelopeResult:
-    """Grid-minimize g(t, x, q_alpha(u), 0) + n|u| over u.
-
-    The scanned interval [-U, U] with U = (2*psi_hat + 2|g0| + 1)/n provably
-    contains the minimizer: beyond it the penalty exceeds the u = 0 value.
-    The upper counterpart is computed on the same grid and returned in the
-    same result.
-    """
-    return _scan(g, alpha, n, t, x, u_resolution)
-
-
-def upper_envelope(g: Generator, alpha, n, t, x, u_resolution: float = 1e-4) -> EnvelopeResult:
-    """Grid-maximize g(t, x, q_alpha(u), 0) - n|u| over u; see lower_envelope."""
-    return _scan(g, alpha, n, t, x, u_resolution)
 
 
 @dataclass(frozen=True)
@@ -124,7 +115,7 @@ def sandwich_check(
     lower up and upper down by at most one cell, so violations up to
     10*u_resolution*(n + local Lipschitz estimate) are tolerated.
     """
-    res = _scan(g, alpha, n, t, x, u_resolution)
+    res = envelopes(g, alpha, n, t, x, u_resolution)
     y = np.asarray(y_samples, dtype=float)
     vals = np.asarray(g(t, x, q_trunc(y, alpha), 0.0), dtype=float)
     pen = n * np.abs(y)
@@ -181,7 +172,7 @@ def convergence_curve(
     bound = 2.0 * psi_hat + 4.0 * abs(g0)
     rows = []
     for n in n_list:
-        r = _scan(g, alpha, n, t, x, u_resolution)
+        r = envelopes(g, alpha, n, t, x, u_resolution)
         combined = abs(r.value_lower - g0) + abs(r.value_upper - g0)
         rows.append(
             EnvelopeCurveRow(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -93,10 +93,13 @@ class McSolution:
 def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfig) -> McSolution:
     """Estimate u(t, x) by forward simulation plus the backward sweep.
 
-    The reported standard error comes from the pathwise telescoped sums
-    (terminal value plus accumulated generator), whose mean coincides with
-    the regression estimate but whose spread is the estimator's real Monte
-    Carlo noise.
+    The reported standard error comes from the sweep's pathwise telescoped
+    sums (SolutionBatch.telescoped: terminal value plus accumulated
+    generator), whose mean coincides with the regression estimate but whose
+    spread is the estimator's real Monte Carlo noise.  Their generator
+    values come from the implicit step, so the sums differ from sums
+    re-evaluated at the solved Y by at most picard_tol*L*(T - t), L the
+    local y-slope of g.
     """
     if not 0.0 <= t < problem.T:
         raise ValidationError(f"need 0 <= t < T={problem.T}, got t={t}")
@@ -112,27 +115,13 @@ def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfi
         terminal=lambda s: np.asarray(problem.phi(s[:, -1, 0]), dtype=float),
     )
     sol = solve_bsde(prob, fw, batch, config)
-    raw = _telescoped(problem.generator, grid, fw.states, sol, None)
     M = config.n_paths
     return McSolution(
         u=float(sol.Y[:, 0].mean()),
-        se=float(raw.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0,
+        se=float(sol.telescoped.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0,
         solution=sol,
         forward=fw,
     )
-
-
-def _telescoped(g, grid, states, sol, stop):
-    """Pathwise xi + sum_i g(t_i, x_i, Y_i, Z_i)*dt_eff; same mean as Y[:,0]."""
-    M, n_steps1, _ = states.shape
-    n_steps = n_steps1 - 1
-    times = grid.times()
-    acc = sol.Y[:, -1].astype(float).copy()
-    for i in range(n_steps):
-        dt_eff = grid.dt if stop is None else np.where(i < stop, grid.dt, 0.0)
-        gv = np.asarray(g(times[i], states[:, i, :], sol.Y[:, i], sol.Z[:, i, :]), dtype=float)
-        acc += gv * dt_eff
-    return acc
 
 
 @dataclass(frozen=True)
@@ -173,15 +162,7 @@ def flow_consistency(
             win = np.abs(xs_k - xq) <= 4 * bw
         yw = float(sol.Y[win, k].mean())
         se_w = float(sol.Y[win, k].std(ddof=1) / np.sqrt(np.count_nonzero(win)))
-        sub = ExperimentConfig(
-            seed=config.seed + 7919,
-            n_paths=config.n_paths,
-            n_steps=max(config.n_steps - k, 1),
-            basis_degree=config.basis_degree,
-            picard_max=config.picard_max,
-            picard_tol=config.picard_tol,
-            p_norms=config.p_norms,
-        )
+        sub = replace(config, seed=config.seed + 7919, n_steps=max(config.n_steps - k, 1))
         re = mc_solution(problem, float(times[k]), xq, sub)
         rows.append(
             FlowCheckRow(
@@ -372,16 +353,7 @@ def mc_vs_fd(
     field = fd_reference(problem, h, k, theta)
     rows = []
     for i, (t, x) in enumerate(points):
-        sub = ExperimentConfig(
-            seed=config.seed + i,
-            n_paths=config.n_paths,
-            n_steps=config.n_steps,
-            basis_degree=config.basis_degree,
-            picard_max=config.picard_max,
-            picard_tol=config.picard_tol,
-            p_norms=config.p_norms,
-        )
-        mc = mc_solution(problem, t, x, sub)
+        mc = mc_solution(problem, t, x, replace(config, seed=config.seed + i))
         u_fd = field.value(t, x)
         diff = mc.u - u_fd
         tol = max(0.02 * abs(u_fd), 3.0 * mc.se + fd_budget(u_fd))
@@ -444,7 +416,6 @@ def proof_generator(problem: PDEProblem, phi: TestFunction) -> Generator:
         lipschitz_z=g.lipschitz_z,
         monotonicity_modulus=g.monotonicity_modulus,
         growth_bound=None,
-        deterministic_in_t=g.deterministic_in_t,
         state_dependent=True,
     )
 
@@ -523,7 +494,7 @@ def viscosity_touch_check(
     grid = TimeGrid(t, t + eps, config.n_steps)
     batch = sample_brownian(grid, config.n_paths, 1, config.seed)
     fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
-    stop = stopping_indices(batch, G, grid, x_path=fw.states, barrier=barrier)
+    stop = stopping_indices(batch, G, x_path=fw.states, barrier=barrier)
     frac_stopped = float(np.mean(stop < config.n_steps))
     if frac_stopped > 0.01:
         warnings.warn(
@@ -536,7 +507,7 @@ def viscosity_touch_check(
         generator=G, t_start=t, t_end=t + eps, dimension_d=1, terminal=lambda s: zero
     )
     sol = solve_bsde(prob, fw, batch, config, stop_indices=stop)
-    raw = _telescoped(G, grid, fw.states, sol, stop) / eps
+    raw = sol.telescoped / eps
     quotient = float(sol.Y[:, 0].mean()) / eps
     se = float(raw.std(ddof=1) / np.sqrt(config.n_paths)) if config.n_paths > 1 else 0.0
 

@@ -166,7 +166,7 @@ def euler_maruyama(
 def stopping_indices(
     batch: BrownianBatch,
     g: Generator,
-    grid: TimeGrid | None = None,
+    *,
     x_path: np.ndarray | None = None,
     barrier: float = 1.0,
 ) -> np.ndarray:
@@ -175,10 +175,8 @@ def stopping_indices(
     g0_i = g(t_i, x_i, 0, 0) with x_i taken from x_path (shape (M, N+1, n))
     or, by default, from the Brownian path itself.  Paths that never exceed
     the barrier return n_steps.  No sub-step interpolation: exceedance is
-    detected at grid nodes only.
+    detected at grid nodes only.  The grid is the batch's own.
     """
-    if grid is None:
-        grid = batch.grid
     if barrier <= 0:
         raise ValidationError(f"barrier must be > 0, got {barrier}")
     M, n_steps, d = batch.increments.shape
@@ -187,6 +185,7 @@ def stopping_indices(
 
     if x_path is None:
         x_path = cum
+    grid = batch.grid
     times = grid.times()
     g0sq = np.empty((M, n_steps))
     zeros = np.zeros(M)

@@ -44,8 +44,11 @@ class QuotientEstimate:
     """One quotient cell: window eps, M paths.
 
     per_path holds the conditional (regression-fitted) quotients used for
-    L^p errors against the pathwise targets; raw holds the telescoped
-    pathwise sums whose spread measures the estimator's Monte Carlo noise.
+    L^p errors against the pathwise targets; raw holds the rescaled
+    telescoped sums of the sweep (SolutionBatch.telescoped), whose spread
+    measures the estimator's Monte Carlo noise.  Their generator values
+    come from the implicit step, so raw differs from sums re-evaluated at
+    the solved Y by at most picard_tol*L, L the local y-slope of g.
     """
 
     eps: float
@@ -104,7 +107,7 @@ def representation_quotient(
         base = np.broadcast_to(x, (M, d)).copy()
 
     states = batch.cumulative(start=base)
-    stop = stopping_indices(batch, g, grid, x_path=states, barrier=barrier)
+    stop = stopping_indices(batch, g, x_path=states, barrier=barrier)
     frac_stopped = float(np.mean(stop < config.n_steps))
     if frac_stopped > 0.01:
         warnings.warn(
@@ -136,18 +139,7 @@ def representation_quotient(
     )
 
     per_path = (sol.Y[:, 0] - y) / eps
-
-    # Telescoped pathwise sum: same mean as the fitted initial values (least
-    # squares preserves target means), but with the genuine per-path noise.
-    dt_eff = np.where(np.arange(config.n_steps)[None, :] < stop[:, None], grid.dt, 0.0)
-    times = grid.times()
-    acc = xi.astype(float).copy()
-    for i in range(config.n_steps):
-        gv = np.asarray(
-            g(times[i], states[:, i, :], sol.Y[:, i], sol.Z[:, i, :]), dtype=float
-        )
-        acc += gv * dt_eff[:, i]
-    raw = (acc - y) / eps
+    raw = (sol.telescoped - y) / eps
 
     targets = np.broadcast_to(
         np.asarray(g(t, base, np.full(M, float(y)), np.broadcast_to(z, (M, d))), dtype=float),

@@ -65,14 +65,22 @@ class SolutionBatch:
     """Pathwise solution estimates plus regression diagnostics.
 
     Y has shape (M, N+1) with Y[:, N] equal to the terminal values exactly;
-    Z has shape (M, N, d).  diagnostics carries per-step condition numbers,
-    basis ranks, Picard iteration counts and bisection-fallback counts, and
-    the empirical sup of |Y| (no a-priori constant is asserted against it).
+    Z has shape (M, N, d).  telescoped, shape (M,), is the pathwise sum
+    xi + sum_i g(t_i, X_i, Y_i, Z_i)*dt_eff accumulated during the sweep:
+    its mean matches Y[:, 0] (least squares preserves target means) and its
+    spread is the estimator's Monte Carlo noise.  Each g value is the last
+    one the implicit step evaluated, at an iterate within picard_tol of
+    Y_i, so the sum differs from one re-evaluated at the solved Y by at
+    most picard_tol*L*(t_end - t_start), L the local y-slope of g.
+    diagnostics carries per-step condition numbers, basis ranks, Picard
+    iteration counts and bisection-fallback counts, and the empirical sup
+    of |Y| (no a-priori constant is asserted against it).
     """
 
     grid: TimeGrid
     Y: np.ndarray
     Z: np.ndarray
+    telescoped: np.ndarray
     regression_coeffs: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
@@ -85,24 +93,28 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
     """Solve y = base + g(t_i, x_i, y, z_i)*dt_eff pathwise.
 
     Damped Picard from y0 = base; paths still unconverged after picard_max
-    iterations are finished by bisection.  Returns (y, iters, n_fallback).
+    iterations are finished by bisection.  Returns (y, iters, n_fallback,
+    gv), gv the generator value of the last evaluation: at the iterate
+    before y when the iteration converged, at y itself otherwise.
     """
     y = base.copy()
     iters = 0
     tol = config.picard_tol
     for _ in range(config.picard_max):
-        y_new = 0.5 * y + 0.5 * (base + np.asarray(g(t_i, x_i, y, z_i), dtype=float) * dt_eff)
+        gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
+        y_new = 0.5 * y + 0.5 * (base + gv * dt_eff)
         delta = np.max(np.abs(y_new - y))
         y = y_new
         iters += 1
         if delta <= tol:
-            return y, iters, 0
+            return y, iters, 0, gv
 
-    resid = y - base - np.asarray(g(t_i, x_i, y, z_i), dtype=float) * dt_eff
+    gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
+    resid = y - base - gv * dt_eff
     # negated <= keeps NaN residuals (diverged iterates) in the bad set
     bad = ~(np.abs(resid) <= tol)
     if not np.any(bad):
-        return y, iters, 0
+        return y, iters, 0, gv
 
     idx = np.nonzero(bad)[0]
     xb = x_i[idx]
@@ -143,7 +155,9 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
             f"bisection stalled at step t={t_i}, path {m}, width={np.max(hi - lo):.3e}"
         )
     y[idx] = 0.5 * (lo + hi)
-    return y, iters, int(idx.size)
+    gv = np.array(np.broadcast_to(gv, y.shape))
+    gv[idx] = np.asarray(g(t_i, xb, y[idx], zb), dtype=float)
+    return y, iters, int(idx.size), gv
 
 
 def solve_bsde(
@@ -202,6 +216,7 @@ def solve_bsde(
     Y = np.empty((M, n_steps + 1))
     Z = np.empty((M, n_steps, d))
     Y[:, n_steps] = xi
+    telescoped = xi.copy()
     coeffs = []
     cond = np.empty(n_steps)
     rank = np.empty(n_steps, dtype=int)
@@ -222,7 +237,7 @@ def solve_bsde(
         else:
             dt_eff = np.where(i < stop_indices, dt, 0.0)
 
-        y, iters, nfb = _picard_step(
+        y, iters, nfb, gv = _picard_step(
             g, times[i], forward.states[:, i, :], ey, Z[:, i, :], dt_eff, config
         )
         if not np.all(np.isfinite(y)):
@@ -230,6 +245,7 @@ def solve_bsde(
                 f"non-finite Y at step {i}, path {int(np.argmax(~np.isfinite(y)))}"
             )
         Y[:, i] = y
+        telescoped += gv * dt_eff
         coeffs.append(coef)
         cond[i] = cnd
         rank[i] = rnk
@@ -243,6 +259,7 @@ def solve_bsde(
         grid=grid,
         Y=Y,
         Z=Z,
+        telescoped=telescoped,
         regression_coeffs=coeffs,
         diagnostics={
             "cond": cond,

@@ -216,6 +216,14 @@ class TestConfigErrors:
         )
         self._expect2(["fk", "--config", cfg], capsys, "burgers")
 
+    def test_touch_rejects_pde_without_exact_solution(self, tmp_path, capsys):
+        # square is a valid fk problem but has no exact test function
+        cfg = _write(tmp_path, "c.cfg", "pde = square\nt = 0.5\nx = 0.0\n")
+        assert main(["touch", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bsdelab: ValidationError: ")
+        assert "'square'" in err and "heat_cos" in err and "semilinear_cos" in err
+
 
 class TestHypothesisGate:
     # generator1 must dominate generator2 pointwise

@@ -105,7 +105,6 @@ class TestBuiltinGenerators:
         out = g(0.0, np.zeros((1, 2)), np.array([1.0]), z)
         assert out[0] == pytest.approx(2.0 + 0.2 + 0.5)
         assert g.lipschitz_z == pytest.approx(math.sqrt(2.0))
-        assert g.deterministic
 
     def test_linear_scalar_z(self):
         g = builtin_generator("linear", b=0.7)
@@ -133,7 +132,7 @@ class TestBuiltinGenerators:
         z = np.array([[0.5]])
         expected = -math.exp(0.4) + h_entropy(0.2, 0.1) + 0.5
         assert g(0.3, x, y, z)[0] == pytest.approx(expected, abs=1e-12)
-        assert g.state_dependent and not g.deterministic
+        assert g.state_dependent
 
     def test_stress_exponent_clamp_warns(self):
         g = builtin_generator("stress", delta=0.1)

@@ -10,10 +10,9 @@ from bsdelab import (
     builtin_generator,
     convergence_curve,
     empirical_growth_bound,
-    lower_envelope,
+    envelopes,
     q_trunc,
     sandwich_check,
-    upper_envelope,
 )
 
 
@@ -37,24 +36,24 @@ class TestAgainstBruteForce:
         x = np.zeros(1)
         expected_lower = {1: -1.0, 2: 0.0, 4: 0.0}
         for n in (1, 2, 4):
-            r = lower_envelope(g, 1.0, n, 0.0, x)
+            r = envelopes(g, 1.0, n, 0.0, x)
             bf_lo, bf_hi = _brute_force(g, 1.0, n, 0.0, x)
             assert r.value_lower == pytest.approx(bf_lo, abs=1e-9)
             assert r.value_lower == pytest.approx(expected_lower[n], abs=3e-4)
-            u = upper_envelope(g, 1.0, n, 0.0, x)
+            u = envelopes(g, 1.0, n, 0.0, x)
             assert u.value_upper == pytest.approx(bf_hi, abs=1e-9)
             assert u.value_upper == pytest.approx(-expected_lower[n], abs=3e-4)
 
     def test_argmin_location(self):
         g = builtin_generator("linear", a=-2.0)
-        r = lower_envelope(g, 1.0, 1, 0.0, np.zeros(1))
+        r = envelopes(g, 1.0, 1, 0.0, np.zeros(1))
         assert r.argmin_u == pytest.approx(1.0, abs=1e-3)
 
     def test_offset_generator(self):
         g = builtin_generator("linear", a=1.5, c=-0.7)
         x = np.zeros(1)
         for n in (1, 3):
-            r = lower_envelope(g, 2.0, n, 0.0, x)
+            r = envelopes(g, 2.0, n, 0.0, x)
             bf_lo, _ = _brute_force(g, 2.0, n, 0.0, x, lo=-4.0, hi=4.0)
             assert r.value_lower == pytest.approx(bf_lo, abs=1e-9)
 
@@ -66,14 +65,14 @@ class TestEnvelopeStructure:
         x = np.zeros(1)
         g0 = 0.3
         for n in (1, 2, 8):
-            assert lower_envelope(g, 1.0, n, 0.0, x).value_lower <= g0
-            assert upper_envelope(g, 1.0, n, 0.0, x).value_upper >= g0
+            assert envelopes(g, 1.0, n, 0.0, x).value_lower <= g0
+            assert envelopes(g, 1.0, n, 0.0, x).value_upper >= g0
 
     def test_monotone_in_n(self):
         g = builtin_generator("linear", a=-2.0, c=0.5)
         x = np.zeros(1)
-        lowers = [lower_envelope(g, 1.0, n, 0.0, x).value_lower for n in (1, 2, 4, 8)]
-        uppers = [upper_envelope(g, 1.0, n, 0.0, x).value_upper for n in (1, 2, 4, 8)]
+        lowers = [envelopes(g, 1.0, n, 0.0, x).value_lower for n in (1, 2, 4, 8)]
+        uppers = [envelopes(g, 1.0, n, 0.0, x).value_upper for n in (1, 2, 4, 8)]
         assert all(a <= b + 1e-12 for a, b in zip(lowers, lowers[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(uppers, uppers[1:]))
 
@@ -83,20 +82,20 @@ class TestEnvelopeStructure:
         g = builtin_generator("linear", a=-2.0)
         res = 1e-4
         for n in (2, 3, 10):
-            r = lower_envelope(g, 1.0, n, 0.0, np.zeros(1), u_resolution=res)
+            r = envelopes(g, 1.0, n, 0.0, np.zeros(1), u_resolution=res)
             assert abs(r.value_lower - 0.0) <= (2 + n) * res
 
     def test_truncation_limits_the_probe(self):
         # with alpha = 0 only y = 0 is probed, so both envelopes equal g0
         g = builtin_generator("linear", a=-5.0, c=1.1)
-        r = lower_envelope(g, 0.0, 1, 0.0, np.zeros(1))
-        u = upper_envelope(g, 0.0, 1, 0.0, np.zeros(1))
+        r = envelopes(g, 0.0, 1, 0.0, np.zeros(1))
+        u = envelopes(g, 0.0, 1, 0.0, np.zeros(1))
         assert r.value_lower == pytest.approx(1.1, abs=1e-9)
         assert u.value_upper == pytest.approx(1.1, abs=1e-9)
 
     def test_declared_growth_bound_used(self):
         g = builtin_generator("linear", a=-2.0)
-        r = lower_envelope(g, 1.0, 1, 0.0, np.zeros(1))
+        r = envelopes(g, 1.0, 1, 0.0, np.zeros(1))
         # U = (2 psi + 2|g0| + 1)/n with psi(1) = 2, g0 = 0
         assert r.search_bound == pytest.approx(5.0)
 
@@ -105,8 +104,8 @@ class TestEnvelopeStructure:
         x = np.array([0.5])
         emp = empirical_growth_bound(g, 1.0, 0.2, x)
         assert emp > 0
-        r = lower_envelope(g, 1.0, 2, 0.2, x)
-        u = upper_envelope(g, 1.0, 2, 0.2, x)
+        r = envelopes(g, 1.0, 2, 0.2, x)
+        u = envelopes(g, 1.0, 2, 0.2, x)
         g0 = float(np.asarray(g(0.2, x.reshape(1, 1), np.zeros(1), np.zeros((1, 1)))).reshape(()))
         assert r.value_lower <= g0 <= u.value_upper
         assert np.isfinite(r.value_lower) and np.isfinite(u.value_upper)
@@ -181,7 +180,24 @@ class TestCustomGenerator:
             eval=lambda t, x, y, z: -np.asarray(y, dtype=float) ** 3,
             lipschitz_z=0.0,
         )
-        r = lower_envelope(g, 1.0, 50, 0.0, np.zeros(1))
+        r = envelopes(g, 1.0, 50, 0.0, np.zeros(1))
         assert abs(r.value_lower) < 0.1
-        r1 = lower_envelope(g, 1.0, 1, 0.0, np.zeros(1))
+        r1 = envelopes(g, 1.0, 1, 0.0, np.zeros(1))
         assert r1.value_lower == pytest.approx(-1.0 + 1.0, abs=3e-4) or r1.value_lower <= 0.0
+
+
+class TestPublicNames:
+    def test_envelope_submodule_not_shadowed(self):
+        import types
+
+        import bsdelab
+        import bsdelab.envelope
+
+        assert isinstance(bsdelab.envelope, types.ModuleType)
+        assert bsdelab.envelope.envelopes is bsdelab.envelopes
+
+    def test_every_exported_name_resolves(self):
+        import bsdelab
+
+        missing = [name for name in bsdelab.__all__ if not hasattr(bsdelab, name)]
+        assert missing == []

@@ -166,7 +166,7 @@ class TestStopping:
         batch = sample_brownian(grid, 200, 2, seed=21)
         g = builtin_generator("stress", delta=0.1)
         x_path = batch.cumulative(start=np.full((200, 2), 0.4))
-        fast = stopping_indices(batch, g, grid, x_path=x_path, barrier=0.3)
+        fast = stopping_indices(batch, g, x_path=x_path, barrier=0.3)
         slow = _naive_stops(batch, g, grid, x_path, 0.3)
         assert np.array_equal(fast, slow)
 
@@ -174,16 +174,16 @@ class TestStopping:
         grid = TimeGrid(0.0, 1.0, 20)
         batch = sample_brownian(grid, 100, 1, seed=2)
         g = builtin_generator("linear", c=1.0)
-        a = stopping_indices(batch, g, grid, barrier=0.5)
-        b = stopping_indices(batch, g, grid, x_path=batch.cumulative(), barrier=0.5)
+        a = stopping_indices(batch, g, barrier=0.5)
+        b = stopping_indices(batch, g, x_path=batch.cumulative(), barrier=0.5)
         assert np.array_equal(a, b)
 
     def test_barrier_monotone(self):
         grid = TimeGrid(0.0, 1.0, 50)
         batch = sample_brownian(grid, 500, 1, seed=13)
         g = builtin_generator("linear", c=1.5)
-        lo = stopping_indices(batch, g, grid, barrier=0.5)
-        hi = stopping_indices(batch, g, grid, barrier=2.0)
+        lo = stopping_indices(batch, g, barrier=0.5)
+        hi = stopping_indices(batch, g, barrier=2.0)
         assert np.all(hi >= lo)
 
     def test_small_window_rarely_stops(self):
@@ -192,7 +192,7 @@ class TestStopping:
         grid = TimeGrid(0.5, 0.55, 50)
         batch = sample_brownian(grid, 100_000, 1, seed=17)
         g = builtin_generator("linear")
-        stops = stopping_indices(batch, g, grid, barrier=1.0)
+        stops = stopping_indices(batch, g, barrier=1.0)
         assert np.mean(stops < 50) < 1e-3
 
     def test_barrier_validation(self):
@@ -200,4 +200,4 @@ class TestStopping:
         batch = sample_brownian(grid, 4, 1, seed=0)
         g = builtin_generator("linear")
         with pytest.raises(ValidationError):
-            stopping_indices(batch, g, grid, barrier=0.0)
+            stopping_indices(batch, g, barrier=0.0)

@@ -18,6 +18,7 @@ from bsdelab import (
     sample_brownian,
     solve_bsde,
     stability_check,
+    stopping_indices,
 )
 
 
@@ -324,6 +325,61 @@ class TestStopGating:
         cfg = ExperimentConfig(seed=0, n_paths=32, n_steps=5)
         with pytest.raises(ValidationError):
             solve_bsde(problem, fw, batch, cfg, stop_indices=np.zeros(7, dtype=int))
+
+
+class TestTelescopedSum:
+    """The sweep's pathwise sum against a per-step re-evaluation of g."""
+
+    @staticmethod
+    def _reevaluated(g, grid, states, sol, stop):
+        # independent oracle: xi + sum_i g(t_i, X_i, Y_i, Z_i)*dt_eff with g
+        # evaluated afresh at the solved Y and Z
+        times = grid.times()
+        acc = sol.Y[:, -1].copy()
+        for i in range(grid.n_steps):
+            gv = np.asarray(g(times[i], states[:, i, :], sol.Y[:, i], sol.Z[:, i, :]), dtype=float)
+            acc += gv * np.where(i < stop, grid.dt, 0.0)
+        return acc
+
+    def _solve(self, g, grid, M, seed, barrier, terminal):
+        batch = sample_brownian(grid, M, 1, seed)
+        states = batch.cumulative(start=0.8)
+        stop = stopping_indices(batch, g, x_path=states, barrier=barrier)
+        # the stop gating must bind on some paths and not on others
+        assert 0 < np.count_nonzero(stop < grid.n_steps) < M
+        problem = BSDEProblem(
+            generator=g, t_start=grid.t_start, t_end=grid.t_end, dimension_d=1, terminal=terminal
+        )
+        cfg = ExperimentConfig(seed=seed, n_paths=M, n_steps=grid.n_steps)
+        sol = solve_bsde(
+            problem, ForwardBatch(grid=grid, states=states), batch, cfg, stop_indices=stop
+        )
+        return sol, self._reevaluated(g, grid, states, sol, stop), cfg
+
+    def test_stress_driver_with_stops(self):
+        g = builtin_generator("stress", delta=0.1)
+        grid = TimeGrid(0.5, 0.6, 50)
+        sol, oracle, cfg = self._solve(
+            g, grid, 4000, 31, 0.3, lambda s: 0.2 + 0.3 * (s[:, -1, 0] - s[:, 0, 0])
+        )
+        assert sol.telescoped.shape == (4000,)
+        assert np.max(np.abs(sol.telescoped - oracle)) <= cfg.n_steps * cfg.picard_tol
+
+    def test_y_independent_driver_with_stops(self):
+        # g does not read y, so the implicit step's g values are the oracle's
+        g = builtin_generator("linear", b=0.5, c=1.0)
+        grid = TimeGrid(0.0, 1.0, 40)
+        sol, oracle, _ = self._solve(g, grid, 4000, 32, 1.5, lambda s: s[:, -1, 0] ** 2)
+        assert np.max(np.abs(sol.telescoped - oracle)) <= 1e-12
+
+    def test_bisection_fallback_with_stops(self):
+        # a*dt = -6 sends every unstopped path to bisection, whose g values
+        # must be taken at the settled y rather than the diverged iterate
+        g = builtin_generator("linear", a=-60.0)
+        grid = TimeGrid(0.0, 1.0, 10)
+        sol, oracle, _ = self._solve(g, grid, 256, 5, 0.8, lambda s: np.ones(s.shape[0]))
+        assert sol.diagnostics["bisection_paths"].sum() > 0
+        assert np.max(np.abs(sol.telescoped - oracle)) <= 1e-12
 
 
 class TestComparison:
