@@ -177,7 +177,8 @@ columns:
   mean_y, sd_y   sample mean / standard deviation of the solved Y at t
   mean_z_J       sample mean of the J-th martingale-integrand coordinate
                  (nan on the terminal row, where no regression happens)
-  picard_iters   damped fixed-point iterations at this step (nan on last row)
+  picard_iters   implicit-step iterations (generator evaluations before any
+                 bisection) at this step (nan on last row)
   cond           condition number of the regression design (nan on last row)
 """,
     "envelope": """\

@@ -26,10 +26,16 @@ EXP_CLAMP = 50.0
 
 
 def _norm_last(a) -> np.ndarray:
-    """Euclidean norm over the last axis; plain abs for scalars."""
+    """Euclidean norm over the last axis; plain abs for scalars.
+
+    A last axis of length 1 takes abs directly, which equals sqrt(a*a)
+    bit for bit wherever a*a neither overflows nor underflows.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
         return np.abs(a)
+    if a.shape[-1] == 1:
+        return np.abs(a[..., 0])
     return np.sqrt(np.sum(a * a, axis=-1))
 
 
@@ -46,16 +52,13 @@ def h_entropy(u, delta: float):
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
         raise ValidationError("h_entropy is defined for u >= 0")
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    out = np.empty_like(u)
-    low = u <= delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[low] = np.where(u[low] > 0.0, -u[low] * np.log(u[low]), 0.0)
     slope = -math.log(delta) - 1.0
     h_delta = -delta * math.log(delta)
-    out[~low] = slope * (u[~low] - delta) + h_delta
-    return float(out[0]) if scalar else out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low = np.where(u > 0.0, -u * np.log(u), 0.0)
+    # NaN fails u <= delta and propagates through the linear branch
+    out = np.where(u <= delta, low, slope * (u - delta) + h_delta)
+    return float(out) if out.ndim == 0 else out
 
 
 def q_trunc(y, alpha: float):
@@ -120,6 +123,8 @@ def _linear_generator(a: float, b, c: float) -> Generator:
                 zb = 0.0
             else:
                 raise ValidationError("scalar z is only valid for d == 1")
+        elif b.size == 1 and z.shape[-1] == 1:
+            zb = z[..., 0] * b[0]
         else:
             zb = z @ b
         return a * np.asarray(y, dtype=float) + zb + c

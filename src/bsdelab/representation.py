@@ -39,6 +39,19 @@ def _aux_normals(seed: int, shape, stream: int = 0) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
+def _mean_se(v: np.ndarray) -> float:
+    """Standard error of the mean of v, 0 when v is constant up to rounding.
+
+    A peak-to-peak spread within n*eps*max|v| is float rounding of values
+    that are equal in exact arithmetic; its standard deviation is dust whose
+    digits follow the summation order, so it is reported as 0.
+    """
+    n = v.size
+    if n < 2 or np.ptp(v) <= n * np.finfo(float).eps * np.max(np.abs(v)):
+        return 0.0
+    return float(v.std(ddof=1) / np.sqrt(n))
+
+
 @dataclass(frozen=True)
 class QuotientEstimate:
     """One quotient cell: window eps, M paths.
@@ -148,7 +161,7 @@ def representation_quotient(
     return QuotientEstimate(
         eps=float(eps),
         mean=float(per_path.mean()),
-        se=float(raw.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0,
+        se=_mean_se(raw),
         per_path=per_path,
         raw=raw,
         targets=np.asarray(targets, dtype=float).copy(),
@@ -179,8 +192,7 @@ def _lp_error(q, targets, raw_se, p):
     v = np.abs(q - targets) ** p
     m = float(v.mean())
     err = m ** (1.0 / p)
-    n = v.size
-    se_v = float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    se_v = _mean_se(v)
     se = se_v / p * m ** (1.0 / p - 1.0) if m > 0 else se_v
     # the mean itself is uncertain even when the conditional quotient collapses
     return err, float(np.hypot(se, raw_se))

@@ -3,11 +3,13 @@
 Backward recursion on a path batch: at each step the conditional expectation
 of the next value and the z-component are estimated by a global polynomial
 regression on the current state, then the implicit one-step equation
-y = E_i[Y_{i+1}] + g(t_i, x_i, y, z_i)*dt is solved pathwise by damped Picard
-iteration (damping 1/2), falling back to bisection where the iteration fails.
-The implicit step is used because the generator is only assumed monotone in
-y; the map y - g*dt is strictly increasing whenever dt times the local slope
-stays below 1, which bisection exploits.
+y = E_i[Y_{i+1}] + g(t_i, x_i, y, z_i)*dt is solved pathwise by a safeguarded
+secant iteration, falling back to bisection where the iteration fails.  The
+implicit step is used because the generator is only assumed monotone in y;
+the map y - g*dt is strictly increasing whenever dt times the local slope
+stays below 1, so its secant slopes are positive (a non-positive or
+non-finite one falls back to the damped fixed-point step) and bisection
+brackets its root.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class SolutionBatch:
     one the implicit step evaluated, at an iterate within picard_tol of
     Y_i, so the sum differs from one re-evaluated at the solved Y by at
     most picard_tol*L*(t_end - t_start), L the local y-slope of g.
-    diagnostics carries per-step condition numbers, basis ranks, Picard
+    diagnostics carries per-step condition numbers, basis ranks, implicit-step
     iteration counts and bisection-fallback counts, and the empirical sup
     of |Y| (no a-priori constant is asserted against it).
     """
@@ -92,21 +94,36 @@ class SolutionBatch:
 def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
     """Solve y = base + g(t_i, x_i, y, z_i)*dt_eff pathwise.
 
-    Damped Picard from y0 = base; paths still unconverged after picard_max
-    iterations are finished by bisection.  Returns (y, iters, n_fallback,
-    gv), gv the generator value of the last evaluation: at the iterate
-    before y when the iteration converged, at y itself otherwise.
+    Secant iteration on F(y) = y - base - g(y)*dt_eff from y0 = base, whose
+    first step is the undamped fixed-point step y1 = base + g(base)*dt_eff.
+    Where a secant slope is not finite or not positive the damped step
+    (slope 2, i.e. y + (base + g*dt_eff - y)/2) is taken instead.  The
+    iteration stops once every path moves by at most picard_tol, measured
+    as the change of y after rounding; an affine driver needs three
+    evaluations.  Paths still unconverged after picard_max evaluations are
+    finished by bisection.  Returns (y, iters, n_fallback, gv), gv the
+    generator value of the last evaluation: at the iterate before y when
+    the iteration converged, at y itself otherwise.
     """
-    y = base.copy()
-    iters = 0
     tol = config.picard_tol
+    y = base
+    f_prev = dy = None
+    iters = 0
     for _ in range(config.picard_max):
         gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
-        y_new = 0.5 * y + 0.5 * (base + gv * dt_eff)
-        delta = np.max(np.abs(y_new - y))
-        y = y_new
+        f = y - base - gv * dt_eff
         iters += 1
-        if delta <= tol:
+        if f_prev is None:
+            step = -f
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = (f - f_prev) / dy
+            step = -f / np.where((s > 0) & (s < np.inf), s, 2.0)
+        # the step as taken: one that rounds away leaves y converged
+        y_next = y + step
+        dy = y_next - y
+        y, f_prev = y_next, f
+        if np.max(np.abs(dy)) <= tol:
             return y, iters, 0, gv
 
     gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
@@ -237,8 +254,17 @@ def solve_bsde(
         else:
             dt_eff = np.where(i < stop_indices, dt, 0.0)
 
+        # the generator reads x and z on every iteration: pass a contiguous
+        # copy of x and z with its fitted-row stride, not Z[:, i, :], whose
+        # rows stride over all n_steps
         y, iters, nfb, gv = _picard_step(
-            g, times[i], forward.states[:, i, :], ey, Z[:, i, :], dt_eff, config
+            g,
+            times[i],
+            np.ascontiguousarray(forward.states[:, i, :]),
+            ey,
+            fitted[:, 1:],
+            dt_eff,
+            config,
         )
         if not np.all(np.isfinite(y)):
             raise NumericalError(
@@ -327,8 +353,9 @@ def comparison_check(
     g1 - g2 is negative beyond float noise the check raises ValidationError
     rather than reporting a comparison failure.  Both problems are then
     solved on the same paths, and the fraction of (path, step) pairs with
-    Y1 >= Y2 - slack is reported.  The slack combines the accumulated Picard
-    tolerance with 3 regression standard errors of the fitted difference.
+    Y1 >= Y2 - slack is reported.  The slack combines the accumulated
+    implicit-step tolerance with 3 regression standard errors of the fitted
+    difference.
     """
     rng = np.random.default_rng(config.seed)
     n = forward.states.shape[2]

@@ -46,6 +46,18 @@ x0 = 1.0
 sigma = 0.0
 """
 
+# the represent example of README.md
+README_REP_CFG = """\
+generator = linear
+a = 1.0
+t = 0.0
+y = 1.0
+z = 0.0
+eps_schedule = 0.1, 0.05, 0.025, 0.0125
+n_paths = 20000
+n_steps = 50
+"""
+
 REP_CFG = """\
 seed = 3
 n_paths = 2000
@@ -109,6 +121,21 @@ class TestExitZero:
         assert float(rows[0][my]) == pytest.approx((1 + dt) ** -60, abs=1e-7)
         assert float(rows[-1][my]) == 1.0
         assert rows[-1][header.index("picard_iters")] == "nan"
+
+
+    def test_readme_represent_se_is_exact_zero_without_spread(self, tmp_path, capsys):
+        # z = 0 and no stop binding: every path carries the same quotient,
+        # so the standard errors are 0, not float dust
+        cfg = _write(tmp_path, "represent.cfg", README_REP_CFG)
+        assert main(["represent", "--config", cfg]) == 0
+        header, rows = _rows(capsys.readouterr().out)
+        cols = [header.index(c) for c in ("se", "l1_se", "l2_se")]
+        flat = [r for r in rows if float(r[header.index("eps")]) <= 0.05]
+        assert len(flat) == 3
+        for r in flat:
+            assert [r[c] for c in cols] == ["0", "0", "0"]
+        # at eps = 0.1 the stop binds on some paths and the spread is real
+        assert float(rows[0][header.index("se")]) > 1e-6
 
 
 class TestDeterminism:

@@ -17,6 +17,7 @@ from bsdelab import (
     h_entropy,
     q_trunc,
 )
+from bsdelab.core import _norm_last
 
 
 class TestEntropyModulus:
@@ -96,6 +97,56 @@ class TestTruncation:
         q1, q2 = q_trunc(y1, alpha), q_trunc(y2, alpha)
         assert abs(q1 - q2) <= abs(y1 - y2) + 1e-12
         assert abs(q1) <= alpha + 1e-12
+
+
+def _mixed_magnitudes(rng, shape):
+    # signed values from 1e-150 to 1e150 (squares stay normal), exact zeros
+    v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-150, 150, shape)
+    v[rng.random(shape) < 0.1] = 0.0
+    return v
+
+
+def _h_entropy_by_mask(u, delta):
+    # the general piecewise formula, assembled by boolean-mask scatter
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.empty_like(u)
+    low = u <= delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[low] = np.where(u[low] > 0.0, -u[low] * np.log(u[low]), 0.0)
+    out[~low] = (-math.log(delta) - 1.0) * (u[~low] - delta) - delta * math.log(delta)
+    return out
+
+
+class TestFastPathsBitIdentical:
+    """d = 1 and vectorized shortcuts against the general formulas, exactly."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear_scalar_b(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b, c = rng.normal(size=3)
+        g = builtin_generator("linear", a=a, b=b, c=c)
+        y = _mixed_magnitudes(rng, 2000)
+        z = _mixed_magnitudes(rng, (2000, 1))
+        want = a * y + z @ np.array([b]) + c
+        assert np.array_equal(g(0.0, None, y, z), want)
+
+    @pytest.mark.parametrize("shape", [(2000, 1), (40, 50, 1)])
+    def test_norm_last_axis_one(self, shape):
+        v = _mixed_magnitudes(np.random.default_rng(len(shape)), shape)
+        assert np.array_equal(_norm_last(v), np.sqrt(np.sum(v * v, axis=-1)))
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.3])
+    def test_h_entropy(self, delta):
+        rng = np.random.default_rng(7)
+        u = np.concatenate(
+            [
+                [0.0, delta, np.nextafter(delta, 0.0), np.nextafter(delta, 1.0)],
+                rng.uniform(0.0, 2.0 * delta, 2000),
+                np.abs(_mixed_magnitudes(rng, 2000)),
+            ]
+        )
+        assert np.array_equal(h_entropy(u, delta), _h_entropy_by_mask(u, delta))
+        assert h_entropy(delta, delta) == _h_entropy_by_mask(delta, delta)[0]
 
 
 class TestBuiltinGenerators:

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsdelab import (
     BSDEProblem,
@@ -20,6 +23,7 @@ from bsdelab import (
     stability_check,
     stopping_indices,
 )
+from bsdelab.solver import _picard_step
 
 
 def _brownian_forward(grid, M, d, seed, start=0.0):
@@ -165,6 +169,25 @@ class TestImplicitEulerReduction:
         # and the discretization sits within 2% of the continuum limit
         assert abs(sol.y0_estimate() - math.exp(-1.0)) / math.exp(-1.0) < 0.02
 
+    def test_degree_zero_recursion_to_rounding(self):
+        # the secant step solves each affine step exactly up to rounding, so
+        # the sweep reproduces the scalar recursion far below picard_tol
+        N = 100
+        grid = TimeGrid(0.0, 1.0, N)
+        M = 512
+        fw, batch = _brownian_forward(grid, M, 1, seed=2)
+        problem = BSDEProblem(
+            generator=builtin_generator("negative_exponential"),
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=1,
+            terminal=lambda s: np.ones(s.shape[0]),
+        )
+        cfg = ExperimentConfig(seed=2, n_paths=M, n_steps=N, basis_degree=0)
+        sol = solve_bsde(problem, fw, batch, cfg)
+        expected = (1.0 + 1.0 / N) ** (-N)
+        assert np.max(np.abs(sol.Y[:, 0] - expected)) <= 1e-12
+
     def test_picard_iteration_counts_recorded(self):
         grid = TimeGrid(0.0, 1.0, 10)
         fw, batch = _brownian_forward(grid, 256, 1, seed=3)
@@ -231,8 +254,9 @@ class TestClosedFormLinear:
 
 class TestPicardFallback:
     def test_bisection_solves_strong_contraction_breaker(self):
-        # a*dt = -6 makes the damped iteration diverge (factor 2.5); the
-        # bisection fallback still solves y(1 + 6) = base exactly
+        # a*dt = -6: the damped step alone diverges here (factor 2.5); the
+        # secant step reads off the slope 7 of y - g*dt and converges
+        # without bisection
         grid = TimeGrid(0.0, 1.0, 10)
         M = 64
         fw, batch = _brownian_forward(grid, M, 1, seed=5)
@@ -244,12 +268,40 @@ class TestPicardFallback:
             terminal=lambda s: np.ones(s.shape[0]),
         )
         cfg = ExperimentConfig(seed=5, n_paths=M, n_steps=10)
-        sol = solve_bsde(problem, fw, batch, cfg)
         expected = (1.0 + 6.0) ** (-10)
-        # bisection stops on absolute interval width picard_tol, and the
-        # per-step error propagates damped by 1/7: budget ~ tol * 7/6
+        sol = solve_bsde(problem, fw, batch, cfg)
+        assert sol.y0_estimate() == pytest.approx(expected, abs=2e-10)
+        assert sol.diagnostics["bisection_paths"].sum() == 0
+        # a one-evaluation budget stops at the undamped first iterate
+        # (residual 36*base), so the bisection fallback solves
+        # y(1 + 6) = base; it stops on absolute interval width picard_tol,
+        # and the per-step error propagates damped by 1/7: budget ~ tol * 7/6
+        sol = solve_bsde(problem, fw, batch, dataclasses.replace(cfg, picard_max=1))
         assert sol.y0_estimate() == pytest.approx(expected, abs=2e-10)
         assert sol.diagnostics["bisection_paths"].sum() > 0
+
+    @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8])
+    def test_terminal_scale_beyond_tolerance_resolution(self, scale):
+        # at |y| >= 1e6 adjacent doubles lie more than picard_tol apart; the
+        # step is measured as taken, so a step that rounds away converges
+        a, b, c = 0.5, 0.3, 1.0
+        grid = TimeGrid(0.0, 1.0, 20)
+        M = 256
+        fw, batch = _brownian_forward(grid, M, 1, seed=5)
+        problem = BSDEProblem(
+            generator=builtin_generator("linear", a=a, b=b, c=c),
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=1,
+            terminal=lambda s: scale * (1.0 + 0.1 * s[:, -1, 0]),
+        )
+        cfg = ExperimentConfig(seed=5, n_paths=M, n_steps=20)
+        sol = solve_bsde(problem, fw, batch, cfg)
+        assert sol.diagnostics["bisection_paths"].sum() == 0
+        assert np.all(sol.diagnostics["picard_iters"] <= 6)
+        target = closed_form_linear(a, b, c, scale, 0.1 * scale, 0.0, 1.0)
+        # M = 256 paths and dt = 0.05: a loose band around the closed form
+        assert sol.y0_estimate() == pytest.approx(target, rel=0.05)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unsolvable_step_raises(self):
@@ -274,6 +326,54 @@ class TestPicardFallback:
         cfg = ExperimentConfig(seed=6, n_paths=M, n_steps=10)
         with pytest.raises(PicardError):
             solve_bsde(problem, fw, batch, cfg)
+
+
+class TestImplicitStepProperties:
+    """The implicit step on affine drivers g = a*y + b*z + c, any slope."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a_dt=st.floats(-20.0, 0.5),
+        dt=st.floats(1e-4, 0.5),
+        b=st.floats(-2.0, 2.0),
+        c=st.floats(-100.0, 100.0),
+        scale=st.floats(0.0, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_affine_step(self, a_dt, dt, b, c, scale, seed):
+        a = a_dt / dt
+        g = builtin_generator("linear", a=a, b=b, c=c)
+        cfg = ExperimentConfig(seed=0, n_paths=32, n_steps=1)
+        tol = cfg.picard_tol
+        rng = np.random.default_rng(seed)
+        M = cfg.n_paths
+        base = scale * rng.uniform(-1.0, 1.0, M)
+        x = np.zeros((M, 1))
+        z = rng.normal(size=(M, 1))
+        # a quarter of the paths stopped: their step is y = base
+        dt_eff = np.where(rng.random(M) < 0.25, 0.0, dt)
+        y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt_eff, cfg)
+        assert n_fallback == 0
+        assert iters <= 4
+
+        def gy(v):
+            return np.asarray(g(0.0, x, v, z), dtype=float)
+
+        # rounding of g at the scale of its terms, and of y - base
+        eps = np.finfo(float).eps
+        g_dust = 8 * eps * (abs(a) * (np.abs(y) + tol) + np.abs(b * z[:, 0]) + abs(c))
+        y_dust = 8 * eps * (np.abs(y) + np.abs(base))
+        # the step-size stop leaves y within picard_tol of the root, so the
+        # residual is within picard_tol times the slope 1 - a*dt_eff
+        slope = 1.0 - a * dt_eff
+        resid = np.abs(y - base - gy(y) * dt_eff)
+        assert np.all(resid <= slope * tol + g_dust * dt_eff + y_dust)
+        assert np.all(resid <= 25 * tol)
+        # gv is g at an iterate within picard_tol of y: g is affine in y, so
+        # gv lies between g(y - tol) and g(y + tol)
+        lo = np.minimum(gy(y - tol), gy(y + tol))
+        hi = np.maximum(gy(y - tol), gy(y + tol))
+        assert np.all((lo - g_dust <= gv) & (gv <= hi + g_dust))
 
 
 class TestStopGating:
@@ -341,7 +441,7 @@ class TestTelescopedSum:
             acc += gv * np.where(i < stop, grid.dt, 0.0)
         return acc
 
-    def _solve(self, g, grid, M, seed, barrier, terminal):
+    def _solve(self, g, grid, M, seed, barrier, terminal, picard_max=50):
         batch = sample_brownian(grid, M, 1, seed)
         states = batch.cumulative(start=0.8)
         stop = stopping_indices(batch, g, x_path=states, barrier=barrier)
@@ -350,7 +450,9 @@ class TestTelescopedSum:
         problem = BSDEProblem(
             generator=g, t_start=grid.t_start, t_end=grid.t_end, dimension_d=1, terminal=terminal
         )
-        cfg = ExperimentConfig(seed=seed, n_paths=M, n_steps=grid.n_steps)
+        cfg = ExperimentConfig(
+            seed=seed, n_paths=M, n_steps=grid.n_steps, picard_max=picard_max
+        )
         sol = solve_bsde(
             problem, ForwardBatch(grid=grid, states=states), batch, cfg, stop_indices=stop
         )
@@ -373,11 +475,14 @@ class TestTelescopedSum:
         assert np.max(np.abs(sol.telescoped - oracle)) <= 1e-12
 
     def test_bisection_fallback_with_stops(self):
-        # a*dt = -6 sends every unstopped path to bisection, whose g values
-        # must be taken at the settled y rather than the diverged iterate
+        # a*dt = -6 with a one-evaluation budget sends every unstopped path
+        # to bisection, whose g values must be taken at the settled y rather
+        # than the unconverged iterate
         g = builtin_generator("linear", a=-60.0)
         grid = TimeGrid(0.0, 1.0, 10)
-        sol, oracle, _ = self._solve(g, grid, 256, 5, 0.8, lambda s: np.ones(s.shape[0]))
+        sol, oracle, _ = self._solve(
+            g, grid, 256, 5, 0.8, lambda s: np.ones(s.shape[0]), picard_max=1
+        )
         assert sol.diagnostics["bisection_paths"].sum() > 0
         assert np.max(np.abs(sol.telescoped - oracle)) <= 1e-12
 
