@@ -333,7 +333,7 @@ def _render(command: str, cfg: dict, columns: list[str], rows: list[list]) -> st
     return "\n".join(lines) + "\n"
 
 
-def _experiment_config(cfg: dict) -> ExperimentConfig:
+def _experiment_config(cfg: dict, threads: int) -> ExperimentConfig:
     return ExperimentConfig(
         seed=cfg["seed"],
         n_paths=cfg["n_paths"],
@@ -341,6 +341,7 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         basis_degree=cfg["basis_degree"],
         picard_max=cfg["picard_max"],
         picard_tol=cfg["picard_tol"],
+        threads=threads,
     )
 
 
@@ -410,7 +411,7 @@ def _run_solve(cfg: dict, threads: int):
         dimension_d=d,
         terminal=terminal,
     )
-    sol = solve_bsde(problem, fw, batch, _experiment_config(cfg))
+    sol = solve_bsde(problem, fw, batch, _experiment_config(cfg, threads))
     times = grid.times()
     columns = ["step", "t", "mean_y", "sd_y"]
     columns += [f"mean_z_{j}" for j in range(1, d + 1)]
@@ -454,7 +455,7 @@ def _run_represent(cfg: dict, threads: int):
         cfg["y"],
         np.asarray(z, dtype=float),
         cfg["eps_schedule"],
-        _experiment_config(cfg),
+        _experiment_config(cfg, threads),
         barrier=cfg["barrier"],
     )
     d = len(report.z)
@@ -497,7 +498,7 @@ def _run_converse(cfg: dict, threads: int):
         g2,
         points,
         cfg["eps"],
-        _experiment_config(cfg),
+        _experiment_config(cfg, threads),
         barrier=cfg["barrier"],
         hypothesis_threshold=cfg["hypothesis_threshold"],
     )
@@ -541,9 +542,8 @@ def _run_fk(cfg: dict, threads: int):
     if not len(cfg["probes_t"]) == len(cfg["probes_x"]):
         raise ValidationError("probes_t and probes_x must have the same length")
     points = list(zip(cfg["probes_t"], cfg["probes_x"]))
-    rows_out = mc_vs_fd(
-        problem, points, _experiment_config(cfg), cfg["h"], cfg["k"], theta=cfg["theta"]
-    )
+    config = _experiment_config(cfg, threads)
+    rows_out = mc_vs_fd(problem, points, config, cfg["h"], cfg["k"], theta=cfg["theta"])
     columns = ["t", "x", "u_mc", "se", "u_fd", "diff", "tol", "pass"]
     rows = [
         [r.t, r.x, r.u_mc, r.se, r.u_fd, r.diff, r.tol, "pass" if r.passed else "fail"]
@@ -584,7 +584,7 @@ def _run_touch(cfg: dict, threads: int):
         cfg["x"],
         mode=mode,
         eps=cfg["eps"],
-        config=_experiment_config(cfg),
+        config=_experiment_config(cfg, threads),
         stencil_h=cfg["stencil_h"],
         stencil_k=cfg["stencil_k"],
         barrier=cfg["barrier"],
@@ -671,8 +671,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help=(
-                "path-sampling threads for simulate and solve; accepted but unused "
-                "by the other subcommands (never changes the output bytes)"
+                "path-sampling threads (never changes the output bytes; envelope "
+                "samples no paths)"
             ),
         )
     return parser

@@ -338,7 +338,11 @@ class BSDEProblem:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by the Monte Carlo experiments."""
+    """Knobs shared by the Monte Carlo experiments.
+
+    threads is the number of path-sampling threads; sample_brownian's block
+    streams make every output independent of it.
+    """
 
     seed: int
     n_paths: int
@@ -347,6 +351,7 @@ class ExperimentConfig:
     picard_max: int = 50
     picard_tol: float = 1e-10
     p_norms: tuple[int, ...] = (1, 2)
+    threads: int = 1
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -359,6 +364,8 @@ class ExperimentConfig:
             raise ValidationError(f"picard_max must be >= 1, got {self.picard_max}")
         if not self.picard_tol > 0:
             raise ValidationError(f"picard_tol must be > 0, got {self.picard_tol}")
+        if self.threads < 1:
+            raise ValidationError(f"threads must be >= 1, got {self.threads}")
         ps = tuple(self.p_norms)
         if not ps or any(p not in (1, 2) for p in ps):
             raise ValidationError(f"p_norms must be a nonempty subset of (1, 2), got {ps}")

@@ -105,7 +105,7 @@ def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfi
         raise ValidationError(f"need 0 <= t < T={problem.T}, got t={t}")
     growth_check(problem)
     grid = TimeGrid(t, problem.T, config.n_steps)
-    batch = sample_brownian(grid, config.n_paths, 1, config.seed)
+    batch = sample_brownian(grid, config.n_paths, 1, config.seed, threads=config.threads)
     fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
     prob = BSDEProblem(
         generator=problem.generator,
@@ -206,12 +206,14 @@ class FDField:
         return float((1 - wt) * row0 + wt * row1)
 
 
-def _frozen_boundary(problem, x_b, t):
+def _frozen_boundary(problem, x_b, t, nodes, weights):
     """Terminal condition transported by the constant-coefficient heat kernel.
 
     Coefficients are frozen at the boundary node; the semilinear term is
     dropped.  Valid as a Dirichlet value when the probes of interest sit far
     enough inside the box that the boundary layer cannot reach them.
+    (nodes, weights) is the 64-node Gauss-Hermite rule, which fd_reference
+    builds once per march and passes to every call.
     """
     tau = problem.T - t
     if tau <= 0:
@@ -219,7 +221,6 @@ def _frozen_boundary(problem, x_b, t):
     xb = np.array([[x_b]])
     b_f = float(np.broadcast_to(np.asarray(problem.drift(t, xb), dtype=float), (1, 1))[0, 0])
     s_f = float(np.broadcast_to(np.asarray(problem.sigma(t, xb), dtype=float), (1, 1))[0, 0])
-    nodes, weights = np.polynomial.hermite.hermgauss(64)
     pts = x_b + b_f * tau + s_f * math.sqrt(2.0 * tau) * nodes
     vals = np.asarray(problem.phi(pts), dtype=float)
     return float(weights @ vals / math.sqrt(math.pi))
@@ -236,6 +237,12 @@ def fd_reference(
     values from the frozen-coefficient heat kernel.  theta = 1/2 is
     Crank-Nicolson.  For theta < 1/2 the parabolic CFL condition on k is
     enforced.
+
+    What does not change between levels is computed once: the Gauss-Hermite
+    rule of the boundary values once per march, and the drift/sigma
+    coefficients once per time level (those at times[j] serve the implicit
+    side of the step to level j and the explicit side of the step to level
+    j - 1), so drift and sigma are called n_t + 1 times on the interior.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must be in [0, 1], got {theta}")
@@ -283,10 +290,12 @@ def fd_reference(
         up = s2 / (2 * h * h) + bv / (2 * h)
         return lo, di, up, sv
 
+    nodes, weights = np.polynomial.hermite.hermgauss(64)
+    coeffs = lin_coeffs(times[n_t])
     for j in range(n_t - 1, -1, -1):
         t_new, t_old = times[j], times[j + 1]
         v = u[j + 1]
-        lo_o, di_o, up_o, sv_o = lin_coeffs(t_old)
+        lo_o, di_o, up_o, sv_o = coeffs
         Lv = lo_o * v[:-2] + di_o * v[1:-1] + up_o * v[2:]
         dxv = (v[2:] - v[:-2]) / (2 * h)
         gv = np.broadcast_to(
@@ -297,9 +306,11 @@ def fd_reference(
         )
         rhs = v[1:-1] + (1 - theta) * k_eff * Lv + k_eff * gv
 
-        lo_n, di_n, up_n, _ = lin_coeffs(t_new)
-        ub_lo = _frozen_boundary(problem, xs[0], t_new)
-        ub_hi = _frozen_boundary(problem, xs[-1], t_new)
+        # level j's coefficients are the old ones of the step to level j - 1
+        coeffs = lin_coeffs(t_new)
+        lo_n, di_n, up_n, _ = coeffs
+        ub_lo = _frozen_boundary(problem, xs[0], t_new, nodes, weights)
+        ub_hi = _frozen_boundary(problem, xs[-1], t_new, nodes, weights)
         rhs[0] += theta * k_eff * lo_n[0] * ub_lo
         rhs[-1] += theta * k_eff * up_n[-1] * ub_hi
 
@@ -492,7 +503,7 @@ def viscosity_touch_check(
 
     G = proof_generator(problem, phi)
     grid = TimeGrid(t, t + eps, config.n_steps)
-    batch = sample_brownian(grid, config.n_paths, 1, config.seed)
+    batch = sample_brownian(grid, config.n_paths, 1, config.seed, threads=config.threads)
     fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
     stop = stopping_indices(batch, G, x_path=fw.states, barrier=barrier)
     frac_stopped = float(np.mean(stop < config.n_steps))

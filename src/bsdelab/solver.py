@@ -101,9 +101,10 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
     iteration stops once every path moves by at most picard_tol, measured
     as the change of y after rounding; an affine driver needs three
     evaluations.  Paths still unconverged after picard_max evaluations are
-    finished by bisection.  Returns (y, iters, n_fallback, gv), gv the
-    generator value of the last evaluation: at the iterate before y when
-    the iteration converged, at y itself otherwise.
+    finished by bisection, which stops a path at width picard_tol or where
+    its bracket is two adjacent doubles.  Returns (y, iters, n_fallback,
+    gv), gv the generator value of the last evaluation: at the iterate
+    before y when the iteration converged, at y itself otherwise.
     """
     tol = config.picard_tol
     y = base
@@ -164,14 +165,18 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
         lo = np.where(neg, mid, lo)
         flo = np.where(neg, fm, flo)
         hi = np.where(neg, hi, mid)
-        if np.max(hi - lo) <= tol:
+        # a path is settled at width tol, or where lo and hi are adjacent
+        # doubles (their spacing exceeds tol once |y| >~ 1e6), so the
+        # midpoint rounds onto an endpoint and bisection cannot move
+        mid = 0.5 * (lo + hi)
+        if np.all((hi - lo <= tol) | (mid == lo) | (mid == hi)):
             break
     else:
         m = int(idx[int(np.argmax(hi - lo))])
         raise PicardError(
             f"bisection stalled at step t={t_i}, path {m}, width={np.max(hi - lo):.3e}"
         )
-    y[idx] = 0.5 * (lo + hi)
+    y[idx] = mid
     gv = np.array(np.broadcast_to(gv, y.shape))
     gv[idx] = np.asarray(g(t_i, xb, y[idx], zb), dtype=float)
     return y, iters, int(idx.size), gv

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from bsdelab import builtin_generator, convergence_curve
+from bsdelab import builtin_generator, convergence_curve, paths
 from bsdelab.cli import _COLUMN_DOCS, _SCHEMAS, main
 
 
@@ -159,13 +159,45 @@ class TestDeterminism:
         # the override is part of the resolved config, so the hash moves too
         assert base.splitlines()[1] != other.splitlines()[1]
 
-    def test_threads_never_change_output(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "sim.cfg", SIM_CFG)
-        main(["simulate", "--config", cfg, "--threads", "1"])
-        one = capsys.readouterr().out
-        main(["simulate", "--config", cfg, "--threads", "4"])
-        four = capsys.readouterr().out
-        assert one == four
+    def test_threads_never_change_output(self, tmp_path, capsys, monkeypatch):
+        # every subcommand that samples paths hands --threads to the sampler,
+        # and n_paths > PATH_BLOCK gives it a second block to run in parallel
+        pools = []
+
+        class RecordingPool(paths.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(paths, "ThreadPoolExecutor", RecordingPool)
+        configs = {
+            "simulate": SIM_CFG,
+            "solve": SOLVE_CFG.replace("n_paths = 4000", "n_paths = 5000"),
+            "envelope": "generator = linear\na = -2.0\nalpha = 1.0\nn_list = 1, 2, 4\n",
+            "represent": REP_CFG.replace("n_paths = 2000", "n_paths = 5000"),
+            "converse": TestHypothesisGate.ORDERED.replace("n_paths = 4000", "n_paths = 5000"),
+            "fk": (
+                "seed = 4\nn_paths = 5000\nn_steps = 20\npde = affine\n"
+                "probes_t = 0.0\nprobes_x = 0.5\nh = 0.1875\nk = 0.01\n"
+            ),
+            "touch": (
+                "seed = 2\nn_paths = 5000\nn_steps = 50\npde = heat_cos\n"
+                "t = 0.3\nx = 0.4\n"
+            ),
+        }
+        assert set(configs) == set(_SCHEMAS)
+        for name, text in configs.items():
+            cfg = _write(tmp_path, f"{name}.cfg", text)
+            outs = []
+            for threads in (1, 2):
+                del pools[:]
+                assert main([name, "--config", cfg, "--threads", str(threads)]) == 0, name
+                outs.append(capsys.readouterr().out)
+                if threads == 1 or name == "envelope":  # envelope samples no paths
+                    assert pools == [], name
+                else:
+                    assert pools and set(pools) == {2}, name
+            assert outs[0] == outs[1], name
 
 
 class TestConfigErrors:

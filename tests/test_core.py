@@ -300,5 +300,7 @@ class TestProblemAndConfig:
             ExperimentConfig(seed=0, n_paths=10, n_steps=10, picard_tol=0.0)
         with pytest.raises(ValidationError):
             ExperimentConfig(seed=0, n_paths=10, n_steps=10, p_norms=(3,))
+        with pytest.raises(ValidationError, match="threads"):
+            ExperimentConfig(seed=0, n_paths=10, n_steps=10, threads=0)
         cfg = ExperimentConfig(seed=0, n_paths=10, n_steps=10, p_norms=[1])
         assert cfg.p_norms == (1,)

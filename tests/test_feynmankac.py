@@ -105,6 +105,64 @@ class TestFDReference:
         with pytest.raises(ValidationError, match="degenerate"):
             fd_reference(p, h=0.125, k=1e-3)
 
+    def test_level_invariants_hoisted_out_of_march(self, monkeypatch):
+        # the boundary rule is built once per march and drift/sigma are
+        # evaluated on the interior once per time level, never twice
+        rule_calls = []
+        hermgauss = np.polynomial.hermite.hermgauss
+
+        def counting_hermgauss(deg):
+            rule_calls.append(deg)
+            return hermgauss(deg)
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counting_hermgauss)
+        sigma_calls = []
+
+        def sigma(t, x):
+            sigma_calls.append((float(t), np.shape(x)))
+            return 1.0
+
+        p = PDEProblem(
+            drift=lambda t, x: 0.0,
+            sigma=sigma,
+            generator=builtin_generator("negative_exponential"),
+            phi=np.cos,
+            growth_L=2.0,
+            growth_p=1.0,
+            T=1.0,
+            x_lo=-4 * math.pi,
+            x_hi=4 * math.pi,
+        )
+        field = fd_reference(p, h=H_COS, k=2e-2)
+        assert rule_calls == [64]
+        n_int = field.xs.size - 2
+        interior = sorted(t for t, shape in sigma_calls if shape == (n_int, 1))
+        assert interior == sorted(field.times.tolist())
+        # the march is a pure function of the problem: a rerun repeats it
+        assert np.array_equal(fd_reference(p, h=H_COS, k=2e-2).u, field.u)
+        assert len(rule_calls) == 2
+
+    def test_time_dependent_sigma(self):
+        # sigma(t)^2 = 1 + 2t, no drift or reaction: u(t, x) =
+        # exp(-((T - t) + (T^2 - t^2))/2) cos x, so u(0, 0) = e^{-1}.  The
+        # scheme lands within 2e-4 relative; coefficients taken one level
+        # late or early err by 1.2e-3 to 1.8e-3, so this bar catches a reuse
+        # that reads the wrong level
+        p = PDEProblem(
+            drift=lambda t, x: 0.0,
+            sigma=lambda t, x: math.sqrt(1.0 + 2.0 * t),
+            generator=builtin_generator("linear"),
+            phi=np.cos,
+            growth_L=2.0,
+            growth_p=1.0,
+            T=1.0,
+            x_lo=-4 * math.pi,
+            x_hi=4 * math.pi,
+        )
+        field = fd_reference(p, h=H_COS, k=2e-3)
+        want = math.exp(-1.0)
+        assert abs(field.value(0.0, 0.0) - want) / want <= 5e-4
+
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             fd_reference(heat_cos_problem(), h=1.0, k=-1e-3)

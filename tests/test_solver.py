@@ -303,6 +303,42 @@ class TestPicardFallback:
         # M = 256 paths and dt = 0.05: a loose band around the closed form
         assert sol.y0_estimate() == pytest.approx(target, rel=0.05)
 
+    def test_bisection_settles_where_doubles_run_out(self):
+        # forced bisection (picard_max=1) at |y| ~ 1e6, where adjacent
+        # doubles lie more than picard_tol apart: a path stops once its
+        # midpoint rounds onto an endpoint, which brackets the root
+        M, dt = 2000, 0.05
+        g = builtin_generator("linear", a=-1.0)
+        cfg = ExperimentConfig(seed=5, n_paths=M, n_steps=20, picard_max=1)
+        rng = np.random.default_rng(5)
+        base = 1e6 * (1.0 + 0.1 * rng.normal(size=M))
+        x, z = np.zeros((M, 1)), np.zeros((M, 1))
+        y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt, cfg)
+        assert n_fallback == M
+        assert np.array_equal(gv, -y)
+        # root base/(1 + dt), itself rounded by half a spacing
+        assert np.all(np.abs(y - base / (1.0 + dt)) <= 1.5 * np.spacing(np.abs(y)))
+        resid = np.abs(y - base - gv * dt)
+        assert np.all(resid <= 4 * np.spacing(np.abs(base)))
+
+        # the whole sweep, every step by bisection, against the secant sweep
+        grid = TimeGrid(0.0, 1.0, 20)
+        fw, batch = _brownian_forward(grid, M, 1, seed=5)
+        problem = BSDEProblem(
+            generator=g,
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=1,
+            terminal=lambda s: 1e6 * (1.0 + 0.1 * s[:, -1, 0]),
+        )
+        sol = solve_bsde(problem, fw, batch, cfg)
+        assert sol.diagnostics["bisection_paths"].sum() == 20 * M
+        ref = solve_bsde(problem, fw, batch, dataclasses.replace(cfg, picard_max=50))
+        assert ref.diagnostics["bisection_paths"].sum() == 0
+        # each of the 20 steps adds at most a couple of spacings (30 in all
+        # measured)
+        assert np.all(np.abs(sol.Y - ref.Y) <= 20 * 2 * np.spacing(np.abs(ref.Y)))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unsolvable_step_raises(self):
         # g = y^2 with base = 10 and dt = 0.1: v - 10 - 0.1 v^2 has no real
