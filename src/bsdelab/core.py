@@ -39,6 +39,27 @@ def _norm_last(a) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=-1))
 
 
+def _check_delta(delta) -> float:
+    delta = float(delta)
+    if not 0.0 < delta < 1.0 / math.e:
+        raise ValidationError(f"delta must lie in (0, 1/e), got {delta}")
+    return delta
+
+
+def _entropy_kernel(delta: float):
+    """h_entropy for a delta already checked, on arrays u >= 0 (unchecked)."""
+    slope = -math.log(delta) - 1.0
+    h_delta = -delta * math.log(delta)
+
+    def h(u):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            low = np.where(u > 0.0, -u * np.log(u), 0.0)
+        # NaN fails u <= delta and propagates through the linear branch
+        return np.where(u <= delta, low, slope * (u - delta) + h_delta)
+
+    return h
+
+
 def h_entropy(u, delta: float):
     """Entropy-type modulus: -u*ln(u) on [0, delta], linear above.
 
@@ -46,18 +67,11 @@ def h_entropy(u, delta: float):
     delta, so the function is concave, nondecreasing and C^1 away from 0.
     Defined for u >= 0 only; h(0) = 0.
     """
-    delta = float(delta)
-    if not 0.0 < delta < 1.0 / math.e:
-        raise ValidationError(f"delta must lie in (0, 1/e), got {delta}")
+    delta = _check_delta(delta)
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
         raise ValidationError("h_entropy is defined for u >= 0")
-    slope = -math.log(delta) - 1.0
-    h_delta = -delta * math.log(delta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        low = np.where(u > 0.0, -u * np.log(u), 0.0)
-    # NaN fails u <= delta and propagates through the linear branch
-    out = np.where(u <= delta, low, slope * (u - delta) + h_delta)
+    out = _entropy_kernel(delta)(u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -157,10 +171,9 @@ def _z_abs_generator(scale: float) -> Generator:
 
 def _stress_generator(delta: float) -> Generator:
     # -exp(y|x|) + h(|y|) + |z|: continuous, non-Lipschitz in y at 0,
-    # 1-Lipschitz in z, monotone up to the entropy modulus.
-    delta = float(delta)
-    if not 0.0 < delta < 1.0 / math.e:
-        raise ValidationError(f"delta must lie in (0, 1/e), got {delta}")
+    # 1-Lipschitz in z, monotone up to the entropy modulus.  The entropy
+    # kernel is built once: delta is checked here and |y| >= 0 needs no scan.
+    h = _entropy_kernel(_check_delta(delta))
 
     def ev(t, x, y, z):
         y = np.asarray(y, dtype=float)
@@ -174,7 +187,7 @@ def _stress_generator(delta: float) -> Generator:
                 stacklevel=2,
             )
             expo = np.clip(expo, -EXP_CLAMP, EXP_CLAMP)
-        return -np.exp(expo) + h_entropy(np.abs(y), delta) + _norm_last(z)
+        return -np.exp(expo) + h(np.abs(y)) + _norm_last(z)
 
     def modulus(u):
         # The entropy modulus itself bounds only |h(|y1|)-h(|y2|)|; the
@@ -183,7 +196,7 @@ def _stress_generator(delta: float) -> Generator:
         # 1/rho integral.
         u = np.asarray(u, dtype=float)
         r = np.sqrt(u)
-        return r * h_entropy(r, delta)
+        return r * h(r)
 
     return Generator(
         name="stress",

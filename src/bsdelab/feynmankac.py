@@ -235,8 +235,11 @@ def fd_reference(
     + k * g(t_{j+1}, x, u_{j+1}, sigma * D_x u_{j+1}), with L the central
     discretization of (1/2) sigma^2 D_xx + b D_x and Dirichlet boundary
     values from the frozen-coefficient heat kernel.  theta = 1/2 is
-    Crank-Nicolson.  For theta < 1/2 the parabolic CFL condition on k is
-    enforced.
+    Crank-Nicolson.  sigma must stay away from 0, and for theta < 1/2 the
+    parabolic CFL condition on k must hold; both are checked on the whole
+    grid at t = 0 and on the interior nodes of every time level, from the
+    coefficients the march computes anyway, and a violation raises
+    ValidationError naming the time index.
 
     What does not change between levels is computed once: the Gauss-Hermite
     rule of the boundary values once per march, and the drift/sigma
@@ -280,18 +283,33 @@ def fd_reference(
     xi_int = xs[1:-1]
     g = problem.generator
 
-    def lin_coeffs(t):
+    def lin_coeffs(j):
+        # sigma may vary in time: both conditions are checked on every level
+        t = times[j]
         x2 = xi_int[:, None]
         bv = np.broadcast_to(np.asarray(problem.drift(t, x2), dtype=float), x2.shape)[:, 0]
         sv = np.broadcast_to(np.asarray(problem.sigma(t, x2), dtype=float), x2.shape)[:, 0]
         s2 = sv * sv
+        n_deg = int(np.count_nonzero(np.abs(sv) < 1e-8))
+        if n_deg:
+            raise ValidationError(
+                f"sigma degenerate on {n_deg} interior node(s) at time index {j} "
+                f"(t={t:.6g}); FD reference refuses"
+            )
+        if theta < 0.5:
+            k_max = h * h / ((1.0 - 2.0 * theta) * float(np.max(s2)))
+            if k_eff > k_max:
+                raise ValidationError(
+                    f"CFL violation at time index {j} (t={t:.6g}): "
+                    f"k={k_eff:.3e} > {k_max:.3e} for theta={theta}"
+                )
         lo = s2 / (2 * h * h) - bv / (2 * h)
         di = -s2 / (h * h)
         up = s2 / (2 * h * h) + bv / (2 * h)
         return lo, di, up, sv
 
     nodes, weights = np.polynomial.hermite.hermgauss(64)
-    coeffs = lin_coeffs(times[n_t])
+    coeffs = lin_coeffs(n_t)
     for j in range(n_t - 1, -1, -1):
         t_new, t_old = times[j], times[j + 1]
         v = u[j + 1]
@@ -307,7 +325,7 @@ def fd_reference(
         rhs = v[1:-1] + (1 - theta) * k_eff * Lv + k_eff * gv
 
         # level j's coefficients are the old ones of the step to level j - 1
-        coeffs = lin_coeffs(t_new)
+        coeffs = lin_coeffs(j)
         lo_n, di_n, up_n, _ = coeffs
         ub_lo = _frozen_boundary(problem, xs[0], t_new, nodes, weights)
         ub_hi = _frozen_boundary(problem, xs[-1], t_new, nodes, weights)

@@ -10,6 +10,13 @@ the map y - g*dt is strictly increasing whenever dt times the local slope
 stays below 1, so its secant slopes are positive (a non-positive or
 non-finite one falls back to the damped fixed-point step) and bisection
 brackets its root.
+
+The regression at each step projects the targets onto the span of the
+design through the eigendecomposition of its Gram matrix, plus one step of
+iterative refinement so that the squared condition number of the normal
+equations does not reach the fit; a design whose condition number exceeds
+1e4 (GRAM_CUTOFF on the eigenvalues) is fitted by an SVD least squares
+solve instead, and such steps are counted.
 """
 
 from __future__ import annotations
@@ -27,39 +34,75 @@ from .paths import BrownianBatch, ForwardBatch, TimeGrid
 # projected out, which degrades the fit gracefully (constant states collapse
 # to the sample mean) instead of amplifying noise.
 RCOND = 1e-10
+# Relative eigenvalue floor of the Gram matrix X'X, i.e. cond(X) <= 1e4.
+# Eigenvalues carry an absolute error of about eps*w_max, so below
+# sqrt(eps)*sigma_max they cannot resolve singular values and RCOND cannot
+# be applied to them; such a design goes to the SVD fallback instead.
+GRAM_CUTOFF = 1e-8
 
 
 def polynomial_design(states: np.ndarray, degree: int) -> np.ndarray:
     """Design matrix [1, s_j, s_j^2, ...] with per-coordinate standardization.
 
-    states has shape (M, k).  Coordinates are shifted/scaled to unit spread
-    before taking powers, which keeps the conditioning of the normal
-    equations independent of the state's location and scale; the spanned
-    polynomial space is unchanged.  Degenerate (constant) coordinates become
-    zero columns and are later dropped by the singular-value cutoff.
+    states has shape (M, k); the result has shape (M, 1 + k*degree).
+    Coordinates are shifted/scaled to unit spread before taking powers, which
+    keeps the conditioning of the normal equations independent of the
+    state's location and scale; the spanned polynomial space is unchanged.
+    Degenerate (constant) coordinates become zero columns, which _fit drops.
+    The matrix is built in one (p, M) buffer and returned as its transpose,
+    so every column is contiguous; each coordinate is read once.
     """
     M, k = states.shape
-    cols = [np.ones(M)]
-    for j in range(k):
-        s = states[:, j]
+    buf = np.empty((1 + k * degree, M))
+    buf[0] = 1.0
+    for j in range(k if degree else 0):
+        s = np.ascontiguousarray(states[:, j])
         mu = s.mean()
         sd = s.std()
+        rows = buf[1 + j * degree : 1 + (j + 1) * degree]
         # a spread at the level of float cancellation noise is a constant
         # column; standardizing it would inject a junk direction
-        degenerate = sd <= 1e-12 * max(1.0, abs(mu))
-        sj = np.zeros(M) if degenerate else (s - mu) / sd
-        p = sj
-        for _ in range(degree):
-            cols.append(p)
-            p = p * sj
-    return np.column_stack(cols)
+        if sd <= 1e-12 * max(1.0, abs(mu)):
+            rows[:] = 0.0
+            continue
+        np.subtract(s, mu, out=rows[0])
+        np.divide(rows[0], sd, out=rows[0])
+        for r in range(1, degree):
+            np.multiply(rows[r - 1], rows[0], out=rows[r])
+    return buf.T
 
 
 def _fit(design: np.ndarray, targets: np.ndarray):
-    """Least squares fit; returns (fitted, coeffs, cond, rank)."""
-    coef, _, rank, sv = np.linalg.lstsq(design, targets, rcond=RCOND)
-    cond = float(sv[0] / sv[rank - 1]) if rank > 0 else np.inf
-    return design @ coef, coef, cond, rank
+    """Least squares fit; returns (fitted, coeffs, cond, rank, fell_back).
+
+    Solves the normal equations through an eigendecomposition of the Gram
+    matrix G = X'X restricted to its nonzero columns, then takes one step
+    of iterative refinement from the same factorization (semi-normal
+    equations): forming G squares cond(X), and the refinement step brings
+    the error back to what a QR or SVD solve gives.  Zero columns get
+    coefficient 0, as the minimum-norm solution gives them; rank is the
+    number of nonzero columns and cond = sqrt(w_max/w_min).  Where no
+    column is nonzero or w_min <= GRAM_CUTOFF*w_max, the fit falls back to
+    np.linalg.lstsq with RCOND and fell_back is True.
+    """
+    gram = design.T @ design
+    active = np.flatnonzero(np.diag(gram))
+    if active.size:
+        w, V = np.linalg.eigh(gram[np.ix_(active, active)])
+    # negated > also sends a NaN spectrum to the fallback
+    if not active.size or not w[0] > GRAM_CUTOFF * w[-1]:
+        coef, _, rank, sv = np.linalg.lstsq(design, targets, rcond=RCOND)
+        cond = float(sv[0] / sv[rank - 1]) if rank > 0 else np.inf
+        return design @ coef, coef, cond, rank, True
+
+    def solve(rhs):
+        return V @ ((V.T @ rhs[active]) / w[:, None])
+
+    coef = np.zeros((design.shape[1], targets.shape[1]))
+    coef[active] = solve(design.T @ targets)
+    coef[active] += solve(design.T @ (targets - design @ coef))
+    cond = float(np.sqrt(w[-1] / w[0]))
+    return design @ coef, coef, cond, int(active.size), False
 
 
 @dataclass
@@ -74,9 +117,12 @@ class SolutionBatch:
     one the implicit step evaluated, at an iterate within picard_tol of
     Y_i, so the sum differs from one re-evaluated at the solved Y by at
     most picard_tol*L*(t_end - t_start), L the local y-slope of g.
-    diagnostics carries per-step condition numbers, basis ranks, implicit-step
-    iteration counts and bisection-fallback counts, and the empirical sup
-    of |Y| (no a-priori constant is asserted against it).
+    diagnostics carries per-step arrays of regression condition numbers
+    (cond), basis ranks (rank), implicit-step iteration counts
+    (picard_iters), bisection-fallback path counts (bisection_paths) and
+    regression steps that fell back from the Gram projector to lstsq
+    (regression_fallbacks, 0 or 1 each), and the empirical sup of |Y|
+    (sup_abs_y; no a-priori constant is asserted against it).
     """
 
     grid: TimeGrid
@@ -243,14 +289,15 @@ def solve_bsde(
     cond = np.empty(n_steps)
     rank = np.empty(n_steps, dtype=int)
     picard_iters = np.empty(n_steps, dtype=int)
-    fallbacks = np.zeros(n_steps, dtype=int)
+    bisections = np.zeros(n_steps, dtype=int)
+    lstsq_fallbacks = np.zeros(n_steps, dtype=int)
 
     for i in range(n_steps - 1, -1, -1):
         design = polynomial_design(basis_states[:, i, :], config.basis_degree)
         targets = np.empty((M, 1 + d))
         targets[:, 0] = Y[:, i + 1]
         targets[:, 1:] = Y[:, i + 1, None] * brownian.increments[:, i, :] / dt
-        fitted, coef, cnd, rnk = _fit(design, targets)
+        fitted, coef, cnd, rnk, fell_back = _fit(design, targets)
         ey = fitted[:, 0]
         Z[:, i, :] = fitted[:, 1:]
 
@@ -281,7 +328,8 @@ def solve_bsde(
         cond[i] = cnd
         rank[i] = rnk
         picard_iters[i] = iters
-        fallbacks[i] = nfb
+        bisections[i] = nfb
+        lstsq_fallbacks[i] = fell_back
 
     coeffs.reverse()
     if not np.all(np.isfinite(Z)):
@@ -296,7 +344,8 @@ def solve_bsde(
             "cond": cond,
             "rank": rank,
             "picard_iters": picard_iters,
-            "bisection_paths": fallbacks,
+            "bisection_paths": bisections,
+            "regression_fallbacks": lstsq_fallbacks,
             "sup_abs_y": float(np.max(np.abs(Y))),
         },
     )

@@ -148,6 +148,23 @@ class TestFastPathsBitIdentical:
         assert np.array_equal(h_entropy(u, delta), _h_entropy_by_mask(u, delta))
         assert h_entropy(delta, delta) == _h_entropy_by_mask(delta, delta)[0]
 
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.3])
+    def test_stress_generator(self, delta):
+        # the generator builds its entropy kernel once; its values and its
+        # modulus must equal the formulas with h assembled by mask scatter
+        rng = np.random.default_rng(11)
+        special = [0.0, delta, np.nextafter(delta, 0.0), np.nextafter(delta, 1.0), np.nan]
+        y = np.concatenate([special, np.negative(special), rng.uniform(-3.0, 3.0, 2000)])
+        x = rng.uniform(-2.0, 2.0, (y.size, 1))
+        z = rng.normal(size=(y.size, 1))
+        g = builtin_generator("stress", delta=delta)
+        want = -np.exp(y * np.abs(x[:, 0])) + _h_entropy_by_mask(np.abs(y), delta) + np.abs(z[:, 0])
+        assert np.array_equal(g(0.0, x, y, z), want, equal_nan=True)
+        assert np.count_nonzero(np.isnan(want)) == 2
+        u = np.concatenate([np.square(special[:4]), rng.uniform(0.0, 1.0, 2000)])
+        r = np.sqrt(u)
+        assert np.array_equal(g.monotonicity_modulus(u), r * _h_entropy_by_mask(r, delta))
+
 
 class TestBuiltinGenerators:
     def test_linear_values(self):

@@ -105,6 +105,39 @@ class TestFDReference:
         with pytest.raises(ValidationError, match="degenerate"):
             fd_reference(p, h=0.125, k=1e-3)
 
+    @staticmethod
+    def _time_sigma_problem(sigma):
+        return PDEProblem(
+            drift=lambda t, x: 0.0,
+            sigma=lambda t, x: sigma(t),
+            generator=builtin_generator("linear"),
+            phi=np.cos,
+            growth_L=2.0,
+            growth_p=1.0,
+            T=1.0,
+            x_lo=-4 * math.pi,
+            x_hi=4 * math.pi,
+        )
+
+    def test_cfl_checked_on_every_level(self):
+        # sigma(t)^2 = 1 + 2t: k = 2e-3 meets the explicit CFL bound
+        # h^2/sigma^2 at t = 0 and breaks it for t > 0.10; unchecked, the
+        # march returned u(0, 0) = -1.2e144.  The backward march meets the
+        # violation first at the terminal level, time index 500
+        p = self._time_sigma_problem(lambda t: math.sqrt(1.0 + 2.0 * t))
+        assert 2e-3 <= H_COS**2
+        with pytest.raises(ValidationError, match=r"CFL violation at time index 500 \(t=1\)"):
+            fd_reference(p, h=H_COS, k=2e-3, theta=0.0)
+
+    def test_sigma_degenerate_mid_horizon_refused(self):
+        # sigma = |t - 1/2| is 0.5 at both ends and vanishes at level 50 of
+        # 100 only
+        p = self._time_sigma_problem(lambda t: abs(t - 0.5))
+        with pytest.raises(
+            ValidationError, match=r"degenerate on 511 interior node\(s\) at time index 50 \(t=0.5\)"
+        ):
+            fd_reference(p, h=H_COS, k=1e-2)
+
     def test_level_invariants_hoisted_out_of_march(self, monkeypatch):
         # the boundary rule is built once per march and drift/sigma are
         # evaluated on the interior once per time level, never twice
@@ -148,17 +181,7 @@ class TestFDReference:
         # scheme lands within 2e-4 relative; coefficients taken one level
         # late or early err by 1.2e-3 to 1.8e-3, so this bar catches a reuse
         # that reads the wrong level
-        p = PDEProblem(
-            drift=lambda t, x: 0.0,
-            sigma=lambda t, x: math.sqrt(1.0 + 2.0 * t),
-            generator=builtin_generator("linear"),
-            phi=np.cos,
-            growth_L=2.0,
-            growth_p=1.0,
-            T=1.0,
-            x_lo=-4 * math.pi,
-            x_hi=4 * math.pi,
-        )
+        p = self._time_sigma_problem(lambda t: math.sqrt(1.0 + 2.0 * t))
         field = fd_reference(p, h=H_COS, k=2e-3)
         want = math.exp(-1.0)
         assert abs(field.value(0.0, 0.0) - want) / want <= 5e-4

@@ -23,7 +23,8 @@ from bsdelab import (
     stability_check,
     stopping_indices,
 )
-from bsdelab.solver import _picard_step
+from bsdelab import solver
+from bsdelab.solver import _fit, _picard_step
 
 
 def _brownian_forward(grid, M, d, seed, start=0.0):
@@ -65,7 +66,52 @@ def _mean_ode_oracle(a, b, c, y0, z0, t_start, t_end, n=200_000):
     return m
 
 
+def _column_stack_design(states, degree):
+    # the list-and-column_stack construction the buffered design replaced,
+    # kept as its exact oracle
+    M, k = states.shape
+    cols = [np.ones(M)]
+    for j in range(k):
+        s = states[:, j]
+        mu = s.mean()
+        sd = s.std()
+        degenerate = sd <= 1e-12 * max(1.0, abs(mu))
+        sj = np.zeros(M) if degenerate else (s - mu) / sd
+        p = sj
+        for _ in range(degree):
+            cols.append(p)
+            p = p * sj
+    return np.column_stack(cols)
+
+
+def _lstsq_fit(design, targets):
+    # the SVD solve with the solver's cutoff: fitted, coef, cond, rank
+    coef, _, rank, sv = np.linalg.lstsq(design, targets, rcond=solver.RCOND)
+    return design @ coef, coef, sv[0] / sv[rank - 1], rank
+
+
 class TestDesign:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_equals_column_stack_on_strided_slices(self, k, degree):
+        # a time slice of an (M, N+1, k) path array strides over N+1 rows
+        rng = np.random.default_rng(10 * k + degree)
+        paths = rng.normal(size=(3000, 51, k)).cumsum(axis=1) + 2.5
+        for i in (1, 25, 50):
+            states = paths[:, i, :]
+            assert not states.flags.c_contiguous
+            assert np.array_equal(
+                polynomial_design(states, degree), _column_stack_design(states, degree)
+            )
+
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_equals_column_stack_with_constant_coordinate(self, degree):
+        rng = np.random.default_rng(degree)
+        states = np.stack([rng.normal(size=500), np.full(500, 4.2), rng.normal(size=500)], axis=1)
+        got = polynomial_design(states, degree)
+        assert np.array_equal(got, _column_stack_design(states, degree))
+        assert np.all(got[:, 1 + degree : 1 + 2 * degree] == 0.0)
+
     def test_shapes_and_intercept(self):
         states = np.random.default_rng(0).normal(size=(50, 2))
         d = polynomial_design(states, 3)
@@ -83,6 +129,134 @@ class TestDesign:
         # standardization maps a constant column to zeros, so the fit falls
         # back to the intercept alone
         assert np.allclose(d[:, 1:], 0.0)
+
+
+class TestGramProjector:
+    """_fit (Gram matrix, eigh, one refinement step) against np.linalg.lstsq."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        M=st.integers(200, 3000),
+        p=st.integers(1, 7),
+        q=st.integers(1, 3),
+        log_scale=st.floats(-1.0, 1.0),
+        shift=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_lstsq_on_well_conditioned_designs(self, M, p, q, log_scale, shift, seed):
+        rng = np.random.default_rng(seed)
+        design = np.ones((M, p))
+        design[:, 1:] = shift + 10.0**log_scale * rng.normal(size=(M, p - 1))
+        targets = rng.normal(size=(M, q)) + design @ rng.normal(size=(p, q))
+        fitted, coef, cond, rank, fell_back = _fit(design, targets)
+        want, _, want_cond, want_rank = _lstsq_fit(design, targets)
+        assert not fell_back
+        assert rank == want_rank == p
+        assert np.max(np.abs(fitted - want)) <= 1e-12 * np.max(np.abs(targets))
+        assert cond == pytest.approx(want_cond, rel=1e-8)
+
+    def test_degenerate_coordinate_gets_zero_coefficients(self):
+        rng = np.random.default_rng(3)
+        states = np.stack([rng.normal(size=2000), np.full(2000, -1.5)], axis=1)
+        design = polynomial_design(states, 3)
+        targets = np.stack([np.sin(states[:, 0]), states[:, 0] ** 2], axis=1)
+        fitted, coef, cond, rank, fell_back = _fit(design, targets)
+        want, want_coef, want_cond, want_rank = _lstsq_fit(design, targets)
+        assert not fell_back
+        assert rank == want_rank == 4
+        # the minimum-norm solution puts exactly nothing on zero columns
+        assert np.all(coef[4:] == 0.0)
+        assert np.all(want_coef[4:] == 0.0)
+        assert np.max(np.abs(fitted - want)) <= 1e-12 * np.max(np.abs(targets))
+        assert cond == pytest.approx(want_cond, rel=1e-8)
+
+    def test_binary_coordinate_falls_back_to_lstsq(self):
+        # a +-1 coordinate makes s^2 a copy of the intercept and s^3 a copy
+        # of s: the Gram matrix is singular, eigenvalues cannot resolve the
+        # cutoff, and the step goes to lstsq, which keeps rank 2
+        grid = TimeGrid(0.0, 1.0, 10)
+        M = 1000
+        fw, batch = _brownian_forward(grid, M, 1, seed=13)
+        sign = np.where(np.random.default_rng(13).random(M) < 0.5, -1.0, 1.0)
+        basis = np.broadcast_to(sign[:, None, None], (M, 11, 1))
+        problem = BSDEProblem(
+            generator=builtin_generator("linear", a=-0.5, c=1.0),
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=1,
+            terminal=lambda s: np.sin(s[:, -1, 0]) + s[:, -1, 0],
+        )
+        cfg = ExperimentConfig(seed=13, n_paths=M, n_steps=10, basis_degree=3)
+        sol = solve_bsde(problem, fw, batch, cfg, basis_states=basis)
+        diag = sol.diagnostics
+        assert diag["regression_fallbacks"].shape == (10,)
+        assert diag["regression_fallbacks"].sum() > 0
+        design = _column_stack_design(sign[:, None], 3)
+        targets = np.stack([sol.Y[:, 1], sol.Y[:, 1] * batch.increments[:, 0, 0] / grid.dt], axis=1)
+        want, _, _, want_rank = _lstsq_fit(design, targets)
+        assert want_rank == 2
+        assert np.all(diag["rank"] == want_rank)
+        fitted, _, _, rank, fell_back = _fit(design, targets)
+        assert fell_back and rank == want_rank
+        assert np.array_equal(fitted, want)
+
+    @pytest.mark.parametrize("noise,falls_back", [(1e-3, False), (1e-5, True), (1e-7, True)])
+    def test_fallback_threshold(self, noise, falls_back):
+        # a coordinate near +-1: s^2 is the intercept up to noise, so
+        # cond(X) is about 1e3, 1e5 and 1e7; only the last two exceed 1e4,
+        # and there the SVD solve keeps the full rank RCOND allows
+        rng = np.random.default_rng(4)
+        s = np.where(rng.random(2000) < 0.5, -1.0, 1.0) + noise * rng.normal(size=2000)
+        design = _column_stack_design(s[:, None], 3)
+        targets = np.stack([np.sin(3 * s), s**3], axis=1) + rng.normal(size=(2000, 2))
+        fitted, _, cond, rank, fell_back = _fit(design, targets)
+        want, _, want_cond, want_rank = _lstsq_fit(design, targets)
+        assert fell_back == falls_back
+        assert rank == want_rank == 4
+        assert cond == pytest.approx(want_cond, rel=1e-8)
+        assert np.max(np.abs(fitted - want)) <= 1e-12 * np.max(np.abs(targets))
+
+    def test_no_fallback_on_brownian_states(self):
+        grid = TimeGrid(0.0, 1.0, 20)
+        fw, batch = _brownian_forward(grid, 4000, 1, seed=14)
+        problem = BSDEProblem(
+            generator=builtin_generator("linear", a=-0.5),
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=1,
+            terminal=lambda s: np.cos(s[:, -1, 0]),
+        )
+        cfg = ExperimentConfig(seed=14, n_paths=4000, n_steps=20)
+        sol = solve_bsde(problem, fw, batch, cfg)
+        assert sol.diagnostics["regression_fallbacks"].sum() == 0
+        # the states start at 0: step 0 regresses on the intercept alone
+        assert sol.diagnostics["rank"].tolist() == [1] + [4] * 19
+
+    def test_design_built_once_per_step(self, monkeypatch):
+        # the sweep reaches polynomial_design through the module global, once
+        # per step, so a wrapper installed on the module sees every build
+        calls = []
+        build = solver.polynomial_design
+
+        def counting(states, degree):
+            calls.append(states.shape)
+            return build(states, degree)
+
+        monkeypatch.setattr(solver, "polynomial_design", counting)
+        grid = TimeGrid(0.0, 1.0, 12)
+        fw, batch = _brownian_forward(grid, 500, 1, seed=15)
+        problem = BSDEProblem(
+            generator=builtin_generator("linear", c=1.0),
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=1,
+            terminal=lambda s: s[:, -1, 0],
+        )
+        cfg = ExperimentConfig(seed=15, n_paths=500, n_steps=12)
+        solve_bsde(problem, fw, batch, cfg)
+        assert calls == [(500, 1)] * 12
+        solve_bsde(problem, fw, batch, cfg)
+        assert len(calls) == 24
 
 
 class TestMartingaleCase:
