@@ -4,26 +4,20 @@ Generators with declared regularity metadata, reproducible path sampling,
 a least-squares backward solver, Lipschitz envelope approximations,
 difference-quotient representation experiments, and a semilinear PDE
 bridge with an independent finite difference reference.
+
+The names below are the surface the command line, the acceptance suite and
+the benchmark use, plus the error classes and the input types a caller
+builds; everything else is importable from its submodule.
 """
 
 from .core import (
     BSDEProblem,
-    EXP_CLAMP,
     ExperimentConfig,
     Generator,
     builtin_generator,
     check_generator_metadata,
-    h_entropy,
-    q_trunc,
 )
-from .envelope import (
-    EnvelopeResult,
-    SandwichReport,
-    convergence_curve,
-    empirical_growth_bound,
-    envelopes,
-    sandwich_check,
-)
+from .envelope import convergence_curve, envelopes, sandwich_check
 from .errors import (
     BsdeLabError,
     ExperimentFailure,
@@ -33,113 +27,56 @@ from .errors import (
     ValidationError,
 )
 from .feynmankac import (
-    FDField,
-    McFdRow,
-    McSolution,
     PDEProblem,
     TestFunction,
-    TouchReport,
     affine_problem,
     fd_reference,
-    flow_consistency,
-    growth_check,
     heat_cos_problem,
     heat_cos_solution,
     mc_solution,
     mc_vs_fd,
-    proof_generator,
     semilinear_cos_problem,
     semilinear_cos_solution,
     square_problem,
     viscosity_touch_check,
 )
-from .paths import (
-    BrownianBatch,
-    ForwardBatch,
-    TimeGrid,
-    euler_maruyama,
-    sample_brownian,
-    stopping_indices,
-)
-from .representation import (
-    ConverseReport,
-    QuotientEstimate,
-    RepresentationReport,
-    converse_comparison_probe,
-    convergence_study,
-    representation_quotient,
-)
-from .solver import (
-    ComparisonReport,
-    SolutionBatch,
-    StabilityReport,
-    closed_form_linear,
-    comparison_check,
-    polynomial_design,
-    solve_bsde,
-    stability_check,
-)
+from .paths import TimeGrid, euler_maruyama, sample_brownian
+from .representation import convergence_study, converse_comparison_probe
+from .solver import solve_bsde
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BSDEProblem",
-    "BrownianBatch",
     "BsdeLabError",
-    "ComparisonReport",
-    "ConverseReport",
-    "EXP_CLAMP",
-    "EnvelopeResult",
     "ExperimentConfig",
     "ExperimentFailure",
-    "FDField",
-    "ForwardBatch",
     "Generator",
     "HypothesisError",
-    "McFdRow",
-    "McSolution",
     "NumericalError",
     "PDEProblem",
     "PicardError",
-    "QuotientEstimate",
-    "RepresentationReport",
-    "SandwichReport",
-    "SolutionBatch",
-    "StabilityReport",
     "TestFunction",
     "TimeGrid",
-    "TouchReport",
     "ValidationError",
     "affine_problem",
     "builtin_generator",
     "check_generator_metadata",
-    "closed_form_linear",
-    "comparison_check",
     "convergence_curve",
     "convergence_study",
     "converse_comparison_probe",
-    "empirical_growth_bound",
     "envelopes",
     "euler_maruyama",
     "fd_reference",
-    "flow_consistency",
-    "growth_check",
-    "h_entropy",
     "heat_cos_problem",
     "heat_cos_solution",
     "mc_solution",
     "mc_vs_fd",
-    "polynomial_design",
-    "proof_generator",
-    "q_trunc",
-    "representation_quotient",
     "sample_brownian",
     "sandwich_check",
     "semilinear_cos_problem",
     "semilinear_cos_solution",
     "solve_bsde",
     "square_problem",
-    "stability_check",
-    "stopping_indices",
     "viscosity_touch_check",
 ]

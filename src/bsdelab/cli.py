@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import BSDEProblem, ExperimentConfig, builtin_generator
+from .core import BSDEProblem, ExperimentConfig, _sample_sd, builtin_generator
 from .envelope import convergence_curve
 from .errors import BsdeLabError, ExperimentFailure, ValidationError
 from .feynmankac import (
@@ -390,7 +390,7 @@ def _run_simulate(cfg: dict, threads: int):
         row = [i, float(times[i])]
         for j in range(n):
             coord = fw.states[:, i, j]
-            row += [float(coord.mean()), float(coord.std(ddof=1))]
+            row += [float(coord.mean()), _sample_sd(coord)]
         rows.append(row)
     return columns, rows, None
 
@@ -420,7 +420,8 @@ def _run_solve(cfg: dict, threads: int):
     n_steps = cfg["n_steps"]
     diag = sol.diagnostics
     for i in range(n_steps + 1):
-        row = [i, float(times[i]), float(sol.Y[:, i].mean()), float(sol.Y[:, i].std(ddof=1))]
+        y = sol.Y[:, i]
+        row = [i, float(times[i]), float(y.mean()), _sample_sd(y)]
         if i < n_steps:
             row += [float(sol.Z[:, i, j].mean()) for j in range(d)]
             row += [int(diag["picard_iters"][i]), float(diag["cond"][i])]
@@ -473,10 +474,10 @@ def _run_represent(cfg: dict, threads: int):
             report.quotient_means[idx],
             report.quotient_ses[idx],
             report.target_mean,
-            report.lp_errors[1][idx] if 1 in report.lp_errors else math.nan,
-            report.lp_ses[1][idx] if 1 in report.lp_ses else math.nan,
-            report.lp_errors[2][idx] if 2 in report.lp_errors else math.nan,
-            report.lp_ses[2][idx] if 2 in report.lp_ses else math.nan,
+            report.lp_errors[1][idx],
+            report.lp_ses[1][idx],
+            report.lp_errors[2][idx],
+            report.lp_ses[2][idx],
             rate,
         ]
         rows.append(row)
@@ -582,9 +583,9 @@ def _run_touch(cfg: dict, threads: int):
         phi,
         cfg["t"],
         cfg["x"],
+        _experiment_config(cfg, threads),
         mode=mode,
         eps=cfg["eps"],
-        config=_experiment_config(cfg, threads),
         stencil_h=cfg["stencil_h"],
         stencil_k=cfg["stencil_k"],
         barrier=cfg["barrier"],

@@ -39,6 +39,26 @@ def _norm_last(a) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=-1))
 
 
+def _sample_sd(v: np.ndarray) -> float:
+    """Sample standard deviation (ddof=1) of v, 0 when v is constant up to rounding.
+
+    A peak-to-peak spread within n*eps*max|v| is float rounding of values
+    that are equal in exact arithmetic; its standard deviation is dust whose
+    digits follow the summation order, so it is reported as 0, as is the
+    spread of fewer than two values.
+    """
+    n = v.size
+    if n < 2 or np.ptp(v) <= n * np.finfo(float).eps * np.max(np.abs(v)):
+        return 0.0
+    return float(v.std(ddof=1))
+
+
+def _mean_se(v: np.ndarray) -> float:
+    """Standard error of the mean of v: _sample_sd(v)/sqrt(n)."""
+    sd = _sample_sd(v)
+    return float(sd / np.sqrt(v.size)) if sd else 0.0
+
+
 def _check_delta(delta) -> float:
     delta = float(delta)
     if not 0.0 < delta < 1.0 / math.e:
@@ -363,7 +383,6 @@ class ExperimentConfig:
     basis_degree: int = 3
     picard_max: int = 50
     picard_tol: float = 1e-10
-    p_norms: tuple[int, ...] = (1, 2)
     threads: int = 1
 
     def __post_init__(self):
@@ -379,7 +398,3 @@ class ExperimentConfig:
             raise ValidationError(f"picard_tol must be > 0, got {self.picard_tol}")
         if self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
-        ps = tuple(self.p_norms)
-        if not ps or any(p not in (1, 2) for p in ps):
-            raise ValidationError(f"p_norms must be a nonempty subset of (1, 2), got {ps}")
-        object.__setattr__(self, "p_norms", ps)

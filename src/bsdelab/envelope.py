@@ -36,11 +36,11 @@ class EnvelopeResult:
     search_bound: float
 
 
-def empirical_growth_bound(g: Generator, alpha, t, x, n_grid: int = 2048) -> float:
-    """Max of |g(t,x,y,0) - g(t,x,0,0)| over a y-grid on [-alpha, alpha]."""
+def empirical_growth_bound(g: Generator, alpha, t, x) -> float:
+    """Max of |g(t,x,y,0) - g(t,x,0,0)| over a 2048-point y-grid on [-alpha, alpha]."""
     if alpha < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
-    y = np.linspace(-alpha, alpha, n_grid)
+    y = np.linspace(-alpha, alpha, 2048)
     g0 = float(np.asarray(g(t, x, 0.0, 0.0), dtype=float))
     vals = np.asarray(g(t, x, y, 0.0), dtype=float)
     return float(np.max(np.abs(vals - g0)))

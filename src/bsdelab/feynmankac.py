@@ -23,9 +23,9 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import BSDEProblem, ExperimentConfig, Generator
+from .core import BSDEProblem, ExperimentConfig, Generator, _mean_se, builtin_generator
 from .errors import NumericalError, ValidationError
-from .paths import ForwardBatch, TimeGrid, euler_maruyama, sample_brownian, stopping_indices
+from .paths import TimeGrid, euler_maruyama, sample_brownian, stopping_indices
 from .solver import solve_bsde
 
 
@@ -59,8 +59,14 @@ class PDEProblem:
             raise ValidationError(f"growth_L must be > 0, got {self.growth_L}")
 
 
-def growth_check(problem: PDEProblem, n_samples: int = 512) -> None:
-    """Sampled check of the declared growth bound; raises on violation."""
+def _coef(f, t, x: np.ndarray) -> np.ndarray:
+    """Coefficient f(t, x) for states x of shape (..., 1), as an array of shape (...)."""
+    return np.broadcast_to(np.asarray(f(t, x), dtype=float), x.shape)[..., 0]
+
+
+def growth_check(problem: PDEProblem) -> None:
+    """Check of the declared growth bound on 512 nodes x 8 times; raises on violation."""
+    n_samples = 512
     xs = np.linspace(problem.x_lo, problem.x_hi, n_samples)
     phi_v = np.asarray(problem.phi(xs), dtype=float)
     bound = problem.growth_L * (1.0 + np.abs(xs) ** problem.growth_p)
@@ -86,8 +92,6 @@ def growth_check(problem: PDEProblem, n_samples: int = 512) -> None:
 class McSolution:
     u: float
     se: float
-    solution: object  # SolutionBatch
-    forward: ForwardBatch
 
 
 def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfig) -> McSolution:
@@ -115,65 +119,7 @@ def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfi
         terminal=lambda s: np.asarray(problem.phi(s[:, -1, 0]), dtype=float),
     )
     sol = solve_bsde(prob, fw, batch, config)
-    M = config.n_paths
-    return McSolution(
-        u=float(sol.Y[:, 0].mean()),
-        se=float(sol.telescoped.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0,
-        solution=sol,
-        forward=fw,
-    )
-
-
-@dataclass(frozen=True)
-class FlowCheckRow:
-    t_mid: float
-    x_mid: float
-    y_window: float
-    y_resolve: float
-    se_combined: float
-
-
-def flow_consistency(
-    problem: PDEProblem,
-    t: float,
-    x: float,
-    config: ExperimentConfig,
-    quantiles=(0.25, 0.5, 0.75),
-) -> list[FlowCheckRow]:
-    """Sanity check of the flow property u(t+s, X_{t+s}) = Y_{t+s}.
-
-    Solves once from (t, x), then at the midpoint time compares the solved
-    Y values (averaged over a narrow window of paths around a state
-    quantile) against a fresh solve started at that quantile.  Windowing
-    introduces O(bandwidth^2) smoothing bias, so this is a consistency
-    check, not a sharp test.
-    """
-    mc = mc_solution(problem, t, x, config)
-    sol, fw = mc.solution, mc.forward
-    k = config.n_steps // 2
-    times = fw.grid.times()
-    xs_k = fw.states[:, k, 0]
-    rows = []
-    bw = max(0.05 * xs_k.std(), 1e-6)
-    for q in quantiles:
-        xq = float(np.quantile(xs_k, q))
-        win = np.abs(xs_k - xq) <= bw
-        if np.count_nonzero(win) < 30:
-            win = np.abs(xs_k - xq) <= 4 * bw
-        yw = float(sol.Y[win, k].mean())
-        se_w = float(sol.Y[win, k].std(ddof=1) / np.sqrt(np.count_nonzero(win)))
-        sub = replace(config, seed=config.seed + 7919, n_steps=max(config.n_steps - k, 1))
-        re = mc_solution(problem, float(times[k]), xq, sub)
-        rows.append(
-            FlowCheckRow(
-                t_mid=float(times[k]),
-                x_mid=xq,
-                y_window=yw,
-                y_resolve=re.u,
-                se_combined=float(np.hypot(se_w, re.se)),
-            )
-        )
-    return rows
+    return McSolution(u=float(sol.Y[:, 0].mean()), se=_mean_se(sol.telescoped))
 
 
 @dataclass(frozen=True)
@@ -219,8 +165,8 @@ def _frozen_boundary(problem, x_b, t, nodes, weights):
     if tau <= 0:
         return float(problem.phi(np.array([x_b]))[0])
     xb = np.array([[x_b]])
-    b_f = float(np.broadcast_to(np.asarray(problem.drift(t, xb), dtype=float), (1, 1))[0, 0])
-    s_f = float(np.broadcast_to(np.asarray(problem.sigma(t, xb), dtype=float), (1, 1))[0, 0])
+    b_f = float(_coef(problem.drift, t, xb)[0])
+    s_f = float(_coef(problem.sigma, t, xb)[0])
     pts = x_b + b_f * tau + s_f * math.sqrt(2.0 * tau) * nodes
     vals = np.asarray(problem.phi(pts), dtype=float)
     return float(weights @ vals / math.sqrt(math.pi))
@@ -263,9 +209,7 @@ def fd_reference(
     times = k_eff * np.arange(n_t + 1)
     times[-1] = problem.T
 
-    sig_grid = np.broadcast_to(
-        np.asarray(problem.sigma(0.0, xs[:, None]), dtype=float), (xs.size, 1)
-    )[:, 0]
+    sig_grid = _coef(problem.sigma, 0.0, xs[:, None])
     n_degenerate = int(np.count_nonzero(np.abs(sig_grid) < 1e-8))
     if n_degenerate:
         raise ValidationError(
@@ -286,9 +230,8 @@ def fd_reference(
     def lin_coeffs(j):
         # sigma may vary in time: both conditions are checked on every level
         t = times[j]
-        x2 = xi_int[:, None]
-        bv = np.broadcast_to(np.asarray(problem.drift(t, x2), dtype=float), x2.shape)[:, 0]
-        sv = np.broadcast_to(np.asarray(problem.sigma(t, x2), dtype=float), x2.shape)[:, 0]
+        bv = _coef(problem.drift, t, xi_int[:, None])
+        sv = _coef(problem.sigma, t, xi_int[:, None])
         s2 = sv * sv
         n_deg = int(np.count_nonzero(np.abs(sv) < 1e-8))
         if n_deg:
@@ -369,23 +312,20 @@ def mc_vs_fd(
     h: float,
     k: float,
     theta: float = 0.5,
-    fd_budget: Callable | None = None,
 ) -> list[McFdRow]:
     """Discrepancy table between the two solvers at probe points.
 
     Tolerance per point: max(2% relative to the FD value, 3 MC standard
-    errors plus the FD truncation budget).  The default budget charges 0.5%
-    of scale, matching the reference's own acceptance bar.
+    errors plus the FD truncation budget).  The budget charges 0.5% of
+    scale, max(1, |u_fd|), matching the reference's own acceptance bar.
     """
-    if fd_budget is None:
-        fd_budget = lambda u: 0.005 * max(1.0, abs(u))
     field = fd_reference(problem, h, k, theta)
     rows = []
     for i, (t, x) in enumerate(points):
         mc = mc_solution(problem, t, x, replace(config, seed=config.seed + i))
         u_fd = field.value(t, x)
         diff = mc.u - u_fd
-        tol = max(0.02 * abs(u_fd), 3.0 * mc.se + fd_budget(u_fd))
+        tol = max(0.02 * abs(u_fd), 3.0 * mc.se + 0.005 * max(1.0, abs(u_fd)))
         rows.append(
             McFdRow(t=float(t), x=float(x), u_mc=mc.u, se=mc.se, u_fd=u_fd, diff=diff, tol=tol)
         )
@@ -431,8 +371,8 @@ def proof_generator(problem: PDEProblem, phi: TestFunction) -> Generator:
         if x2.ndim == 0:
             x2 = x2.reshape(1, 1)
         x1 = x2[..., 0]
-        bv = np.broadcast_to(np.asarray(problem.drift(t, x2), dtype=float), x2.shape)[..., 0]
-        sv = np.broadcast_to(np.asarray(problem.sigma(t, x2), dtype=float), x2.shape)[..., 0]
+        bv = _coef(problem.drift, t, x2)
+        sv = _coef(problem.sigma, t, x2)
         lphi = phi.dt(t, x1) + 0.5 * sv * sv * phi.dxx(t, x1) + bv * phi.dx(t, x1)
         z = np.asarray(z, dtype=float)
         shift = sv * phi.dx(t, x1)
@@ -467,27 +407,24 @@ def viscosity_touch_check(
     phi: TestFunction,
     t: float,
     x: float,
+    config: ExperimentConfig,
     mode: str = "sub",
     eps: float = 0.025,
-    config: ExperimentConfig | None = None,
     stencil_h: float = 0.05,
     stencil_k: float = 0.01,
-    touch_tol: float = 1e-9,
     barrier: float = 1.0,
 ) -> TouchReport:
     """Residual of a touching test function, two ways.
 
     Validates that (t, x) is a local max (mode=sub) or min (mode=super) of
-    u - phi over a 5x5 space-time stencil, then evaluates the PDE residual
-    of phi at (t, x) directly from its analytic derivatives and, separately,
-    as the difference quotient of the compensated generator along the
-    simulated diffusion.  Sign conventions: a subsolution touching point
+    u - phi over a 5x5 space-time stencil, up to 1e-9, then evaluates the
+    PDE residual of phi at (t, x) directly from its analytic derivatives and,
+    separately, as the difference quotient of the compensated generator
+    along the simulated diffusion.  Sign conventions: a subsolution touching point
     must give residual >= 0 up to tolerance.
     """
     if mode not in ("sub", "super"):
         raise ValidationError(f"mode must be 'sub' or 'super', got {mode!r}")
-    if config is None:
-        config = ExperimentConfig(seed=0, n_paths=20_000, n_steps=50)
 
     center = u_source(t, x) - float(phi.value(t, np.asarray(x)))
     worst = -np.inf
@@ -500,7 +437,7 @@ def viscosity_touch_check(
             s = u_source(tt, xx) - float(phi.value(tt, np.asarray(xx)))
             gap = s - center if mode == "sub" else center - s
             worst = max(worst, gap)
-    if worst > touch_tol:
+    if worst > 1e-9:
         raise ValidationError(
             f"(t={t}, x={x}) is not a local {'max' if mode == 'sub' else 'min'} "
             f"of u - phi on the stencil (violation {worst:.3e})"
@@ -508,8 +445,8 @@ def viscosity_touch_check(
 
     x_arr = np.asarray(x, dtype=float)
     xs2 = x_arr.reshape(1, 1)
-    bv = float(np.broadcast_to(np.asarray(problem.drift(t, xs2), dtype=float), (1, 1))[0, 0])
-    sv = float(np.broadcast_to(np.asarray(problem.sigma(t, xs2), dtype=float), (1, 1))[0, 0])
+    bv = float(_coef(problem.drift, t, xs2)[0])
+    sv = float(_coef(problem.sigma, t, xs2)[0])
     u_tx = u_source(t, x)
     z_dir = sv * float(phi.dx(t, x_arr))
     direct = (
@@ -538,7 +475,7 @@ def viscosity_touch_check(
     sol = solve_bsde(prob, fw, batch, config, stop_indices=stop)
     raw = sol.telescoped / eps
     quotient = float(sol.Y[:, 0].mean()) / eps
-    se = float(raw.std(ddof=1) / np.sqrt(config.n_paths)) if config.n_paths > 1 else 0.0
+    se = _mean_se(raw)
 
     return TouchReport(
         t=float(t),
@@ -558,103 +495,65 @@ def _const(v):
     return lambda t, x: v
 
 
-def heat_cos_problem(T: float = 1.0, half_width: float = 4 * math.pi) -> PDEProblem:
-    """Pure heat equation with cosine terminal data; u(t,x) = e^{-(T-t)/2} cos x."""
-    from .core import builtin_generator
-
+def _box_problem(generator, phi, growth_L, growth_p, T, half_width) -> PDEProblem:
+    """Driftless unit-volatility problem on the box [-half_width, half_width]."""
     return PDEProblem(
         drift=_const(0.0),
         sigma=_const(1.0),
-        generator=builtin_generator("linear"),
-        phi=np.cos,
-        growth_L=2.0,
-        growth_p=1.0,
+        generator=builtin_generator(generator),
+        phi=phi,
+        growth_L=growth_L,
+        growth_p=growth_p,
         T=T,
         x_lo=-half_width,
         x_hi=half_width,
     )
+
+
+def heat_cos_problem(T: float = 1.0, half_width: float = 4 * math.pi) -> PDEProblem:
+    """Pure heat equation with cosine terminal data; u(t,x) = e^{-(T-t)/2} cos x."""
+    return _box_problem("linear", np.cos, 2.0, 1.0, T, half_width)
 
 
 def semilinear_cos_problem(T: float = 1.0, half_width: float = 4 * math.pi) -> PDEProblem:
     """Heat equation with reaction g(u) = -u; u(t,x) = e^{-3(T-t)/2} cos x."""
-    from .core import builtin_generator
-
-    return PDEProblem(
-        drift=_const(0.0),
-        sigma=_const(1.0),
-        generator=builtin_generator("negative_exponential"),
-        phi=np.cos,
-        growth_L=2.0,
-        growth_p=1.0,
-        T=T,
-        x_lo=-half_width,
-        x_hi=half_width,
-    )
+    return _box_problem("negative_exponential", np.cos, 2.0, 1.0, T, half_width)
 
 
 def affine_problem(c0: float, c1: float, T: float = 1.0, half_width: float = 6.0) -> PDEProblem:
     """phi(x) = c0 + c1*x with no reaction: u(t, x) = c0 + c1*x for all t."""
-    from .core import builtin_generator
-
-    return PDEProblem(
-        drift=_const(0.0),
-        sigma=_const(1.0),
-        generator=builtin_generator("linear"),
-        phi=lambda x: c0 + c1 * np.asarray(x, dtype=float),
-        growth_L=max(abs(c0), abs(c1)) + 1.0,
-        growth_p=1.0,
-        T=T,
-        x_lo=-half_width,
-        x_hi=half_width,
-    )
+    phi = lambda x: c0 + c1 * np.asarray(x, dtype=float)
+    return _box_problem("linear", phi, max(abs(c0), abs(c1)) + 1.0, 1.0, T, half_width)
 
 
 def square_problem(T: float = 1.0, half_width: float = 6.0) -> PDEProblem:
     """phi(x) = x^2 with no reaction: u(t, x) = x^2 + (T - t)."""
-    from .core import builtin_generator
+    phi = lambda x: np.asarray(x, dtype=float) ** 2
+    return _box_problem("linear", phi, 2.0, 2.0, T, half_width)
 
-    return PDEProblem(
-        drift=_const(0.0),
-        sigma=_const(1.0),
-        generator=builtin_generator("linear"),
-        phi=lambda x: np.asarray(x, dtype=float) ** 2,
-        growth_L=2.0,
-        growth_p=2.0,
-        T=T,
-        x_lo=-half_width,
-        x_hi=half_width,
-    )
+
+def _cos_solution(rate: float, T: float) -> TestFunction:
+    """e^{-rate*(T-t)} cos x with its analytic derivatives."""
+    def val(t, x):
+        return math.exp(-rate * (T - t)) * np.cos(np.asarray(x, dtype=float))
+
+    def d_t(t, x):
+        return rate * math.exp(-rate * (T - t)) * np.cos(np.asarray(x, dtype=float))
+
+    def d_x(t, x):
+        return -math.exp(-rate * (T - t)) * np.sin(np.asarray(x, dtype=float))
+
+    def d_xx(t, x):
+        return -math.exp(-rate * (T - t)) * np.cos(np.asarray(x, dtype=float))
+
+    return TestFunction(value=val, dt=d_t, dx=d_x, dxx=d_xx)
 
 
 def heat_cos_solution(T: float = 1.0) -> TestFunction:
     """Exact solution of heat_cos_problem as a test function."""
-    def val(t, x):
-        return math.exp(-0.5 * (T - t)) * np.cos(np.asarray(x, dtype=float))
-
-    def d_t(t, x):
-        return 0.5 * math.exp(-0.5 * (T - t)) * np.cos(np.asarray(x, dtype=float))
-
-    def d_x(t, x):
-        return -math.exp(-0.5 * (T - t)) * np.sin(np.asarray(x, dtype=float))
-
-    def d_xx(t, x):
-        return -math.exp(-0.5 * (T - t)) * np.cos(np.asarray(x, dtype=float))
-
-    return TestFunction(value=val, dt=d_t, dx=d_x, dxx=d_xx)
+    return _cos_solution(0.5, T)
 
 
 def semilinear_cos_solution(T: float = 1.0) -> TestFunction:
     """Exact solution of semilinear_cos_problem as a test function."""
-    def val(t, x):
-        return math.exp(-1.5 * (T - t)) * np.cos(np.asarray(x, dtype=float))
-
-    def d_t(t, x):
-        return 1.5 * math.exp(-1.5 * (T - t)) * np.cos(np.asarray(x, dtype=float))
-
-    def d_x(t, x):
-        return -math.exp(-1.5 * (T - t)) * np.sin(np.asarray(x, dtype=float))
-
-    def d_xx(t, x):
-        return -math.exp(-1.5 * (T - t)) * np.cos(np.asarray(x, dtype=float))
-
-    return TestFunction(value=val, dt=d_t, dx=d_x, dxx=d_xx)
+    return _cos_solution(1.5, T)

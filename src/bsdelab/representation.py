@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BSDEProblem, ExperimentConfig, Generator
+from .core import BSDEProblem, ExperimentConfig, Generator, _mean_se
 from .errors import HypothesisError, ValidationError
 from .paths import ForwardBatch, TimeGrid, sample_brownian, stopping_indices
 from .solver import comparison_check, solve_bsde
@@ -33,23 +33,14 @@ AUX_STREAM = np.uint64(1) << np.uint64(63)
 # Finest time step relative to the quotient window.
 MIN_STEPS_PER_EPS = 50
 
+# L^p norms of the quotient error reported by convergence_study; the lowest
+# one drives the monotonicity verdict and the rate fit.
+P_NORMS = (1, 2)
 
-def _aux_normals(seed: int, shape, stream: int = 0) -> np.ndarray:
-    key = np.array([np.uint64(seed), AUX_STREAM + np.uint64(stream)], dtype=np.uint64)
+
+def _aux_normals(seed: int, shape) -> np.ndarray:
+    key = np.array([np.uint64(seed), AUX_STREAM], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
-
-
-def _mean_se(v: np.ndarray) -> float:
-    """Standard error of the mean of v, 0 when v is constant up to rounding.
-
-    A peak-to-peak spread within n*eps*max|v| is float rounding of values
-    that are equal in exact arithmetic; its standard deviation is dust whose
-    digits follow the summation order, so it is reported as 0.
-    """
-    n = v.size
-    if n < 2 or np.ptp(v) <= n * np.finfo(float).eps * np.max(np.abs(v)):
-        return 0.0
-    return float(v.std(ddof=1) / np.sqrt(n))
 
 
 @dataclass(frozen=True)
@@ -82,16 +73,15 @@ def representation_quotient(
     eps: float,
     config: ExperimentConfig,
     barrier: float = 1.0,
-    randomize_base: bool | None = None,
 ) -> QuotientEstimate:
     """Estimate the difference quotient of g at (t, x, y, z) over window eps.
 
     Builds the grid on [t, t+eps] (config.n_steps must keep dt <= eps/50),
     realizes the time-t state, applies the per-path stopping index, solves
-    the truncated backward problem, and rescales.  randomize_base defaults
-    to g.state_dependent: a state-dependent generator is probed at the
-    realized Brownian marginal anchored at x, a deterministic one at x
-    itself.  If the stop binds on more than 1% of paths a warning is issued
+    the truncated backward problem, and rescales.  A state-dependent
+    generator (g.state_dependent) is probed at the realized Brownian
+    marginal anchored at x when t > 0, any other at x itself.  If the stop
+    binds on more than 1% of paths a warning is issued
     (the window is then too wide for the barrier).
     """
     if eps <= 0:
@@ -107,14 +97,13 @@ def representation_quotient(
         x = np.full(d, x[0])
     if x.size != d:
         raise ValidationError(f"state anchor has size {x.size}, expected {d}")
-    if randomize_base is None:
-        randomize_base = g.state_dependent
+    randomize_base = g.state_dependent and t > 0
 
     M = config.n_paths
     grid = TimeGrid(t, t + eps, config.n_steps)
     batch = sample_brownian(grid, M, d, config.seed, threads=config.threads)
 
-    if randomize_base and t > 0:
+    if randomize_base:
         base = x + np.sqrt(t) * _aux_normals(config.seed, (M, d))
     else:
         base = np.broadcast_to(x, (M, d)).copy()
@@ -137,7 +126,7 @@ def representation_quotient(
         generator=g, t_start=t, t_end=t + eps, dimension_d=d, terminal=lambda s: xi
     )
     basis = None
-    if randomize_base and t > 0:
+    if randomize_base:
         basis = np.concatenate(
             [np.broadcast_to(base[:, None, :], states.shape), states - base[:, None, :]],
             axis=2,
@@ -207,12 +196,11 @@ def convergence_study(
     eps_schedule,
     config: ExperimentConfig,
     barrier: float = 1.0,
-    horizon: float | None = None,
 ) -> RepresentationReport:
     """Run representation_quotient along eps_schedule and fit the rate.
 
-    The schedule must be strictly decreasing.  L^p errors (p from
-    config.p_norms) are computed pathwise against g evaluated at the
+    The schedule must be strictly decreasing.  L^p errors (p in P_NORMS,
+    i.e. 1 and 2) are computed pathwise against g evaluated at the
     realized time-t state.  A non-monotone L1 sequence beyond one combined
     standard error is reported via errors_decreasing=False, not raised: the
     caller decides whether that fails the run.  The rate fit is skipped when
@@ -225,25 +213,21 @@ def convergence_study(
         raise ValidationError("eps_schedule must be strictly decreasing")
     if eps_schedule[-1] <= 0:
         raise ValidationError("eps_schedule entries must be > 0")
-    if horizon is not None and t + eps_schedule[0] > horizon + 1e-12:
-        raise ValidationError(
-            f"window t+eps={t + eps_schedule[0]} exceeds horizon {horizon}"
-        )
 
     cells = [
         representation_quotient(g, t, x, y, z, e, config, barrier=barrier)
         for e in eps_schedule
     ]
-    lp_errors: dict[int, list] = {p: [] for p in config.p_norms}
-    lp_ses: dict[int, list] = {p: [] for p in config.p_norms}
+    lp_errors: dict[int, list] = {p: [] for p in P_NORMS}
+    lp_ses: dict[int, list] = {p: [] for p in P_NORMS}
     for c in cells:
         raw_se = c.se
-        for p in config.p_norms:
+        for p in P_NORMS:
             err, se = _lp_error(c.per_path, c.targets, raw_se, p)
             lp_errors[p].append(err)
             lp_ses[p].append(se)
 
-    p_lead = min(config.p_norms)
+    p_lead = min(P_NORMS)
     lead = np.array(lp_errors[p_lead])
     lead_se = np.array(lp_ses[p_lead])
     # quotients divide by eps, so plain float dust sits at eps_machine/eps;
@@ -346,7 +330,7 @@ def converse_comparison_probe(
         q1 = representation_quotient(g1, t, x, y, z, eps, config, barrier=barrier)
         q2 = representation_quotient(g2, t, x, y, z, eps, config, barrier=barrier)
         diff_raw = q1.raw - q2.raw
-        se = float(diff_raw.std(ddof=1) / np.sqrt(diff_raw.size))
+        se = _mean_se(diff_raw)
         ordered = q1.mean >= q2.mean - 3.0 * se - slack_fp
         rows.append(
             ConversePointRow(

@@ -21,8 +21,7 @@ solve instead, and such steps are counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,12 +128,7 @@ class SolutionBatch:
     Y: np.ndarray
     Z: np.ndarray
     telescoped: np.ndarray
-    regression_coeffs: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
-
-    def y0_estimate(self) -> float:
-        """Sample mean of Y at t_start (the estimator when Y_t0 is deterministic)."""
-        return float(self.Y[:, 0].mean())
 
 
 def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
@@ -285,7 +279,6 @@ def solve_bsde(
     Z = np.empty((M, n_steps, d))
     Y[:, n_steps] = xi
     telescoped = xi.copy()
-    coeffs = []
     cond = np.empty(n_steps)
     rank = np.empty(n_steps, dtype=int)
     picard_iters = np.empty(n_steps, dtype=int)
@@ -297,7 +290,7 @@ def solve_bsde(
         targets = np.empty((M, 1 + d))
         targets[:, 0] = Y[:, i + 1]
         targets[:, 1:] = Y[:, i + 1, None] * brownian.increments[:, i, :] / dt
-        fitted, coef, cnd, rnk, fell_back = _fit(design, targets)
+        fitted, _, cnd, rnk, fell_back = _fit(design, targets)
         ey = fitted[:, 0]
         Z[:, i, :] = fitted[:, 1:]
 
@@ -324,14 +317,12 @@ def solve_bsde(
             )
         Y[:, i] = y
         telescoped += gv * dt_eff
-        coeffs.append(coef)
         cond[i] = cnd
         rank[i] = rnk
         picard_iters[i] = iters
         bisections[i] = nfb
         lstsq_fallbacks[i] = fell_back
 
-    coeffs.reverse()
     if not np.all(np.isfinite(Z)):
         raise NumericalError("non-finite Z estimate")
     return SolutionBatch(
@@ -339,7 +330,6 @@ def solve_bsde(
         Y=Y,
         Z=Z,
         telescoped=telescoped,
-        regression_coeffs=coeffs,
         diagnostics={
             "cond": cond,
             "rank": rank,
@@ -349,36 +339,6 @@ def solve_bsde(
             "sup_abs_y": float(np.max(np.abs(Y))),
         },
     )
-
-
-def closed_form_linear(a: float, b, c: float, y0: float, z0, t_start: float, t_end: float) -> float:
-    """Exact initial value for g = a*y + <b,z> + c with terminal y0 + <z0, B_T - B_t0>.
-
-    Derived by the affine ansatz Y_t = alpha(t) + beta(t)*<z0, B_t - B_t0>:
-    matching coefficients gives beta' = -a*beta and
-    alpha' + a*alpha = -(e^{a(T-t)}<b,z0> + c), hence
-
-        Y_t0 = e^{a*th}*(y0 + <b,z0>*th) + c*(e^{a*th} - 1)/a,  th = T - t0,
-
-    with the usual limit th resp. c*th at a = 0.  Validated in the test suite
-    against a fine-grid brute-force solve before being used as an oracle.
-    """
-    th = float(t_end) - float(t_start)
-    if th <= 0:
-        raise ValidationError(f"need t_start < t_end, got [{t_start}, {t_end}]")
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    if b.size != z0.size:
-        if b.size == 1:
-            b = np.full(z0.size, b[0])
-        elif z0.size == 1:
-            z0 = np.full(b.size, z0[0])
-        else:
-            raise ValidationError(f"b has size {b.size} but z0 has size {z0.size}")
-    bz = float(b @ z0)
-    ea = np.exp(a * th)
-    kappa2 = np.expm1(a * th) / a if a != 0.0 else th
-    return float(ea * (y0 + bz * th) + c * kappa2)
 
 
 @dataclass(frozen=True)
@@ -399,7 +359,6 @@ def comparison_check(
     forward: ForwardBatch,
     brownian: BrownianBatch,
     config: ExperimentConfig,
-    n_precheck: int = 4096,
 ) -> ComparisonReport:
     """Verify Y1 >= Y2 pathwise after confirming g1 >= g2 on sampled tuples.
 
@@ -409,8 +368,9 @@ def comparison_check(
     solved on the same paths, and the fraction of (path, step) pairs with
     Y1 >= Y2 - slack is reported.  The slack combines the accumulated
     implicit-step tolerance with 3 regression standard errors of the fitted
-    difference.
+    difference.  The ordering is sampled on 4096 tuples.
     """
+    n_precheck = 4096
     rng = np.random.default_rng(config.seed)
     n = forward.states.shape[2]
     d = brownian.increments.shape[2]
@@ -433,14 +393,8 @@ def comparison_check(
             f"generator ordering g1 >= g2 fails on sampled tuples (min gap {gap:.3e})"
         )
 
-    base = dict(
-        t_start=problem_template.t_start,
-        t_end=problem_template.t_end,
-        dimension_d=problem_template.dimension_d,
-        terminal=problem_template.terminal,
-    )
-    s1 = solve_bsde(BSDEProblem(generator=g1, **base), forward, brownian, config)
-    s2 = solve_bsde(BSDEProblem(generator=g2, **base), forward, brownian, config)
+    s1 = solve_bsde(replace(problem_template, generator=g1), forward, brownian, config)
+    s2 = solve_bsde(replace(problem_template, generator=g2), forward, brownian, config)
 
     D = s1.Y - s2.Y
     M = D.shape[0]
@@ -458,40 +412,3 @@ def comparison_check(
         slack_max=float(slack.max()),
         generator_gap_min=gap,
     )
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    ratio: float  # E[sup_t |dY|^2] / E[|dxi|^2]
-    numerator: float
-    denominator: float
-
-
-def stability_check(
-    problem: BSDEProblem,
-    terminal2: Callable,
-    forward: ForwardBatch,
-    brownian: BrownianBatch,
-    config: ExperimentConfig,
-) -> StabilityReport:
-    """Ratio of the sup-square deviation of Y to the terminal perturbation.
-
-    Solves the problem with its own terminal and with terminal2 on shared
-    noise.  Only finiteness and rough proportional scaling are meaningful
-    here; no a-priori constant is claimed.
-    """
-    s1 = solve_bsde(problem, forward, brownian, config)
-    p2 = BSDEProblem(
-        generator=problem.generator,
-        t_start=problem.t_start,
-        t_end=problem.t_end,
-        dimension_d=problem.dimension_d,
-        terminal=terminal2,
-    )
-    s2 = solve_bsde(p2, forward, brownian, config)
-    dxi = s1.Y[:, -1] - s2.Y[:, -1]
-    den = float(np.mean(dxi**2))
-    if den <= 0:
-        raise ValidationError("terminal perturbation is identically zero")
-    num = float(np.mean(np.max((s1.Y - s2.Y) ** 2, axis=1)))
-    return StabilityReport(ratio=num / den, numerator=num, denominator=den)

@@ -137,6 +137,33 @@ class TestExitZero:
         # at eps = 0.1 the stop binds on some paths and the spread is real
         assert float(rows[0][header.index("se")]) > 1e-6
 
+    def test_solve_sd_is_exact_zero_without_spread(self, tmp_path, capsys):
+        # sigma = 0: every path carries the same Y, so sd_y prints 0 on every
+        # row rather than the float dust of np.std
+        cfg = _write(
+            tmp_path,
+            "solve.cfg",
+            "seed = 0\nn_paths = 4000\nn_steps = 60\ngenerator = negative_exponential\n"
+            "terminal = cos\nsigma = 0.0\n",
+        )
+        assert main(["solve", "--config", cfg]) == 0
+        header, rows = _rows(capsys.readouterr().out)
+        assert len(rows) == 61
+        assert [r[header.index("sd_y")] for r in rows] == ["0"] * 61
+
+    def test_simulate_sd_is_exact_zero_without_spread(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path,
+            "sim.cfg",
+            "seed = 0\nn_paths = 4000\nn_steps = 60\nsigma = 0.0\ndrift = 0.3\n",
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        header, rows = _rows(capsys.readouterr().out)
+        assert len(rows) == 61
+        assert [r[header.index("sd_1")] for r in rows] == ["0"] * 61
+        # the states still move: the drift is in the means, not in the sd
+        assert float(rows[-1][header.index("mean_1")]) == pytest.approx(0.3)
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):

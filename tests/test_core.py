@@ -7,17 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsdelab import (
-    EXP_CLAMP,
     BSDEProblem,
     ExperimentConfig,
     Generator,
     ValidationError,
     builtin_generator,
     check_generator_metadata,
-    h_entropy,
-    q_trunc,
 )
-from bsdelab.core import _norm_last
+from bsdelab.core import EXP_CLAMP, _norm_last, h_entropy, q_trunc
 
 
 class TestEntropyModulus:
@@ -315,9 +312,5 @@ class TestProblemAndConfig:
             ExperimentConfig(seed=0, n_paths=10, n_steps=10, basis_degree=-1)
         with pytest.raises(ValidationError):
             ExperimentConfig(seed=0, n_paths=10, n_steps=10, picard_tol=0.0)
-        with pytest.raises(ValidationError):
-            ExperimentConfig(seed=0, n_paths=10, n_steps=10, p_norms=(3,))
         with pytest.raises(ValidationError, match="threads"):
             ExperimentConfig(seed=0, n_paths=10, n_steps=10, threads=0)
-        cfg = ExperimentConfig(seed=0, n_paths=10, n_steps=10, p_norms=[1])
-        assert cfg.p_norms == (1,)

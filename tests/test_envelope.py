@@ -9,11 +9,11 @@ from bsdelab import (
     ValidationError,
     builtin_generator,
     convergence_curve,
-    empirical_growth_bound,
     envelopes,
-    q_trunc,
     sandwich_check,
 )
+from bsdelab.core import q_trunc
+from bsdelab.envelope import empirical_growth_bound
 
 
 def _brute_force(g, alpha, n, t, x, lo=-3.0, hi=3.0, res=1e-4):
@@ -201,3 +201,22 @@ class TestPublicNames:
 
         missing = [name for name in bsdelab.__all__ if not hasattr(bsdelab, name)]
         assert missing == []
+
+    def test_public_surface_is_pinned(self):
+        # what the CLI, the acceptance criteria and the benchmark use, the
+        # error classes, the input types a caller builds, and the metadata
+        # check; keep in step with the Python API paragraph of README.md
+        import bsdelab
+
+        assert set(bsdelab.__all__) == {
+            "BSDEProblem", "BsdeLabError", "ExperimentConfig", "ExperimentFailure",
+            "Generator", "HypothesisError", "NumericalError", "PDEProblem",
+            "PicardError", "TestFunction", "TimeGrid", "ValidationError",
+            "affine_problem", "builtin_generator", "check_generator_metadata",
+            "convergence_curve", "convergence_study", "converse_comparison_probe",
+            "envelopes", "euler_maruyama", "fd_reference", "heat_cos_problem",
+            "heat_cos_solution", "mc_solution", "mc_vs_fd", "sample_brownian",
+            "sandwich_check", "semilinear_cos_problem", "semilinear_cos_solution",
+            "solve_bsde", "square_problem", "viscosity_touch_check",
+        }
+        assert len(bsdelab.__all__) == 32

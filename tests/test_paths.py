@@ -10,8 +10,8 @@ from bsdelab import (
     builtin_generator,
     euler_maruyama,
     sample_brownian,
-    stopping_indices,
 )
+from bsdelab.paths import stopping_indices
 
 
 class TestTimeGrid:

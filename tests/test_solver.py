@@ -3,28 +3,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsdelab import (
     BSDEProblem,
     ExperimentConfig,
-    ForwardBatch,
     Generator,
     PicardError,
     TimeGrid,
     ValidationError,
     builtin_generator,
-    closed_form_linear,
-    comparison_check,
-    polynomial_design,
     sample_brownian,
     solve_bsde,
-    stability_check,
-    stopping_indices,
 )
 from bsdelab import solver
-from bsdelab.solver import _fit, _picard_step
+from bsdelab.paths import ForwardBatch, stopping_indices
+from bsdelab.solver import _fit, _picard_step, comparison_check, polynomial_design
 
 
 def _brownian_forward(grid, M, d, seed, start=0.0):
@@ -64,6 +59,32 @@ def _mean_ode_oracle(a, b, c, y0, z0, t_start, t_end, n=200_000):
         m -= hstep * (k1 + 2 * k2 + 2 * k3 + k4) / 6
         s -= hstep
     return m
+
+
+def _closed_form_linear(a, b, c, y0, z0, t_start, t_end):
+    """Exact initial value for g = a*y + <b,z> + c with terminal y0 + <z0, B_T - B_t0>.
+
+    Derived by the affine ansatz Y_t = alpha(t) + beta(t)*<z0, B_t - B_t0>:
+    matching coefficients gives beta' = -a*beta and
+    alpha' + a*alpha = -(e^{a(T-t)}<b,z0> + c), hence
+
+        Y_t0 = e^{a*th}*(y0 + <b,z0>*th) + c*(e^{a*th} - 1)/a,  th = T - t0,
+
+    with the usual limit th resp. c*th at a = 0.  Validated against
+    _mean_ode_oracle before it serves as the oracle for linear generators.
+    """
+    th = float(t_end) - float(t_start)
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
+    if b.size != z0.size:
+        if b.size == 1:
+            b = np.full(z0.size, b[0])
+        elif z0.size == 1:
+            z0 = np.full(b.size, z0[0])
+    bz = float(b @ z0)
+    ea = np.exp(a * th)
+    kappa2 = np.expm1(a * th) / a if a != 0.0 else th
+    return float(ea * (y0 + bz * th) + c * kappa2)
 
 
 def _column_stack_design(states, degree):
@@ -338,10 +359,10 @@ class TestImplicitEulerReduction:
         sol = solve_bsde(problem, fw, batch, cfg)
         dt = 1.0 / N
         expected = (1.0 + dt) ** (-N)
-        assert sol.y0_estimate() == pytest.approx(expected, abs=1e-8)
+        assert sol.Y[:, 0].mean() == pytest.approx(expected, abs=1e-8)
         assert np.allclose(sol.Y[:, 0], expected, atol=1e-8)
         # and the discretization sits within 2% of the continuum limit
-        assert abs(sol.y0_estimate() - math.exp(-1.0)) / math.exp(-1.0) < 0.02
+        assert abs(sol.Y[:, 0].mean() - math.exp(-1.0)) / math.exp(-1.0) < 0.02
 
     def test_degree_zero_recursion_to_rounding(self):
         # the secant step solves each affine step exactly up to rounding, so
@@ -391,17 +412,17 @@ class TestClosedFormLinear:
         ],
     )
     def test_matches_mean_ode_oracle(self, a, b, c, y0, z0):
-        got = closed_form_linear(a, b, c, y0, z0, 0.2, 1.4)
+        got = _closed_form_linear(a, b, c, y0, z0, 0.2, 1.4)
         want = _mean_ode_oracle(a, b, c, y0, z0, 0.2, 1.4)
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_known_special_cases(self):
         # a = -1, others zero over unit horizon: e^{-1}
-        assert closed_form_linear(-1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0) == pytest.approx(
+        assert _closed_form_linear(-1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0) == pytest.approx(
             math.exp(-1.0), abs=1e-12
         )
         # pure constant driver: c * theta
-        assert closed_form_linear(0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.5) == pytest.approx(
+        assert _closed_form_linear(0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.5) == pytest.approx(
             2.5, abs=1e-12
         )
 
@@ -420,10 +441,10 @@ class TestClosedFormLinear:
         )
         cfg = ExperimentConfig(seed=12, n_paths=M, n_steps=80)
         sol = solve_bsde(problem, fw, batch, cfg)
-        target = closed_form_linear(a, b, c, y0, z0, 0.0, 1.0)
+        target = _closed_form_linear(a, b, c, y0, z0, 0.0, 1.0)
         # solver noise: terminal spread z0 plus O(dt) scheme bias
         se = sol.Y[:, 0].std(ddof=1) / math.sqrt(M) + abs(z0) / math.sqrt(M)
-        assert abs(sol.y0_estimate() - target) < 4 * se + 0.02 * abs(target)
+        assert abs(sol.Y[:, 0].mean() - target) < 4 * se + 0.02 * abs(target)
 
 
 class TestPicardFallback:
@@ -444,14 +465,14 @@ class TestPicardFallback:
         cfg = ExperimentConfig(seed=5, n_paths=M, n_steps=10)
         expected = (1.0 + 6.0) ** (-10)
         sol = solve_bsde(problem, fw, batch, cfg)
-        assert sol.y0_estimate() == pytest.approx(expected, abs=2e-10)
+        assert sol.Y[:, 0].mean() == pytest.approx(expected, abs=2e-10)
         assert sol.diagnostics["bisection_paths"].sum() == 0
         # a one-evaluation budget stops at the undamped first iterate
         # (residual 36*base), so the bisection fallback solves
         # y(1 + 6) = base; it stops on absolute interval width picard_tol,
         # and the per-step error propagates damped by 1/7: budget ~ tol * 7/6
         sol = solve_bsde(problem, fw, batch, dataclasses.replace(cfg, picard_max=1))
-        assert sol.y0_estimate() == pytest.approx(expected, abs=2e-10)
+        assert sol.Y[:, 0].mean() == pytest.approx(expected, abs=2e-10)
         assert sol.diagnostics["bisection_paths"].sum() > 0
 
     @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8])
@@ -473,9 +494,9 @@ class TestPicardFallback:
         sol = solve_bsde(problem, fw, batch, cfg)
         assert sol.diagnostics["bisection_paths"].sum() == 0
         assert np.all(sol.diagnostics["picard_iters"] <= 6)
-        target = closed_form_linear(a, b, c, scale, 0.1 * scale, 0.0, 1.0)
+        target = _closed_form_linear(a, b, c, scale, 0.1 * scale, 0.0, 1.0)
         # M = 256 paths and dt = 0.05: a loose band around the closed form
-        assert sol.y0_estimate() == pytest.approx(target, rel=0.05)
+        assert sol.Y[:, 0].mean() == pytest.approx(target, rel=0.05)
 
     def test_bisection_settles_where_doubles_run_out(self):
         # forced bisection (picard_max=1) at |y| ~ 1e6, where adjacent
@@ -586,6 +607,65 @@ class TestImplicitStepProperties:
         assert np.all((lo - g_dust <= gv) & (gv <= hi + g_dust))
 
 
+class TestSolutionInvariances:
+    """Exact symmetries of the discrete sweep, up to rounding.
+
+    A constant shift or a positive scaling of the terminal data passes
+    through the sweep unchanged when the generator allows it.
+    """
+
+    @staticmethod
+    def _solve(g, terminal, seed, M=2000, N=20):
+        grid = TimeGrid(0.0, 1.0, N)
+        fw, batch = _brownian_forward(grid, M, 1, seed)
+        problem = BSDEProblem(
+            generator=g, t_start=0.0, t_end=1.0, dimension_d=1, terminal=terminal
+        )
+        return solve_bsde(problem, fw, batch, ExperimentConfig(seed=seed, n_paths=M, n_steps=N))
+
+    @staticmethod
+    def _xi(s):
+        return np.sin(s[:, -1, 0]) + 0.5 * s[:, -1, 0]
+
+    @settings(max_examples=50, deadline=None)
+    @example(shift=1e-3, c=0.0, seed=0)
+    @example(shift=1.0, c=0.7, seed=0)
+    @example(shift=37.5, c=-3.0, seed=0)
+    @example(shift=-1e4, c=0.7, seed=0)
+    @given(
+        shift=st.floats(-1e4, 1e4),
+        c=st.floats(-5.0, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_translation(self, shift, c, seed):
+        # g = c reads neither y nor z: least squares keeps constants in the
+        # span of the design and the implicit step adds the same c*dt, so
+        # Y(xi + shift) = Y(xi) + shift on every path and step
+        g = builtin_generator("linear", c=c)
+        base = self._solve(g, self._xi, seed).Y
+        moved = self._solve(g, lambda s: self._xi(s) + shift, seed).Y
+        want = base + shift
+        assert np.max(np.abs(moved - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @settings(max_examples=50, deadline=None)
+    @example(lam=1e-3, scale=0.7, seed=0)
+    @example(lam=3.0, scale=0.7, seed=0)
+    @example(lam=1e4, scale=0.7, seed=0)
+    @given(
+        lam=st.floats(1e-3, 1e4),
+        scale=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_positive_homogeneity(self, lam, scale, seed):
+        # g = scale*|z| is positively homogeneous and the regression is
+        # linear in its targets, so Y(lam*xi) = lam*Y(xi) for lam > 0
+        g = builtin_generator("z_abs", scale=scale)
+        base = self._solve(g, self._xi, seed).Y
+        scaled = self._solve(g, lambda s: lam * self._xi(s), seed).Y
+        want = lam * base
+        assert np.max(np.abs(scaled - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestStopGating:
     def test_all_stopped_drops_generator(self):
         grid = TimeGrid(0.0, 1.0, 10)
@@ -601,7 +681,7 @@ class TestStopGating:
         cfg = ExperimentConfig(seed=7, n_paths=M, n_steps=10)
         sol = solve_bsde(problem, fw, batch, cfg, stop_indices=np.zeros(M, dtype=int))
         # with dt_eff = 0 everywhere the huge driver never contributes
-        assert abs(sol.y0_estimate() - fw.states[:, -1, 0].mean()) < 1e-8
+        assert abs(sol.Y[:, 0].mean() - fw.states[:, -1, 0].mean()) < 1e-8
 
     def test_partial_stop_between_extremes(self):
         grid = TimeGrid(0.0, 1.0, 10)
@@ -619,8 +699,8 @@ class TestStopGating:
         half = solve_bsde(
             problem, fw, batch, cfg, stop_indices=np.full(M, 5, dtype=int)
         )
-        assert full.y0_estimate() == pytest.approx(1.0, abs=1e-8)
-        assert half.y0_estimate() == pytest.approx(0.5, abs=1e-8)
+        assert full.Y[:, 0].mean() == pytest.approx(1.0, abs=1e-8)
+        assert half.Y[:, 0].mean() == pytest.approx(0.5, abs=1e-8)
 
     def test_stop_shape_validated(self):
         grid = TimeGrid(0.0, 1.0, 5)
@@ -736,51 +816,3 @@ class TestComparison:
         cfg = ExperimentConfig(seed=9, n_paths=1000, n_steps=20)
         with pytest.raises(ValidationError, match="ordering"):
             comparison_check(g1, g2, problem, fw, batch, cfg)
-
-
-class TestStability:
-    def test_flat_shift_passes_through(self):
-        # g = 0: the perturbed solution differs by E_t[delta xi] = 0.5, so
-        # the ratio of sup-square to terminal-square is 1
-        grid = TimeGrid(0.0, 1.0, 20)
-        M = 4000
-        fw, batch = _brownian_forward(grid, M, 1, seed=10)
-        problem = BSDEProblem(
-            generator=builtin_generator("linear"),
-            t_start=0.0,
-            t_end=1.0,
-            dimension_d=1,
-            terminal=lambda s: s[:, -1, 0],
-        )
-        cfg = ExperimentConfig(seed=10, n_paths=M, n_steps=20)
-        rep = stability_check(problem, lambda s: s[:, -1, 0] + 0.5, fw, batch, cfg)
-        assert rep.ratio == pytest.approx(1.0, rel=0.2)
-
-    def test_contracting_generator_damps(self):
-        grid = TimeGrid(0.0, 1.0, 20)
-        M = 4000
-        fw, batch = _brownian_forward(grid, M, 1, seed=10)
-        problem = BSDEProblem(
-            generator=builtin_generator("negative_exponential"),
-            t_start=0.0,
-            t_end=1.0,
-            dimension_d=1,
-            terminal=lambda s: s[:, -1, 0],
-        )
-        cfg = ExperimentConfig(seed=10, n_paths=M, n_steps=20)
-        rep = stability_check(problem, lambda s: s[:, -1, 0] + 1.0, fw, batch, cfg)
-        assert 0.0 < rep.ratio <= 1.0 + 1e-9
-
-    def test_identical_terminals_rejected(self):
-        grid = TimeGrid(0.0, 1.0, 10)
-        fw, batch = _brownian_forward(grid, 100, 1, seed=0)
-        problem = BSDEProblem(
-            generator=builtin_generator("linear"),
-            t_start=0.0,
-            t_end=1.0,
-            dimension_d=1,
-            terminal=lambda s: s[:, -1, 0],
-        )
-        cfg = ExperimentConfig(seed=0, n_paths=100, n_steps=10)
-        with pytest.raises(ValidationError):
-            stability_check(problem, lambda s: s[:, -1, 0], fw, batch, cfg)
