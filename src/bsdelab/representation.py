@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import BSDEProblem, ExperimentConfig, Generator, _mean_se
 from .errors import HypothesisError, ValidationError
-from .paths import ForwardBatch, TimeGrid, sample_brownian, stopping_indices
+from .paths import ForwardBatch, TimeGrid, _time_major, sample_brownian, stopping_indices
 from .solver import comparison_check, solve_bsde
 
 # Auxiliary Philox stream offset, disjoint from the path-block keyspace.
@@ -127,10 +127,12 @@ def representation_quotient(
     )
     basis = None
     if randomize_base:
-        basis = np.concatenate(
-            [np.broadcast_to(base[:, None, :], states.shape), states - base[:, None, :]],
-            axis=2,
-        )
+        # (base, increment) pairs, built in a time-major (N+1, M, 2d) buffer
+        x_tm = _time_major(states)
+        basis_tm = np.empty(x_tm.shape[:2] + (2 * d,))
+        basis_tm[:, :, :d] = base
+        np.subtract(x_tm, base, out=basis_tm[:, :, d:])
+        basis = np.swapaxes(basis_tm, 0, 1)
     sol = solve_bsde(
         problem,
         ForwardBatch(grid=grid, states=states),

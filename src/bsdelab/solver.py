@@ -25,9 +25,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import BSDEProblem, ExperimentConfig, Generator
+from .core import BSDEProblem, ExperimentConfig, Generator, _sample_sd
 from .errors import NumericalError, PicardError, ValidationError
-from .paths import BrownianBatch, ForwardBatch, TimeGrid
+from .paths import BrownianBatch, ForwardBatch, TimeGrid, _time_major
 
 # Relative singular-value cutoff: directions of the basis below it are
 # projected out, which degrades the fit gracefully (constant states collapse
@@ -109,7 +109,9 @@ class SolutionBatch:
     """Pathwise solution estimates plus regression diagnostics.
 
     Y has shape (M, N+1) with Y[:, N] equal to the terminal values exactly;
-    Z has shape (M, N, d).  telescoped, shape (M,), is the pathwise sum
+    Z has shape (M, N, d).  Both are transposed views of time-major
+    buffers, (N+1, M) and (N, M, d), that the sweep writes row by row.
+    telescoped, shape (M,), is the pathwise sum
     xi + sum_i g(t_i, X_i, Y_i, Z_i)*dt_eff accumulated during the sweep:
     its mean matches Y[:, 0] (least squares preserves target means) and its
     spread is the estimator's Monte Carlo noise.  Each g value is the last
@@ -242,6 +244,11 @@ def solve_bsde(
     basis_states optionally decouples the regression state from the state
     fed to the generator, e.g. to condition on (initial value, increment)
     pairs; shape (M, N+1, k).
+
+    The sweep reads increments, states and basis states time-major, one
+    contiguous row per step: the batches built by this package are
+    transposed views and are read in place, while a caller-built
+    path-major array is copied once per call.
     """
     M, n_steps, d = brownian.increments.shape
     if problem.dimension_d != d:
@@ -259,9 +266,9 @@ def solve_bsde(
         stop_indices = np.asarray(stop_indices)
         if stop_indices.shape != (M,):
             raise ValidationError(f"stop_indices must have shape ({M},)")
-    if basis_states is None:
-        basis_states = forward.states
-    elif basis_states.shape[0] != M or basis_states.shape[1] != n_steps + 1:
+    if basis_states is not None and (
+        basis_states.shape[0] != M or basis_states.shape[1] != n_steps + 1
+    ):
         raise ValidationError("basis_states must be shaped (M, n_steps+1, k)")
 
     xi = np.asarray(problem.terminal(forward.states), dtype=float)
@@ -272,12 +279,15 @@ def solve_bsde(
             f"non-finite terminal value at path {int(np.argmax(~np.isfinite(xi)))}"
         )
 
+    x = _time_major(forward.states)
+    basis = x if basis_states is None else _time_major(basis_states)
+    incr = _time_major(brownian.increments)
     g = problem.generator
     dt = grid.dt
     times = grid.times()
-    Y = np.empty((M, n_steps + 1))
-    Z = np.empty((M, n_steps, d))
-    Y[:, n_steps] = xi
+    Y = np.empty((n_steps + 1, M))
+    Z = np.empty((n_steps, M, d))
+    Y[n_steps] = xi
     telescoped = xi.copy()
     cond = np.empty(n_steps)
     rank = np.empty(n_steps, dtype=int)
@@ -286,36 +296,25 @@ def solve_bsde(
     lstsq_fallbacks = np.zeros(n_steps, dtype=int)
 
     for i in range(n_steps - 1, -1, -1):
-        design = polynomial_design(basis_states[:, i, :], config.basis_degree)
+        design = polynomial_design(basis[i], config.basis_degree)
         targets = np.empty((M, 1 + d))
-        targets[:, 0] = Y[:, i + 1]
-        targets[:, 1:] = Y[:, i + 1, None] * brownian.increments[:, i, :] / dt
+        targets[:, 0] = Y[i + 1]
+        targets[:, 1:] = Y[i + 1, :, None] * incr[i] / dt
         fitted, _, cnd, rnk, fell_back = _fit(design, targets)
         ey = fitted[:, 0]
-        Z[:, i, :] = fitted[:, 1:]
+        Z[i] = fitted[:, 1:]
 
         if stop_indices is None:
             dt_eff = dt
         else:
             dt_eff = np.where(i < stop_indices, dt, 0.0)
 
-        # the generator reads x and z on every iteration: pass a contiguous
-        # copy of x and z with its fitted-row stride, not Z[:, i, :], whose
-        # rows stride over all n_steps
-        y, iters, nfb, gv = _picard_step(
-            g,
-            times[i],
-            np.ascontiguousarray(forward.states[:, i, :]),
-            ey,
-            fitted[:, 1:],
-            dt_eff,
-            config,
-        )
+        y, iters, nfb, gv = _picard_step(g, times[i], x[i], ey, Z[i], dt_eff, config)
         if not np.all(np.isfinite(y)):
             raise NumericalError(
                 f"non-finite Y at step {i}, path {int(np.argmax(~np.isfinite(y)))}"
             )
-        Y[:, i] = y
+        Y[i] = y
         telescoped += gv * dt_eff
         cond[i] = cnd
         rank[i] = rnk
@@ -327,8 +326,8 @@ def solve_bsde(
         raise NumericalError("non-finite Z estimate")
     return SolutionBatch(
         grid=grid,
-        Y=Y,
-        Z=Z,
+        Y=Y.T,
+        Z=np.swapaxes(Z, 0, 1),
         telescoped=telescoped,
         diagnostics={
             "cond": cond,
@@ -396,15 +395,15 @@ def comparison_check(
     s1 = solve_bsde(replace(problem_template, generator=g1), forward, brownian, config)
     s2 = solve_bsde(replace(problem_template, generator=g2), forward, brownian, config)
 
-    D = s1.Y - s2.Y
-    M = D.shape[0]
+    D = s1.Y.T - s2.Y.T  # (N+1, M), one row per time column
+    M = D.shape[1]
     n_feat = 1 + forward.states.shape[2] * config.basis_degree
     picard_budget = brownian.increments.shape[1] * config.picard_tol
-    se = D.std(axis=0, ddof=1) * np.sqrt(n_feat / M)
+    se = np.array([_sample_sd(row) for row in D]) * np.sqrt(n_feat / M)
     slack = picard_budget + 3.0 * se  # per time column
-    ok = D >= -slack[None, :]
+    ok = D >= -slack[:, None]
     fraction = float(np.count_nonzero(ok)) / ok.size
-    worst = float((D + slack[None, :]).min())
+    worst = float((D + slack[:, None]).min())
     return ComparisonReport(
         fraction=fraction,
         n_pairs=int(ok.size),

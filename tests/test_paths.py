@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bsdelab import (
     NumericalError,
@@ -11,7 +13,7 @@ from bsdelab import (
     euler_maruyama,
     sample_brownian,
 )
-from bsdelab.paths import stopping_indices
+from bsdelab.paths import PATH_BLOCK, stopping_indices
 
 
 class TestTimeGrid:
@@ -201,3 +203,39 @@ class TestStopping:
         g = builtin_generator("linear")
         with pytest.raises(ValidationError):
             stopping_indices(batch, g, barrier=0.0)
+
+
+class TestBatchExtension:
+    """Growing the batch appends paths: every per-path output on the first
+    M0 paths of an M1-path batch is the M0-path batch's, at any threads."""
+
+    @settings(max_examples=25, deadline=None)
+    @example(m0=100, extra=PATH_BLOCK, n_steps=10, d=2, threads0=1, threads1=2)
+    @example(m0=PATH_BLOCK + 7, extra=PATH_BLOCK + 1, n_steps=3, d=1, threads0=2, threads1=1)
+    @given(
+        m0=st.integers(1, 2 * PATH_BLOCK),
+        extra=st.integers(1, PATH_BLOCK + 1),
+        n_steps=st.integers(1, 10),
+        d=st.integers(1, 2),
+        threads0=st.sampled_from([1, 2]),
+        threads1=st.sampled_from([1, 2]),
+    )
+    def test_prefix_of_larger_batch(self, m0, extra, n_steps, d, threads0, threads1):
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        g = builtin_generator("stress", delta=0.1)
+
+        def run(M, threads):
+            batch = sample_brownian(grid, M, d, seed=5, threads=threads)
+            fw = euler_maruyama(
+                grid,
+                lambda t, x: 0.1 * np.sin(x),
+                lambda t, x: 1.0 + 0.1 * np.cos(x),
+                np.full(d, 0.2),
+                batch,
+            )
+            return fw.states, stopping_indices(batch, g, x_path=fw.states, barrier=0.8)
+
+        small_states, small_stops = run(m0, threads0)
+        big_states, big_stops = run(m0 + extra, threads1)
+        assert np.array_equal(big_states[:m0], small_states)
+        assert np.array_equal(big_stops[:m0], small_stops)

@@ -14,6 +14,7 @@ from bsdelab import (
     TimeGrid,
     ValidationError,
     builtin_generator,
+    euler_maruyama,
     sample_brownian,
     solve_bsde,
 )
@@ -816,3 +817,66 @@ class TestComparison:
         cfg = ExperimentConfig(seed=9, n_paths=1000, n_steps=20)
         with pytest.raises(ValidationError, match="ordering"):
             comparison_check(g1, g2, problem, fw, batch, cfg)
+
+
+class TestStorageLayout:
+    """Per-step arrays are stored time-major; path-major inputs are copied
+    into that layout, so the storage cannot change any output bit."""
+
+    @staticmethod
+    def _run(batch, fw, basis, cfg):
+        g = builtin_generator("stress", delta=0.1)
+        stop = stopping_indices(batch, g, x_path=fw.states, barrier=0.9)
+        problem = BSDEProblem(
+            generator=g,
+            t_start=0.2,
+            t_end=0.4,
+            dimension_d=2,
+            terminal=lambda s: np.sin(s[:, -1, 0]) + 0.5 * s[:, -1, 1],
+        )
+        sol = solve_bsde(problem, fw, batch, cfg, stop_indices=stop, basis_states=basis)
+        return stop, sol
+
+    def test_path_major_inputs_give_identical_results(self):
+        grid = TimeGrid(0.2, 0.4, 12)
+        M = 3000
+        cfg = ExperimentConfig(seed=17, n_paths=M, n_steps=12)
+        batch = sample_brownian(grid, M, 2, seed=17)
+        fw = euler_maruyama(
+            grid, lambda t, x: 0.1 * x, lambda t, x: 1.0 + 0.1 * np.abs(x), [0.3, -0.1], batch
+        )
+        basis = batch.cumulative(start=np.full((M, 2), 0.3))
+        stop, sol = self._run(batch, fw, basis, cfg)
+        assert 0 < np.count_nonzero(stop < grid.n_steps) < M
+
+        pm_batch = dataclasses.replace(batch, increments=np.ascontiguousarray(batch.increments))
+        pm_fw = ForwardBatch(grid=grid, states=np.ascontiguousarray(fw.states))
+        pm_basis = np.ascontiguousarray(basis)
+        for a in (pm_batch.increments, pm_fw.states, pm_basis):
+            assert a.flags.c_contiguous
+        pm_stop, pm_sol = self._run(pm_batch, pm_fw, pm_basis, cfg)
+
+        assert np.array_equal(stop, pm_stop)
+        assert np.array_equal(sol.Y, pm_sol.Y)
+        assert np.array_equal(sol.Z, pm_sol.Z)
+        assert np.array_equal(sol.telescoped, pm_sol.telescoped)
+        assert sol.diagnostics.keys() == pm_sol.diagnostics.keys()
+        for key, value in sol.diagnostics.items():
+            assert np.array_equal(value, pm_sol.diagnostics[key]), key
+
+    def test_package_arrays_are_time_major_views(self):
+        # a silent fallback to path-major storage would keep every result
+        # and only show here
+        grid = TimeGrid(0.0, 1.0, 8)
+        fw, batch = _brownian_forward(grid, 500, 2, seed=3)
+        em = euler_maruyama(grid, lambda t, x: 0.0, lambda t, x: 1.0, [0.0, 0.0], batch)
+        problem = BSDEProblem(
+            generator=builtin_generator("linear", a=-1.0, b=[0.2, 0.1]),
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=2,
+            terminal=lambda s: s[:, -1, 0],
+        )
+        sol = solve_bsde(problem, em, batch, ExperimentConfig(seed=3, n_paths=500, n_steps=8))
+        for a in (batch.increments, fw.states, em.states, sol.Y, sol.Z):
+            assert np.swapaxes(a, 0, 1).flags.c_contiguous
