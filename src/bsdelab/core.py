@@ -72,10 +72,22 @@ def _entropy_kernel(delta: float):
     h_delta = -delta * math.log(delta)
 
     def h(u):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            low = np.where(u > 0.0, -u * np.log(u), 0.0)
-        # NaN fails u <= delta and propagates through the linear branch
-        return np.where(u <= delta, low, slope * (u - delta) + h_delta)
+        # the linear branch everywhere (NaN propagates through it), then
+        # -u*ln(u), computed as -(ln(u)*u), on the gathered 0 < u <= delta
+        # entries, and 0 at u <= 0.  A gather, not a where= mask: masked
+        # ufuncs run their loop once per run of selected entries, which is
+        # slower than np.where when the selected entries are scattered.
+        u = np.asarray(u)
+        out = np.subtract(u, delta, out=np.empty(u.shape))
+        out *= slope
+        out += h_delta
+        curved = (u > 0.0) & (u <= delta)
+        uc = u[curved]
+        low = np.log(uc)
+        low *= uc
+        out[curved] = np.negative(low, out=low)
+        np.copyto(out, 0.0, where=u <= 0.0)
+        return out
 
     return h
 
@@ -207,7 +219,13 @@ def _stress_generator(delta: float) -> Generator:
                 stacklevel=2,
             )
             expo = np.clip(expo, -EXP_CLAMP, EXP_CLAMP)
-        return -np.exp(expo) + h(np.abs(y)) + _norm_last(z)
+        # -exp + h + |z| accumulated in one buffer of the broadcast shape;
+        # h - exp is bitwise -exp + h
+        nz = _norm_last(z)
+        out = np.exp(expo, out=np.empty(np.broadcast_shapes(np.shape(expo), np.shape(nz))))
+        np.subtract(h(np.abs(y)), out, out=out)
+        out += nz
+        return out
 
     def modulus(u):
         # The entropy modulus itself bounds only |h(|y1|)-h(|y2|)|; the

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Generator
+from .core import Generator, _norm_last
 from .errors import NumericalError, ValidationError
 
 # Fixed block size of the stream-splitting scheme.  Changing it changes every
@@ -216,10 +216,8 @@ def stopping_indices(
     if barrier <= 0:
         raise ValidationError(f"barrier must be > 0, got {barrier}")
     M, n_steps, d = batch.increments.shape
-    cum = _time_major(batch.cumulative())
-    disp = np.sqrt(np.sum((cum - cum[0]) ** 2, axis=2))  # (N+1, M)
-
-    x_path = cum if x_path is None else _time_major(x_path)
+    incr = _time_major(batch.increments)
+    x_path = _time_major(batch.cumulative() if x_path is None else x_path)
     grid = batch.grid
     times = grid.times()
     zeros = np.zeros(M)
@@ -232,8 +230,15 @@ def stopping_indices(
             np.asarray(g(times[i], x_path[i], zeros, zeros_z), dtype=float), (M,)
         )
         np.add(level[i], g0 * g0 * grid.dt, out=level[i + 1])
+    # add the displacement |B_{t_k} - B_{t_0}| node by node, from a running
+    # sum of the increments in cumulative()'s order; d = 1 takes abs, which
+    # is bitwise sqrt(x^2)
+    disp = np.zeros((M, d))
+    for k in range(1, n_steps + 1):
+        disp += incr[k - 1]
+        level[k] += _norm_last(disp)
 
-    exceeded = disp + level > barrier
+    exceeded = level > barrier
     hit = exceeded.any(axis=0)
     idx = np.where(hit, np.argmax(exceeded, axis=0), n_steps)
     return idx.astype(np.int64)

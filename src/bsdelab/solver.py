@@ -83,6 +83,13 @@ def _fit(design: np.ndarray, targets: np.ndarray):
     number of nonzero columns and cond = sqrt(w_max/w_min).  Where no
     column is nonzero or w_min <= GRAM_CUTOFF*w_max, the fit falls back to
     np.linalg.lstsq with RCOND and fell_back is True.
+
+    design is (M, p) and targets (M, q).  The residual and the fitted
+    values are formed time-major, as coef' @ design' of shape (q, M), and
+    fitted is returned as its (M, q) transpose: with design the transpose
+    of a (p, M) buffer, as polynomial_design builds it, and targets the
+    transpose of a (q, M) one, as solve_bsde passes them, every product
+    reads and writes contiguous rows.
     """
     gram = design.T @ design
     active = np.flatnonzero(np.diag(gram))
@@ -99,9 +106,11 @@ def _fit(design: np.ndarray, targets: np.ndarray):
 
     coef = np.zeros((design.shape[1], targets.shape[1]))
     coef[active] = solve(design.T @ targets)
-    coef[active] += solve(design.T @ (targets - design @ coef))
+    resid = coef.T @ design.T
+    np.subtract(targets.T, resid, out=resid)
+    coef[active] += solve(design.T @ resid.T)
     cond = float(np.sqrt(w[-1] / w[0]))
-    return design @ coef, coef, cond, int(active.size), False
+    return (coef.T @ design.T).T, coef, cond, int(active.size), False
 
 
 @dataclass
@@ -151,22 +160,29 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
     tol = config.picard_tol
     y = base
     f_prev = dy = None
+    scratch = np.empty(np.shape(base))
     iters = 0
     for _ in range(config.picard_max):
         gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
-        f = y - base - gv * dt_eff
+        f = y - base
+        f -= np.multiply(gv, dt_eff, out=scratch)
         iters += 1
+        # y_next = y + (-f/s) is computed as y - f/s, bitwise the same
         if f_prev is None:
-            step = -f
+            quot = f
         else:
+            # f_prev becomes the secant slope s
             with np.errstate(divide="ignore", invalid="ignore"):
-                s = (f - f_prev) / dy
-            step = -f / np.where((s > 0) & (s < np.inf), s, 2.0)
+                s = np.subtract(f, f_prev, out=f_prev)
+                np.divide(s, dy, out=s)
+            np.copyto(s, 2.0, where=~((s > 0) & (s < np.inf)))
+            quot = np.divide(f, s, out=scratch)
         # the step as taken: one that rounds away leaves y converged
-        y_next = y + step
-        dy = y_next - y
+        y_next = y - quot
+        dy = np.subtract(y_next, y, out=dy)
         y, f_prev = y_next, f
-        if np.max(np.abs(dy)) <= tol:
+        # NaN propagates through min and max and fails the test
+        if max(-dy.min(), dy.max()) <= tol:
             return y, iters, 0, gv
 
     gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
@@ -248,7 +264,11 @@ def solve_bsde(
     The sweep reads increments, states and basis states time-major, one
     contiguous row per step: the batches built by this package are
     transposed views and are read in place, while a caller-built
-    path-major array is copied once per call.
+    path-major array is copied once per call.  The regression is
+    time-major too: the targets are written into one (1+d, M) buffer per
+    call, and _fit returns the fitted values as the transpose of a (1+d, M)
+    product, so the conditional mean and each z-coordinate are read as
+    contiguous rows.
     """
     M, n_steps, d = brownian.increments.shape
     if problem.dimension_d != d:
@@ -295,14 +315,18 @@ def solve_bsde(
     bisections = np.zeros(n_steps, dtype=int)
     lstsq_fallbacks = np.zeros(n_steps, dtype=int)
 
+    # regression targets [Y_{i+1}; Y_{i+1}*dB_i/dt], one row each
+    targets = np.empty((1 + d, M))
+
     for i in range(n_steps - 1, -1, -1):
         design = polynomial_design(basis[i], config.basis_degree)
-        targets = np.empty((M, 1 + d))
-        targets[:, 0] = Y[i + 1]
-        targets[:, 1:] = Y[i + 1, :, None] * incr[i] / dt
-        fitted, _, cnd, rnk, fell_back = _fit(design, targets)
-        ey = fitted[:, 0]
-        Z[i] = fitted[:, 1:]
+        targets[0] = Y[i + 1]
+        np.multiply(Y[i + 1], incr[i].T, out=targets[1:])
+        np.divide(targets[1:], dt, out=targets[1:])
+        fitted, _, cnd, rnk, fell_back = _fit(design, targets.T)
+        fitted = fitted.T
+        ey = fitted[0]
+        Z[i] = fitted[1:].T
 
         if stop_indices is None:
             dt_eff = dt

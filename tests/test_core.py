@@ -14,7 +14,7 @@ from bsdelab import (
     builtin_generator,
     check_generator_metadata,
 )
-from bsdelab.core import EXP_CLAMP, _norm_last, h_entropy, q_trunc
+from bsdelab.core import EXP_CLAMP, _entropy_kernel, _norm_last, h_entropy, q_trunc
 
 
 class TestEntropyModulus:
@@ -161,6 +161,96 @@ class TestFastPathsBitIdentical:
         u = np.concatenate([np.square(special[:4]), rng.uniform(0.0, 1.0, 2000)])
         r = np.sqrt(u)
         assert np.array_equal(g.monotonicity_modulus(u), r * _h_entropy_by_mask(r, delta))
+
+
+def _entropy_kernel_by_where(delta):
+    # the np.where kernel that the masked in-place one replaced, kept as its
+    # exact oracle
+    slope = -math.log(delta) - 1.0
+    h_delta = -delta * math.log(delta)
+
+    def h(u):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            low = np.where(u > 0.0, -u * np.log(u), 0.0)
+        return np.where(u <= delta, low, slope * (u - delta) + h_delta)
+
+    return h
+
+
+def _stress_by_where(delta, x, y, z):
+    # the stress generator's allocating expression (without its warning),
+    # kept as the exact oracle of the in-place accumulation
+    y = np.asarray(y, dtype=float)
+    expo = y * _norm_last(x)
+    if np.any(np.abs(expo) > EXP_CLAMP):
+        expo = np.clip(expo, -EXP_CLAMP, EXP_CLAMP)
+    return -np.exp(expo) + _entropy_kernel_by_where(delta)(np.abs(y)) + _norm_last(z)
+
+
+def _y_values(delta):
+    # zeros of both signs, the knee, NaN, the curved branch and beyond it
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, delta, -delta, math.nan]),
+        st.floats(-delta, delta),
+        st.floats(-3.0, 3.0),
+    )
+
+
+class TestInPlaceKernelsBitIdentical:
+    """The masked in-place entropy kernel and stress accumulation against the
+    np.where expressions they replaced, exactly, on every input shape."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        delta=st.floats(0.01, 0.35),
+        shape=st.sampled_from(["0-d", "(M,)", "(M, d)"]),
+        M=st.integers(1, 40),
+        d=st.integers(1, 3),
+    )
+    def test_entropy_kernel(self, data, delta, shape, M, d):
+        dims = {"0-d": (), "(M,)": (M,), "(M, d)": (M, d)}[shape]
+        size = math.prod(dims)
+        vals = data.draw(st.lists(_y_values(delta), min_size=size, max_size=size))
+        u = np.abs(np.array(vals, dtype=float)).reshape(dims)
+        got = _entropy_kernel(delta)(u)
+        want = _entropy_kernel_by_where(delta)(u)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        delta=st.floats(0.01, 0.35),
+        layout=st.sampled_from(["0-d", "paths", "0-d y on paths", "paths on one x"]),
+        M=st.integers(1, 40),
+        n=st.integers(1, 2),
+        d=st.integers(1, 3),
+        x_scale=st.sampled_from([1.0, 40.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stress_generator(self, data, delta, layout, M, n, d, x_scale, seed):
+        # "paths on one x" is the envelope scan's call: y (M,), x (n,), z = 0
+        rng = np.random.default_rng(seed)
+        y_dims = (M,) if layout in ("paths", "paths on one x") else ()
+        x_dims = (M, n) if layout in ("paths", "0-d y on paths") else (n,)
+        size = math.prod(y_dims)
+        vals = data.draw(st.lists(_y_values(delta), min_size=size, max_size=size))
+        y = np.array(vals, dtype=float).reshape(y_dims)
+        x = x_scale * rng.uniform(-1.0, 1.0, x_dims)
+        if layout == "paths on one x":
+            z = 0.0
+        else:
+            z = rng.normal(size=x_dims[:-1] + (d,))
+        g = builtin_generator("stress", delta=delta)
+        want = _stress_by_where(delta, x, y, z)
+        if np.any(np.abs(y * _norm_last(x)) > EXP_CLAMP):
+            with pytest.warns(RuntimeWarning, match="clamped"):
+                got = g(0.0, x, y, z)
+        else:
+            got = g(0.0, x, y, z)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestBuiltinGenerators:

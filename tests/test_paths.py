@@ -13,7 +13,7 @@ from bsdelab import (
     euler_maruyama,
     sample_brownian,
 )
-from bsdelab.paths import PATH_BLOCK, stopping_indices
+from bsdelab.paths import PATH_BLOCK, BrownianBatch, stopping_indices
 
 
 class TestTimeGrid:
@@ -162,6 +162,27 @@ def _naive_stops(batch, g, grid, x_path, barrier):
     return out
 
 
+def _stops_from_cumulative(batch, g, x_path, barrier):
+    """The displacement from a full cumulative() buffer, as stopping_indices
+    computed it before its running sum: kept as the exact oracle."""
+    M, n_steps, d = batch.increments.shape
+    cum = np.swapaxes(batch.cumulative(), 0, 1)
+    disp = np.sqrt(np.sum((cum - cum[0]) ** 2, axis=2))
+    x_path = cum if x_path is None else np.swapaxes(x_path, 0, 1)
+    times = batch.grid.times()
+    level = np.empty((n_steps + 1, M))
+    level[0] = 0.0
+    for i in range(n_steps):
+        g0 = np.broadcast_to(
+            np.asarray(g(times[i], x_path[i], np.zeros(M), np.zeros((M, d))), dtype=float),
+            (M,),
+        )
+        np.add(level[i], g0 * g0 * batch.grid.dt, out=level[i + 1])
+    exceeded = disp + level > barrier
+    hit = exceeded.any(axis=0)
+    return np.where(hit, np.argmax(exceeded, axis=0), n_steps)
+
+
 class TestStopping:
     def test_matches_naive_loop(self):
         grid = TimeGrid(0.2, 0.9, 30)
@@ -196,6 +217,34 @@ class TestStopping:
         g = builtin_generator("linear")
         stops = stopping_indices(batch, g, barrier=1.0)
         assert np.mean(stops < 50) < 1e-3
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cumulative_built_at_most_once(self, monkeypatch, d):
+        # the displacement comes from a running row sum, so cumulative()
+        # runs only to build the default x_path; the stops are the ones the
+        # full cumulative() buffer gives, bit for bit
+        grid = TimeGrid(0.1, 0.4, 40)
+        batch = sample_brownian(grid, 3000, d, seed=23 + d)
+        stress = builtin_generator("stress", delta=0.1)
+        x_path = batch.cumulative(start=np.full((3000, d), 0.3))
+        want_x = _stops_from_cumulative(batch, stress, x_path, 0.8)
+        linear = builtin_generator("linear", b=np.zeros(d), c=0.8)
+        want_default = _stops_from_cumulative(batch, linear, None, 0.8)
+        assert 0 < np.count_nonzero(want_x < 40) < 3000
+        assert 0 < np.count_nonzero(want_default < 40) < 3000
+
+        calls = []
+        build = BrownianBatch.cumulative
+
+        def counting(self, start=0.0):
+            calls.append(start)
+            return build(self, start)
+
+        monkeypatch.setattr(BrownianBatch, "cumulative", counting)
+        assert np.array_equal(stopping_indices(batch, stress, x_path=x_path, barrier=0.8), want_x)
+        assert calls == []
+        assert np.array_equal(stopping_indices(batch, linear, barrier=0.8), want_default)
+        assert len(calls) == 1
 
     def test_barrier_validation(self):
         grid = TimeGrid(0.0, 1.0, 4)

@@ -164,12 +164,19 @@ class TestGramProjector:
         log_scale=st.floats(-1.0, 1.0),
         shift=st.floats(-3.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
+        time_major=st.booleans(),
     )
-    def test_matches_lstsq_on_well_conditioned_designs(self, M, p, q, log_scale, shift, seed):
+    def test_matches_lstsq_on_well_conditioned_designs(
+        self, M, p, q, log_scale, shift, seed, time_major
+    ):
+        # time_major passes the targets as solve_bsde does: the .T of a
+        # (q, M) buffer
         rng = np.random.default_rng(seed)
         design = np.ones((M, p))
         design[:, 1:] = shift + 10.0**log_scale * rng.normal(size=(M, p - 1))
         targets = rng.normal(size=(M, q)) + design @ rng.normal(size=(p, q))
+        if time_major:
+            targets = np.ascontiguousarray(targets.T).T
         fitted, coef, cond, rank, fell_back = _fit(design, targets)
         want, _, want_cond, want_rank = _lstsq_fit(design, targets)
         assert not fell_back
@@ -558,6 +565,134 @@ class TestPicardFallback:
         cfg = ExperimentConfig(seed=6, n_paths=M, n_steps=10)
         with pytest.raises(PicardError):
             solve_bsde(problem, fw, batch, cfg)
+
+
+def _picard_step_allocating(g, t_i, x_i, base, z_i, dt_eff, config):
+    # the implicit step before its in-place secant update (a fresh array
+    # per operation, np.where for the slope, np.abs for the stop test),
+    # kept as its exact oracle; only the error messages are shortened
+    tol = config.picard_tol
+    y = base
+    f_prev = dy = None
+    iters = 0
+    for _ in range(config.picard_max):
+        gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
+        f = y - base - gv * dt_eff
+        iters += 1
+        if f_prev is None:
+            step = -f
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = (f - f_prev) / dy
+            step = -f / np.where((s > 0) & (s < np.inf), s, 2.0)
+        y_next = y + step
+        dy = y_next - y
+        y, f_prev = y_next, f
+        if np.max(np.abs(dy)) <= tol:
+            return y, iters, 0, gv
+
+    gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
+    resid = y - base - gv * dt_eff
+    bad = ~(np.abs(resid) <= tol)
+    if not np.any(bad):
+        return y, iters, 0, gv
+
+    idx = np.nonzero(bad)[0]
+    xb = x_i[idx]
+    zb = z_i[idx]
+    bb = base[idx]
+    db = dt_eff[idx] if np.ndim(dt_eff) else np.full(idx.size, dt_eff)
+
+    def f(v):
+        return v - bb - np.asarray(g(t_i, xb, v, zb), dtype=float) * db
+
+    r = np.maximum(1.0, np.abs(bb))
+    lo, hi = bb - r, bb + r
+    for _ in range(60):
+        grow = (f(lo) > 0) | (f(hi) < 0)
+        if not np.any(grow):
+            break
+        r = np.where(grow, 2.0 * r, r)
+        lo, hi = bb - r, bb + r
+    else:
+        raise PicardError("no bisection bracket")
+
+    flo = f(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        neg = (fm < 0) == (flo < 0)
+        lo = np.where(neg, mid, lo)
+        flo = np.where(neg, fm, flo)
+        hi = np.where(neg, hi, mid)
+        mid = 0.5 * (lo + hi)
+        if np.all((hi - lo <= tol) | (mid == lo) | (mid == hi)):
+            break
+    else:
+        raise PicardError("bisection stalled")
+    y[idx] = mid
+    gv = np.array(np.broadcast_to(gv, y.shape))
+    gv[idx] = np.asarray(g(t_i, xb, y[idx], zb), dtype=float)
+    return y, iters, int(idx.size), gv
+
+
+def _step_against_allocating(driver, per_path_dt, picard_max, dt, seed):
+    """Run _picard_step and its oracle on one draw; assert equal, return n_fallback."""
+    rng = np.random.default_rng(seed)
+    M = 64
+    if driver == "affine":
+        a = rng.uniform(-20.0, 0.5) / dt
+        b, c = rng.normal(size=2)
+        g = builtin_generator("linear", a=a, b=b, c=c)
+        base = 100.0 * rng.uniform(-1.0, 1.0, M)
+    elif driver == "stress":
+        g = builtin_generator("stress", delta=0.1)
+        base = rng.uniform(-2.0, 2.0, M)
+    else:
+        # y - g*dt is not monotone here: negative and zero secant slopes
+        # take the damped step
+        g = Generator(
+            name="wavy",
+            eval=lambda t, x, y, z: 3.0 * np.sin(4.0 * np.asarray(y, dtype=float)),
+            lipschitz_z=0.0,
+        )
+        base = rng.uniform(-2.0, 2.0, M)
+    x = rng.uniform(-1.0, 1.0, (M, 1))
+    z = rng.normal(size=(M, 1))
+    dt_eff = np.where(rng.random(M) < 0.25, 0.0, dt) if per_path_dt else dt
+    cfg = ExperimentConfig(seed=0, n_paths=M, n_steps=1, picard_max=picard_max)
+    base0 = base.copy()
+    y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt_eff, cfg)
+    # the in-place update writes only into its own buffers
+    assert np.array_equal(base, base0)
+    want_y, want_iters, want_fallback, want_gv = _picard_step_allocating(
+        g, 0.0, x, base, z, dt_eff, cfg
+    )
+    assert (iters, n_fallback) == (want_iters, want_fallback)
+    assert np.array_equal(y, want_y)
+    assert np.array_equal(gv, want_gv)
+    return n_fallback
+
+
+class TestInPlaceSecant:
+    """_picard_step against the allocating loop it replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        driver=st.sampled_from(["affine", "stress", "wavy"]),
+        per_path_dt=st.booleans(),
+        picard_max=st.sampled_from([1, 2, 3, 50]),
+        dt=st.floats(1e-3, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_allocating_loop(self, driver, per_path_dt, picard_max, dt, seed):
+        _step_against_allocating(driver, per_path_dt, picard_max, dt, seed)
+
+    @pytest.mark.parametrize("driver", ["affine", "stress", "wavy"])
+    @pytest.mark.parametrize("per_path_dt", [False, True])
+    def test_bisection_paths_match(self, driver, per_path_dt):
+        # one evaluation leaves every path with a dt_eff > 0 unconverged
+        assert _step_against_allocating(driver, per_path_dt, 1, 0.05, seed=9) > 0
 
 
 class TestImplicitStepProperties:
