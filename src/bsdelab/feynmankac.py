@@ -16,7 +16,6 @@ quotient of the compensated generator built from the test function.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -25,7 +24,8 @@ from scipy.linalg import solve_banded
 
 from .core import BSDEProblem, ExperimentConfig, Generator, _mean_se, builtin_generator
 from .errors import NumericalError, ValidationError
-from .paths import TimeGrid, euler_maruyama, sample_brownian, stopping_indices
+from .paths import TimeGrid, euler_maruyama, sample_brownian
+from .representation import _stopped_solve
 from .solver import solve_bsde
 
 
@@ -420,8 +420,11 @@ def viscosity_touch_check(
     u - phi over a 5x5 space-time stencil, up to 1e-9, then evaluates the
     PDE residual of phi at (t, x) directly from its analytic derivatives and,
     separately, as the difference quotient of the compensated generator
-    along the simulated diffusion.  Sign conventions: a subsolution touching point
-    must give residual >= 0 up to tolerance.
+    along the simulated diffusion: the stop-gated solve of
+    representation_quotient at (y, z) = (0, 0) with base x, which warns
+    the same way when the stop binds on more than 1% of paths.  Sign
+    conventions: a subsolution touching point must give residual >= 0 up
+    to tolerance.
     """
     if mode not in ("sub", "super"):
         raise ValidationError(f"mode must be 'sub' or 'super', got {mode!r}")
@@ -460,19 +463,7 @@ def viscosity_touch_check(
     grid = TimeGrid(t, t + eps, config.n_steps)
     batch = sample_brownian(grid, config.n_paths, 1, config.seed, threads=config.threads)
     fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
-    stop = stopping_indices(batch, G, x_path=fw.states, barrier=barrier)
-    frac_stopped = float(np.mean(stop < config.n_steps))
-    if frac_stopped > 0.01:
-        warnings.warn(
-            f"stopping index binds on {100 * frac_stopped:.2f}% of paths in touch check",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    zero = np.zeros(config.n_paths)
-    prob = BSDEProblem(
-        generator=G, t_start=t, t_end=t + eps, dimension_d=1, terminal=lambda s: zero
-    )
-    sol = solve_bsde(prob, fw, batch, config, stop_indices=stop)
+    sol, frac_stopped = _stopped_solve(G, fw, batch, x, 0.0, np.zeros(1), config, barrier)
     raw = sol.telescoped / eps
     quotient = float(sol.Y[:, 0].mean()) / eps
     se = _mean_se(raw)

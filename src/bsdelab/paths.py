@@ -211,7 +211,9 @@ def stopping_indices(
     or, by default, from the Brownian path itself.  Paths that never exceed
     the barrier return n_steps.  No sub-step interpolation: exceedance is
     detected at grid nodes only.  The grid is the batch's own.  The paths
-    are read time-major; a path-major x_path is copied once.
+    are read time-major; a path-major x_path is copied once.  One pass keeps
+    the integral, the displacement (summed in cumulative()'s order; d = 1
+    takes abs, bitwise sqrt(x^2)) and the first hit as running (M,) values.
     """
     if barrier <= 0:
         raise ValidationError(f"barrier must be > 0, got {barrier}")
@@ -222,23 +224,17 @@ def stopping_indices(
     times = grid.times()
     zeros = np.zeros(M)
     zeros_z = np.zeros((M, d))
-    # running integral of g0^2 over the steps before each node
-    level = np.empty((n_steps + 1, M))
-    level[0] = 0.0
-    for i in range(n_steps):
-        g0 = np.broadcast_to(
-            np.asarray(g(times[i], x_path[i], zeros, zeros_z), dtype=float), (M,)
-        )
-        np.add(level[i], g0 * g0 * grid.dt, out=level[i + 1])
-    # add the displacement |B_{t_k} - B_{t_0}| node by node, from a running
-    # sum of the increments in cumulative()'s order; d = 1 takes abs, which
-    # is bitwise sqrt(x^2)
+    integral = np.zeros(M)
     disp = np.zeros((M, d))
+    # n_steps marks a path not hit yet; a hit at node n_steps writes it too
+    idx = np.full(M, n_steps, dtype=np.int64)
     for k in range(1, n_steps + 1):
+        g0 = np.broadcast_to(
+            np.asarray(g(times[k - 1], x_path[k - 1], zeros, zeros_z), dtype=float), (M,)
+        )
+        integral += g0 * g0 * grid.dt
         disp += incr[k - 1]
-        level[k] += _norm_last(disp)
-
-    exceeded = level > barrier
-    hit = exceeded.any(axis=0)
-    idx = np.where(hit, np.argmax(exceeded, axis=0), n_steps)
-    return idx.astype(np.int64)
+        hit = _norm_last(disp) + integral > barrier
+        hit &= idx == n_steps
+        idx[hit] = k
+    return idx

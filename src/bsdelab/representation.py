@@ -43,6 +43,37 @@ def _aux_normals(seed: int, shape) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
+def _stopped_solve(g, forward, batch, base, y, z, config, barrier, basis=None):
+    """Solve one quotient window with g switched off from tau on.
+
+    tau is stopping_indices along forward.states and the terminal is
+    y + <z, X_tau - base>; basis goes to solve_bsde as basis_states.  A
+    stop that binds on more than 1% of paths warns that the window is too
+    wide for the barrier.  Returns (solution, fraction of stopped paths).
+    """
+    grid = forward.grid
+    stop = stopping_indices(batch, g, x_path=forward.states, barrier=barrier)
+    frac_stopped = float(np.mean(stop < grid.n_steps))
+    if frac_stopped > 0.01:
+        warnings.warn(
+            f"stopping index binds on {100 * frac_stopped:.2f}% of paths on "
+            f"[{grid.t_start}, {grid.t_end}]; quotient window too wide for the barrier",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    stopped_state = np.take_along_axis(forward.states, stop[:, None, None], axis=1)[:, 0, :]
+    xi = y + (stopped_state - base) @ z
+    problem = BSDEProblem(
+        generator=g,
+        t_start=grid.t_start,
+        t_end=grid.t_end,
+        dimension_d=z.size,
+        terminal=lambda s: xi,
+    )
+    sol = solve_bsde(problem, forward, batch, config, stop_indices=stop, basis_states=basis)
+    return sol, frac_stopped
+
+
 @dataclass(frozen=True)
 class QuotientEstimate:
     """One quotient cell: window eps, M paths.
@@ -77,12 +108,12 @@ def representation_quotient(
     """Estimate the difference quotient of g at (t, x, y, z) over window eps.
 
     Builds the grid on [t, t+eps] (config.n_steps must keep dt <= eps/50),
-    realizes the time-t state, applies the per-path stopping index, solves
-    the truncated backward problem, and rescales.  A state-dependent
-    generator (g.state_dependent) is probed at the realized Brownian
-    marginal anchored at x when t > 0, any other at x itself.  If the stop
-    binds on more than 1% of paths a warning is issued
-    (the window is then too wide for the barrier).
+    realizes the time-t state, and solves the stop-gated backward problem
+    through _stopped_solve (the same path viscosity_touch_check takes), then
+    rescales.  A state-dependent generator (g.state_dependent) is probed at
+    the realized Brownian marginal anchored at x when t > 0, any other at x
+    itself.  If the stop binds on more than 1% of paths a RuntimeWarning
+    says the window is too wide for the barrier.
     """
     if eps <= 0:
         raise ValidationError(f"eps must be > 0, got {eps}")
@@ -109,22 +140,6 @@ def representation_quotient(
         base = np.broadcast_to(x, (M, d)).copy()
 
     states = batch.cumulative(start=base)
-    stop = stopping_indices(batch, g, x_path=states, barrier=barrier)
-    frac_stopped = float(np.mean(stop < config.n_steps))
-    if frac_stopped > 0.01:
-        warnings.warn(
-            f"stopping index binds on {100 * frac_stopped:.2f}% of paths at eps={eps}; "
-            "quotient window too wide for the barrier",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    stopped_state = np.take_along_axis(states, stop[:, None, None], axis=1)[:, 0, :]
-    xi = y + (stopped_state - base) @ z
-
-    problem = BSDEProblem(
-        generator=g, t_start=t, t_end=t + eps, dimension_d=d, terminal=lambda s: xi
-    )
     basis = None
     if randomize_base:
         # (base, increment) pairs, built in a time-major (N+1, M, 2d) buffer
@@ -133,13 +148,8 @@ def representation_quotient(
         basis_tm[:, :, :d] = base
         np.subtract(x_tm, base, out=basis_tm[:, :, d:])
         basis = np.swapaxes(basis_tm, 0, 1)
-    sol = solve_bsde(
-        problem,
-        ForwardBatch(grid=grid, states=states),
-        batch,
-        config,
-        stop_indices=stop,
-        basis_states=basis,
+    sol, frac_stopped = _stopped_solve(
+        g, ForwardBatch(grid=grid, states=states), batch, base, y, z, config, barrier, basis
     )
 
     per_path = (sol.Y[:, 0] - y) / eps

@@ -5,8 +5,10 @@ and the single-line stderr contract.  ``--help`` and ``--version`` go
 through a real subprocess because argparse exits.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +176,38 @@ class TestDeterminism:
         b1 = open(out1, "rb").read()
         assert b1 == open(out2, "rb").read()
         assert len(b1) > 0
+
+    BLAS_CONFIGS = {
+        "represent": (
+            "n_paths = 20000\nn_steps = 50\ngenerator = stress\ndelta = 0.1\n"
+            "t = 0.5\ny = 0.2\nz = 0.3\neps_schedule = 0.1, 0.05\n"
+        ),
+        "solve": (
+            "n_paths = 20000\nn_steps = 30\nd = 2\ngenerator = stress\ndelta = 0.1\n"
+            "terminal = abs\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(BLAS_CONFIGS))
+    def test_blas_threads_never_change_output(self, tmp_path, command):
+        # the BLAS thread count is fixed when the library loads, so each
+        # count needs its own process
+        cfg = _write(tmp_path, f"{command}.cfg", self.BLAS_CONFIGS[command])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            res = subprocess.run(
+                [sys.executable, "-m", "bsdelab.cli", command, "--config", cfg],
+                capture_output=True,
+                env=env,
+                timeout=300,
+            )
+            assert res.returncode == 0, res.stderr.decode()[-2000:]
+            outs.append(res.stdout)
+        assert outs[0] == outs[1]
+        assert len(_rows(outs[0].decode())[1]) > 0
 
     def test_seed_override_changes_bytes_and_manifest(self, tmp_path, capsys):
         cfg = _write(tmp_path, "rep.cfg", REP_CFG)

@@ -305,6 +305,18 @@ class TestViscosityTouch:
         assert abs(rep.residual_direct) < 1e-10
         assert rep.residual_quotient <= 3 * rep.quotient_se + 1e-9
 
+    def test_binding_stop_warns_like_the_quotient(self):
+        # a window this wide against barrier 0.4 stops most paths
+        p = semilinear_cos_problem()
+        sol = semilinear_cos_solution()
+        u_src = lambda t, x: float(np.asarray(sol.value(t, np.asarray(x, dtype=float))))
+        with pytest.warns(RuntimeWarning, match="too wide"):
+            rep = viscosity_touch_check(
+                p, u_src, sol, 0.3, 0.4, mode="sub", eps=0.5, barrier=0.4,
+                config=_cfg(seed=0, M=8000, n=50),
+            )
+        assert rep.frac_stopped > 0.5
+
     def test_wrong_extremum_rejected(self):
         # u - phi with phi = u - (x - x0)^2 has a strict minimum at x0, so
         # claiming a subsolution touching (max) there must fail validation

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,29 @@ class TestStopping:
         assert calls == []
         assert np.array_equal(stopping_indices(batch, linear, barrier=0.8), want_default)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "name,kw,barrier", [("stress", {"delta": 0.1}, 2.0), ("linear", {"c": 0.8}, 1.5)]
+    )
+    def test_work_space_is_independent_of_n_steps(self, name, kw, barrier):
+        # running integral, displacement and first hit are (M,) values: the
+        # traced peak stays at a few dozen M-vectors while the (N+1, M)
+        # level alone is N+1 of them
+        M, n_steps = 20_000, 200
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        batch = sample_brownian(grid, M, 1, seed=5)
+        x_path = batch.cumulative(start=0.3)
+        g = builtin_generator(name, **kw)
+        want = _stops_from_cumulative(batch, g, x_path, barrier)
+        assert 0 < np.count_nonzero(want < n_steps) < M
+        tracemalloc.start()
+        try:
+            got = stopping_indices(batch, g, x_path=x_path, barrier=barrier)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 32 * 8 * M
 
     def test_barrier_validation(self):
         grid = TimeGrid(0.0, 1.0, 4)

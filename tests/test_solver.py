@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from bsdelab import (
     BSDEProblem,
     ExperimentConfig,
     Generator,
+    NumericalError,
     PicardError,
     TimeGrid,
     ValidationError,
@@ -406,7 +408,6 @@ class TestImplicitEulerReduction:
         iters = sol.diagnostics["picard_iters"]
         assert iters.shape == (10,)
         assert np.all(iters >= 1)
-        assert "sup_abs_y" in sol.diagnostics
 
 
 class TestClosedFormLinear:
@@ -851,6 +852,64 @@ class TestStopGating:
         cfg = ExperimentConfig(seed=0, n_paths=32, n_steps=5)
         with pytest.raises(ValidationError):
             solve_bsde(problem, fw, batch, cfg, stop_indices=np.zeros(7, dtype=int))
+
+
+class TestNonFiniteWitness:
+    def test_nan_generator_mid_sweep_is_reported(self):
+        # bisection settles a finite y where g is NaN, so only a check of
+        # the generator values sees it; unchecked, Y stays finite and the
+        # telescoped sum is NaN
+        def ev(t, x, y, z):
+            out = -np.asarray(y, dtype=float)
+            if 0.45 < t < 0.55:
+                out[:3] = np.nan
+            return out
+
+        g = Generator(name="nan_mid_sweep", eval=ev, lipschitz_z=0.0)
+        grid = TimeGrid(0.0, 1.0, 20)
+        fw, batch = _brownian_forward(grid, 500, 1, seed=0)
+        problem = BSDEProblem(
+            generator=g,
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=1,
+            terminal=lambda s: np.cos(s[:, -1, 0]),
+        )
+        cfg = ExperimentConfig(seed=0, n_paths=500, n_steps=20)
+        with pytest.raises(NumericalError, match=r"step 10, path 0\b"):
+            solve_bsde(problem, fw, batch, cfg)
+
+
+class TestSweepMemory:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("stopped", [False, True])
+    def test_peak_beyond_y_and_z_is_a_per_step_working_set(self, d, stopped):
+        # measured 20-30 M-vectors beyond Y and Z (design, targets, fits,
+        # implicit-step buffers); an (N+1, M) temporary alone is N+1 of them
+        M, n_steps = 5000, 200
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        fw, batch = _brownian_forward(grid, M, d, seed=3)
+        problem = BSDEProblem(
+            generator=builtin_generator("stress", delta=0.1),
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=d,
+            terminal=lambda s: np.cos(s[:, -1, 0]),
+        )
+        cfg = ExperimentConfig(seed=3, n_paths=M, n_steps=n_steps)
+        stop = None
+        if stopped:
+            g0 = builtin_generator("linear", b=np.zeros(d), c=0.8)
+            stop = stopping_indices(batch, g0, barrier=2.0)
+            assert 0 < np.count_nonzero(stop < n_steps) < M
+        tracemalloc.start()
+        try:
+            sol = solve_bsde(problem, fw, batch, cfg, stop_indices=stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - sol.Y.nbytes - sol.Z.nbytes
+        assert extra < 64 * 8 * M
 
 
 class TestTelescopedSum:
