@@ -53,34 +53,33 @@ _GEN_KEYS = {
     "delta": ("float", _OPTIONAL),
 }
 
+_SIZES = {
+    "seed": ("int", 0),
+    "n_paths": ("int", 20_000),
+    "n_steps": ("int", 100),
+}
+
+# constant-coefficient diffusion of simulate and solve
+_FORWARD_KEYS = {
+    "t_start": ("float", 0.0),
+    "t_end": ("float", 1.0),
+    "d": ("int", 1),
+    "x0": ("floats", [0.0]),
+    "drift": ("float", 0.0),
+    "sigma": ("float", 1.0),
+}
+
 _SOLVER_KEYS = {
-    "basis_degree": ("int", 3),
-    "picard_max": ("int", 50),
-    "picard_tol": ("float", 1e-10),
+    "basis_degree": ("int", ExperimentConfig.basis_degree),
+    "picard_max": ("int", ExperimentConfig.picard_max),
+    "picard_tol": ("float", ExperimentConfig.picard_tol),
 }
 
 _SCHEMAS = {
-    "simulate": {
-        "seed": ("int", 0),
-        "n_paths": ("int", 4096),
-        "n_steps": ("int", 100),
-        "t_start": ("float", 0.0),
-        "t_end": ("float", 1.0),
-        "d": ("int", 1),
-        "x0": ("floats", [0.0]),
-        "drift": ("float", 0.0),
-        "sigma": ("float", 1.0),
-    },
+    "simulate": {**_SIZES, "n_paths": ("int", 4096), **_FORWARD_KEYS},
     "solve": {
-        "seed": ("int", 0),
-        "n_paths": ("int", 20_000),
-        "n_steps": ("int", 100),
-        "t_start": ("float", 0.0),
-        "t_end": ("float", 1.0),
-        "d": ("int", 1),
-        "x0": ("floats", [0.0]),
-        "drift": ("float", 0.0),
-        "sigma": ("float", 1.0),
+        **_SIZES,
+        **_FORWARD_KEYS,
         "terminal": ("str", "last"),
         **_GEN_KEYS,
         **_SOLVER_KEYS,
@@ -94,9 +93,7 @@ _SCHEMAS = {
         "u_resolution": ("float", 1e-4),
     },
     "represent": {
-        "seed": ("int", 0),
-        "n_paths": ("int", 20_000),
-        "n_steps": ("int", 100),
+        **_SIZES,
         **_GEN_KEYS,
         "t": ("float", _REQUIRED),
         "x": ("floats", _OPTIONAL),
@@ -108,9 +105,7 @@ _SCHEMAS = {
         **_SOLVER_KEYS,
     },
     "converse": {
-        "seed": ("int", 0),
-        "n_paths": ("int", 20_000),
-        "n_steps": ("int", 100),
+        **_SIZES,
         # generator1, g1_a, ..., generator2, g2_a, ...: _GEN_KEYS per driver
         **{
             (f"generator{n}" if key == "generator" else f"g{n}_{key}"): spec
@@ -127,9 +122,7 @@ _SCHEMAS = {
         **_SOLVER_KEYS,
     },
     "fk": {
-        "seed": ("int", 0),
-        "n_paths": ("int", 20_000),
-        "n_steps": ("int", 100),
+        **_SIZES,
         "pde": ("str", _REQUIRED),
         "T": ("float", 1.0),
         "half_width": ("float", _OPTIONAL),
@@ -143,8 +136,7 @@ _SCHEMAS = {
         **_SOLVER_KEYS,
     },
     "touch": {
-        "seed": ("int", 0),
-        "n_paths": ("int", 20_000),
+        **_SIZES,
         "n_steps": ("int", 50),
         "pde": ("str", _REQUIRED),
         "T": ("float", 1.0),
@@ -335,13 +327,7 @@ def _render(command: str, cfg: dict, columns: list[str], rows: list[list]) -> st
 
 def _experiment_config(cfg: dict, threads: int) -> ExperimentConfig:
     return ExperimentConfig(
-        seed=cfg["seed"],
-        n_paths=cfg["n_paths"],
-        n_steps=cfg["n_steps"],
-        basis_degree=cfg["basis_degree"],
-        picard_max=cfg["picard_max"],
-        picard_tol=cfg["picard_tol"],
-        threads=threads,
+        **{key: cfg[key] for key in (*_SIZES, *_SOLVER_KEYS)}, threads=threads
     )
 
 

@@ -260,6 +260,16 @@ def _negative_exponential_generator() -> Generator:
     )
 
 
+# name -> (factory, parameter defaults); a None default marks a required
+# parameter
+_BUILTINS = {
+    "linear": (_linear_generator, {"a": 0.0, "b": 0.0, "c": 0.0}),
+    "z_abs": (_z_abs_generator, {"scale": 1.0}),
+    "stress": (_stress_generator, {"delta": None}),
+    "negative_exponential": (_negative_exponential_generator, {}),
+}
+
+
 def builtin_generator(name: str, **params) -> Generator:
     """Construct one of the built-in generators by name.
 
@@ -267,32 +277,21 @@ def builtin_generator(name: str, **params) -> Generator:
     z_abs(scale)           scale*|z|
     stress(delta)          -exp(y|x|) + h(|y|) + |z|, h the entropy modulus
     negative_exponential   -y
+
+    Omitted parameters take their defaults (a = b = c = 0, scale = 1);
+    delta has none.  An unknown name, a missing delta and a parameter the
+    named generator does not take raise ValidationError.
     """
-    if name == "linear":
-        a = params.pop("a", 0.0)
-        b = params.pop("b", 0.0)
-        c = params.pop("c", 0.0)
-        _reject_leftover(name, params)
-        return _linear_generator(a, b, c)
-    if name == "z_abs":
-        scale = params.pop("scale", 1.0)
-        _reject_leftover(name, params)
-        return _z_abs_generator(scale)
-    if name == "stress":
-        if "delta" not in params:
-            raise ValidationError("stress generator requires a delta parameter")
-        delta = params.pop("delta")
-        _reject_leftover(name, params)
-        return _stress_generator(delta)
-    if name == "negative_exponential":
-        _reject_leftover(name, params)
-        return _negative_exponential_generator()
-    raise ValidationError(f"unknown generator name {name!r}")
-
-
-def _reject_leftover(name, params):
-    if params:
-        raise ValidationError(f"unexpected parameter(s) for {name}: {sorted(params)}")
+    if name not in _BUILTINS:
+        raise ValidationError(f"unknown generator name {name!r}")
+    factory, defaults = _BUILTINS[name]
+    for key, default in defaults.items():
+        if default is None and key not in params:
+            raise ValidationError(f"{name} generator requires a {key} parameter")
+    leftover = sorted(set(params) - set(defaults))
+    if leftover:
+        raise ValidationError(f"unexpected parameter(s) for {name}: {leftover}")
+    return factory(**{**defaults, **params})
 
 
 def check_generator_metadata(

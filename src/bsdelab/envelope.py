@@ -28,7 +28,6 @@ class EnvelopeResult:
     """
 
     n: float
-    alpha: float
     value_lower: float
     value_upper: float
     argmin_u: float
@@ -77,7 +76,6 @@ def envelopes(g: Generator, alpha, n, t, x, u_resolution: float = 1e-4) -> Envel
     i_hi = int(np.argmax(hi_obj))
     return EnvelopeResult(
         n=float(n),
-        alpha=float(alpha),
         value_lower=float(lo_obj[i_lo]),
         value_upper=float(hi_obj[i_hi]),
         argmin_u=float(u[i_lo]),
@@ -89,7 +87,6 @@ def envelopes(g: Generator, alpha, n, t, x, u_resolution: float = 1e-4) -> Envel
 @dataclass(frozen=True)
 class SandwichReport:
     n: float
-    alpha: float
     worst_violation: float
     tolerance: float
     n_samples: int
@@ -129,7 +126,6 @@ def sandwich_check(
     tol = 10.0 * u_resolution * (n + lip)
     return SandwichReport(
         n=float(n),
-        alpha=float(alpha),
         worst_violation=float(np.max(viol)) if viol.size else 0.0,
         tolerance=tol,
         n_samples=int(y.size),

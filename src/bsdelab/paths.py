@@ -76,9 +76,6 @@ class BrownianBatch:
     time-major, as a transposed view of an (n_steps, M, d) buffer.
     """
 
-    seed: int
-    d: int
-    M: int
     grid: TimeGrid
     increments: np.ndarray  # (M, n_steps, d)
 
@@ -149,7 +146,7 @@ def sample_brownian(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda b: _fill_block(incr, b, seed, scale), range(n_blocks)))
-    return BrownianBatch(seed=seed, d=d, M=M, grid=grid, increments=np.swapaxes(incr, 0, 1))
+    return BrownianBatch(grid=grid, increments=np.swapaxes(incr, 0, 1))
 
 
 def euler_maruyama(
@@ -180,15 +177,15 @@ def euler_maruyama(
         bi = np.broadcast_to(np.asarray(drift(times[i], xi), dtype=float), (M, n))
         sig = np.asarray(diffusion(times[i], xi), dtype=float)
         dB = incr[i]
-        if sig.ndim == 3:
-            inc = np.einsum("mnd,md->mn", sig, dB)
-        else:
-            if n != d:
-                raise ValidationError(
-                    f"diagonal diffusion needs n == d, got n={n}, d={d}"
-                )
-            inc = np.broadcast_to(sig, (M, n)) * dB
-        nxt = xi + bi * dt + inc
+        if sig.ndim != 3 and n != d:
+            raise ValidationError(f"diagonal diffusion needs n == d, got n={n}, d={d}")
+        # an overflow is reported below with its step and path
+        with np.errstate(over="ignore", invalid="ignore"):
+            if sig.ndim == 3:
+                inc = np.einsum("mnd,md->mn", sig, dB)
+            else:
+                inc = np.broadcast_to(sig, (M, n)) * dB
+            nxt = xi + bi * dt + inc
         if not np.all(np.isfinite(nxt)):
             m_bad = int(np.argmax(~np.isfinite(nxt).all(axis=1)))
             raise NumericalError(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import BSDEProblem, ExperimentConfig, Generator, _sample_sd
 from .errors import NumericalError, PicardError, ValidationError
-from .paths import BrownianBatch, ForwardBatch, TimeGrid, _time_major
+from .paths import BrownianBatch, ForwardBatch, _time_major
 
 # Relative singular-value cutoff: directions of the basis below it are
 # projected out, which degrades the fit gracefully (constant states collapse
@@ -134,7 +134,6 @@ class SolutionBatch:
     (regression_fallbacks, 0 or 1 each).
     """
 
-    grid: TimeGrid
     Y: np.ndarray
     Z: np.ndarray
     telescoped: np.ndarray
@@ -291,7 +290,9 @@ def solve_bsde(
     ):
         raise ValidationError("basis_states must be shaped (M, n_steps+1, k)")
 
-    xi = np.asarray(problem.terminal(forward.states), dtype=float)
+    # an overflow is reported below with its path
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = np.asarray(problem.terminal(forward.states), dtype=float)
     if xi.shape != (M,):
         raise ValidationError(f"terminal returned shape {xi.shape}, expected ({M},)")
     if not np.all(np.isfinite(xi)):
@@ -354,7 +355,6 @@ def solve_bsde(
         lstsq_fallbacks[i] = fell_back
 
     return SolutionBatch(
-        grid=grid,
         Y=Y.T,
         Z=np.swapaxes(Z, 0, 1),
         telescoped=telescoped,

@@ -14,13 +14,26 @@ import numpy as np
 import pytest
 
 from bsdelab import builtin_generator, convergence_curve, paths
-from bsdelab.cli import _COLUMN_DOCS, _SCHEMAS, main
+from bsdelab.cli import _COLUMN_DOCS, _GEN_KEYS, _SCHEMAS, main
+from bsdelab.core import _BUILTINS
 
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def _subprocess_env(**extra):
+    """The caller's environment plus extra, with the checkout's src first on PYTHONPATH.
+
+    pytest's pythonpath setting reaches only the pytest process, so a
+    subprocess needs the path spelled out.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def _rows(out: str):
@@ -193,15 +206,12 @@ class TestDeterminism:
         # the BLAS thread count is fixed when the library loads, so each
         # count needs its own process
         cfg = _write(tmp_path, f"{command}.cfg", self.BLAS_CONFIGS[command])
-        src = str(Path(__file__).resolve().parents[1] / "src")
         outs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             res = subprocess.run(
                 [sys.executable, "-m", "bsdelab.cli", command, "--config", cfg],
                 capture_output=True,
-                env=env,
+                env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
                 timeout=300,
             )
             assert res.returncode == 0, res.stderr.decode()[-2000:]
@@ -328,6 +338,37 @@ class TestConfigErrors:
         )
         self._expect2(["converse", "--config", cfg], capsys, "length")
 
+    @pytest.mark.parametrize(
+        "command, text, witness",
+        [
+            ("simulate", "d = 3\nx0 = 1.0, 2.0\n", "x0 has 2 coordinate(s), expected d=3"),
+            (
+                "touch",
+                "pde = heat_cos\nt = 0.5\nx = 0.0\nphi = wobble\n",
+                "phi must be 'exact' or 'bump', got 'wobble'",
+            ),
+            (
+                "touch",
+                "pde = heat_cos\nt = 0.5\nx = 0.0\nphi = bump\nbump_amplitude = 0\n",
+                "bump_amplitude must be > 0, got 0.0",
+            ),
+            (
+                "fk",
+                "pde = heat_cos\nprobes_t = 0.0, 0.1\nprobes_x = 0.0\nh = 0.1\n",
+                "probes_t and probes_x must have the same length",
+            ),
+        ],
+        ids=["x0_vs_d", "phi", "bump_amplitude", "probe_lengths"],
+    )
+    def test_runner_validation(self, tmp_path, capsys, command, text, witness):
+        cfg = _write(tmp_path, "c.cfg", text)
+        self._expect2([command, "--config", cfg], capsys, f"ValidationError: {witness}")
+
+    def test_generator_keys_are_the_builtin_parameters(self):
+        # a parameter added on one side only would be unreachable or rejected
+        params = set().union(*(defaults for _, defaults in _BUILTINS.values()))
+        assert set(_GEN_KEYS) - {"generator"} == params
+
     def test_unknown_pde(self, tmp_path, capsys):
         cfg = _write(
             tmp_path,
@@ -387,6 +428,36 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err.startswith("bsdelab: PicardError: ")
 
+    @pytest.mark.parametrize(
+        "command, text, witness",
+        [
+            (
+                "solve",
+                "n_paths = 100\nn_steps = 10\ngenerator = linear\nterminal = square\n"
+                "x0 = 1e200\n",
+                "non-finite terminal value at path 0",
+            ),
+            (
+                "simulate",
+                "n_paths = 100\nn_steps = 10\ndrift = 1e308\nx0 = 1e308\n",
+                "non-finite state at step 8, path 0",
+            ),
+            (
+                "simulate",
+                "n_paths = 100\nn_steps = 1\nsigma = 1e308\n",
+                "non-finite state at step 1, path 14",
+            ),
+        ],
+        ids=["solve_terminal", "simulate_drift", "simulate_sigma"],
+    )
+    def test_overflow_exits_3_with_one_stderr_line(self, tmp_path, capsys, command, text, witness):
+        # numpy's overflow warning must not reach stderr ahead of the error
+        # line (under this suite's error::RuntimeWarning it would escape main)
+        cfg = _write(tmp_path, "c.cfg", text)
+        assert main([command, "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == f"bsdelab: NumericalError: {witness}\n"
+
 
 class TestExperimentFailure:
     def test_forced_touch_disagreement_exits_4_but_writes_csv(self, tmp_path, capsys):
@@ -431,6 +502,7 @@ class TestSubprocessSurface:
             [sys.executable, "-m", "bsdelab.cli", command, "--help"],
             capture_output=True,
             text=True,
+            env=_subprocess_env(),
             timeout=120,
         )
         assert res.returncode == 0
@@ -444,6 +516,7 @@ class TestSubprocessSurface:
             [sys.executable, "-m", "bsdelab.cli", "--version"],
             capture_output=True,
             text=True,
+            env=_subprocess_env(),
             timeout=120,
         )
         assert res.returncode == 0

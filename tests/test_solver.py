@@ -880,6 +880,51 @@ class TestNonFiniteWitness:
             solve_bsde(problem, fw, batch, cfg)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "case, error, witness",
+        [
+            ("dimension_d", ValidationError, r"problem\.dimension_d=2 but batch has d=1"),
+            (
+                "forward_shape",
+                ValidationError,
+                r"forward states shaped \(39, 11, 1\), expected \(40, 11, n\)",
+            ),
+            ("horizon", ValidationError, "forward grid does not span the problem horizon"),
+            ("basis_shape", ValidationError, r"basis_states must be shaped \(M, n_steps\+1, k\)"),
+            ("terminal_shape", ValidationError, r"terminal returned shape \(40, 1\), expected \(40,\)"),
+            ("terminal_nonfinite", NumericalError, r"non-finite terminal value at path 3\b"),
+        ],
+    )
+    def test_rejected_with_witness(self, case, error, witness):
+        M = 40
+        grid = TimeGrid(0.0, 1.0, 10)
+        fw, batch = _brownian_forward(grid, M, 1, seed=0)
+        problem = dict(
+            generator=builtin_generator("negative_exponential"),
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=1,
+            terminal=lambda s: s[:, -1, 0],
+        )
+        basis = None
+        if case == "dimension_d":
+            problem["dimension_d"] = 2
+        elif case == "forward_shape":
+            fw = ForwardBatch(grid=grid, states=fw.states[1:])
+        elif case == "horizon":
+            problem["t_end"] = 2.0
+        elif case == "basis_shape":
+            basis = fw.states[:, 1:]
+        elif case == "terminal_shape":
+            problem["terminal"] = lambda s: s[:, -1]
+        else:
+            problem["terminal"] = lambda s: np.where(np.arange(M) == 3, np.inf, s[:, -1, 0])
+        cfg = ExperimentConfig(seed=0, n_paths=M, n_steps=10)
+        with pytest.raises(error, match=witness):
+            solve_bsde(BSDEProblem(**problem), fw, batch, cfg, basis_states=basis)
+
+
 class TestSweepMemory:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("stopped", [False, True])
