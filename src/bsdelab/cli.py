@@ -259,23 +259,27 @@ def _coerce(key: str, raw: str, kind: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
-        if kind == "floats":
+            vals = [float(raw)]
+        elif kind == "floats":
             parts = [p.strip() for p in raw.split(",")]
             vals = [float(p) for p in parts if p != ""]
             if not vals:
                 raise ValueError("empty list")
-            return vals
-        if kind == "bool":
+        elif kind == "bool":
             low = raw.lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError("expected true/false")
-        return raw
+        else:
+            return raw
     except ValueError as exc:
         raise ValidationError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from exc
+    # nan/inf would crash a runner or silently switch a check off
+    if not all(map(math.isfinite, vals)):
+        raise ValidationError(f"config key {key!r}: {raw!r} is not finite")
+    return vals[0] if kind == "float" else vals
 
 
 def _resolve(command: str, file_values: dict[str, str], seed_override) -> dict:
@@ -325,10 +329,8 @@ def _render(command: str, cfg: dict, columns: list[str], rows: list[list]) -> st
     return "\n".join(lines) + "\n"
 
 
-def _experiment_config(cfg: dict, threads: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        **{key: cfg[key] for key in (*_SIZES, *_SOLVER_KEYS)}, threads=threads
-    )
+def _experiment_config(cfg: dict) -> ExperimentConfig:
+    return ExperimentConfig(**{key: cfg[key] for key in (*_SIZES, *_SOLVER_KEYS)})
 
 
 def _generator_from(cfg: dict, name_key: str = "generator", prefix: str = ""):
@@ -350,7 +352,7 @@ _TERMINALS = {
 }
 
 
-def _forward(cfg: dict, threads: int):
+def _forward(cfg: dict):
     """Constant-coefficient diffusion of simulate and solve: (grid, batch, forward)."""
     d = cfg["d"]
     x0 = cfg["x0"]
@@ -359,13 +361,13 @@ def _forward(cfg: dict, threads: int):
     if len(x0) != d:
         raise ValidationError(f"x0 has {len(x0)} coordinate(s), expected d={d}")
     grid = TimeGrid(cfg["t_start"], cfg["t_end"], cfg["n_steps"])
-    batch = sample_brownian(grid, cfg["n_paths"], d, cfg["seed"], threads=threads)
+    batch = sample_brownian(grid, cfg["n_paths"], d, cfg["seed"])
     fw = euler_maruyama(grid, _const(cfg["drift"]), _const(cfg["sigma"]), x0, batch)
     return grid, batch, fw
 
 
-def _run_simulate(cfg: dict, threads: int):
-    grid, _, fw = _forward(cfg, threads)
+def _run_simulate(cfg: dict):
+    grid, _, fw = _forward(cfg)
     times = grid.times()
     n = fw.states.shape[2]
     columns = ["step", "t"]
@@ -381,7 +383,7 @@ def _run_simulate(cfg: dict, threads: int):
     return columns, rows, None
 
 
-def _run_solve(cfg: dict, threads: int):
+def _run_solve(cfg: dict):
     g = _generator_from(cfg)
     if cfg["terminal"] not in _TERMINALS:
         raise ValidationError(
@@ -389,7 +391,7 @@ def _run_solve(cfg: dict, threads: int):
         )
     terminal = _TERMINALS[cfg["terminal"]]
     d = cfg["d"]
-    grid, batch, fw = _forward(cfg, threads)
+    grid, batch, fw = _forward(cfg)
     problem = BSDEProblem(
         generator=g,
         t_start=cfg["t_start"],
@@ -397,7 +399,7 @@ def _run_solve(cfg: dict, threads: int):
         dimension_d=d,
         terminal=terminal,
     )
-    sol = solve_bsde(problem, fw, batch, _experiment_config(cfg, threads))
+    sol = solve_bsde(problem, fw, batch, _experiment_config(cfg))
     times = grid.times()
     columns = ["step", "t", "mean_y", "sd_y"]
     columns += [f"mean_z_{j}" for j in range(1, d + 1)]
@@ -417,7 +419,7 @@ def _run_solve(cfg: dict, threads: int):
     return columns, rows, None
 
 
-def _run_envelope(cfg: dict, threads: int):
+def _run_envelope(cfg: dict):
     g = _generator_from(cfg)
     x = np.asarray(cfg["x"], dtype=float)
     curve = convergence_curve(
@@ -431,7 +433,7 @@ def _run_envelope(cfg: dict, threads: int):
     return columns, rows, None
 
 
-def _run_represent(cfg: dict, threads: int):
+def _run_represent(cfg: dict):
     g = _generator_from(cfg)
     z = cfg["z"]
     x = cfg.get("x", [0.0] * len(z))
@@ -442,7 +444,7 @@ def _run_represent(cfg: dict, threads: int):
         cfg["y"],
         np.asarray(z, dtype=float),
         cfg["eps_schedule"],
-        _experiment_config(cfg, threads),
+        _experiment_config(cfg),
         barrier=cfg["barrier"],
     )
     d = len(report.z)
@@ -473,7 +475,7 @@ def _run_represent(cfg: dict, threads: int):
     return columns, rows, post
 
 
-def _run_converse(cfg: dict, threads: int):
+def _run_converse(cfg: dict):
     g1 = _generator_from(cfg, "generator1", prefix="g1_")
     g2 = _generator_from(cfg, "generator2", prefix="g2_")
     pt, px, py, pz = cfg["points_t"], cfg["points_x"], cfg["points_y"], cfg["points_z"]
@@ -485,7 +487,7 @@ def _run_converse(cfg: dict, threads: int):
         g2,
         points,
         cfg["eps"],
-        _experiment_config(cfg, threads),
+        _experiment_config(cfg),
         barrier=cfg["barrier"],
         hypothesis_threshold=cfg["hypothesis_threshold"],
     )
@@ -524,12 +526,12 @@ def _pde_from(cfg: dict):
     return factory(cfg, **hw)
 
 
-def _run_fk(cfg: dict, threads: int):
+def _run_fk(cfg: dict):
     problem = _pde_from(cfg)
     if not len(cfg["probes_t"]) == len(cfg["probes_x"]):
         raise ValidationError("probes_t and probes_x must have the same length")
     points = list(zip(cfg["probes_t"], cfg["probes_x"]))
-    config = _experiment_config(cfg, threads)
+    config = _experiment_config(cfg)
     rows_out = mc_vs_fd(problem, points, config, cfg["h"], cfg["k"], theta=cfg["theta"])
     columns = ["t", "x", "u_mc", "se", "u_fd", "diff", "tol", "pass"]
     rows = [
@@ -542,7 +544,7 @@ def _run_fk(cfg: dict, threads: int):
     return columns, rows, post
 
 
-def _run_touch(cfg: dict, threads: int):
+def _run_touch(cfg: dict):
     name = cfg["pde"]
     exact = tuple(k for k, (_, sol) in _PDES.items() if sol is not None)
     if name not in exact:
@@ -569,7 +571,7 @@ def _run_touch(cfg: dict, threads: int):
         phi,
         cfg["t"],
         cfg["x"],
-        _experiment_config(cfg, threads),
+        _experiment_config(cfg),
         mode=mode,
         eps=cfg["eps"],
         stencil_h=cfg["stencil_h"],
@@ -653,15 +655,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="path to a flat key = value file")
         sub.add_argument("--seed", type=int, default=None, help="override the config seed")
         sub.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-        sub.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help=(
-                "path-sampling threads (never changes the output bytes; envelope "
-                "samples no paths)"
-            ),
-        )
     return parser
 
 
@@ -671,9 +664,7 @@ def main(argv=None) -> int:
     try:
         file_values = _parse_config_file(args.config)
         cfg = _resolve(args.command, file_values, args.seed)
-        if args.threads < 1:
-            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
-        columns, rows, post = _RUNNERS[args.command](cfg, args.threads)
+        columns, rows, post = _RUNNERS[args.command](cfg)
         text = _render(args.command, cfg, columns, rows)
         if args.out is None:
             sys.stdout.write(text)

@@ -390,8 +390,8 @@ class BSDEProblem:
 class ExperimentConfig:
     """Knobs shared by the Monte Carlo experiments.
 
-    threads is the number of path-sampling threads; sample_brownian's block
-    streams make every output independent of it.
+    Together with the inputs they fix every output byte; path sampling
+    sizes its own thread pool (sample_brownian), which changes no result.
     """
 
     seed: int
@@ -400,7 +400,6 @@ class ExperimentConfig:
     basis_degree: int = 3
     picard_max: int = 50
     picard_tol: float = 1e-10
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -413,5 +412,3 @@ class ExperimentConfig:
             raise ValidationError(f"picard_max must be >= 1, got {self.picard_max}")
         if not self.picard_tol > 0:
             raise ValidationError(f"picard_tol must be > 0, got {self.picard_tol}")
-        if self.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {self.threads}")

@@ -59,9 +59,9 @@ def envelopes(g: Generator, alpha, n, t, x, u_resolution: float = 1e-4) -> Envel
     interval [-U, U] with U = (2*psi_hat + 2|g0| + 1)/n provably contains
     both optimizers: beyond it the penalty exceeds the u = 0 value.
     """
-    if n <= 0:
+    if not n > 0:
         raise ValidationError(f"penalty slope n must be > 0, got {n}")
-    if u_resolution <= 0:
+    if not u_resolution > 0:
         raise ValidationError(f"u_resolution must be > 0, got {u_resolution}")
     psi_hat = _growth_scale(g, alpha, t, x)
     g0 = float(np.asarray(g(t, x, 0.0, 0.0), dtype=float))

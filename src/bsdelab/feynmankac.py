@@ -109,7 +109,7 @@ def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfi
         raise ValidationError(f"need 0 <= t < T={problem.T}, got t={t}")
     growth_check(problem)
     grid = TimeGrid(t, problem.T, config.n_steps)
-    batch = sample_brownian(grid, config.n_paths, 1, config.seed, threads=config.threads)
+    batch = sample_brownian(grid, config.n_paths, 1, config.seed)
     fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
     prob = BSDEProblem(
         generator=problem.generator,
@@ -195,7 +195,7 @@ def fd_reference(
     """
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must be in [0, 1], got {theta}")
-    if h <= 0 or k <= 0:
+    if not (h > 0 and k > 0):
         raise ValidationError(f"need h > 0 and k > 0, got h={h}, k={k}")
     n_x = int(round((problem.x_hi - problem.x_lo) / h))
     if n_x < 3:
@@ -410,12 +410,18 @@ def viscosity_touch_check(
     separately, as the difference quotient of the compensated generator
     along the simulated diffusion: the stop-gated solve of
     representation_quotient at (y, z) = (0, 0) with base x, which warns
-    the same way when the stop binds on more than 1% of paths.  Sign
+    the same way when the stop binds on more than 1% of paths.  The window
+    [t, t + eps] must lie in [0, T], where the problem is posed.  Sign
     conventions: a subsolution touching point must give residual >= 0 up
     to tolerance.
     """
     if mode not in ("sub", "super"):
         raise ValidationError(f"mode must be 'sub' or 'super', got {mode!r}")
+    if not (eps > 0 and 0.0 <= t and t + eps <= problem.T):
+        raise ValidationError(
+            f"touch window [t, t + eps] = [{t}, {t + eps}] must lie in "
+            f"[0, T={problem.T}] with eps > 0"
+        )
 
     center = u_source(t, x) - float(phi.value(t, np.asarray(x)))
     worst = -np.inf
@@ -449,7 +455,7 @@ def viscosity_touch_check(
 
     G = proof_generator(problem, phi)
     grid = TimeGrid(t, t + eps, config.n_steps)
-    batch = sample_brownian(grid, config.n_paths, 1, config.seed, threads=config.threads)
+    batch = sample_brownian(grid, config.n_paths, 1, config.seed)
     fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
     sol, frac_stopped = _stopped_solve(G, fw, batch, x, 0.0, np.zeros(1), config, barrier)
     raw = sol.telescoped / eps

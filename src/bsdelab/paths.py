@@ -15,6 +15,7 @@ storage without a copy, and copies a caller-built path-major array once.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -120,14 +121,19 @@ def _fill_block(incr, b, seed, scale):
     np.multiply(np.swapaxes(block[: hi - lo], 0, 1), scale, out=incr[:, lo:hi])
 
 
-def sample_brownian(
-    grid: TimeGrid, M: int, d: int, seed: int, threads: int = 1
-) -> BrownianBatch:
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def sample_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianBatch:
     """Draw M Brownian paths' increments on the grid, reproducibly.
 
     The same (seed, n_steps, d) always yields the same path m, regardless of
-    M and of threads: blocks are independent streams written to disjoint
-    slices, so the parallel schedule cannot affect the result.
+    M and of the CPU count: blocks are independent streams written to
+    disjoint slices by a pool with one worker per usable CPU (and block).
     """
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
@@ -135,17 +141,11 @@ def sample_brownian(
         raise ValidationError(f"d must be >= 1, got {d}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
     incr = np.empty((grid.n_steps, M, d))
     scale = np.sqrt(grid.dt)
     n_blocks = (M + PATH_BLOCK - 1) // PATH_BLOCK
-    if threads == 1 or n_blocks == 1:
-        for b in range(n_blocks):
-            _fill_block(incr, b, seed, scale)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: _fill_block(incr, b, seed, scale), range(n_blocks)))
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), n_blocks)) as pool:
+        list(pool.map(lambda b: _fill_block(incr, b, seed, scale), range(n_blocks)))
     return BrownianBatch(grid=grid, increments=np.swapaxes(incr, 0, 1))
 
 

@@ -132,7 +132,7 @@ def representation_quotient(
 
     M = config.n_paths
     grid = TimeGrid(t, t + eps, config.n_steps)
-    batch = sample_brownian(grid, M, d, config.seed, threads=config.threads)
+    batch = sample_brownian(grid, M, d, config.seed)
 
     if randomize_base:
         base = x + np.sqrt(t) * _aux_normals(config.seed, (M, d))
@@ -315,7 +315,7 @@ def converse_comparison_probe(
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     d = z0.size
     grid = TimeGrid(t0, t0 + eps, config.n_steps)
-    batch = sample_brownian(grid, config.n_paths, d, config.seed, threads=config.threads)
+    batch = sample_brownian(grid, config.n_paths, d, config.seed)
     states = batch.cumulative(start=np.atleast_1d(np.asarray(x0, dtype=float)))
     forward = ForwardBatch(grid=grid, states=states)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bsdelab import builtin_generator, convergence_curve, paths
-from bsdelab.cli import _COLUMN_DOCS, _GEN_KEYS, _SCHEMAS, main
+from bsdelab.cli import _COLUMN_DOCS, _GEN_KEYS, _REQUIRED, _SCHEMAS, main
 from bsdelab.core import _BUILTINS
 
 
@@ -231,8 +231,9 @@ class TestDeterminism:
         assert base.splitlines()[1] != other.splitlines()[1]
 
     def test_threads_never_change_output(self, tmp_path, capsys, monkeypatch):
-        # every subcommand that samples paths hands --threads to the sampler,
-        # and n_paths > PATH_BLOCK gives it a second block to run in parallel
+        # every subcommand that samples paths sizes its pool from the CPU
+        # count, and n_paths > PATH_BLOCK gives it a second block to run in
+        # parallel
         pools = []
 
         class RecordingPool(paths.ThreadPoolExecutor):
@@ -260,14 +261,15 @@ class TestDeterminism:
         for name, text in configs.items():
             cfg = _write(tmp_path, f"{name}.cfg", text)
             outs = []
-            for threads in (1, 2):
+            for cpus in (1, 2):
                 del pools[:]
-                assert main([name, "--config", cfg, "--threads", str(threads)]) == 0, name
+                monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
+                assert main([name, "--config", cfg]) == 0, name
                 outs.append(capsys.readouterr().out)
-                if threads == 1 or name == "envelope":  # envelope samples no paths
+                if name == "envelope":  # envelope samples no paths
                     assert pools == [], name
                 else:
-                    assert pools and set(pools) == {2}, name
+                    assert pools and set(pools) == {cpus}, name
             assert outs[0] == outs[1], name
 
 
@@ -309,10 +311,6 @@ class TestConfigErrors:
             tmp_path, "c.cfg", "generator = linear\nalpha = 1.0\nn_list = 1\n"
         )
         self._expect2(["envelope", "--config", cfg, "--seed", "4"], capsys, "--seed")
-
-    def test_threads_validated(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "sim.cfg", SIM_CFG)
-        self._expect2(["simulate", "--config", cfg, "--threads", "0"], capsys, "--threads")
 
     def test_unknown_generator(self, tmp_path, capsys):
         cfg = _write(
@@ -357,12 +355,42 @@ class TestConfigErrors:
                 "pde = heat_cos\nprobes_t = 0.0, 0.1\nprobes_x = 0.0\nh = 0.1\n",
                 "probes_t and probes_x must have the same length",
             ),
+            (
+                # the default eps = 0.025 carries the window past T = 1
+                "touch",
+                "pde = heat_cos\nt = 0.99\nx = 0.0\n",
+                "touch window [t, t + eps] = [0.99, 1.015] must lie in [0, T=1.0]",
+            ),
         ],
-        ids=["x0_vs_d", "phi", "bump_amplitude", "probe_lengths"],
+        ids=["x0_vs_d", "phi", "bump_amplitude", "probe_lengths", "touch_window"],
     )
     def test_runner_validation(self, tmp_path, capsys, command, text, witness):
         cfg = _write(tmp_path, "c.cfg", text)
         self._expect2([command, "--config", cfg], capsys, f"ValidationError: {witness}")
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            (command, key)
+            for command, schema in _SCHEMAS.items()
+            for key, (kind, _) in schema.items()
+            if kind in ("float", "floats")
+        ],
+    )
+    def test_non_finite_float_rejected(self, tmp_path, capsys, command, key):
+        # every other required key gets a value that parses, so the first
+        # error _resolve meets is the one under test
+        placeholder = {"int": "1", "float": "1", "floats": "1", "str": "linear"}
+        required = "".join(
+            f"{k} = {placeholder[kind]}\n"
+            for k, (kind, default) in _SCHEMAS[command].items()
+            if default is _REQUIRED and k != key
+        )
+        for value in ("nan", "inf", "-inf"):
+            cfg = _write(tmp_path, "c.cfg", f"{required}{key} = {value}\n")
+            self._expect2(
+                [command, "--config", cfg], capsys, f"config key {key!r}: {value!r} is not finite"
+            )
 
     def test_generator_keys_are_the_builtin_parameters(self):
         # a parameter added on one side only would be unreachable or rejected

@@ -402,5 +402,3 @@ class TestProblemAndConfig:
             ExperimentConfig(seed=0, n_paths=10, n_steps=10, basis_degree=-1)
         with pytest.raises(ValidationError):
             ExperimentConfig(seed=0, n_paths=10, n_steps=10, picard_tol=0.0)
-        with pytest.raises(ValidationError, match="threads"):
-            ExperimentConfig(seed=0, n_paths=10, n_steps=10, threads=0)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsdelab import (
     Generator,
@@ -58,6 +60,17 @@ class TestAgainstBruteForce:
             assert r.value_lower == pytest.approx(bf_lo, abs=1e-9)
 
 
+_DRIVERS = st.one_of(
+    st.builds(
+        lambda a, c: builtin_generator("linear", a=a, c=c),
+        st.floats(-3.0, 3.0),
+        st.floats(-2.0, 2.0),
+    ),
+    st.builds(lambda scale: builtin_generator("z_abs", scale=scale), st.floats(0.0, 3.0)),
+    st.builds(lambda delta: builtin_generator("stress", delta=delta), st.floats(0.01, 0.35)),
+)
+
+
 class TestEnvelopeStructure:
     def test_pins_value_at_zero(self):
         # u = 0 lies on the scan grid, so lower <= g0 <= upper exactly
@@ -75,6 +88,33 @@ class TestEnvelopeStructure:
         uppers = [envelopes(g, 1.0, n, 0.0, x).value_upper for n in (1, 2, 4, 8)]
         assert all(a <= b + 1e-12 for a, b in zip(lowers, lowers[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(uppers, uppers[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        g=_DRIVERS,
+        alpha=st.floats(0.0, 2.0),
+        t=st.floats(0.0, 1.0),
+        x=st.floats(-1.0, 1.0),
+        n1=st.floats(1.0, 20.0),
+        r=st.floats(1.0, 5.0, exclude_min=True),
+    )
+    def test_sandwich_at_zero_tightens_in_n(self, g, alpha, t, x, n1, r):
+        # Lepeltier-San Martin (1997): lower(n1) <= lower(n2) <= g(t, x, 0, 0)
+        # <= upper(n2) <= upper(n1) for n1 < n2.  u = 0 lies on every scan
+        # grid, so the pin is exact; at one resolution the n2 grid is a
+        # subset of the n1 grid, so the envelopes tighten with n
+        xs = np.array([x])
+        g0 = float(np.asarray(g(t, xs, 0.0, 0.0), dtype=float))
+        e1, e2 = (envelopes(g, alpha, n, t, xs, u_resolution=1e-3) for n in (n1, r * n1))
+        assert e1.value_lower <= e2.value_lower + 1e-12
+        assert e2.value_lower <= g0 <= e2.value_upper
+        assert e2.value_upper <= e1.value_upper + 1e-12
+
+    @pytest.mark.parametrize("n, u_resolution", [(math.nan, 1e-4), (1.0, math.nan)])
+    def test_non_finite_scan_inputs_rejected(self, n, u_resolution):
+        g = builtin_generator("linear", a=-2.0)
+        with pytest.raises(ValidationError, match="must be > 0"):
+            envelopes(g, 1.0, n, 0.0, np.zeros(1), u_resolution=u_resolution)
 
     def test_exact_once_slope_dominates(self):
         # once n exceeds the y-Lipschitz constant the envelope collapses

@@ -187,6 +187,9 @@ class TestFDReference:
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             fd_reference(heat_cos_problem(), h=1.0, k=-1e-3)
+        for h, k in ((math.nan, 1e-3), (H_COS, math.nan)):
+            with pytest.raises(ValidationError, match="need h > 0 and k > 0"):
+                fd_reference(heat_cos_problem(), h=h, k=k)
         with pytest.raises(ValidationError, match="divide"):
             fd_reference(heat_cos_problem(), h=1.0, k=1e-3)  # 8*pi/1 not integral
 
@@ -334,6 +337,14 @@ class TestViscosityTouch:
             viscosity_touch_check(
                 p, u_src, wrong, 0.3, x0, mode="sub", config=_cfg(M=64, n=50)
             )
+
+    @pytest.mark.parametrize("t, eps", [(0.99, 0.025), (-0.1, 0.025), (0.3, 0.0), (0.3, math.nan)])
+    def test_window_must_lie_in_horizon(self, t, eps):
+        p = heat_cos_problem()
+        sol = heat_cos_solution()
+        u_src = lambda t, x: float(np.asarray(sol.value(t, np.asarray(x, dtype=float))))
+        with pytest.raises(ValidationError, match=r"touch window \[t, t \+ eps\]"):
+            viscosity_touch_check(p, u_src, sol, t, 0.0, eps=eps, config=_cfg(M=64, n=50))
 
     def test_mode_validated(self):
         p = heat_cos_problem()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bsdelab import (
     ValidationError,
     builtin_generator,
     euler_maruyama,
+    paths,
     sample_brownian,
 )
 from bsdelab.paths import PATH_BLOCK, BrownianBatch, stopping_indices
@@ -42,11 +44,14 @@ class TestSampling:
         c = sample_brownian(grid, 1000, 2, seed=43)
         assert not np.array_equal(a.increments, c.increments)
 
-    def test_threads_do_not_change_bytes(self):
+    def test_threads_do_not_change_bytes(self, monkeypatch):
+        # the pool has one worker per usable CPU; 9000 paths are 3 blocks
         grid = TimeGrid(0.0, 1.0, 8)
-        a = sample_brownian(grid, 9000, 2, seed=7, threads=1)
-        b = sample_brownian(grid, 9000, 2, seed=7, threads=4)
-        assert np.array_equal(a.increments, b.increments)
+        outs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
+            outs.append(sample_brownian(grid, 9000, 2, seed=7).increments)
+        assert all(np.array_equal(outs[0], out) for out in outs[1:])
 
     def test_batch_extension_keeps_existing_paths(self):
         # path m must be a function of (seed, grid, d, m) alone, so growing
@@ -85,8 +90,6 @@ class TestSampling:
             sample_brownian(grid, 10, 0, seed=0)
         with pytest.raises(ValidationError):
             sample_brownian(grid, 10, 1, seed=-1)
-        with pytest.raises(ValidationError):
-            sample_brownian(grid, 10, 1, seed=0, threads=0)
 
 
 class TestEulerMaruyama:
@@ -280,25 +283,26 @@ class TestStopping:
 
 class TestBatchExtension:
     """Growing the batch appends paths: every per-path output on the first
-    M0 paths of an M1-path batch is the M0-path batch's, at any threads."""
+    M0 paths of an M1-path batch is the M0-path batch's, at any CPU count."""
 
     @settings(max_examples=25, deadline=None)
-    @example(m0=100, extra=PATH_BLOCK, n_steps=10, d=2, threads0=1, threads1=2)
-    @example(m0=PATH_BLOCK + 7, extra=PATH_BLOCK + 1, n_steps=3, d=1, threads0=2, threads1=1)
+    @example(m0=100, extra=PATH_BLOCK, n_steps=10, d=2, cpus0=1, cpus1=2)
+    @example(m0=PATH_BLOCK + 7, extra=PATH_BLOCK + 1, n_steps=3, d=1, cpus0=2, cpus1=1)
     @given(
         m0=st.integers(1, 2 * PATH_BLOCK),
         extra=st.integers(1, PATH_BLOCK + 1),
         n_steps=st.integers(1, 10),
         d=st.integers(1, 2),
-        threads0=st.sampled_from([1, 2]),
-        threads1=st.sampled_from([1, 2]),
+        cpus0=st.sampled_from([1, 2]),
+        cpus1=st.sampled_from([1, 2]),
     )
-    def test_prefix_of_larger_batch(self, m0, extra, n_steps, d, threads0, threads1):
+    def test_prefix_of_larger_batch(self, m0, extra, n_steps, d, cpus0, cpus1):
         grid = TimeGrid(0.0, 1.0, n_steps)
         g = builtin_generator("stress", delta=0.1)
 
-        def run(M, threads):
-            batch = sample_brownian(grid, M, d, seed=5, threads=threads)
+        def run(M, cpus):
+            with mock.patch.object(paths, "_cpu_count", return_value=cpus):
+                batch = sample_brownian(grid, M, d, seed=5)
             fw = euler_maruyama(
                 grid,
                 lambda t, x: 0.1 * np.sin(x),
@@ -308,7 +312,7 @@ class TestBatchExtension:
             )
             return fw.states, stopping_indices(batch, g, x_path=fw.states, barrier=0.8)
 
-        small_states, small_stops = run(m0, threads0)
-        big_states, big_stops = run(m0 + extra, threads1)
+        small_states, small_stops = run(m0, cpus0)
+        big_states, big_stops = run(m0 + extra, cpus1)
         assert np.array_equal(big_states[:m0], small_states)
         assert np.array_equal(big_stops[:m0], small_stops)
