@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import BSDEProblem, ExperimentConfig, Generator, _mean_se, builtin_generator
 from .errors import NumericalError, ValidationError
@@ -151,21 +150,16 @@ class FDField:
         return float((1 - wt) * row0 + wt * row1)
 
 
-def _frozen_boundary(problem, x_b, t, nodes, weights):
+def _frozen_boundary(problem, x_b, t, b_f, s_f, nodes, weights):
     """Terminal condition transported by the constant-coefficient heat kernel.
 
-    Coefficients are frozen at the boundary node; the semilinear term is
-    dropped.  Valid as a Dirichlet value when the probes of interest sit far
-    enough inside the box that the boundary layer cannot reach them.
-    (nodes, weights) is the 64-node Gauss-Hermite rule, which fd_reference
-    builds once per march and passes to every call.
+    b_f and s_f are drift and sigma frozen at the boundary node x_b and time
+    t < T; the semilinear term is dropped.  Valid as a Dirichlet value when
+    the probes of interest sit far enough inside the box that the boundary
+    layer cannot reach them.  (nodes, weights) is the 64-node Gauss-Hermite
+    rule, which fd_reference builds once per march and passes to every call.
     """
     tau = problem.T - t
-    if tau <= 0:
-        return float(problem.phi(np.array([x_b]))[0])
-    xb = np.array([[x_b]])
-    b_f = float(_coef(problem.drift, t, xb)[0])
-    s_f = float(_coef(problem.sigma, t, xb)[0])
     pts = x_b + b_f * tau + s_f * math.sqrt(2.0 * tau) * nodes
     vals = np.asarray(problem.phi(pts), dtype=float)
     return float(weights @ vals / math.sqrt(math.pi))
@@ -188,11 +182,14 @@ def fd_reference(
     them, and their heat-kernel values allow sigma = 0.
 
     What does not change between levels is computed once: the Gauss-Hermite
-    rule of the boundary values once per march, and the drift/sigma
-    coefficients once per time level (those at times[j] serve the implicit
-    side of the step to level j and the explicit side of the step to level
-    j - 1), so drift and sigma are called n_t + 1 times on the interior.
+    rule of the boundary values once per march, and drift and sigma once per
+    time level (those at times[j] serve the implicit side and boundary values
+    of the step to level j and the explicit side of the step to level j - 1),
+    so each is called n_t + 1 times, on all nodes.
     """
+    # scipy takes about 0.3 s to import, and only this march needs it
+    from scipy.linalg import solve_banded
+
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must be in [0, 1], got {theta}")
     if not (h > 0 and k > 0):
@@ -216,10 +213,11 @@ def fd_reference(
 
     def lin_coeffs(j):
         # sigma may vary in time: both conditions are checked on every level,
-        # and only here
+        # and only here, on the interior; the two ends feed the boundary values
         t = times[j]
-        bv = _coef(problem.drift, t, xi_int[:, None])
-        sv = _coef(problem.sigma, t, xi_int[:, None])
+        b_all = _coef(problem.drift, t, xs[:, None])
+        s_all = _coef(problem.sigma, t, xs[:, None])
+        bv, sv = b_all[1:-1], s_all[1:-1]
         s2 = sv * sv
         n_deg = int(np.count_nonzero(np.abs(sv) < 1e-8))
         if n_deg:
@@ -237,19 +235,19 @@ def fd_reference(
         lo = s2 / (2 * h * h) - bv / (2 * h)
         di = -s2 / (h * h)
         up = s2 / (2 * h * h) + bv / (2 * h)
-        return lo, di, up, sv
+        return lo, di, up, b_all, s_all
 
     nodes, weights = np.polynomial.hermite.hermgauss(64)
     coeffs = lin_coeffs(n_t)
     for j in range(n_t - 1, -1, -1):
         t_new, t_old = times[j], times[j + 1]
         v = u[j + 1]
-        lo_o, di_o, up_o, sv_o = coeffs
+        lo_o, di_o, up_o, _, s_o = coeffs
         Lv = lo_o * v[:-2] + di_o * v[1:-1] + up_o * v[2:]
         dxv = (v[2:] - v[:-2]) / (2 * h)
         gv = np.broadcast_to(
             np.asarray(
-                g(t_old, xi_int[:, None], v[1:-1], (sv_o * dxv)[:, None]), dtype=float
+                g(t_old, xi_int[:, None], v[1:-1], (s_o[1:-1] * dxv)[:, None]), dtype=float
             ),
             xi_int.shape,
         )
@@ -257,9 +255,9 @@ def fd_reference(
 
         # level j's coefficients are the old ones of the step to level j - 1
         coeffs = lin_coeffs(j)
-        lo_n, di_n, up_n, _ = coeffs
-        ub_lo = _frozen_boundary(problem, xs[0], t_new, nodes, weights)
-        ub_hi = _frozen_boundary(problem, xs[-1], t_new, nodes, weights)
+        lo_n, di_n, up_n, b_n, s_n = coeffs
+        ub_lo = _frozen_boundary(problem, xs[0], t_new, b_n[0], s_n[0], nodes, weights)
+        ub_hi = _frozen_boundary(problem, xs[-1], t_new, b_n[-1], s_n[-1], nodes, weights)
         rhs[0] += theta * k_eff * lo_n[0] * ub_lo
         rhs[-1] += theta * k_eff * up_n[-1] * ub_hi
 

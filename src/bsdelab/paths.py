@@ -134,13 +134,14 @@ def sample_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianBatch:
     The same (seed, n_steps, d) always yields the same path m, regardless of
     M and of the CPU count: blocks are independent streams written to
     disjoint slices by a pool with one worker per usable CPU (and block).
+    The seed is one 64-bit word of each block's Philox key, so 0 <= seed < 2**64.
     """
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
     if d < 1:
         raise ValidationError(f"d must be >= 1, got {d}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
     incr = np.empty((grid.n_steps, M, d))
     scale = np.sqrt(grid.dt)
     n_blocks = (M + PATH_BLOCK - 1) // PATH_BLOCK

@@ -5,6 +5,7 @@ and the single-line stderr contract.  ``--help`` and ``--version`` go
 through a real subprocess because argparse exits.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -392,6 +393,54 @@ class TestConfigErrors:
                 [command, "--config", cfg], capsys, f"config key {key!r}: {value!r} is not finite"
             )
 
+    # one small valid config per subcommand that draws Brownian paths
+    SEEDED = {
+        "simulate": "n_paths = 100\nn_steps = 5\n",
+        "solve": "n_paths = 100\nn_steps = 5\ngenerator = linear\nterminal = abs\n",
+        "represent": (
+            "n_paths = 100\nn_steps = 50\ngenerator = linear\nt = 0.0\ny = 1.0\nz = 0.5\n"
+            "eps_schedule = 0.1\n"
+        ),
+        "converse": (
+            "n_paths = 100\nn_steps = 10\ngenerator1 = linear\ng1_c = 1.0\n"
+            "generator2 = linear\ng2_c = -1.0\npoints_t = 0.0\npoints_x = 0.0\n"
+            "points_y = 1.0\npoints_z = 0.5\neps = 0.05\n"
+        ),
+        "touch": "pde = heat_cos\nt = 0.5\nx = 0.0\nn_paths = 100\nn_steps = 10\n",
+        "fk": (
+            "pde = affine\nprobes_t = 0.0\nprobes_x = 0.0\nh = 0.5\nk = 0.01\n"
+            "n_paths = 100\nn_steps = 10\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_seed_beyond_64_bits_rejected(self, tmp_path, capsys, command):
+        # the seed is one uint64 word of the Philox key; 2**64 used to exit 1
+        # with an OverflowError traceback
+        cfg = _write(tmp_path, "c.cfg", self.SEEDED[command])
+        self._expect2(
+            [command, "--config", cfg, "--seed", str(2**64)],
+            capsys,
+            "ValidationError: seed must be in [0, 2**64), got 18446744073709551616",
+        )
+
+    def test_config_seed_beyond_64_bits_rejected(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.cfg", f"seed = {2**64}\n" + self.SEEDED["simulate"])
+        self._expect2(["simulate", "--config", cfg], capsys, "got 18446744073709551616")
+
+    @pytest.mark.parametrize(
+        "text, witness",
+        [
+            ("alpha = 1e308\n", "U=inf at u_resolution=0.0001"),
+            ("alpha = 1.0\nu_resolution = 1e-300\n", "U=5 at u_resolution=1e-300"),
+        ],
+        ids=["psi_overflows", "resolution_underflows"],
+    )
+    def test_unindexable_envelope_lattice_rejected(self, tmp_path, capsys, text, witness):
+        cfg = _write(tmp_path, "c.cfg", "generator = linear\na = -2.0\nn_list = 1\n" + text)
+        needle = f"ValidationError: envelope lattice on [-U, U] with {witness}"
+        self._expect2(["envelope", "--config", cfg], capsys, needle)
+
     def test_generator_keys_are_the_builtin_parameters(self):
         # a parameter added on one side only would be unreachable or rejected
         params = set().union(*(defaults for _, defaults in _BUILTINS.values()))
@@ -549,3 +598,34 @@ class TestSubprocessSurface:
         )
         assert res.returncode == 0
         assert res.stdout.startswith("bsdelab ")
+
+    def test_console_script_entry_point(self, capsys):
+        # the installed `bsdelab` command is [project.scripts]; resolve it the
+        # way the console-script wrapper does and run --version through it
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        entry = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, attr = entry["bsdelab"].partition(":")
+        entry_main = getattr(importlib.import_module(module), attr)
+        assert entry_main is main
+        with pytest.raises(SystemExit) as exc:
+            entry_main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("bsdelab ")
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported by the FD march on its first call, not by
+        # `import bsdelab`: it costs about 0.3 s and 28 MB
+        res = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, bsdelab, bsdelab.cli; print('scipy' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -40,11 +41,11 @@ class TestAgainstBruteForce:
         for n in (1, 2, 4):
             r = envelopes(g, 1.0, n, 0.0, x)
             bf_lo, bf_hi = _brute_force(g, 1.0, n, 0.0, x)
-            assert r.value_lower == pytest.approx(bf_lo, abs=1e-9)
-            assert r.value_lower == pytest.approx(expected_lower[n], abs=3e-4)
+            assert r.lower == pytest.approx(bf_lo, abs=1e-9)
+            assert r.lower == pytest.approx(expected_lower[n], abs=3e-4)
             u = envelopes(g, 1.0, n, 0.0, x)
-            assert u.value_upper == pytest.approx(bf_hi, abs=1e-9)
-            assert u.value_upper == pytest.approx(-expected_lower[n], abs=3e-4)
+            assert u.upper == pytest.approx(bf_hi, abs=1e-9)
+            assert u.upper == pytest.approx(-expected_lower[n], abs=3e-4)
 
     def test_argmin_location(self):
         g = builtin_generator("linear", a=-2.0)
@@ -57,7 +58,7 @@ class TestAgainstBruteForce:
         for n in (1, 3):
             r = envelopes(g, 2.0, n, 0.0, x)
             bf_lo, _ = _brute_force(g, 2.0, n, 0.0, x, lo=-4.0, hi=4.0)
-            assert r.value_lower == pytest.approx(bf_lo, abs=1e-9)
+            assert r.lower == pytest.approx(bf_lo, abs=1e-9)
 
 
 _DRIVERS = st.one_of(
@@ -78,14 +79,14 @@ class TestEnvelopeStructure:
         x = np.zeros(1)
         g0 = 0.3
         for n in (1, 2, 8):
-            assert envelopes(g, 1.0, n, 0.0, x).value_lower <= g0
-            assert envelopes(g, 1.0, n, 0.0, x).value_upper >= g0
+            assert envelopes(g, 1.0, n, 0.0, x).lower <= g0
+            assert envelopes(g, 1.0, n, 0.0, x).upper >= g0
 
     def test_monotone_in_n(self):
         g = builtin_generator("linear", a=-2.0, c=0.5)
         x = np.zeros(1)
-        lowers = [envelopes(g, 1.0, n, 0.0, x).value_lower for n in (1, 2, 4, 8)]
-        uppers = [envelopes(g, 1.0, n, 0.0, x).value_upper for n in (1, 2, 4, 8)]
+        lowers = [envelopes(g, 1.0, n, 0.0, x).lower for n in (1, 2, 4, 8)]
+        uppers = [envelopes(g, 1.0, n, 0.0, x).upper for n in (1, 2, 4, 8)]
         assert all(a <= b + 1e-12 for a, b in zip(lowers, lowers[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(uppers, uppers[1:]))
 
@@ -106,9 +107,9 @@ class TestEnvelopeStructure:
         xs = np.array([x])
         g0 = float(np.asarray(g(t, xs, 0.0, 0.0), dtype=float))
         e1, e2 = (envelopes(g, alpha, n, t, xs, u_resolution=1e-3) for n in (n1, r * n1))
-        assert e1.value_lower <= e2.value_lower + 1e-12
-        assert e2.value_lower <= g0 <= e2.value_upper
-        assert e2.value_upper <= e1.value_upper + 1e-12
+        assert e1.lower <= e2.lower + 1e-12
+        assert e2.lower <= g0 <= e2.upper
+        assert e2.upper <= e1.upper + 1e-12
 
     @pytest.mark.parametrize("n, u_resolution", [(math.nan, 1e-4), (1.0, math.nan)])
     def test_non_finite_scan_inputs_rejected(self, n, u_resolution):
@@ -123,15 +124,15 @@ class TestEnvelopeStructure:
         res = 1e-4
         for n in (2, 3, 10):
             r = envelopes(g, 1.0, n, 0.0, np.zeros(1), u_resolution=res)
-            assert abs(r.value_lower - 0.0) <= (2 + n) * res
+            assert abs(r.lower - 0.0) <= (2 + n) * res
 
     def test_truncation_limits_the_probe(self):
         # with alpha = 0 only y = 0 is probed, so both envelopes equal g0
         g = builtin_generator("linear", a=-5.0, c=1.1)
         r = envelopes(g, 0.0, 1, 0.0, np.zeros(1))
         u = envelopes(g, 0.0, 1, 0.0, np.zeros(1))
-        assert r.value_lower == pytest.approx(1.1, abs=1e-9)
-        assert u.value_upper == pytest.approx(1.1, abs=1e-9)
+        assert r.lower == pytest.approx(1.1, abs=1e-9)
+        assert u.upper == pytest.approx(1.1, abs=1e-9)
 
     def test_declared_growth_bound_used(self):
         g = builtin_generator("linear", a=-2.0)
@@ -147,8 +148,8 @@ class TestEnvelopeStructure:
         r = envelopes(g, 1.0, 2, 0.2, x)
         u = envelopes(g, 1.0, 2, 0.2, x)
         g0 = float(np.asarray(g(0.2, x.reshape(1, 1), np.zeros(1), np.zeros((1, 1)))).reshape(()))
-        assert r.value_lower <= g0 <= u.value_upper
-        assert np.isfinite(r.value_lower) and np.isfinite(u.value_upper)
+        assert r.lower <= g0 <= u.upper
+        assert np.isfinite(r.lower) and np.isfinite(u.upper)
 
 
 class TestSandwich:
@@ -210,6 +211,48 @@ class TestCurve:
         with pytest.raises(ValidationError):
             convergence_curve(g, 1.0, 0.0, np.zeros(1), [])
 
+    @pytest.mark.parametrize(
+        "n_list, witness",
+        [([1.0, math.nan], "strictly increasing"), ([math.nan, 1.0], "strictly increasing"),
+         ([math.nan], "must be > 0"), ([0.0, 1.0], "must be > 0")],
+    )
+    def test_nan_or_non_positive_slope_rejected(self, n_list, witness):
+        g = builtin_generator("linear", a=-2.0)
+        with pytest.raises(ValidationError, match=witness):
+            convergence_curve(g, 1.0, 0.0, np.zeros(1), n_list)
+
+    @pytest.mark.parametrize(
+        "alpha, u_resolution, witness",
+        [(1e308, 1e-4, "U=inf at u_resolution=0.0001"), (1.0, 1e-300, "U=5 at u_resolution=1e-300")],
+        ids=["psi_overflows", "resolution_underflows"],
+    )
+    def test_unindexable_lattice_rejected(self, alpha, u_resolution, witness):
+        # psi(1e308) = 2e308 overflows to inf for g = -2y; 1e-300 asks for
+        # 1e301 lattice points.  Both used to escape as numpy errors
+        g = builtin_generator("linear", a=-2.0)
+        with pytest.raises(ValidationError, match=witness):
+            convergence_curve(g, alpha, 0.0, np.zeros(1), [1.0], u_resolution=u_resolution)
+
+    @pytest.mark.parametrize("name, kw", [("stress", {"delta": 0.1}), ("linear", {"a": -2.0, "c": 0.3})])
+    @pytest.mark.parametrize("n_slopes", [1, 7])
+    def test_generator_scanned_once_per_curve(self, name, kw, n_slopes):
+        # g0, the psi scan (stress declares no growth bound) and one lattice
+        # of the smallest slope, whatever the number of slopes; each slope's
+        # row equals its own one-slope curve
+        base = builtin_generator(name, **kw)
+        calls = []
+
+        def counting(t, x, y, z):
+            calls.append(np.shape(y))
+            return base(t, x, y, z)
+
+        g = dataclasses.replace(base, eval=counting)
+        n_list = [0.5 * 2.0**i for i in range(n_slopes)]
+        x = np.array([0.3])
+        rows = convergence_curve(g, 1.0, 0.2, x, n_list)
+        assert len(calls) == (3 if base.growth_bound is None else 2)
+        assert [envelopes(base, 1.0, n, 0.2, x) for n in n_list] == rows
+
 
 class TestCustomGenerator:
     def test_cubic_saturates_at_truncation(self):
@@ -221,9 +264,9 @@ class TestCustomGenerator:
             lipschitz_z=0.0,
         )
         r = envelopes(g, 1.0, 50, 0.0, np.zeros(1))
-        assert abs(r.value_lower) < 0.1
+        assert abs(r.lower) < 0.1
         r1 = envelopes(g, 1.0, 1, 0.0, np.zeros(1))
-        assert r1.value_lower == pytest.approx(-1.0 + 1.0, abs=3e-4) or r1.value_lower <= 0.0
+        assert r1.lower == pytest.approx(-1.0 + 1.0, abs=3e-4) or r1.lower <= 0.0
 
 
 class TestPublicNames:

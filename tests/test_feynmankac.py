@@ -138,7 +138,8 @@ class TestFDReference:
 
     def test_level_invariants_hoisted_out_of_march(self, monkeypatch):
         # the boundary rule is built once per march and drift/sigma are
-        # evaluated on the interior once per time level, never twice
+        # evaluated on all nodes once per time level, never twice: the
+        # boundary values read the level's ends instead of calling them again
         rule_calls = []
         hermgauss = np.polynomial.hermite.hermgauss
 
@@ -147,14 +148,18 @@ class TestFDReference:
             return hermgauss(deg)
 
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counting_hermgauss)
-        sigma_calls = []
+        drift_calls, sigma_calls = [], []
+
+        def drift(t, x):
+            drift_calls.append((float(t), np.shape(x)))
+            return 0.0
 
         def sigma(t, x):
             sigma_calls.append((float(t), np.shape(x)))
             return 1.0
 
         p = PDEProblem(
-            drift=lambda t, x: 0.0,
+            drift=drift,
             sigma=sigma,
             generator=builtin_generator("negative_exponential"),
             phi=np.cos,
@@ -166,9 +171,9 @@ class TestFDReference:
         )
         field = fd_reference(p, h=H_COS, k=2e-2)
         assert rule_calls == [64]
-        n_int = field.xs.size - 2
-        interior = sorted(t for t, shape in sigma_calls if shape == (n_int, 1))
-        assert interior == sorted(field.times.tolist())
+        every_level_on_all_nodes = sorted((t, (field.xs.size, 1)) for t in field.times.tolist())
+        assert sorted(drift_calls) == every_level_on_all_nodes
+        assert sorted(sigma_calls) == every_level_on_all_nodes
         # the march is a pure function of the problem: a rerun repeats it
         assert np.array_equal(fd_reference(p, h=H_COS, k=2e-2).u, field.u)
         assert len(rule_calls) == 2

@@ -91,6 +91,14 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_brownian(grid, 10, 1, seed=-1)
 
+    def test_seed_must_fit_the_philox_key_word(self):
+        # the seed is one uint64 word of each block's key: 2**64 used to
+        # escape as an OverflowError from the key array
+        grid = TimeGrid(0.0, 1.0, 4)
+        assert sample_brownian(grid, 10, 1, seed=2**64 - 1).increments.shape == (10, 4, 1)
+        with pytest.raises(ValidationError, match=r"in \[0, 2\*\*64\), got 18446744073709551616"):
+            sample_brownian(grid, 10, 1, seed=2**64)
+
 
 class TestEulerMaruyama:
     def test_geometric_mean(self):

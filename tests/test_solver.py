@@ -1048,6 +1048,33 @@ class TestComparison:
         assert rep.fraction == 1.0
         assert rep.generator_gap_min >= 0.6 - 1e-9
 
+    _TERMINALS = {"sin": np.sin, "cos": np.cos, "x": lambda v: v, "x2": np.square, "abs": np.abs}
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        a=st.floats(-3.0, 3.0),
+        b=st.floats(-1.0, 1.0),
+        c=st.floats(-2.0, 2.0),
+        shift=st.floats(0.0, 1.0),
+        terminal=st.sampled_from(sorted(_TERMINALS)),
+        M=st.sampled_from([500, 2000]),
+        N=st.sampled_from([5, 20]),
+        horizon=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_shifted_generator_dominates(self, a, b, c, shift, terminal, M, N, horizon, seed):
+        # comparison theorem: g + s >= g for s >= 0, so Y(g + s) >= Y(g) on
+        # every path and step, up to the check's own slack; 0.999 is the
+        # converse probe's threshold
+        grid = TimeGrid(0.0, horizon, N)
+        phi = self._TERMINALS[terminal]
+        g = builtin_generator("linear", a=a, b=b, c=c)
+        problem, fw, batch = self._template(grid, M, seed, g, lambda s: phi(s[:, -1, 0]))
+        cfg = ExperimentConfig(seed=seed, n_paths=M, n_steps=N)
+        shifted = builtin_generator("linear", a=a, b=b, c=c + shift)
+        rep = comparison_check(shifted, g, problem, fw, batch, cfg)
+        assert rep.fraction >= 0.999
+
     def test_misordered_generators_rejected(self):
         grid = TimeGrid(0.0, 0.5, 20)
         g1 = builtin_generator("linear", c=0.4)
