@@ -134,6 +134,10 @@ def sample_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianBatch:
     The same (seed, n_steps, d) always yields the same path m, regardless of
     M and of the CPU count: blocks are independent streams written to
     disjoint slices by a pool with one worker per usable CPU (and block).
+    Each block's standard normals are scaled by sqrt(dt) as they are
+    written, so on a grid of unit steps (dt = 1, where the scaling is exact)
+    the increments are the normals themselves, and those times sqrt(dt)
+    are bit for bit the increments of any grid with the same n_steps.
     The seed is one 64-bit word of each block's Philox key, so 0 <= seed < 2**64.
     """
     if M < 1:

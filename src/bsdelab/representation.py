@@ -18,14 +18,16 @@ initial values estimate the conditional quotient path by path.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import BSDEProblem, ExperimentConfig, Generator, _mean_se
 from .errors import HypothesisError, ValidationError
 from .paths import ForwardBatch, TimeGrid, _time_major, sample_brownian, stopping_indices
-from .solver import comparison_check, solve_bsde
+from .solver import _sweep, comparison_check
 
 # Auxiliary Philox stream offset, disjoint from the path-block keyspace.
 AUX_STREAM = np.uint64(1) << np.uint64(63)
@@ -43,13 +45,62 @@ def _aux_normals(seed: int, shape) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
-def _stopped_solve(g, forward, batch, base, y, z, config, barrier, basis=None):
+class _Draws:
+    """The normals of one study, drawn once per (n_steps, d).
+
+    The windows of a study share the seed, n_steps and M, so a window's
+    increments are the increments over unit steps times its own sqrt(dt),
+    the bits sample_brownian draws for it, and its anchors' base normals
+    are the same array.  Both are drawn when first asked for.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self._unit = {}
+        self._aux = {}
+
+    def batch(self, grid: TimeGrid, d: int):
+        cfg = self.config
+        key = (grid.n_steps, d)
+        if key not in self._unit:
+            unit_steps = TimeGrid(0.0, float(grid.n_steps), grid.n_steps)
+            self._unit[key] = sample_brownian(unit_steps, cfg.n_paths, d, cfg.seed)
+        unit = self._unit[key]
+        # the product keeps the time-major layout of the unit increments
+        return replace(unit, grid=grid, increments=unit.increments * np.sqrt(grid.dt))
+
+    def aux(self, d: int) -> np.ndarray:
+        if d not in self._aux:
+            self._aux[d] = _aux_normals(self.config.seed, (self.config.n_paths, d))
+        return self._aux[d]
+
+
+# The draws of the study in progress.  convergence_study and
+# converse_comparison_probe set them (_one_draw), so the
+# representation_quotient calls they make scale one draw between them.
+_STUDY_DRAWS: ContextVar[_Draws | None] = ContextVar("study_draws", default=None)
+
+
+@contextmanager
+def _one_draw(config: ExperimentConfig):
+    """Share one _Draws among the representation_quotient calls inside."""
+    draws = _Draws(config)
+    token = _STUDY_DRAWS.set(draws)
+    try:
+        yield draws
+    finally:
+        _STUDY_DRAWS.reset(token)
+
+
+def _stopped_solve(g, forward, batch, base, y, z, config, barrier, on_base=False):
     """Solve one quotient window with g switched off from tau on.
 
     tau is stopping_indices along forward.states and the terminal is
-    y + <z, X_tau - base>; basis goes to solve_bsde as basis_states.  A
-    stop that binds on more than 1% of paths warns that the window is too
-    wide for the barrier.  Returns (solution, fraction of stopped paths).
+    y + <z, X_tau - base>.  With on_base the regression conditions on
+    (base, X - base) pairs, base's rows built once per solve.  A stop that
+    binds on more than 1% of paths warns that the window is too wide for
+    the barrier.  The sweep keeps no history; returns (Y_t on every path,
+    telescoped sums, fraction of stopped paths).
     """
     grid = forward.grid
     stop = stopping_indices(batch, g, x_path=forward.states, barrier=barrier)
@@ -70,8 +121,12 @@ def _stopped_solve(g, forward, batch, base, y, z, config, barrier, basis=None):
         dimension_d=z.size,
         terminal=lambda s: xi,
     )
-    sol = solve_bsde(problem, forward, batch, config, stop_indices=stop, basis_states=basis)
-    return sol, frac_stopped
+    fixed = moving = None
+    if on_base:
+        fixed = base
+        moving = np.swapaxes(np.subtract(_time_major(forward.states), base), 0, 1)
+    Y, _, telescoped, _ = _sweep(problem, forward, batch, config, stop, moving, fixed)
+    return Y[0], telescoped, frac_stopped
 
 
 @dataclass(frozen=True)
@@ -113,7 +168,8 @@ def representation_quotient(
     rescales.  A state-dependent generator (g.state_dependent) is probed at
     the realized Brownian marginal anchored at x when t > 0, any other at x
     itself.  If the stop binds on more than 1% of paths a RuntimeWarning
-    says the window is too wide for the barrier.
+    says the window is too wide for the barrier.  Inside a study
+    (_one_draw) with the same config the window scales the study's draw.
     """
     if eps <= 0:
         raise ValidationError(f"eps must be > 0, got {eps}")
@@ -130,30 +186,26 @@ def representation_quotient(
         raise ValidationError(f"state anchor has size {x.size}, expected {d}")
     randomize_base = g.state_dependent and t > 0
 
+    draws = _STUDY_DRAWS.get()
+    if draws is None or draws.config != config:
+        draws = _Draws(config)
     M = config.n_paths
     grid = TimeGrid(t, t + eps, config.n_steps)
-    batch = sample_brownian(grid, M, d, config.seed)
+    batch = draws.batch(grid, d)
 
     if randomize_base:
-        base = x + np.sqrt(t) * _aux_normals(config.seed, (M, d))
+        base = x + np.sqrt(t) * draws.aux(d)
     else:
         base = np.broadcast_to(x, (M, d)).copy()
 
     states = batch.cumulative(start=base)
-    basis = None
-    if randomize_base:
-        # (base, increment) pairs, built in a time-major (N+1, M, 2d) buffer
-        x_tm = _time_major(states)
-        basis_tm = np.empty(x_tm.shape[:2] + (2 * d,))
-        basis_tm[:, :, :d] = base
-        np.subtract(x_tm, base, out=basis_tm[:, :, d:])
-        basis = np.swapaxes(basis_tm, 0, 1)
-    sol, frac_stopped = _stopped_solve(
-        g, ForwardBatch(grid=grid, states=states), batch, base, y, z, config, barrier, basis
+    y_t, telescoped, frac_stopped = _stopped_solve(
+        g, ForwardBatch(grid=grid, states=states), batch, base, y, z, config, barrier,
+        on_base=randomize_base,
     )
 
-    per_path = (sol.Y[:, 0] - y) / eps
-    raw = (sol.telescoped - y) / eps
+    per_path = (y_t - y) / eps
+    raw = (telescoped - y) / eps
 
     targets = np.broadcast_to(
         np.asarray(g(t, base, np.full(M, float(y)), np.broadcast_to(z, (M, d))), dtype=float),
@@ -216,7 +268,9 @@ def convergence_study(
     realized time-t state.  A non-monotone L1 sequence beyond one combined
     standard error is reported via errors_decreasing=False, not raised: the
     caller decides whether that fails the run.  The rate fit is skipped when
-    every error is statistically indistinguishable from zero.
+    every error is statistically indistinguishable from zero.  The windows
+    share one draw of the normals (_one_draw), and each cell equals a
+    representation_quotient call made on its own.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule:
@@ -226,10 +280,11 @@ def convergence_study(
     if eps_schedule[-1] <= 0:
         raise ValidationError("eps_schedule entries must be > 0")
 
-    cells = [
-        representation_quotient(g, t, x, y, z, e, config, barrier=barrier)
-        for e in eps_schedule
-    ]
+    with _one_draw(config):
+        cells = [
+            representation_quotient(g, t, x, y, z, e, config, barrier=barrier)
+            for e in eps_schedule
+        ]
     lp_errors: dict[int, list] = {p: [] for p in P_NORMS}
     lp_ses: dict[int, list] = {p: [] for p in P_NORMS}
     for c in cells:
@@ -308,54 +363,57 @@ def converse_comparison_probe(
     generator-ordering precondition, raises HypothesisError.  Then, at each
     probe point, both quotients are estimated on common random numbers and
     declared ordered when mean1 >= mean2 - 3*SE(diff) - solver slack.
+    The hypothesis check and every quotient share one draw of the normals
+    (_one_draw), bitwise what separate draws would give.
     """
     if not points:
         raise ValidationError("need at least one probe point")
     t0, x0, y0, z0 = points[0]
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     d = z0.size
-    grid = TimeGrid(t0, t0 + eps, config.n_steps)
-    batch = sample_brownian(grid, config.n_paths, d, config.seed)
-    states = batch.cumulative(start=np.atleast_1d(np.asarray(x0, dtype=float)))
-    forward = ForwardBatch(grid=grid, states=states)
+    with _one_draw(config) as draws:
+        grid = TimeGrid(t0, t0 + eps, config.n_steps)
+        batch = draws.batch(grid, d)
+        states = batch.cumulative(start=np.atleast_1d(np.asarray(x0, dtype=float)))
+        forward = ForwardBatch(grid=grid, states=states)
 
-    def terminal(s):
-        return y0 + (s[:, -1, :] - s[:, 0, :]) @ z0
+        def terminal(s):
+            return y0 + (s[:, -1, :] - s[:, 0, :]) @ z0
 
-    template = BSDEProblem(
-        generator=g1, t_start=t0, t_end=t0 + eps, dimension_d=d, terminal=terminal
-    )
-    try:
-        cmp = comparison_check(g1, g2, template, forward, batch, config)
-    except ValidationError as exc:
-        if isinstance(exc, HypothesisError):
-            raise
-        raise HypothesisError(f"generator ordering precheck: {exc}") from exc
-    if cmp.fraction < hypothesis_threshold:
-        raise HypothesisError(
-            f"solution ordering holds on only {100 * cmp.fraction:.3f}% of pairs"
+        template = BSDEProblem(
+            generator=g1, t_start=t0, t_end=t0 + eps, dimension_d=d, terminal=terminal
         )
-
-    rows = []
-    slack_fp = 2.0 * config.n_steps * config.picard_tol / eps
-    for t, x, y, z in points:
-        q1 = representation_quotient(g1, t, x, y, z, eps, config, barrier=barrier)
-        q2 = representation_quotient(g2, t, x, y, z, eps, config, barrier=barrier)
-        diff_raw = q1.raw - q2.raw
-        se = _mean_se(diff_raw)
-        ordered = q1.mean >= q2.mean - 3.0 * se - slack_fp
-        rows.append(
-            ConversePointRow(
-                t=float(t),
-                x=tuple(np.atleast_1d(np.asarray(x, dtype=float))),
-                y=float(y),
-                z=tuple(np.atleast_1d(np.asarray(z, dtype=float))),
-                mean1=q1.mean,
-                mean2=q2.mean,
-                se_diff=se,
-                ordered=bool(ordered),
+        try:
+            cmp = comparison_check(g1, g2, template, forward, batch, config)
+        except ValidationError as exc:
+            if isinstance(exc, HypothesisError):
+                raise
+            raise HypothesisError(f"generator ordering precheck: {exc}") from exc
+        if cmp.fraction < hypothesis_threshold:
+            raise HypothesisError(
+                f"solution ordering holds on only {100 * cmp.fraction:.3f}% of pairs"
             )
-        )
+
+        rows = []
+        slack_fp = 2.0 * config.n_steps * config.picard_tol / eps
+        for t, x, y, z in points:
+            q1 = representation_quotient(g1, t, x, y, z, eps, config, barrier=barrier)
+            q2 = representation_quotient(g2, t, x, y, z, eps, config, barrier=barrier)
+            diff_raw = q1.raw - q2.raw
+            se = _mean_se(diff_raw)
+            ordered = q1.mean >= q2.mean - 3.0 * se - slack_fp
+            rows.append(
+                ConversePointRow(
+                    t=float(t),
+                    x=tuple(np.atleast_1d(np.asarray(x, dtype=float))),
+                    y=float(y),
+                    z=tuple(np.atleast_1d(np.asarray(z, dtype=float))),
+                    mean1=q1.mean,
+                    mean2=q2.mean,
+                    se_diff=se,
+                    ordered=bool(ordered),
+                )
+            )
     return ConverseReport(
         hypothesis_fraction=cmp.fraction,
         rows=tuple(rows),

@@ -71,6 +71,32 @@ def polynomial_design(states: np.ndarray, degree: int) -> np.ndarray:
     return buf.T
 
 
+def _step_designs(basis: np.ndarray, degree: int, fixed: np.ndarray | None):
+    """Yield (i, design) for steps i = N-1, ..., 0 of a time-major basis.
+
+    Without fixed columns each design is polynomial_design(basis[i]).  With
+    fixed, an (M, k0) block of columns that are the same at every step, the
+    design of step i is polynomial_design([fixed, basis[i]]) bit for bit,
+    since each column's rows are built on their own: one (p, M) buffer
+    takes polynomial_design(fixed)'s rows once, and each step copies in the
+    power rows of polynomial_design(basis[i]) behind them.  Every build goes
+    through the module's polynomial_design.  A design is valid until the
+    next one is drawn.
+    """
+    n_steps = basis.shape[0] - 1
+    if fixed is None:
+        for i in range(n_steps - 1, -1, -1):
+            yield i, polynomial_design(basis[i], degree)
+        return
+    M, k0 = fixed.shape
+    split = 1 + k0 * degree
+    buf = np.empty((split + basis.shape[2] * degree, M))
+    buf[:split] = polynomial_design(fixed, degree).T
+    for i in range(n_steps - 1, -1, -1):
+        buf[split:] = polynomial_design(basis[i], degree).T[1:]
+        yield i, buf.T
+
+
 def _fit(design: np.ndarray, targets: np.ndarray):
     """Least squares fit; returns (fitted, coeffs, cond, rank, fell_back).
 
@@ -120,6 +146,10 @@ class SolutionBatch:
     Y has shape (M, N+1) with Y[:, N] equal to the terminal values exactly;
     Z has shape (M, N, d).  Both are transposed views of time-major
     buffers, (N+1, M) and (N, M, d), that the sweep writes row by row.
+    Only solve_bsde returns one: its callers (the CLI solve table,
+    comparison_check) read every step.  The quotient and Feynman-Kac
+    estimators need only Y[:, 0] and telescoped, and their sweep keeps no
+    history.
     telescoped, shape (M,), is the pathwise sum
     xi + sum_i g(t_i, X_i, Y_i, Z_i)*dt_eff accumulated during the sweep:
     its mean matches Y[:, 0] (least squares preserves target means) and its
@@ -246,7 +276,7 @@ def solve_bsde(
     stop_indices: np.ndarray | None = None,
     basis_states: np.ndarray | None = None,
 ) -> SolutionBatch:
-    """Backward least-squares Monte Carlo sweep over the batch.
+    """Backward least-squares Monte Carlo sweep over the batch, with history.
 
     Per step i (from the terminal inward): regress Y_{i+1}*dB_i/dt on the
     basis for the z-estimate, regress Y_{i+1} for the conditional mean, then
@@ -268,6 +298,39 @@ def solve_bsde(
     call, and _fit returns the fitted values as the transpose of a (1+d, M)
     product, so the conditional mean and each z-coordinate are read as
     contiguous rows.
+
+    This is the variant that keeps every step's Y and Z, which the CLI
+    solve table and comparison_check read.  The quotient and Feynman-Kac
+    estimators read only the initial row and the telescoped sums, and run
+    the same loop through _sweep without the history, in O(M) memory.
+    """
+    Y, Z, telescoped, diagnostics = _sweep(
+        problem, forward, brownian, config, stop_indices, basis_states, history=True
+    )
+    return SolutionBatch(
+        Y=Y.T, Z=np.swapaxes(Z, 0, 1), telescoped=telescoped, diagnostics=diagnostics
+    )
+
+
+def _sweep(
+    problem: BSDEProblem,
+    forward: ForwardBatch,
+    brownian: BrownianBatch,
+    config: ExperimentConfig,
+    stop_indices: np.ndarray | None = None,
+    basis_states: np.ndarray | None = None,
+    fixed: np.ndarray | None = None,
+    history: bool = False,
+):
+    """The backward loop of solve_bsde; returns (Y, Z, telescoped, diagnostics).
+
+    Y and Z are time-major.  With history they hold every step, (N+1, M)
+    and (N, M, d); without it step i writes row i % 2 of a (2, M) Y and the
+    one row of a (1, M, d) Z, all the next step reads, so Y[0] is the
+    initial row either way.  fixed, an (M, k0) array of regression
+    coordinates that are the same at every step, is put before the basis
+    states' coordinates in every design, and its rows are built once
+    (_step_designs).
     """
     M, n_steps, d = brownian.increments.shape
     if problem.dimension_d != d:
@@ -306,9 +369,9 @@ def solve_bsde(
     g = problem.generator
     dt = grid.dt
     times = grid.times()
-    Y = np.empty((n_steps + 1, M))
-    Z = np.empty((n_steps, M, d))
-    Y[n_steps] = xi
+    Y = np.empty((n_steps + 1 if history else 2, M))
+    Z = np.empty((n_steps if history else 1, M, d))
+    Y[n_steps % len(Y)] = xi
     telescoped = xi.copy()
     cond = np.empty(n_steps)
     rank = np.empty(n_steps, dtype=int)
@@ -319,34 +382,35 @@ def solve_bsde(
     # regression targets [Y_{i+1}; Y_{i+1}*dB_i/dt], one row each
     targets = np.empty((1 + d, M))
 
-    for i in range(n_steps - 1, -1, -1):
-        design = polynomial_design(basis[i], config.basis_degree)
-        targets[0] = Y[i + 1]
-        np.multiply(Y[i + 1], incr[i].T, out=targets[1:])
+    for i, design in _step_designs(basis, config.basis_degree, fixed):
+        y_next = Y[(i + 1) % len(Y)]
+        z = Z[i % len(Z)]
+        targets[0] = y_next
+        np.multiply(y_next, incr[i].T, out=targets[1:])
         np.divide(targets[1:], dt, out=targets[1:])
         fitted, _, cnd, rnk, fell_back = _fit(design, targets.T)
         fitted = fitted.T
         ey = fitted[0]
-        Z[i] = fitted[1:].T
+        z[:] = fitted[1:].T
 
         if stop_indices is None:
             dt_eff = dt
         else:
             dt_eff = np.where(i < stop_indices, dt, 0.0)
 
-        y, iters, nfb, gv = _picard_step(g, times[i], x[i], ey, Z[i], dt_eff, config)
+        y, iters, nfb, gv = _picard_step(g, times[i], x[i], ey, z, dt_eff, config)
         # bisection can settle a finite y where g is NaN, so the generator
         # values are checked too
         finite = np.isfinite(y)
         finite &= np.isfinite(gv)
-        finite &= np.isfinite(Z[i]).all(axis=1)
+        finite &= np.isfinite(z).all(axis=1)
         if not finite.all():
             m = int(np.argmin(finite))
             raise NumericalError(
                 f"non-finite value at step {i}, path {m}: "
-                f"y={y[m]}, g={np.broadcast_to(gv, (M,))[m]}, max|z|={np.abs(Z[i][m]).max()}"
+                f"y={y[m]}, g={np.broadcast_to(gv, (M,))[m]}, max|z|={np.abs(z[m]).max()}"
             )
-        Y[i] = y
+        Y[i % len(Y)] = y
         telescoped += gv * dt_eff
         cond[i] = cnd
         rank[i] = rnk
@@ -354,18 +418,13 @@ def solve_bsde(
         bisections[i] = nfb
         lstsq_fallbacks[i] = fell_back
 
-    return SolutionBatch(
-        Y=Y.T,
-        Z=np.swapaxes(Z, 0, 1),
-        telescoped=telescoped,
-        diagnostics={
-            "cond": cond,
-            "rank": rank,
-            "picard_iters": picard_iters,
-            "bisection_paths": bisections,
-            "regression_fallbacks": lstsq_fallbacks,
-        },
-    )
+    return Y, Z, telescoped, {
+        "cond": cond,
+        "rank": rank,
+        "picard_iters": picard_iters,
+        "bisection_paths": bisections,
+        "regression_fallbacks": lstsq_fallbacks,
+    }
 
 
 @dataclass(frozen=True)

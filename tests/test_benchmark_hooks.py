@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import bsdelab as bl
-from bsdelab import core, representation
+from bsdelab import cli, core, representation
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,7 +32,9 @@ def test_install_wraps_every_target_and_uninstall_restores_it():
         for module, name, _ in tracer._targets:
             assert getattr(module, name) is not originals[(module.__name__, name)], name
         # consumers that bound the function at import see the wrapper too
-        assert representation.solve_bsde is not originals[("bsdelab.solver", "solve_bsde")]
+        assert cli.solve_bsde is not originals[("bsdelab.solver", "solve_bsde")]
+        for name in ("sample_brownian", "stopping_indices"):
+            assert getattr(representation, name) is not originals[("bsdelab.paths", name)]
         assert core.Generator.__call__ is not call
 
         # called through the package namespace, as the workloads call it
@@ -57,5 +59,33 @@ def test_install_wraps_every_target_and_uninstall_restores_it():
     assert metrics["core.gen_evals"] > 0
     for module, name, _ in tracer._targets:
         assert getattr(module, name) is originals[(module.__name__, name)], name
-    assert representation.solve_bsde is originals[("bsdelab.solver", "solve_bsde")]
+    assert cli.solve_bsde is originals[("bsdelab.solver", "solve_bsde")]
+    for name in ("sample_brownian", "stopping_indices"):
+        assert getattr(representation, name) is originals[("bsdelab.paths", name)]
     assert core.Generator.__call__ is call
+
+
+def test_a_study_is_traced_window_by_window():
+    # convergence_study's cells, its one draw and its design builds must
+    # stay where the tracer looks: representation_quotient per window,
+    # sample_brownian once, polynomial_design for the anchor rows once per
+    # window and for the increment rows once per step
+    tracer = _load_tracer().Tracer()
+    M, n, schedule = 600, 50, (0.1, 0.05, 0.025)
+    g = bl.builtin_generator("stress", delta=0.1)
+    cfg = bl.ExperimentConfig(seed=3, n_paths=M, n_steps=n)
+    tracer.install()
+    try:
+        bl.convergence_study(g, 0.5, 0.1, 0.2, 0.3, schedule, cfg, barrier=2.0)
+    finally:
+        tracer.uninstall()
+
+    names = [span[0] for span in tracer.spans]
+    assert names.count("representation.representation_quotient") == len(schedule)
+    assert names.count("paths.sample_brownian") == 1
+    assert names.count("paths.stopping_indices") == len(schedule)
+    assert names.count("solver.polynomial_design") == len(schedule) * (n + 1)
+    metrics = tracer.layer_metrics(wall_s=1.0)
+    assert metrics["representation.cells"] == len(schedule)
+    assert metrics["paths.path_steps"] == M * n
+    assert metrics["solver.design_s"] > 0

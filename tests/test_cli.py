@@ -428,6 +428,31 @@ class TestConfigErrors:
         cfg = _write(tmp_path, "c.cfg", f"seed = {2**64}\n" + self.SEEDED["simulate"])
         self._expect2(["simulate", "--config", cfg], capsys, "got 18446744073709551616")
 
+    def test_fk_probe_seeds_wrap_at_the_top_seed(self, tmp_path, capsys):
+        # probe i is seeded (seed + i) mod 2**64: at the largest seed the
+        # second probe draws seed 0's paths instead of exiting 2 with a seed
+        # the caller never gave
+        two = _write(
+            tmp_path,
+            "two.cfg",
+            "pde = affine\nprobes_t = 0.0, 0.2\nprobes_x = 0.5, 0.0\nh = 0.1875\nk = 0.01\n"
+            "n_paths = 500\nn_steps = 10\n",
+        )
+        assert main(["fk", "--config", two, "--seed", str(2**64 - 1)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, rows = _rows(captured.out)
+        one = _write(
+            tmp_path,
+            "one.cfg",
+            "pde = affine\nprobes_t = 0.2\nprobes_x = 0.0\nh = 0.1875\nk = 0.01\n"
+            "n_paths = 500\nn_steps = 10\n",
+        )
+        assert main(["fk", "--config", one, "--seed", "0"]) == 0
+        _, want = _rows(capsys.readouterr().out)
+        assert len(rows) == 2
+        assert rows[1] == want[0]
+
     @pytest.mark.parametrize(
         "text, witness",
         [

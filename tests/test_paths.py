@@ -53,6 +53,17 @@ class TestSampling:
             outs.append(sample_brownian(grid, 9000, 2, seed=7).increments)
         assert all(np.array_equal(outs[0], out) for out in outs[1:])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_unit_steps_scale_to_any_grid_bitwise(self, d):
+        # the studies draw once on unit steps and scale per window; the
+        # scaled copy must be the window's own draw, bit for bit
+        n, M = 50, PATH_BLOCK + 11
+        unit = sample_brownian(TimeGrid(0.0, float(n), n), M, d, seed=9).increments
+        for t, eps in [(0.5, 0.1), (0.5, 0.0125), (0.3, 0.05), (0.0, 1.0)]:
+            grid = TimeGrid(t, t + eps, n)
+            want = sample_brownian(grid, M, d, seed=9).increments
+            assert np.array_equal(np.multiply(unit, np.sqrt(grid.dt)), want), (t, eps)
+
     def test_batch_extension_keeps_existing_paths(self):
         # path m must be a function of (seed, grid, d, m) alone, so growing
         # the batch appends paths without touching the earlier ones

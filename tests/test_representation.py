@@ -1,4 +1,6 @@
+import collections
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -9,12 +11,14 @@ from bsdelab import (
     ExperimentConfig,
     Generator,
     HypothesisError,
+    TimeGrid,
     ValidationError,
     builtin_generator,
     convergence_study,
     converse_comparison_probe,
 )
-from bsdelab.core import h_entropy
+from bsdelab import paths, representation
+from bsdelab.core import _mean_se, h_entropy
 from bsdelab.representation import representation_quotient
 
 
@@ -194,3 +198,91 @@ class TestConverse:
         g = builtin_generator("linear")
         with pytest.raises(ValidationError):
             converse_comparison_probe(g, g, [], 0.04, _cfg())
+
+
+class TestSharedDraws:
+    """A study draws its normals once; each window still equals its own
+    representation_quotient call, field for field."""
+
+    M = 2 * paths.PATH_BLOCK + 7  # three path blocks
+
+    @staticmethod
+    def _count_draws(monkeypatch):
+        blocks = collections.Counter()
+        aux = []
+        lock = threading.Lock()
+        fill, aux_normals = paths._fill_block, representation._aux_normals
+
+        def counting_fill(incr, b, seed, scale):
+            with lock:
+                blocks[b] += 1
+            return fill(incr, b, seed, scale)
+
+        def counting_aux(seed, shape):
+            aux.append(shape)
+            return aux_normals(seed, shape)
+
+        monkeypatch.setattr(paths, "_fill_block", counting_fill)
+        monkeypatch.setattr(representation, "_aux_normals", counting_aux)
+        return blocks, aux
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_window_batch_is_the_windows_own_draw(self, d):
+        cfg = _cfg(seed=40, M=self.M, n=50)
+        draws = representation._Draws(cfg)
+        for t, eps in [(0.5, 0.1), (0.5, 0.0125), (0.2, 0.05)]:
+            grid = TimeGrid(t, t + eps, 50)
+            batch = draws.batch(grid, d)
+            want = paths.sample_brownian(grid, self.M, d, 40)
+            assert batch.grid == grid
+            assert np.array_equal(batch.increments, want.increments), (t, eps)
+            # time-major storage, so the sweep reads it without a copy
+            assert np.swapaxes(batch.increments, 0, 1).flags.c_contiguous
+
+    def test_convergence_study_draws_once(self, monkeypatch):
+        g = builtin_generator("stress", delta=0.1)
+        cfg = _cfg(seed=41, M=self.M, n=50)
+        schedule = (0.1, 0.05, 0.025, 0.0125)
+        z = [0.3, -0.2]
+        blocks, aux = self._count_draws(monkeypatch)
+        report = convergence_study(g, 0.5, [0.1, -0.1], 0.2, z, schedule, cfg, barrier=2.0)
+        assert blocks == {0: 1, 1: 1, 2: 1}
+        assert aux == [(self.M, 2)]
+        # the study's draws end with it: a later call draws its own
+        assert representation._STUDY_DRAWS.get() is None
+
+        cells = [
+            representation_quotient(g, 0.5, [0.1, -0.1], 0.2, z, e, cfg, barrier=2.0)
+            for e in schedule
+        ]
+        assert blocks == {0: 5, 1: 5, 2: 5}
+        assert report.quotient_means == tuple(c.mean for c in cells)
+        assert report.quotient_ses == tuple(c.se for c in cells)
+        assert report.frac_stopped == tuple(c.frac_stopped for c in cells)
+        for p in representation.P_NORMS:
+            want = [representation._lp_error(c.per_path, c.targets, c.se, p) for c in cells]
+            assert report.lp_errors[p] == tuple(e for e, _ in want)
+            assert report.lp_ses[p] == tuple(se for _, se in want)
+        assert report.target_mean == float(np.mean(cells[-1].targets))
+
+    def test_converse_probe_draws_once(self, monkeypatch):
+        g1 = Generator(
+            name="cos_x",
+            eval=lambda t, x, y, z: 1.0 + 0.1 * np.cos(x[:, 0]) + 0.0 * y,
+            lipschitz_z=0.0,
+            state_dependent=True,
+        )
+        g2 = builtin_generator("linear", c=-1.0)
+        cfg = _cfg(seed=42, M=self.M, n=50)
+        points = [(0.0, 0.0, 1.0, 0.5), (0.3, 0.2, -0.5, 0.0)]
+        blocks, aux = self._count_draws(monkeypatch)
+        report = converse_comparison_probe(g1, g2, points, 0.05, cfg, barrier=3.0)
+        assert blocks == {0: 1, 1: 1, 2: 1}
+        # only g1 at t > 0 randomizes its anchor
+        assert aux == [(self.M, 1)]
+
+        for row, (t, x, y, z) in zip(report.rows, points, strict=True):
+            q1 = representation_quotient(g1, t, x, y, z, 0.05, cfg, barrier=3.0)
+            q2 = representation_quotient(g2, t, x, y, z, 0.05, cfg, barrier=3.0)
+            assert (row.mean1, row.mean2) == (q1.mean, q2.mean)
+            assert row.se_diff == _mean_se(q1.raw - q2.raw)

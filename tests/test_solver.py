@@ -957,6 +957,109 @@ class TestSweepMemory:
         assert extra < 64 * 8 * M
 
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_lean_stopped_basis_solve_keeps_no_step_dimension(self, d):
+        # the estimators' sweep: stopped, conditioning on (base, X - base),
+        # with base's rows built once; an (N+1, M) temporary alone would be
+        # N+1 = 201 M-vectors
+        M, n_steps = 5000, 200
+        grid = TimeGrid(0.3, 0.5, n_steps)
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(M, d))
+        fw, batch = _brownian_forward(grid, M, d, seed=5, start=base)
+        g = builtin_generator("stress", delta=0.1)
+        stop = stopping_indices(batch, g, x_path=fw.states, barrier=0.6)
+        assert 0 < np.count_nonzero(stop < n_steps) < M
+        moving = np.swapaxes(np.subtract(np.swapaxes(fw.states, 0, 1), base), 0, 1)
+        problem = BSDEProblem(
+            generator=g,
+            t_start=0.3,
+            t_end=0.5,
+            dimension_d=d,
+            terminal=lambda s: np.cos(s[:, -1, 0]),
+        )
+        cfg = ExperimentConfig(seed=5, n_paths=M, n_steps=n_steps)
+        tracemalloc.start()
+        try:
+            Y, Z, _, _ = solver._sweep(problem, fw, batch, cfg, stop, moving, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Y.shape == (2, M) and Z.shape == (1, M, d)
+        assert peak < 64 * 8 * M
+
+
+class TestLeanSweep:
+    """The estimators' sweep (no history, fixed base rows) against
+    solve_bsde and polynomial_design, bit for bit."""
+
+    @staticmethod
+    def _window(d, seed, M=3000, n_steps=30):
+        # a quotient-style window: random base, (base, X - base) basis
+        grid = TimeGrid(0.4, 0.5, n_steps)
+        base = 0.2 + np.sqrt(0.4) * np.random.default_rng(seed).normal(size=(M, d))
+        fw, batch = _brownian_forward(grid, M, d, seed=seed, start=base)
+        moving_tm = np.subtract(np.swapaxes(fw.states, 0, 1), base)
+        return grid, base, fw, batch, moving_tm
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_cached_base_rows_give_polynomial_design(self, d, degree):
+        grid, base, fw, _, moving_tm = self._window(d, seed=20 + d)
+        steps = list(range(grid.n_steps - 1, -1, -1))
+        seen = []
+        for i, design in solver._step_designs(moving_tm, degree, base):
+            want = polynomial_design(np.concatenate([base, moving_tm[i]], axis=1), degree)
+            assert np.array_equal(design, want), i
+            seen.append(i)
+        assert seen == steps
+        # step 0: the increment columns are zero, so their rows are too
+        assert np.all(moving_tm[0] == 0.0)
+        x_tm = np.swapaxes(fw.states, 0, 1)
+        seen = []
+        for i, design in solver._step_designs(x_tm, degree, None):
+            assert np.array_equal(design, polynomial_design(x_tm[i], degree)), i
+            seen.append(i)
+        assert seen == steps
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("stopped", [False, True])
+    @pytest.mark.parametrize("on_base", [False, True])
+    def test_lean_sweep_equals_solve_bsde(self, d, stopped, on_base):
+        grid, base, fw, batch, moving_tm = self._window(d, seed=30 + d)
+        g = builtin_generator("stress", delta=0.1)
+        stop = None
+        if stopped:
+            stop = stopping_indices(batch, g, x_path=fw.states, barrier=0.3)
+            assert 0 < np.count_nonzero(stop < grid.n_steps) < stop.size
+        problem = BSDEProblem(
+            generator=g,
+            t_start=grid.t_start,
+            t_end=grid.t_end,
+            dimension_d=d,
+            terminal=lambda s: np.sin(s[:, -1, 0]) + 0.5 * s[:, -1, -1],
+        )
+        cfg = ExperimentConfig(seed=30 + d, n_paths=base.shape[0], n_steps=grid.n_steps)
+        if on_base:
+            full = np.concatenate([np.broadcast_to(base, moving_tm.shape), moving_tm], axis=2)
+            sol = solve_bsde(
+                problem, fw, batch, cfg, stop_indices=stop, basis_states=np.swapaxes(full, 0, 1)
+            )
+            lean = solver._sweep(
+                problem, fw, batch, cfg, stop, np.swapaxes(moving_tm, 0, 1), base
+            )
+        else:
+            sol = solve_bsde(problem, fw, batch, cfg, stop_indices=stop)
+            lean = solver._sweep(problem, fw, batch, cfg, stop)
+        Y, Z, telescoped, diagnostics = lean
+        assert Y.shape == (2, base.shape[0]) and Z.shape == (1, base.shape[0], d)
+        assert np.array_equal(Y[0], sol.Y[:, 0])
+        assert np.array_equal(telescoped, sol.telescoped)
+        assert diagnostics.keys() == sol.diagnostics.keys()
+        for key, value in diagnostics.items():
+            assert np.array_equal(value, sol.diagnostics[key]), key
+
+
 class TestTelescopedSum:
     """The sweep's pathwise sum against a per-step re-evaluation of g."""
 
