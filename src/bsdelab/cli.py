@@ -6,8 +6,9 @@ CSV table prefixed with ``#`` manifest lines: schema id, sha256 of the
 resolved configuration, seed, package version.  No timestamps or host
 information ever enter the output, so reruns are byte-identical.
 
-Exit codes: 0 success, 2 invalid configuration or violated hypothesis
-(message then starts with HYPOTHESIS_FAIL), 3 numerical breakdown, 4 the
+Exit codes: 0 success, 2 invalid configuration, unreadable config or
+unwritable --out file, or violated hypothesis (message then starts with
+HYPOTHESIS_FAIL), 3 numerical breakdown, 4 the
 experiment ran but its assertion failed.  Errors are a single line on
 stderr of the form ``bsdelab: <ErrorClass>: <message>``.
 """
@@ -234,7 +235,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -669,8 +670,11 @@ def main(argv=None) -> int:
         if args.out is None:
             sys.stdout.write(text)
         else:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError(f"cannot write {args.out}: {exc}") from exc
         if post is not None:
             raise post
     except BsdeLabError as exc:

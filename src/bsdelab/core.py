@@ -171,8 +171,14 @@ def _linear_generator(a: float, b, c: float) -> Generator:
                 raise ValidationError("scalar z is only valid for d == 1")
         elif b.size == 1 and z.shape[-1] == 1:
             zb = z[..., 0] * b[0]
-        else:
+        elif b.size == z.shape[-1]:
             zb = z @ b
+        elif b.size == 1 and b[0] == 0.0:
+            zb = 0.0
+        else:
+            raise ValidationError(
+                f"linear generator: b has size {b.size} but z has {z.shape[-1]} coordinate(s)"
+            )
         return a * np.asarray(y, dtype=float) + zb + c
 
     return Generator(
@@ -280,7 +286,9 @@ def builtin_generator(name: str, **params) -> Generator:
 
     Omitted parameters take their defaults (a = b = c = 0, scale = 1);
     delta has none.  An unknown name, a missing delta and a parameter the
-    named generator does not take raise ValidationError.
+    named generator does not take raise ValidationError.  linear's b has
+    one entry per z coordinate; a single b = 0 contributes 0 at any d, and
+    evaluating with any other mismatch raises ValidationError.
     """
     if name not in _BUILTINS:
         raise ValidationError(f"unknown generator name {name!r}")

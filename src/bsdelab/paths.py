@@ -204,24 +204,25 @@ def stopping_indices(
     batch: BrownianBatch,
     g: Generator,
     *,
-    x_path: np.ndarray | None = None,
+    x_path: np.ndarray,
     barrier: float = 1.0,
 ) -> np.ndarray:
     """First grid index where |B_{t_k} - B_{t_0}| + sum_{i<k} g0_i^2*dt > barrier.
 
-    g0_i = g(t_i, x_i, 0, 0) with x_i taken from x_path (shape (M, N+1, n))
-    or, by default, from the Brownian path itself.  Paths that never exceed
-    the barrier return n_steps.  No sub-step interpolation: exceedance is
-    detected at grid nodes only.  The grid is the batch's own.  The paths
-    are read time-major; a path-major x_path is copied once.  One pass keeps
-    the integral, the displacement (summed in cumulative()'s order; d = 1
-    takes abs, bitwise sqrt(x^2)) and the first hit as running (M,) values.
+    g0_i = g(t_i, x_i, 0, 0) with x_i taken from the state path x_path,
+    shape (M, N+1, n); batch.cumulative() is the Brownian path itself.
+    Paths that never exceed the barrier return n_steps.  No sub-step
+    interpolation: exceedance is detected at grid nodes only.  The grid is
+    the batch's own.  The paths are read time-major; a path-major x_path
+    is copied once.  One pass keeps the integral, the displacement (summed
+    in cumulative()'s order; d = 1 takes abs, bitwise sqrt(x^2)) and the
+    first hit as running (M,) values.
     """
     if barrier <= 0:
         raise ValidationError(f"barrier must be > 0, got {barrier}")
     M, n_steps, d = batch.increments.shape
     incr = _time_major(batch.increments)
-    x_path = _time_major(batch.cumulative() if x_path is None else x_path)
+    x_path = _time_major(x_path)
     grid = batch.grid
     times = grid.times()
     zeros = np.zeros(M)

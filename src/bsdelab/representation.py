@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import BSDEProblem, ExperimentConfig, Generator, _mean_se
 from .errors import HypothesisError, ValidationError
-from .paths import ForwardBatch, TimeGrid, _time_major, sample_brownian, stopping_indices
+from .paths import ForwardBatch, TimeGrid, sample_brownian, stopping_indices
 from .solver import _sweep, comparison_check
 
 # Auxiliary Philox stream offset, disjoint from the path-block keyspace.
@@ -96,11 +96,13 @@ def _stopped_solve(g, forward, batch, base, y, z, config, barrier, on_base=False
     """Solve one quotient window with g switched off from tau on.
 
     tau is stopping_indices along forward.states and the terminal is
-    y + <z, X_tau - base>.  With on_base the regression conditions on
-    (base, X - base) pairs, base's rows built once per solve.  A stop that
-    binds on more than 1% of paths warns that the window is too wide for
-    the barrier.  The sweep keeps no history; returns (Y_t on every path,
-    telescoped sums, fraction of stopped paths).
+    y + <z, X_tau - base>.  With on_base the sweep takes base as its
+    anchor and regresses on (base, X - base) pairs, base's rows built once
+    per solve and X - base formed one step at a time, so the window's
+    paths are never copied.  A stop that binds on more than 1% of paths
+    warns that the window is too wide for the barrier.  The sweep keeps no
+    history; returns (Y_t on every path, telescoped sums, fraction of
+    stopped paths).
     """
     grid = forward.grid
     stop = stopping_indices(batch, g, x_path=forward.states, barrier=barrier)
@@ -121,11 +123,8 @@ def _stopped_solve(g, forward, batch, base, y, z, config, barrier, on_base=False
         dimension_d=z.size,
         terminal=lambda s: xi,
     )
-    fixed = moving = None
-    if on_base:
-        fixed = base
-        moving = np.swapaxes(np.subtract(_time_major(forward.states), base), 0, 1)
-    Y, _, telescoped, _ = _sweep(problem, forward, batch, config, stop, moving, fixed)
+    anchor = base if on_base else None
+    Y, _, telescoped, _ = _sweep(problem, forward, batch, config, stop, anchor)
     return Y[0], telescoped, frac_stopped
 
 
@@ -359,8 +358,9 @@ def converse_comparison_probe(
     """Probe pointwise generator ordering from solution ordering.
 
     First verifies the forward hypothesis (solution ordering on sampled
-    terminal data) via comparison_check; any failure there, including its
-    generator-ordering precondition, raises HypothesisError.  Then, at each
+    terminal data) via comparison_check; a failed ordering there, of the
+    generators (its precondition) or of the solutions, raises
+    HypothesisError, while a bad input stays a ValidationError.  Then, at each
     probe point, both quotients are estimated on common random numbers and
     declared ordered when mean1 >= mean2 - 3*SE(diff) - solver slack.
     The hypothesis check and every quotient share one draw of the normals
@@ -383,12 +383,7 @@ def converse_comparison_probe(
         template = BSDEProblem(
             generator=g1, t_start=t0, t_end=t0 + eps, dimension_d=d, terminal=terminal
         )
-        try:
-            cmp = comparison_check(g1, g2, template, forward, batch, config)
-        except ValidationError as exc:
-            if isinstance(exc, HypothesisError):
-                raise
-            raise HypothesisError(f"generator ordering precheck: {exc}") from exc
+        cmp = comparison_check(g1, g2, template, forward, batch, config)
         if cmp.fraction < hypothesis_threshold:
             raise HypothesisError(
                 f"solution ordering holds on only {100 * cmp.fraction:.3f}% of pairs"

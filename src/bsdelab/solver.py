@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import BSDEProblem, ExperimentConfig, Generator, _sample_sd
-from .errors import NumericalError, PicardError, ValidationError
+from .errors import HypothesisError, NumericalError, PicardError, ValidationError
 from .paths import BrownianBatch, ForwardBatch, _time_major
 
 # Relative singular-value cutoff: directions of the basis below it are
@@ -71,29 +71,31 @@ def polynomial_design(states: np.ndarray, degree: int) -> np.ndarray:
     return buf.T
 
 
-def _step_designs(basis: np.ndarray, degree: int, fixed: np.ndarray | None):
-    """Yield (i, design) for steps i = N-1, ..., 0 of a time-major basis.
+def _step_designs(x: np.ndarray, degree: int, anchor: np.ndarray | None):
+    """Yield (i, design) for steps i = N-1, ..., 0 of time-major states x.
 
-    Without fixed columns each design is polynomial_design(basis[i]).  With
-    fixed, an (M, k0) block of columns that are the same at every step, the
-    design of step i is polynomial_design([fixed, basis[i]]) bit for bit,
-    since each column's rows are built on their own: one (p, M) buffer
-    takes polynomial_design(fixed)'s rows once, and each step copies in the
-    power rows of polynomial_design(basis[i]) behind them.  Every build goes
-    through the module's polynomial_design.  A design is valid until the
-    next one is drawn.
+    Without an anchor each design is polynomial_design(x[i]).  With an
+    (M, n) anchor the design of step i is
+    polynomial_design([anchor, x[i] - anchor]) bit for bit, since each
+    column's rows are built on their own: one (p, M) buffer takes
+    polynomial_design(anchor)'s rows once, and each step subtracts x[i]
+    into one reused (M, n) scratch and copies the power rows of its design
+    in behind them.  Every build goes through the module's
+    polynomial_design.  A design is valid until the next one is drawn.
     """
-    n_steps = basis.shape[0] - 1
-    if fixed is None:
+    n_steps = x.shape[0] - 1
+    if anchor is None:
         for i in range(n_steps - 1, -1, -1):
-            yield i, polynomial_design(basis[i], degree)
+            yield i, polynomial_design(x[i], degree)
         return
-    M, k0 = fixed.shape
-    split = 1 + k0 * degree
-    buf = np.empty((split + basis.shape[2] * degree, M))
-    buf[:split] = polynomial_design(fixed, degree).T
+    M, k = anchor.shape
+    split = 1 + k * degree
+    buf = np.empty((split + x.shape[2] * degree, M))
+    buf[:split] = polynomial_design(anchor, degree).T
+    moved = np.empty(x.shape[1:])
     for i in range(n_steps - 1, -1, -1):
-        buf[split:] = polynomial_design(basis[i], degree).T[1:]
+        np.subtract(x[i], anchor, out=moved)
+        buf[split:] = polynomial_design(moved, degree).T[1:]
         yield i, buf.T
 
 
@@ -147,9 +149,10 @@ class SolutionBatch:
     Z has shape (M, N, d).  Both are transposed views of time-major
     buffers, (N+1, M) and (N, M, d), that the sweep writes row by row.
     Only solve_bsde returns one: its callers (the CLI solve table,
-    comparison_check) read every step.  The quotient and Feynman-Kac
-    estimators need only Y[:, 0] and telescoped, and their sweep keeps no
-    history.
+    comparison_check) read every step, and each step regresses on the
+    forward state.  The quotient and Feynman-Kac estimators need only
+    Y[:, 0] and telescoped, and their sweep (_sweep, with the quotient's
+    (anchor, X - anchor) regression) keeps no history.
     telescoped, shape (M,), is the pathwise sum
     xi + sum_i g(t_i, X_i, Y_i, Z_i)*dt_eff accumulated during the sweep:
     its mean matches Y[:, 0] (least squares preserves target means) and its
@@ -274,30 +277,25 @@ def solve_bsde(
     brownian: BrownianBatch,
     config: ExperimentConfig,
     stop_indices: np.ndarray | None = None,
-    basis_states: np.ndarray | None = None,
 ) -> SolutionBatch:
     """Backward least-squares Monte Carlo sweep over the batch, with history.
 
     Per step i (from the terminal inward): regress Y_{i+1}*dB_i/dt on the
-    basis for the z-estimate, regress Y_{i+1} for the conditional mean, then
-    solve the implicit y-equation pathwise.  When stop_indices is given, the
-    generator contribution of path m is switched off from that index on
-    (dt_eff = 0), which realizes a generator truncated at a stopping time;
-    the terminal values must already incorporate the stop.
+    basis of the forward state X_i for the z-estimate, regress Y_{i+1} for
+    the conditional mean, then solve the implicit y-equation pathwise.
+    When stop_indices is given, the generator contribution of path m is
+    switched off from that index on (dt_eff = 0), which realizes a
+    generator truncated at a stopping time; the terminal values must
+    already incorporate the stop.  A non-finite y, z row or generator
+    value raises NumericalError naming the step and the first such path.
 
-    basis_states optionally decouples the regression state from the state
-    fed to the generator, e.g. to condition on (initial value, increment)
-    pairs; shape (M, N+1, k).  A non-finite y, z row or generator value
-    raises NumericalError naming the step and the first such path.
-
-    The sweep reads increments, states and basis states time-major, one
-    contiguous row per step: the batches built by this package are
-    transposed views and are read in place, while a caller-built
-    path-major array is copied once per call.  The regression is
-    time-major too: the targets are written into one (1+d, M) buffer per
-    call, and _fit returns the fitted values as the transpose of a (1+d, M)
-    product, so the conditional mean and each z-coordinate are read as
-    contiguous rows.
+    The sweep reads increments and states time-major, one contiguous row
+    per step: the batches built by this package are transposed views and
+    are read in place, while a caller-built path-major array is copied
+    once per call.  The regression is time-major too: the targets are
+    written into one (1+d, M) buffer per call, and _fit returns the fitted
+    values as the transpose of a (1+d, M) product, so the conditional mean
+    and each z-coordinate are read as contiguous rows.
 
     This is the variant that keeps every step's Y and Z, which the CLI
     solve table and comparison_check read.  The quotient and Feynman-Kac
@@ -305,7 +303,7 @@ def solve_bsde(
     the same loop through _sweep without the history, in O(M) memory.
     """
     Y, Z, telescoped, diagnostics = _sweep(
-        problem, forward, brownian, config, stop_indices, basis_states, history=True
+        problem, forward, brownian, config, stop_indices, history=True
     )
     return SolutionBatch(
         Y=Y.T, Z=np.swapaxes(Z, 0, 1), telescoped=telescoped, diagnostics=diagnostics
@@ -318,8 +316,7 @@ def _sweep(
     brownian: BrownianBatch,
     config: ExperimentConfig,
     stop_indices: np.ndarray | None = None,
-    basis_states: np.ndarray | None = None,
-    fixed: np.ndarray | None = None,
+    anchor: np.ndarray | None = None,
     history: bool = False,
 ):
     """The backward loop of solve_bsde; returns (Y, Z, telescoped, diagnostics).
@@ -327,10 +324,9 @@ def _sweep(
     Y and Z are time-major.  With history they hold every step, (N+1, M)
     and (N, M, d); without it step i writes row i % 2 of a (2, M) Y and the
     one row of a (1, M, d) Z, all the next step reads, so Y[0] is the
-    initial row either way.  fixed, an (M, k0) array of regression
-    coordinates that are the same at every step, is put before the basis
-    states' coordinates in every design, and its rows are built once
-    (_step_designs).
+    initial row either way.  Step i regresses on the forward state X_i, or,
+    with an (M, n) anchor, on the pair (anchor, X_i - anchor), the anchor's
+    rows built once (_step_designs).
     """
     M, n_steps, d = brownian.increments.shape
     if problem.dimension_d != d:
@@ -348,10 +344,6 @@ def _sweep(
         stop_indices = np.asarray(stop_indices)
         if stop_indices.shape != (M,):
             raise ValidationError(f"stop_indices must have shape ({M},)")
-    if basis_states is not None and (
-        basis_states.shape[0] != M or basis_states.shape[1] != n_steps + 1
-    ):
-        raise ValidationError("basis_states must be shaped (M, n_steps+1, k)")
 
     # an overflow is reported below with its path
     with np.errstate(over="ignore", invalid="ignore"):
@@ -364,7 +356,6 @@ def _sweep(
         )
 
     x = _time_major(forward.states)
-    basis = x if basis_states is None else _time_major(basis_states)
     incr = _time_major(brownian.increments)
     g = problem.generator
     dt = grid.dt
@@ -382,7 +373,7 @@ def _sweep(
     # regression targets [Y_{i+1}; Y_{i+1}*dB_i/dt], one row each
     targets = np.empty((1 + d, M))
 
-    for i, design in _step_designs(basis, config.basis_degree, fixed):
+    for i, design in _step_designs(x, config.basis_degree, anchor):
         y_next = Y[(i + 1) % len(Y)]
         z = Z[i % len(Z)]
         targets[0] = y_next
@@ -450,7 +441,7 @@ def comparison_check(
     """Verify Y1 >= Y2 pathwise after confirming g1 >= g2 on sampled tuples.
 
     The generator ordering is a precondition: if the sampled minimum of
-    g1 - g2 is negative beyond float noise the check raises ValidationError
+    g1 - g2 is negative beyond float noise the check raises HypothesisError
     rather than reporting a comparison failure.  Both problems are then
     solved on the same paths, and the fraction of (path, step) pairs with
     Y1 >= Y2 - slack is reported.  The slack combines the accumulated
@@ -476,7 +467,7 @@ def comparison_check(
         )
         gap = min(gap, float(diff.min()))
     if gap < -1e-12:
-        raise ValidationError(
+        raise HypothesisError(
             f"generator ordering g1 >= g2 fails on sampled tuples (min gap {gap:.3e})"
         )
 

@@ -138,6 +138,18 @@ class TestExitZero:
         assert float(rows[-1][my]) == 1.0
         assert rows[-1][header.index("picard_iters")] == "nan"
 
+    def test_solve_linear_default_b_in_two_dimensions(self, tmp_path, capsys):
+        # the default b = 0 is one entry and contributes 0 at any d
+        cfg = _write(
+            tmp_path,
+            "solve.cfg",
+            "seed = 1\nn_paths = 2000\nn_steps = 20\nd = 2\n"
+            "generator = linear\na = -1.0\nterminal = abs\n",
+        )
+        assert main(["solve", "--config", cfg]) == 0
+        header, rows = _rows(capsys.readouterr().out)
+        assert header[4:6] == ["mean_z_1", "mean_z_2"]
+        assert len(rows) == 21
 
     def test_readme_represent_se_is_exact_zero_without_spread(self, tmp_path, capsys):
         # z = 0 and no stop binding: every path carries the same quotient,
@@ -301,6 +313,34 @@ class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):
         self._expect2(
             ["simulate", "--config", str(tmp_path / "nope.cfg")], capsys, "cannot read"
+        )
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"seed = 0\nn_paths = \xff\xfe\n")
+        self._expect2(
+            ["simulate", "--config", str(p)], capsys, f"ValidationError: cannot read config {p}"
+        )
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.cfg", SIM_CFG)
+        out = tmp_path / "missing" / "x.csv"
+        self._expect2(
+            ["simulate", "--config", cfg, "--out", str(out)],
+            capsys,
+            f"ValidationError: cannot write {out}",
+        )
+
+    @pytest.mark.parametrize("command, key", [("represent", "b"), ("converse", "g1_b")])
+    def test_linear_b_of_the_wrong_size(self, tmp_path, capsys, command, key):
+        # in converse the error comes from the ordering precheck and must
+        # stay a ValidationError, not turn into a hypothesis failure
+        base = REP_CFG if command == "represent" else TestHypothesisGate.ORDERED
+        cfg = _write(tmp_path, "c.cfg", f"{base}{key} = 1.0, 2.0\n")
+        self._expect2(
+            [command, "--config", cfg],
+            capsys,
+            "ValidationError: linear generator: b has size 2 but z has 1 coordinate(s)",
         )
 
     def test_not_key_value(self, tmp_path, capsys):

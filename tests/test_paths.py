@@ -216,20 +216,13 @@ class TestStopping:
         slow = _naive_stops(batch, g, grid, x_path, 0.3)
         assert np.array_equal(fast, slow)
 
-    def test_default_path_is_the_brownian_one(self):
-        grid = TimeGrid(0.0, 1.0, 20)
-        batch = sample_brownian(grid, 100, 1, seed=2)
-        g = builtin_generator("linear", c=1.0)
-        a = stopping_indices(batch, g, barrier=0.5)
-        b = stopping_indices(batch, g, x_path=batch.cumulative(), barrier=0.5)
-        assert np.array_equal(a, b)
-
     def test_barrier_monotone(self):
         grid = TimeGrid(0.0, 1.0, 50)
         batch = sample_brownian(grid, 500, 1, seed=13)
         g = builtin_generator("linear", c=1.5)
-        lo = stopping_indices(batch, g, barrier=0.5)
-        hi = stopping_indices(batch, g, barrier=2.0)
+        x_path = batch.cumulative()
+        lo = stopping_indices(batch, g, x_path=x_path, barrier=0.5)
+        hi = stopping_indices(batch, g, x_path=x_path, barrier=2.0)
         assert np.all(hi >= lo)
 
     def test_small_window_rarely_stops(self):
@@ -238,20 +231,21 @@ class TestStopping:
         grid = TimeGrid(0.5, 0.55, 50)
         batch = sample_brownian(grid, 100_000, 1, seed=17)
         g = builtin_generator("linear")
-        stops = stopping_indices(batch, g, barrier=1.0)
+        stops = stopping_indices(batch, g, x_path=batch.cumulative(), barrier=1.0)
         assert np.mean(stops < 50) < 1e-3
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_cumulative_built_at_most_once(self, monkeypatch, d):
-        # the displacement comes from a running row sum, so cumulative()
-        # runs only to build the default x_path; the stops are the ones the
-        # full cumulative() buffer gives, bit for bit
+        # the displacement comes from a running row sum and the caller
+        # passes the state path, so cumulative() never runs inside; the
+        # stops are the ones the full cumulative() buffer gives, bit for bit
         grid = TimeGrid(0.1, 0.4, 40)
         batch = sample_brownian(grid, 3000, d, seed=23 + d)
         stress = builtin_generator("stress", delta=0.1)
         x_path = batch.cumulative(start=np.full((3000, d), 0.3))
         want_x = _stops_from_cumulative(batch, stress, x_path, 0.8)
         linear = builtin_generator("linear", b=np.zeros(d), c=0.8)
+        brownian = batch.cumulative()
         want_default = _stops_from_cumulative(batch, linear, None, 0.8)
         assert 0 < np.count_nonzero(want_x < 40) < 3000
         assert 0 < np.count_nonzero(want_default < 40) < 3000
@@ -266,8 +260,9 @@ class TestStopping:
         monkeypatch.setattr(BrownianBatch, "cumulative", counting)
         assert np.array_equal(stopping_indices(batch, stress, x_path=x_path, barrier=0.8), want_x)
         assert calls == []
-        assert np.array_equal(stopping_indices(batch, linear, barrier=0.8), want_default)
-        assert len(calls) == 1
+        got = stopping_indices(batch, linear, x_path=brownian, barrier=0.8)
+        assert np.array_equal(got, want_default)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "name,kw,barrier", [("stress", {"delta": 0.1}, 2.0), ("linear", {"c": 0.8}, 1.5)]
@@ -297,7 +292,7 @@ class TestStopping:
         batch = sample_brownian(grid, 4, 1, seed=0)
         g = builtin_generator("linear")
         with pytest.raises(ValidationError):
-            stopping_indices(batch, g, barrier=0.0)
+            stopping_indices(batch, g, x_path=batch.cumulative(), barrier=0.0)
 
 
 class TestBatchExtension:

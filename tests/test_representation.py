@@ -1,6 +1,7 @@
 import collections
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -156,6 +157,31 @@ class TestRandomizedBase:
         q = representation_quotient(g, 0.5, 0.7, 1.0, 0.0, 0.02, _cfg(M=256))
         # all targets identical because the anchor never randomizes
         assert np.ptp(q.targets) == 0.0
+
+
+class TestAnchoredSolveMemory:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_window_paths_are_never_copied(self, d):
+        # an anchored window regresses on (base, X - base) one step at a
+        # time: the traced peak of the whole solve (stops, terminal, sweep)
+        # stays below one (N+1, M, d) array of the window's paths
+        M, n_steps = 5000, 200
+        cfg = _cfg(seed=5, M=M, n=n_steps)
+        grid = TimeGrid(0.5, 0.52, n_steps)
+        batch = paths.sample_brownian(grid, M, d, cfg.seed)
+        base = 0.1 + np.sqrt(0.5) * np.random.default_rng(5).normal(size=(M, d))
+        forward = paths.ForwardBatch(grid=grid, states=batch.cumulative(start=base))
+        g = builtin_generator("stress", delta=0.1)
+        tracemalloc.start()
+        try:
+            y_t, _, _ = representation._stopped_solve(
+                g, forward, batch, base, 0.2, np.full(d, 0.3), cfg, 1.0, on_base=True
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y_t.shape == (M,)
+        assert peak < (n_steps + 1) * M * d * 8
 
 
 class TestValidation:

@@ -202,14 +202,14 @@ class TestGramProjector:
         assert cond == pytest.approx(want_cond, rel=1e-8)
 
     def test_binary_coordinate_falls_back_to_lstsq(self):
-        # a +-1 coordinate makes s^2 a copy of the intercept and s^3 a copy
-        # of s: the Gram matrix is singular, eigenvalues cannot resolve the
-        # cutoff, and the step goes to lstsq, which keeps rank 2
+        # a +-1 anchor makes s^2 a copy of the intercept and s^3 a copy of
+        # s: the Gram matrix is singular, eigenvalues cannot resolve the
+        # cutoff, and every step goes to lstsq; at step 0, X_0 - anchor is
+        # -anchor, so lstsq keeps rank 2 there
         grid = TimeGrid(0.0, 1.0, 10)
         M = 1000
         fw, batch = _brownian_forward(grid, M, 1, seed=13)
-        sign = np.where(np.random.default_rng(13).random(M) < 0.5, -1.0, 1.0)
-        basis = np.broadcast_to(sign[:, None, None], (M, 11, 1))
+        anchor = np.where(np.random.default_rng(13).random(M) < 0.5, -1.0, 1.0)[:, None]
         problem = BSDEProblem(
             generator=builtin_generator("linear", a=-0.5, c=1.0),
             t_start=0.0,
@@ -218,15 +218,16 @@ class TestGramProjector:
             terminal=lambda s: np.sin(s[:, -1, 0]) + s[:, -1, 0],
         )
         cfg = ExperimentConfig(seed=13, n_paths=M, n_steps=10, basis_degree=3)
-        sol = solve_bsde(problem, fw, batch, cfg, basis_states=basis)
-        diag = sol.diagnostics
+        Y, _, _, diag = solver._sweep(problem, fw, batch, cfg, anchor=anchor, history=True)
         assert diag["regression_fallbacks"].shape == (10,)
-        assert diag["regression_fallbacks"].sum() > 0
-        design = _column_stack_design(sign[:, None], 3)
-        targets = np.stack([sol.Y[:, 1], sol.Y[:, 1] * batch.increments[:, 0, 0] / grid.dt], axis=1)
+        assert np.all(diag["regression_fallbacks"] == 1)
+        design = _column_stack_design(np.concatenate([anchor, -anchor], axis=1), 3)
+        targets = np.stack([Y[1], Y[1] * batch.increments[:, 0, 0] / grid.dt], axis=1)
         want, _, _, want_rank = _lstsq_fit(design, targets)
         assert want_rank == 2
-        assert np.all(diag["rank"] == want_rank)
+        # the other steps add the three power rows of a continuous X - anchor
+        assert diag["rank"][0] == want_rank
+        assert np.all(diag["rank"][1:] == want_rank + 3)
         fitted, _, _, rank, fell_back = _fit(design, targets)
         assert fell_back and rank == want_rank
         assert np.array_equal(fitted, want)
@@ -891,7 +892,6 @@ class TestInputChecks:
                 r"forward states shaped \(39, 11, 1\), expected \(40, 11, n\)",
             ),
             ("horizon", ValidationError, "forward grid does not span the problem horizon"),
-            ("basis_shape", ValidationError, r"basis_states must be shaped \(M, n_steps\+1, k\)"),
             ("terminal_shape", ValidationError, r"terminal returned shape \(40, 1\), expected \(40,\)"),
             ("terminal_nonfinite", NumericalError, r"non-finite terminal value at path 3\b"),
         ],
@@ -907,22 +907,19 @@ class TestInputChecks:
             dimension_d=1,
             terminal=lambda s: s[:, -1, 0],
         )
-        basis = None
         if case == "dimension_d":
             problem["dimension_d"] = 2
         elif case == "forward_shape":
             fw = ForwardBatch(grid=grid, states=fw.states[1:])
         elif case == "horizon":
             problem["t_end"] = 2.0
-        elif case == "basis_shape":
-            basis = fw.states[:, 1:]
         elif case == "terminal_shape":
             problem["terminal"] = lambda s: s[:, -1]
         else:
             problem["terminal"] = lambda s: np.where(np.arange(M) == 3, np.inf, s[:, -1, 0])
         cfg = ExperimentConfig(seed=0, n_paths=M, n_steps=10)
         with pytest.raises(error, match=witness):
-            solve_bsde(BSDEProblem(**problem), fw, batch, cfg, basis_states=basis)
+            solve_bsde(BSDEProblem(**problem), fw, batch, cfg)
 
 
 class TestSweepMemory:
@@ -945,7 +942,7 @@ class TestSweepMemory:
         stop = None
         if stopped:
             g0 = builtin_generator("linear", b=np.zeros(d), c=0.8)
-            stop = stopping_indices(batch, g0, barrier=2.0)
+            stop = stopping_indices(batch, g0, x_path=batch.cumulative(), barrier=2.0)
             assert 0 < np.count_nonzero(stop < n_steps) < M
         tracemalloc.start()
         try:
@@ -959,9 +956,10 @@ class TestSweepMemory:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_lean_stopped_basis_solve_keeps_no_step_dimension(self, d):
-        # the estimators' sweep: stopped, conditioning on (base, X - base),
-        # with base's rows built once; an (N+1, M) temporary alone would be
-        # N+1 = 201 M-vectors
+        # the estimators' sweep: stopped, conditioning on (base, X - base)
+        # with base as the anchor, its rows built once and X - base formed
+        # a step at a time; an (N+1, M) temporary alone would be N+1 = 201
+        # M-vectors
         M, n_steps = 5000, 200
         grid = TimeGrid(0.3, 0.5, n_steps)
         rng = np.random.default_rng(5)
@@ -970,7 +968,6 @@ class TestSweepMemory:
         g = builtin_generator("stress", delta=0.1)
         stop = stopping_indices(batch, g, x_path=fw.states, barrier=0.6)
         assert 0 < np.count_nonzero(stop < n_steps) < M
-        moving = np.swapaxes(np.subtract(np.swapaxes(fw.states, 0, 1), base), 0, 1)
         problem = BSDEProblem(
             generator=g,
             t_start=0.3,
@@ -981,7 +978,7 @@ class TestSweepMemory:
         cfg = ExperimentConfig(seed=5, n_paths=M, n_steps=n_steps)
         tracemalloc.start()
         try:
-            Y, Z, _, _ = solver._sweep(problem, fw, batch, cfg, stop, moving, base)
+            Y, Z, _, _ = solver._sweep(problem, fw, batch, cfg, stop, anchor=base)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -990,8 +987,8 @@ class TestSweepMemory:
 
 
 class TestLeanSweep:
-    """The estimators' sweep (no history, fixed base rows) against
-    solve_bsde and polynomial_design, bit for bit."""
+    """The estimators' sweep (no history, anchor rows built once) against
+    the history sweep and polynomial_design, bit for bit."""
 
     @staticmethod
     def _window(d, seed, M=3000, n_steps=30):
@@ -999,23 +996,22 @@ class TestLeanSweep:
         grid = TimeGrid(0.4, 0.5, n_steps)
         base = 0.2 + np.sqrt(0.4) * np.random.default_rng(seed).normal(size=(M, d))
         fw, batch = _brownian_forward(grid, M, d, seed=seed, start=base)
-        moving_tm = np.subtract(np.swapaxes(fw.states, 0, 1), base)
-        return grid, base, fw, batch, moving_tm
+        return grid, base, fw, batch
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("degree", [0, 1, 3])
     def test_cached_base_rows_give_polynomial_design(self, d, degree):
-        grid, base, fw, _, moving_tm = self._window(d, seed=20 + d)
+        grid, base, fw, _ = self._window(d, seed=20 + d)
         steps = list(range(grid.n_steps - 1, -1, -1))
+        x_tm = np.swapaxes(fw.states, 0, 1)
         seen = []
-        for i, design in solver._step_designs(moving_tm, degree, base):
-            want = polynomial_design(np.concatenate([base, moving_tm[i]], axis=1), degree)
+        for i, design in solver._step_designs(x_tm, degree, base):
+            want = polynomial_design(np.concatenate([base, x_tm[i] - base], axis=1), degree)
             assert np.array_equal(design, want), i
             seen.append(i)
         assert seen == steps
         # step 0: the increment columns are zero, so their rows are too
-        assert np.all(moving_tm[0] == 0.0)
-        x_tm = np.swapaxes(fw.states, 0, 1)
+        assert np.all(x_tm[0] - base == 0.0)
         seen = []
         for i, design in solver._step_designs(x_tm, degree, None):
             assert np.array_equal(design, polynomial_design(x_tm[i], degree)), i
@@ -1026,7 +1022,7 @@ class TestLeanSweep:
     @pytest.mark.parametrize("stopped", [False, True])
     @pytest.mark.parametrize("on_base", [False, True])
     def test_lean_sweep_equals_solve_bsde(self, d, stopped, on_base):
-        grid, base, fw, batch, moving_tm = self._window(d, seed=30 + d)
+        grid, base, fw, batch = self._window(d, seed=30 + d)
         g = builtin_generator("stress", delta=0.1)
         stop = None
         if stopped:
@@ -1041,23 +1037,22 @@ class TestLeanSweep:
         )
         cfg = ExperimentConfig(seed=30 + d, n_paths=base.shape[0], n_steps=grid.n_steps)
         if on_base:
-            full = np.concatenate([np.broadcast_to(base, moving_tm.shape), moving_tm], axis=2)
-            sol = solve_bsde(
-                problem, fw, batch, cfg, stop_indices=stop, basis_states=np.swapaxes(full, 0, 1)
+            Y_full, _, tele_full, diag_full = solver._sweep(
+                problem, fw, batch, cfg, stop, anchor=base, history=True
             )
-            lean = solver._sweep(
-                problem, fw, batch, cfg, stop, np.swapaxes(moving_tm, 0, 1), base
-            )
+            lean = solver._sweep(problem, fw, batch, cfg, stop, anchor=base)
         else:
             sol = solve_bsde(problem, fw, batch, cfg, stop_indices=stop)
+            Y_full, tele_full, diag_full = sol.Y.T, sol.telescoped, sol.diagnostics
             lean = solver._sweep(problem, fw, batch, cfg, stop)
         Y, Z, telescoped, diagnostics = lean
+        assert Y_full.shape == (grid.n_steps + 1, base.shape[0])
         assert Y.shape == (2, base.shape[0]) and Z.shape == (1, base.shape[0], d)
-        assert np.array_equal(Y[0], sol.Y[:, 0])
-        assert np.array_equal(telescoped, sol.telescoped)
-        assert diagnostics.keys() == sol.diagnostics.keys()
+        assert np.array_equal(Y[0], Y_full[0])
+        assert np.array_equal(telescoped, tele_full)
+        assert diagnostics.keys() == diag_full.keys()
         for key, value in diagnostics.items():
-            assert np.array_equal(value, sol.diagnostics[key]), key
+            assert np.array_equal(value, diag_full[key]), key
 
 
 class TestTelescopedSum:
@@ -1193,7 +1188,7 @@ class TestStorageLayout:
     into that layout, so the storage cannot change any output bit."""
 
     @staticmethod
-    def _run(batch, fw, basis, cfg):
+    def _run(batch, fw, cfg):
         g = builtin_generator("stress", delta=0.1)
         stop = stopping_indices(batch, g, x_path=fw.states, barrier=0.9)
         problem = BSDEProblem(
@@ -1203,7 +1198,7 @@ class TestStorageLayout:
             dimension_d=2,
             terminal=lambda s: np.sin(s[:, -1, 0]) + 0.5 * s[:, -1, 1],
         )
-        sol = solve_bsde(problem, fw, batch, cfg, stop_indices=stop, basis_states=basis)
+        sol = solve_bsde(problem, fw, batch, cfg, stop_indices=stop)
         return stop, sol
 
     def test_path_major_inputs_give_identical_results(self):
@@ -1214,16 +1209,14 @@ class TestStorageLayout:
         fw = euler_maruyama(
             grid, lambda t, x: 0.1 * x, lambda t, x: 1.0 + 0.1 * np.abs(x), [0.3, -0.1], batch
         )
-        basis = batch.cumulative(start=np.full((M, 2), 0.3))
-        stop, sol = self._run(batch, fw, basis, cfg)
+        stop, sol = self._run(batch, fw, cfg)
         assert 0 < np.count_nonzero(stop < grid.n_steps) < M
 
         pm_batch = dataclasses.replace(batch, increments=np.ascontiguousarray(batch.increments))
         pm_fw = ForwardBatch(grid=grid, states=np.ascontiguousarray(fw.states))
-        pm_basis = np.ascontiguousarray(basis)
-        for a in (pm_batch.increments, pm_fw.states, pm_basis):
+        for a in (pm_batch.increments, pm_fw.states):
             assert a.flags.c_contiguous
-        pm_stop, pm_sol = self._run(pm_batch, pm_fw, pm_basis, cfg)
+        pm_stop, pm_sol = self._run(pm_batch, pm_fw, cfg)
 
         assert np.array_equal(stop, pm_stop)
         assert np.array_equal(sol.Y, pm_sol.Y)
