@@ -23,9 +23,9 @@ import numpy as np
 
 from .core import BSDEProblem, ExperimentConfig, Generator, _mean_se, builtin_generator
 from .errors import NumericalError, ValidationError
-from .paths import TimeGrid, euler_maruyama, sample_brownian
+from .paths import TimeGrid, WindowStack, euler_maruyama, sample_brownian
 from .representation import _stopped_solve
-from .solver import _sweep
+from .solver import _solve
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfi
         dimension_d=1,
         terminal=lambda s: np.asarray(problem.phi(s[:, -1, 0]), dtype=float),
     )
-    Y, _, telescoped, _ = _sweep(prob, fw, batch, config)
+    Y, _, telescoped, _ = _solve(prob, fw, batch, config)
     return McSolution(u=float(Y[0].mean()), se=_mean_se(telescoped))
 
 
@@ -188,7 +188,7 @@ def fd_reference(
     so each is called n_t + 1 times, on all nodes.
     """
     # scipy takes about 0.3 s to import, and only this march needs it
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must be in [0, 1], got {theta}")
@@ -261,12 +261,17 @@ def fd_reference(
         rhs[0] += theta * k_eff * lo_n[0] * ub_lo
         rhs[-1] += theta * k_eff * up_n[-1] * ub_hi
 
-        m = xi_int.size
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -theta * k_eff * up_n[:-1]
-        ab[1, :] = 1.0 - theta * k_eff * di_n
-        ab[2, :-1] = -theta * k_eff * lo_n[1:]
-        sol = solve_banded((1, 1), ab, rhs)
+        # the tridiagonal solve that solve_banded((1, 1), ...) makes, on
+        # the three diagonals without the band matrix around them
+        _, _, _, sol, info = dgtsv(
+            -theta * k_eff * lo_n[1:],
+            1.0 - theta * k_eff * di_n,
+            -theta * k_eff * up_n[:-1],
+            rhs,
+            overwrite_b=True,
+        )
+        if info > 0:
+            raise NumericalError(f"singular FD system at time index {j}")
         if not np.all(np.isfinite(sol)):
             raise NumericalError(f"non-finite FD row at time index {j}")
         u[j, 1:-1] = sol
@@ -460,8 +465,9 @@ def viscosity_touch_check(
     grid = TimeGrid(t, t + eps, config.n_steps)
     batch = sample_brownian(grid, config.n_paths, 1, config.seed)
     fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
-    y_t, telescoped, frac_stopped = _stopped_solve(
-        G, fw, batch, x, 0.0, np.zeros(1), config, barrier
+    window = WindowStack((grid,), fw.states, batch.increments)
+    (y_t,), (telescoped,), (frac_stopped,) = _stopped_solve(
+        G, window, 0.0, np.zeros(1), config, barrier
     )
     raw = telescoped / eps
     quotient = float(y_t.mean()) / eps
@@ -474,7 +480,7 @@ def viscosity_touch_check(
         residual_direct=direct,
         residual_quotient=quotient,
         quotient_se=se,
-        frac_stopped=frac_stopped,
+        frac_stopped=float(frac_stopped),
         touch_margin=float(worst),
     )
 

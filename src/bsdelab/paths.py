@@ -11,6 +11,10 @@ Every per-step array is stored time-major, step index first: increments as
 one contiguous row.  The public attributes keep their path-major (M, ...)
 shapes as transposed views of that storage; _time_major recovers the
 storage without a copy, and copies a caller-built path-major array once.
+
+A WindowStack reads K time windows off one batch, a step at a time: the
+windows of a quotient study scale one unit-step draw by their own
+sqrt(dt), so none of them stores states or increments of its own.
 """
 
 from __future__ import annotations
@@ -111,14 +115,77 @@ class ForwardBatch:
     states: np.ndarray
 
 
+class WindowStack:
+    """K time windows on one batch of paths, read one step at a time.
+
+    states (M, N+1, n) and increments (M, N, d) are shared by every window
+    and laid out like ForwardBatch.states and BrownianBatch.increments
+    (time-major storage, read in place; a path-major array is copied
+    once).  Without a base there is one window, on grids[0], and its
+    states and increments are those arrays.  With an (M, n) base the
+    arrays are the path and increments of a unit-step Brownian draw
+    (sample_brownian on a grid with dt = 1, n = d), and window w, on
+    grids[w], has scale s_w = sqrt(dt_w): its state at node j is
+    base + s_w*W_j and its increment s_w*dW_j, the increments
+    sample_brownian draws on grids[w] bit for bit.  Those are formed a
+    step at a time into a caller's scratch, so no window's states or
+    increments are ever stored.  Every grid has the draw's N steps.
+    """
+
+    def __init__(self, grids, states, increments, base=None):
+        self.grids = tuple(grids)
+        self.path = _time_major(states)
+        self.steps = _time_major(increments)
+        self.base = base
+        N, M, _ = self.steps.shape
+        if not self.grids or (base is None and len(self.grids) != 1):
+            raise ValidationError(
+                f"need one grid, or a base and >= 1 grids; got {len(self.grids)}"
+            )
+        if any(grid.n_steps != N for grid in self.grids):
+            raise ValidationError(f"every window must have the draw's {N} steps")
+        if self.path.shape[:2] != (N + 1, M):
+            raise ValidationError(
+                f"states shaped {np.shape(states)}, expected ({M}, {N + 1}, n)"
+            )
+        self.scales = None if base is None else [np.sqrt(grid.dt) for grid in self.grids]
+
+    @property
+    def increments(self) -> np.ndarray:
+        """The shared increments, (M, N, d), a transposed view as in BrownianBatch."""
+        return np.swapaxes(self.steps, 0, 1)
+
+    def state(self, w: int, j: int, out: np.ndarray) -> np.ndarray:
+        """Window w's state at node j, (M, n); a scaled one is written to out."""
+        if self.base is None:
+            return self.path[j]
+        np.multiply(self.path[j], self.scales[w], out=out)
+        return np.add(self.base, out, out=out)
+
+    def increment(self, w: int, j: int, out: np.ndarray) -> np.ndarray:
+        """Window w's increment over step j, (M, d); a scaled one is written to out."""
+        if self.base is None:
+            return self.steps[j]
+        return np.multiply(self.steps[j], self.scales[w], out=out)
+
+    def displacement(self, w: int, idx: np.ndarray) -> np.ndarray:
+        """X_idx - X_0 of window w, node idx[m] on path m, shape (M, n)."""
+        at = self.path[idx, np.arange(idx.size)]
+        if self.base is None:
+            return at - self.path[0]
+        return at * self.scales[w]
+
+
 def _fill_block(incr, b, seed, scale):
     """Draw path block b and write it, scaled, into the (n_steps, M, d) buffer."""
     n_steps, M, d = incr.shape
     lo = b * PATH_BLOCK
     hi = min(lo + PATH_BLOCK, M)
     bit = np.random.Philox(key=np.array([seed, b], dtype=np.uint64))
-    block = np.random.Generator(bit).standard_normal((PATH_BLOCK, n_steps, d))
-    np.multiply(np.swapaxes(block[: hi - lo], 0, 1), scale, out=incr[:, lo:hi])
+    # the stream is filled in order, so a short last block draws the first
+    # hi - lo paths of the full block, bit for bit, without the rest
+    block = np.random.Generator(bit).standard_normal((hi - lo, n_steps, d))
+    np.multiply(np.swapaxes(block, 0, 1), scale, out=incr[:, lo:hi])
 
 
 def _cpu_count() -> int:
@@ -201,43 +268,55 @@ def euler_maruyama(
 
 
 def stopping_indices(
-    batch: BrownianBatch,
+    batch,
     g: Generator,
     *,
-    x_path: np.ndarray,
+    x_path: np.ndarray | None = None,
     barrier: float = 1.0,
 ) -> np.ndarray:
     """First grid index where |B_{t_k} - B_{t_0}| + sum_{i<k} g0_i^2*dt > barrier.
 
-    g0_i = g(t_i, x_i, 0, 0) with x_i taken from the state path x_path,
-    shape (M, N+1, n); batch.cumulative() is the Brownian path itself.
+    g0_i = g(t_i, x_i, 0, 0).  batch is either a BrownianBatch, read along
+    the state path x_path, shape (M, N+1, n), which gives shape (M,), or a
+    WindowStack (x_path None), which gives (K, M): one pass over the shared
+    path stops every window, each on its own grid, states and increments.
     Paths that never exceed the barrier return n_steps.  No sub-step
-    interpolation: exceedance is detected at grid nodes only.  The grid is
-    the batch's own.  The paths are read time-major; a path-major x_path
-    is copied once.  One pass keeps the integral, the displacement (summed
-    in cumulative()'s order; d = 1 takes abs, bitwise sqrt(x^2)) and the
-    first hit as running (M,) values.
+    interpolation: exceedance is detected at grid nodes only.  The paths
+    are read time-major; a path-major x_path is copied once.  The pass
+    keeps each window's integral, displacement (the running sum of its
+    increments, as cumulative() sums them; d = 1 takes abs, bitwise
+    sqrt(x^2)) and first hit as running (M,) values.  A barrier that is
+    not > 0, NaN included, raises ValidationError.
     """
-    if barrier <= 0:
+    # negated > also refuses NaN, which would switch every stop off
+    if not barrier > 0:
         raise ValidationError(f"barrier must be > 0, got {barrier}")
-    M, n_steps, d = batch.increments.shape
-    incr = _time_major(batch.increments)
-    x_path = _time_major(x_path)
-    grid = batch.grid
-    times = grid.times()
+    if isinstance(batch, WindowStack):
+        stack = batch
+    elif x_path is None:
+        raise ValidationError("a BrownianBatch is stopped along its state path: pass x_path")
+    else:
+        stack = WindowStack((batch.grid,), x_path, batch.increments)
+    n_steps, M, d = stack.steps.shape
+    n = stack.path.shape[2]
     zeros = np.zeros(M)
     zeros_z = np.zeros((M, d))
-    integral = np.zeros(M)
-    disp = np.zeros((M, d))
+    x_scratch = np.empty((M, n))
+    dB_scratch = np.empty((M, d))
+    times = [grid.times() for grid in stack.grids]
+    integral = np.zeros((len(times), M))
+    disp = np.zeros((len(times), M, d))
     # n_steps marks a path not hit yet; a hit at node n_steps writes it too
-    idx = np.full(M, n_steps, dtype=np.int64)
+    idx = np.full((len(times), M), n_steps, dtype=np.int64)
     for k in range(1, n_steps + 1):
-        g0 = np.broadcast_to(
-            np.asarray(g(times[k - 1], x_path[k - 1], zeros, zeros_z), dtype=float), (M,)
-        )
-        integral += g0 * g0 * grid.dt
-        disp += incr[k - 1]
-        hit = _norm_last(disp) + integral > barrier
-        hit &= idx == n_steps
-        idx[hit] = k
-    return idx
+        for w, grid in enumerate(stack.grids):
+            x = stack.state(w, k - 1, x_scratch)
+            g0 = np.broadcast_to(
+                np.asarray(g(times[w][k - 1], x, zeros, zeros_z), dtype=float), (M,)
+            )
+            integral[w] += g0 * g0 * grid.dt
+            disp[w] += stack.increment(w, k - 1, dB_scratch)
+            hit = _norm_last(disp[w]) + integral[w] > barrier
+            hit &= idx[w] == n_steps
+            idx[w][hit] = k
+    return idx if stack is batch else idx[0]

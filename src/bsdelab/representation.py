@@ -18,15 +18,13 @@ initial values estimate the conditional quotient path by path.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import BSDEProblem, ExperimentConfig, Generator, _mean_se
 from .errors import HypothesisError, ValidationError
-from .paths import ForwardBatch, TimeGrid, sample_brownian, stopping_indices
+from .paths import ForwardBatch, TimeGrid, WindowStack, sample_brownian, stopping_indices
 from .solver import _sweep, comparison_check
 
 # Auxiliary Philox stream offset, disjoint from the path-block keyspace.
@@ -45,87 +43,46 @@ def _aux_normals(seed: int, shape) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
-class _Draws:
-    """The normals of one study, drawn once per (n_steps, d).
+def _draw(config: ExperimentConfig, d: int, randomize: bool):
+    """The normals of one study: (unit, aux).
 
-    The windows of a study share the seed, n_steps and M, so a window's
-    increments are the increments over unit steps times its own sqrt(dt),
-    the bits sample_brownian draws for it, and its anchors' base normals
-    are the same array.  Both are drawn when first asked for.
+    unit is the study's Brownian draw on unit steps, sample_brownian on a
+    grid of config.n_steps steps with dt = 1, so its increments are the
+    normals themselves and any window of that many steps scales them by
+    its own sqrt(dt) (WindowStack).  aux, drawn only when an anchor is
+    randomized, holds the (M, d) base normals of the time-t state.
     """
-
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-        self._unit = {}
-        self._aux = {}
-
-    def batch(self, grid: TimeGrid, d: int):
-        cfg = self.config
-        key = (grid.n_steps, d)
-        if key not in self._unit:
-            unit_steps = TimeGrid(0.0, float(grid.n_steps), grid.n_steps)
-            self._unit[key] = sample_brownian(unit_steps, cfg.n_paths, d, cfg.seed)
-        unit = self._unit[key]
-        # the product keeps the time-major layout of the unit increments
-        return replace(unit, grid=grid, increments=unit.increments * np.sqrt(grid.dt))
-
-    def aux(self, d: int) -> np.ndarray:
-        if d not in self._aux:
-            self._aux[d] = _aux_normals(self.config.seed, (self.config.n_paths, d))
-        return self._aux[d]
+    n = config.n_steps
+    unit = sample_brownian(TimeGrid(0.0, float(n), n), config.n_paths, d, config.seed)
+    aux = _aux_normals(config.seed, (config.n_paths, d)) if randomize else None
+    return unit, aux
 
 
-# The draws of the study in progress.  convergence_study and
-# converse_comparison_probe set them (_one_draw), so the
-# representation_quotient calls they make scale one draw between them.
-_STUDY_DRAWS: ContextVar[_Draws | None] = ContextVar("study_draws", default=None)
+def _stopped_solve(g, windows, y, z, config, barrier, anchor=None):
+    """Solve the stop-gated windows of one stack, g switched off from tau on.
 
-
-@contextmanager
-def _one_draw(config: ExperimentConfig):
-    """Share one _Draws among the representation_quotient calls inside."""
-    draws = _Draws(config)
-    token = _STUDY_DRAWS.set(draws)
-    try:
-        yield draws
-    finally:
-        _STUDY_DRAWS.reset(token)
-
-
-def _stopped_solve(g, forward, batch, base, y, z, config, barrier, on_base=False):
-    """Solve one quotient window with g switched off from tau on.
-
-    tau is stopping_indices along forward.states and the terminal is
-    y + <z, X_tau - base>.  With on_base the sweep takes base as its
-    anchor and regresses on (base, X - base) pairs, base's rows built once
-    per solve and X - base formed one step at a time, so the window's
-    paths are never copied.  A stop that binds on more than 1% of paths
-    warns that the window is too wide for the barrier.  The sweep keeps no
-    history; returns (Y_t on every path, telescoped sums, fraction of
-    stopped paths).
+    One stopping_indices pass over the stack gives every window's tau, and
+    window w's terminal is y + <z, X_tau - X_t> on its own states.  A stop
+    that binds on more than 1% of a window's paths warns that the window
+    is too wide for the barrier.  The windows are then swept in lockstep
+    (_sweep), without history, regressing on the stack's shared path or,
+    with an (M, d) anchor, on (anchor, path) pairs, the anchor's rows built
+    once.  Returns (Y_t, telescoped sums, fraction of stopped paths), each
+    with one row or entry per window.
     """
-    grid = forward.grid
-    stop = stopping_indices(batch, g, x_path=forward.states, barrier=barrier)
-    frac_stopped = float(np.mean(stop < grid.n_steps))
-    if frac_stopped > 0.01:
-        warnings.warn(
-            f"stopping index binds on {100 * frac_stopped:.2f}% of paths on "
-            f"[{grid.t_start}, {grid.t_end}]; quotient window too wide for the barrier",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    stopped_state = np.take_along_axis(forward.states, stop[:, None, None], axis=1)[:, 0, :]
-    xi = y + (stopped_state - base) @ z
-    problem = BSDEProblem(
-        generator=g,
-        t_start=grid.t_start,
-        t_end=grid.t_end,
-        dimension_d=z.size,
-        terminal=lambda s: xi,
-    )
-    anchor = base if on_base else None
-    Y, _, telescoped, _ = _sweep(problem, forward, batch, config, stop, anchor)
-    return Y[0], telescoped, frac_stopped
+    stop = stopping_indices(windows, g, barrier=barrier)
+    frac_stopped = np.mean(stop < windows.steps.shape[0], axis=1)
+    for grid, frac in zip(windows.grids, frac_stopped):
+        if frac > 0.01:
+            warnings.warn(
+                f"stopping index binds on {100 * frac:.2f}% of paths on "
+                f"[{grid.t_start}, {grid.t_end}]; quotient window too wide for the barrier",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+    xi = np.array([y + windows.displacement(w, tau) @ z for w, tau in enumerate(stop)])
+    Y, _, telescoped, _ = _sweep(g, xi, windows, config, stop, anchor)
+    return Y[:, 0], telescoped, frac_stopped
 
 
 @dataclass(frozen=True)
@@ -149,6 +106,66 @@ class QuotientEstimate:
     frac_stopped: float
 
 
+def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
+    """One QuotientEstimate per window eps, all windows solved in lockstep.
+
+    Every window spans config.n_steps steps from t and scales one unit
+    draw (_draw, or the caller's draw for the same config and d) by its
+    own sqrt(dt); their states share the base, the realized time-t state.
+    A state-dependent generator (g.state_dependent) at t > 0 is probed at
+    the Brownian marginal anchored at x, base = x + sqrt(t)*aux, and the
+    regression conditions on (base, path) pairs; any other keeps base = x.
+    """
+    for eps in eps_schedule:
+        if not eps > 0:
+            raise ValidationError(f"eps must be > 0, got {eps}")
+    if config.n_steps < MIN_STEPS_PER_EPS:
+        raise ValidationError(
+            f"need n_steps >= {MIN_STEPS_PER_EPS} per quotient window, got {config.n_steps}"
+        )
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    d = z.size
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size == 1 and d > 1:
+        x = np.full(d, x[0])
+    if x.size != d:
+        raise ValidationError(f"state anchor has size {x.size}, expected {d}")
+    randomize_base = g.state_dependent and t > 0
+
+    unit, aux = draw if draw is not None else _draw(config, d, randomize_base)
+    M = config.n_paths
+    if randomize_base:
+        base = x + np.sqrt(t) * aux
+    else:
+        base = np.broadcast_to(x, (M, d)).copy()
+    grids = [TimeGrid(t, t + eps, config.n_steps) for eps in eps_schedule]
+    windows = WindowStack(grids, unit.cumulative(), unit.increments, base)
+    y_t, telescoped, frac_stopped = _stopped_solve(
+        g, windows, y, z, config, barrier, anchor=base if randomize_base else None
+    )
+
+    targets = np.broadcast_to(
+        np.asarray(g(t, base, np.full(M, float(y)), np.broadcast_to(z, (M, d))), dtype=float),
+        (M,),
+    )
+    cells = []
+    for eps, y_w, tele_w, frac in zip(eps_schedule, y_t, telescoped, frac_stopped):
+        per_path = (y_w - y) / eps
+        raw = (tele_w - y) / eps
+        cells.append(
+            QuotientEstimate(
+                eps=float(eps),
+                mean=float(per_path.mean()),
+                se=_mean_se(raw),
+                per_path=per_path,
+                raw=raw,
+                targets=np.asarray(targets, dtype=float).copy(),
+                frac_stopped=float(frac),
+            )
+        )
+    return cells
+
+
 def representation_quotient(
     g: Generator,
     t: float,
@@ -167,58 +184,11 @@ def representation_quotient(
     rescales.  A state-dependent generator (g.state_dependent) is probed at
     the realized Brownian marginal anchored at x when t > 0, any other at x
     itself.  If the stop binds on more than 1% of paths a RuntimeWarning
-    says the window is too wide for the barrier.  Inside a study
-    (_one_draw) with the same config the window scales the study's draw.
+    says the window is too wide for the barrier.  The window is a stack of
+    one (K = 1) on its own unit draw; a convergence_study window with the
+    same config differs from it only by the rounding of the wider fit.
     """
-    if eps <= 0:
-        raise ValidationError(f"eps must be > 0, got {eps}")
-    if config.n_steps < MIN_STEPS_PER_EPS:
-        raise ValidationError(
-            f"need n_steps >= {MIN_STEPS_PER_EPS} per quotient window, got {config.n_steps}"
-        )
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    d = z.size
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size == 1 and d > 1:
-        x = np.full(d, x[0])
-    if x.size != d:
-        raise ValidationError(f"state anchor has size {x.size}, expected {d}")
-    randomize_base = g.state_dependent and t > 0
-
-    draws = _STUDY_DRAWS.get()
-    if draws is None or draws.config != config:
-        draws = _Draws(config)
-    M = config.n_paths
-    grid = TimeGrid(t, t + eps, config.n_steps)
-    batch = draws.batch(grid, d)
-
-    if randomize_base:
-        base = x + np.sqrt(t) * draws.aux(d)
-    else:
-        base = np.broadcast_to(x, (M, d)).copy()
-
-    states = batch.cumulative(start=base)
-    y_t, telescoped, frac_stopped = _stopped_solve(
-        g, ForwardBatch(grid=grid, states=states), batch, base, y, z, config, barrier,
-        on_base=randomize_base,
-    )
-
-    per_path = (y_t - y) / eps
-    raw = (telescoped - y) / eps
-
-    targets = np.broadcast_to(
-        np.asarray(g(t, base, np.full(M, float(y)), np.broadcast_to(z, (M, d))), dtype=float),
-        (M,),
-    )
-    return QuotientEstimate(
-        eps=float(eps),
-        mean=float(per_path.mean()),
-        se=_mean_se(raw),
-        per_path=per_path,
-        raw=raw,
-        targets=np.asarray(targets, dtype=float).copy(),
-        frac_stopped=frac_stopped,
-    )
+    return _quotient_cells(g, t, x, y, z, [eps], config, barrier)[0]
 
 
 @dataclass(frozen=True)
@@ -267,9 +237,15 @@ def convergence_study(
     realized time-t state.  A non-monotone L1 sequence beyond one combined
     standard error is reported via errors_decreasing=False, not raised: the
     caller decides whether that fails the run.  The rate fit is skipped when
-    every error is statistically indistinguishable from zero.  The windows
-    share one draw of the normals (_one_draw), and each cell equals a
-    representation_quotient call made on its own.
+    every error is statistically indistinguishable from zero.
+
+    The windows are solved in lockstep (_quotient_cells): one unit draw of
+    the normals, one stop pass and one backward sweep for the whole
+    schedule.  Each step builds one design and fits every window's targets
+    in one least-squares solve, while the implicit step, the stop and the
+    terminal stay per window.  A window's stop is the one a
+    representation_quotient call gives, bit for bit; its other fields
+    match that call to the rounding of the wider fit.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule:
@@ -279,11 +255,7 @@ def convergence_study(
     if eps_schedule[-1] <= 0:
         raise ValidationError("eps_schedule entries must be > 0")
 
-    with _one_draw(config):
-        cells = [
-            representation_quotient(g, t, x, y, z, e, config, barrier=barrier)
-            for e in eps_schedule
-        ]
+    cells = _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier)
     lp_errors: dict[int, list] = {p: [] for p in P_NORMS}
     lp_ses: dict[int, list] = {p: [] for p in P_NORMS}
     for c in cells:
@@ -363,52 +335,60 @@ def converse_comparison_probe(
     HypothesisError, while a bad input stays a ValidationError.  Then, at each
     probe point, both quotients are estimated on common random numbers and
     declared ordered when mean1 >= mean2 - 3*SE(diff) - solver slack.
-    The hypothesis check and every quotient share one draw of the normals
-    (_one_draw), bitwise what separate draws would give.
+    The probe draws its normals once (_draw): the hypothesis check runs on
+    them scaled to its window, and every quotient is a stack of one
+    (K = 1) on them, bitwise what a representation_quotient call gives.
+    Every point's z must have the size of the first point's.
     """
     if not points:
         raise ValidationError("need at least one probe point")
     t0, x0, y0, z0 = points[0]
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     d = z0.size
-    with _one_draw(config) as draws:
-        grid = TimeGrid(t0, t0 + eps, config.n_steps)
-        batch = draws.batch(grid, d)
-        states = batch.cumulative(start=np.atleast_1d(np.asarray(x0, dtype=float)))
-        forward = ForwardBatch(grid=grid, states=states)
+    for _, _, _, z in points:
+        if np.size(z) != d:
+            raise ValidationError(f"every probe z must have size {d}, got {np.size(z)}")
+    randomize = any(g.state_dependent and t > 0 for g in (g1, g2) for t, _, _, _ in points)
+    draw = _draw(config, d, randomize)
+    unit = draw[0]
+    grid = TimeGrid(t0, t0 + eps, config.n_steps)
+    # the product keeps the time-major layout of the unit increments
+    batch = replace(unit, grid=grid, increments=unit.increments * np.sqrt(grid.dt))
+    states = batch.cumulative(start=np.atleast_1d(np.asarray(x0, dtype=float)))
+    forward = ForwardBatch(grid=grid, states=states)
 
-        def terminal(s):
-            return y0 + (s[:, -1, :] - s[:, 0, :]) @ z0
+    def terminal(s):
+        return y0 + (s[:, -1, :] - s[:, 0, :]) @ z0
 
-        template = BSDEProblem(
-            generator=g1, t_start=t0, t_end=t0 + eps, dimension_d=d, terminal=terminal
+    template = BSDEProblem(
+        generator=g1, t_start=t0, t_end=t0 + eps, dimension_d=d, terminal=terminal
+    )
+    cmp = comparison_check(g1, g2, template, forward, batch, config)
+    if cmp.fraction < hypothesis_threshold:
+        raise HypothesisError(
+            f"solution ordering holds on only {100 * cmp.fraction:.3f}% of pairs"
         )
-        cmp = comparison_check(g1, g2, template, forward, batch, config)
-        if cmp.fraction < hypothesis_threshold:
-            raise HypothesisError(
-                f"solution ordering holds on only {100 * cmp.fraction:.3f}% of pairs"
-            )
 
-        rows = []
-        slack_fp = 2.0 * config.n_steps * config.picard_tol / eps
-        for t, x, y, z in points:
-            q1 = representation_quotient(g1, t, x, y, z, eps, config, barrier=barrier)
-            q2 = representation_quotient(g2, t, x, y, z, eps, config, barrier=barrier)
-            diff_raw = q1.raw - q2.raw
-            se = _mean_se(diff_raw)
-            ordered = q1.mean >= q2.mean - 3.0 * se - slack_fp
-            rows.append(
-                ConversePointRow(
-                    t=float(t),
-                    x=tuple(np.atleast_1d(np.asarray(x, dtype=float))),
-                    y=float(y),
-                    z=tuple(np.atleast_1d(np.asarray(z, dtype=float))),
-                    mean1=q1.mean,
-                    mean2=q2.mean,
-                    se_diff=se,
-                    ordered=bool(ordered),
-                )
+    rows = []
+    slack_fp = 2.0 * config.n_steps * config.picard_tol / eps
+    for t, x, y, z in points:
+        (q1,) = _quotient_cells(g1, t, x, y, z, [eps], config, barrier, draw)
+        (q2,) = _quotient_cells(g2, t, x, y, z, [eps], config, barrier, draw)
+        diff_raw = q1.raw - q2.raw
+        se = _mean_se(diff_raw)
+        ordered = q1.mean >= q2.mean - 3.0 * se - slack_fp
+        rows.append(
+            ConversePointRow(
+                t=float(t),
+                x=tuple(np.atleast_1d(np.asarray(x, dtype=float))),
+                y=float(y),
+                z=tuple(np.atleast_1d(np.asarray(z, dtype=float))),
+                mean1=q1.mean,
+                mean2=q2.mean,
+                se_diff=se,
+                ordered=bool(ordered),
             )
+        )
     return ConverseReport(
         hypothesis_fraction=cmp.fraction,
         rows=tuple(rows),

@@ -16,7 +16,9 @@ design through the eigendecomposition of its Gram matrix, plus one step of
 iterative refinement so that the squared condition number of the normal
 equations does not reach the fit; a design whose condition number exceeds
 1e4 (GRAM_CUTOFF on the eigenvalues) is fitted by an SVD least squares
-solve instead, and such steps are counted.
+solve instead, and such steps are counted.  Windows that share their
+paths (a WindowStack) share that regression too: one design and one
+factorization per step fit the targets of every window at once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .core import BSDEProblem, ExperimentConfig, Generator, _sample_sd
 from .errors import HypothesisError, NumericalError, PicardError, ValidationError
-from .paths import BrownianBatch, ForwardBatch, _time_major
+from .paths import BrownianBatch, ForwardBatch, WindowStack
 
 # Relative singular-value cutoff: directions of the basis below it are
 # projected out, which degrades the fit gracefully (constant states collapse
@@ -75,13 +77,12 @@ def _step_designs(x: np.ndarray, degree: int, anchor: np.ndarray | None):
     """Yield (i, design) for steps i = N-1, ..., 0 of time-major states x.
 
     Without an anchor each design is polynomial_design(x[i]).  With an
-    (M, n) anchor the design of step i is
-    polynomial_design([anchor, x[i] - anchor]) bit for bit, since each
-    column's rows are built on their own: one (p, M) buffer takes
-    polynomial_design(anchor)'s rows once, and each step subtracts x[i]
-    into one reused (M, n) scratch and copies the power rows of its design
-    in behind them.  Every build goes through the module's
-    polynomial_design.  A design is valid until the next one is drawn.
+    (M, k) anchor the design of step i is polynomial_design([anchor, x[i]])
+    bit for bit, since each column's rows are built on their own: one
+    (p, M) buffer takes polynomial_design(anchor)'s rows once, and each
+    step copies the power rows of x[i]'s design in behind them.  Every
+    build goes through the module's polynomial_design.  A design is valid
+    until the next one is drawn.
     """
     n_steps = x.shape[0] - 1
     if anchor is None:
@@ -92,10 +93,8 @@ def _step_designs(x: np.ndarray, degree: int, anchor: np.ndarray | None):
     split = 1 + k * degree
     buf = np.empty((split + x.shape[2] * degree, M))
     buf[:split] = polynomial_design(anchor, degree).T
-    moved = np.empty(x.shape[1:])
     for i in range(n_steps - 1, -1, -1):
-        np.subtract(x[i], anchor, out=moved)
-        buf[split:] = polynomial_design(moved, degree).T[1:]
+        buf[split:] = polynomial_design(x[i], degree).T[1:]
         yield i, buf.T
 
 
@@ -116,8 +115,10 @@ def _fit(design: np.ndarray, targets: np.ndarray):
     values are formed time-major, as coef' @ design' of shape (q, M), and
     fitted is returned as its (M, q) transpose: with design the transpose
     of a (p, M) buffer, as polynomial_design builds it, and targets the
-    transpose of a (q, M) one, as solve_bsde passes them, every product
-    reads and writes contiguous rows.
+    transpose of a (q, M) one, as _sweep passes them, every product
+    reads and writes contiguous rows.  The columns of targets are fitted
+    together: one Gram matrix and one factorization serve every column,
+    and the products with the targets are one product each.
     """
     gram = design.T @ design
     active = np.flatnonzero(np.diag(gram))
@@ -138,7 +139,8 @@ def _fit(design: np.ndarray, targets: np.ndarray):
     np.subtract(targets.T, resid, out=resid)
     coef[active] += solve(design.T @ resid.T)
     cond = float(np.sqrt(w[-1] / w[0]))
-    return (coef.T @ design.T).T, coef, cond, int(active.size), False
+    # the fitted values take the residual's buffer, which is read by now
+    return np.matmul(coef.T, design.T, out=resid).T, coef, cond, int(active.size), False
 
 
 @dataclass
@@ -151,8 +153,8 @@ class SolutionBatch:
     Only solve_bsde returns one: its callers (the CLI solve table,
     comparison_check) read every step, and each step regresses on the
     forward state.  The quotient and Feynman-Kac estimators need only
-    Y[:, 0] and telescoped, and their sweep (_sweep, with the quotient's
-    (anchor, X - anchor) regression) keeps no history.
+    Y[:, 0] and telescoped, and their sweep (_sweep, which solves a
+    quotient study's windows in lockstep) keeps no history.
     telescoped, shape (M,), is the pathwise sum
     xi + sum_i g(t_i, X_i, Y_i, Z_i)*dt_eff accumulated during the sweep:
     its mean matches Y[:, 0] (least squares preserves target means) and its
@@ -300,9 +302,9 @@ def solve_bsde(
     This is the variant that keeps every step's Y and Z, which the CLI
     solve table and comparison_check read.  The quotient and Feynman-Kac
     estimators read only the initial row and the telescoped sums, and run
-    the same loop through _sweep without the history, in O(M) memory.
+    the same loop (_sweep) without the history, in O(M) memory.
     """
-    Y, Z, telescoped, diagnostics = _sweep(
+    Y, Z, telescoped, diagnostics = _solve(
         problem, forward, brownian, config, stop_indices, history=True
     )
     return SolutionBatch(
@@ -310,23 +312,18 @@ def solve_bsde(
     )
 
 
-def _sweep(
+def _solve(
     problem: BSDEProblem,
     forward: ForwardBatch,
     brownian: BrownianBatch,
     config: ExperimentConfig,
     stop_indices: np.ndarray | None = None,
-    anchor: np.ndarray | None = None,
     history: bool = False,
 ):
-    """The backward loop of solve_bsde; returns (Y, Z, telescoped, diagnostics).
+    """One problem on its forward batch: the input checks, then _sweep with K = 1.
 
-    Y and Z are time-major.  With history they hold every step, (N+1, M)
-    and (N, M, d); without it step i writes row i % 2 of a (2, M) Y and the
-    one row of a (1, M, d) Z, all the next step reads, so Y[0] is the
-    initial row either way.  Step i regresses on the forward state X_i, or,
-    with an (M, n) anchor, on the pair (anchor, X_i - anchor), the anchor's
-    rows built once (_step_designs).
+    Returns that window's (Y, Z, telescoped, diagnostics), time-major as
+    _sweep writes them.
     """
     M, n_steps, d = brownian.increments.shape
     if problem.dimension_d != d:
@@ -344,78 +341,123 @@ def _sweep(
         stop_indices = np.asarray(stop_indices)
         if stop_indices.shape != (M,):
             raise ValidationError(f"stop_indices must have shape ({M},)")
+        stop_indices = stop_indices[None]
 
-    # an overflow is reported below with its path
+    # an overflow is reported by _sweep with its path
     with np.errstate(over="ignore", invalid="ignore"):
         xi = np.asarray(problem.terminal(forward.states), dtype=float)
     if xi.shape != (M,):
         raise ValidationError(f"terminal returned shape {xi.shape}, expected ({M},)")
-    if not np.all(np.isfinite(xi)):
-        raise NumericalError(
-            f"non-finite terminal value at path {int(np.argmax(~np.isfinite(xi)))}"
-        )
 
-    x = _time_major(forward.states)
-    incr = _time_major(brownian.increments)
-    g = problem.generator
-    dt = grid.dt
-    times = grid.times()
-    Y = np.empty((n_steps + 1 if history else 2, M))
-    Z = np.empty((n_steps if history else 1, M, d))
-    Y[n_steps % len(Y)] = xi
-    telescoped = xi.copy()
+    windows = WindowStack((grid,), forward.states, brownian.increments)
+    Y, Z, telescoped, diagnostics = _sweep(
+        problem.generator, xi[None], windows, config, stop_indices, history=history
+    )
+    return Y[0], Z[0], telescoped[0], diagnostics[0]
+
+
+def _sweep(
+    g: Generator,
+    terminals: np.ndarray,
+    windows: WindowStack,
+    config: ExperimentConfig,
+    stops: np.ndarray | None = None,
+    anchor: np.ndarray | None = None,
+    history: bool = False,
+):
+    """The backward loop, for the K windows of a stack in lockstep.
+
+    Window w has generator g, terminal values terminals[w] and, when stops
+    is given, its generator switched off from stops[w] on.  Every window
+    regresses on the same design: step i's is built once from the stack's
+    shared path, windows.path[i], or, with an (M, n) anchor, from the pair
+    (anchor, path[i]), the anchor's rows built once (_step_designs).  The
+    K*(1+d) targets [Y_{i+1}; Y_{i+1}*dB_i/dt] of all windows are the
+    columns of one fit, so one Gram matrix and one factorization serve
+    them.  The implicit y-step, the stop and the terminal stay per window,
+    on its own grid, states and increments, which windows forms a step at
+    a time.  Returns (Y, Z, telescoped, diagnostics).  Y is (K, rows, M)
+    and Z (K, rows, M, d), time-major: with history they hold every step,
+    N+1 and N rows; without it step i writes row i % 2 of Y and the one
+    row of Z, all the next step reads, so Y[:, 0] is the initial row
+    either way.  telescoped is (K, M).  diagnostics holds one dict per
+    window; its cond, rank and regression_fallbacks arrays are shared by
+    all windows.
+    """
+    n_steps, M, d = windows.steps.shape
+    K = len(windows.grids)
+    q = 1 + d
+    if not np.all(np.isfinite(terminals)):
+        w, m = np.argwhere(~np.isfinite(terminals))[0]
+        where = f"path {m}" if K == 1 else f"path {m} of window {w}"
+        raise NumericalError(f"non-finite terminal value at {where}")
+
+    times = [grid.times() for grid in windows.grids]
+    Y = np.empty((K, n_steps + 1 if history else 2, M))
+    Z = np.empty((K, n_steps if history else 1, M, d))
+    rows_y, rows_z = Y.shape[1], Z.shape[1]
+    Y[:, n_steps % rows_y] = terminals
+    telescoped = terminals.copy()
     cond = np.empty(n_steps)
     rank = np.empty(n_steps, dtype=int)
-    picard_iters = np.empty(n_steps, dtype=int)
-    bisections = np.zeros(n_steps, dtype=int)
     lstsq_fallbacks = np.zeros(n_steps, dtype=int)
+    picard_iters = np.empty((K, n_steps), dtype=int)
+    bisections = np.zeros((K, n_steps), dtype=int)
 
-    # regression targets [Y_{i+1}; Y_{i+1}*dB_i/dt], one row each
-    targets = np.empty((1 + d, M))
+    # regression targets, [Y_{i+1}; Y_{i+1}*dB_i/dt] of each window in turn
+    targets = np.empty((K * q, M))
+    x_scratch = np.empty((M, windows.path.shape[2]))
+    dB_scratch = np.empty((M, d))
 
-    for i, design in _step_designs(x, config.basis_degree, anchor):
-        y_next = Y[(i + 1) % len(Y)]
-        z = Z[i % len(Z)]
-        targets[0] = y_next
-        np.multiply(y_next, incr[i].T, out=targets[1:])
-        np.divide(targets[1:], dt, out=targets[1:])
-        fitted, _, cnd, rnk, fell_back = _fit(design, targets.T)
+    for i, design in _step_designs(windows.path, config.basis_degree, anchor):
+        for w, grid in enumerate(windows.grids):
+            y_next = Y[w, (i + 1) % rows_y]
+            rows = targets[w * q : (w + 1) * q]
+            rows[0] = y_next
+            np.multiply(y_next, windows.increment(w, i, dB_scratch).T, out=rows[1:])
+            np.divide(rows[1:], grid.dt, out=rows[1:])
+        fitted, _, cond[i], rank[i], lstsq_fallbacks[i] = _fit(design, targets.T)
         fitted = fitted.T
-        ey = fitted[0]
-        z[:] = fitted[1:].T
 
-        if stop_indices is None:
-            dt_eff = dt
-        else:
-            dt_eff = np.where(i < stop_indices, dt, 0.0)
+        for w, grid in enumerate(windows.grids):
+            ey = fitted[w * q]
+            z = Z[w, i % rows_z]
+            z[:] = fitted[w * q + 1 : (w + 1) * q].T
+            if stops is None:
+                dt_eff = grid.dt
+            else:
+                dt_eff = np.where(i < stops[w], grid.dt, 0.0)
 
-        y, iters, nfb, gv = _picard_step(g, times[i], x[i], ey, z, dt_eff, config)
-        # bisection can settle a finite y where g is NaN, so the generator
-        # values are checked too
-        finite = np.isfinite(y)
-        finite &= np.isfinite(gv)
-        finite &= np.isfinite(z).all(axis=1)
-        if not finite.all():
-            m = int(np.argmin(finite))
-            raise NumericalError(
-                f"non-finite value at step {i}, path {m}: "
-                f"y={y[m]}, g={np.broadcast_to(gv, (M,))[m]}, max|z|={np.abs(z[m]).max()}"
-            )
-        Y[i % len(Y)] = y
-        telescoped += gv * dt_eff
-        cond[i] = cnd
-        rank[i] = rnk
-        picard_iters[i] = iters
-        bisections[i] = nfb
-        lstsq_fallbacks[i] = fell_back
+            x = windows.state(w, i, x_scratch)
+            y, iters, nfb, gv = _picard_step(g, times[w][i], x, ey, z, dt_eff, config)
+            # bisection can settle a finite y where g is NaN, so the generator
+            # values are checked too
+            finite = np.isfinite(y)
+            finite &= np.isfinite(gv)
+            finite &= np.isfinite(z).all(axis=1)
+            if not finite.all():
+                m = int(np.argmin(finite))
+                where = f"step {i}, path {m}" if K == 1 else f"step {i}, path {m} of window {w}"
+                raise NumericalError(
+                    f"non-finite value at {where}: "
+                    f"y={y[m]}, g={np.broadcast_to(gv, (M,))[m]}, max|z|={np.abs(z[m]).max()}"
+                )
+            Y[w, i % rows_y] = y
+            telescoped[w] += gv * dt_eff
+            picard_iters[w, i] = iters
+            bisections[w, i] = nfb
 
-    return Y, Z, telescoped, {
-        "cond": cond,
-        "rank": rank,
-        "picard_iters": picard_iters,
-        "bisection_paths": bisections,
-        "regression_fallbacks": lstsq_fallbacks,
-    }
+    diagnostics = [
+        {
+            "cond": cond,
+            "rank": rank,
+            "picard_iters": picard_iters[w],
+            "bisection_paths": bisections[w],
+            "regression_fallbacks": lstsq_fallbacks,
+        }
+        for w in range(K)
+    ]
+    return Y, Z, telescoped, diagnostics
 
 
 @dataclass(frozen=True)

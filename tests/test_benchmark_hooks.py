@@ -66,10 +66,11 @@ def test_install_wraps_every_target_and_uninstall_restores_it():
 
 
 def test_a_study_is_traced_window_by_window():
-    # convergence_study's cells, its one draw and its design builds must
-    # stay where the tracer looks: representation_quotient per window,
-    # sample_brownian once, polynomial_design for the anchor rows once per
-    # window and for the increment rows once per step
+    # convergence_study solves its windows in lockstep, and its draw, stop
+    # pass and design builds must stay where the tracer looks:
+    # sample_brownian and stopping_indices once for the whole schedule,
+    # the latter reporting every window's paths, and polynomial_design for
+    # the anchor rows once and for the path rows once per step
     tracer = _load_tracer().Tracer()
     M, n, schedule = 600, 50, (0.1, 0.05, 0.025)
     g = bl.builtin_generator("stress", delta=0.1)
@@ -81,11 +82,11 @@ def test_a_study_is_traced_window_by_window():
         tracer.uninstall()
 
     names = [span[0] for span in tracer.spans]
-    assert names.count("representation.representation_quotient") == len(schedule)
+    assert names.count("representation.convergence_study") == 1
     assert names.count("paths.sample_brownian") == 1
-    assert names.count("paths.stopping_indices") == len(schedule)
-    assert names.count("solver.polynomial_design") == len(schedule) * (n + 1)
+    assert names.count("paths.stopping_indices") == 1
+    assert tracer.counters["paths.stop_paths"] == len(schedule) * M
+    assert names.count("solver.polynomial_design") == n + 1
     metrics = tracer.layer_metrics(wall_s=1.0)
-    assert metrics["representation.cells"] == len(schedule)
     assert metrics["paths.path_steps"] == M * n
     assert metrics["solver.design_s"] > 0

@@ -165,6 +165,24 @@ class TestExitZero:
         # at eps = 0.1 the stop binds on some paths and the spread is real
         assert float(rows[0][header.index("se")]) > 1e-6
 
+    def test_readme_represent_example_is_what_the_command_prints(self, tmp_path, capsys):
+        # the README shows a config and the output it gives; run that config
+        # so a change that moves the printed digits cannot leave it stale
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8"
+        ).splitlines()
+
+        def block(after):
+            start = lines.index(after) + 1
+            end = lines.index("", start)
+            return [ln[4:] for ln in lines[start:end]]
+
+        config = block("    $ cat represent.cfg")
+        shown = block("    $ bsdelab represent --config represent.cfg")
+        cfg = _write(tmp_path, "represent.cfg", "\n".join(config) + "\n")
+        assert main(["represent", "--config", cfg]) == 0
+        assert capsys.readouterr().out.splitlines() == shown
+
     def test_solve_sd_is_exact_zero_without_spread(self, tmp_path, capsys):
         # sigma = 0: every path carries the same Y, so sd_y prints 0 on every
         # row rather than the float dust of np.std

@@ -178,6 +178,45 @@ class TestFDReference:
         assert np.array_equal(fd_reference(p, h=H_COS, k=2e-2).u, field.u)
         assert len(rule_calls) == 2
 
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "name,problem,h",
+        [
+            ("heat_cos", heat_cos_problem, math.pi / 16),
+            ("semilinear_cos", semilinear_cos_problem, math.pi / 16),
+            ("square", square_problem, 0.25),
+            ("affine", lambda: affine_problem(0.5, 1.0), 0.25),
+        ],
+    )
+    def test_tridiagonal_solve_is_the_banded_one(self, monkeypatch, theta, name, problem, h):
+        # the march hands LAPACK's gtsv the three diagonals; solving the
+        # same band through solve_banded must give the same field bit for
+        # bit; k = 0.02 sits inside the explicit CFL bound h^2 at theta = 0
+        from scipy.linalg import lapack, solve_banded
+
+        field = fd_reference(problem(), h=h, k=0.02, theta=theta)
+
+        def banded(dl, d, du, b, overwrite_b=False):
+            ab = np.zeros((3, d.size))
+            ab[0, 1:] = du
+            ab[1] = d
+            ab[2, :-1] = dl
+            return None, None, None, solve_banded((1, 1), ab, b), 0
+
+        monkeypatch.setattr(lapack, "dgtsv", banded)
+        want = fd_reference(problem(), h=h, k=0.02, theta=theta)
+        assert np.array_equal(field.u, want.u), name
+
+    def test_singular_system_names_the_time_index(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        def singular(dl, d, du, b, overwrite_b=False):
+            return None, None, None, b, 3
+
+        monkeypatch.setattr(lapack, "dgtsv", singular)
+        with pytest.raises(NumericalError, match="singular FD system at time index 49"):
+            fd_reference(heat_cos_problem(), h=H_COS, k=0.02)
+
     def test_time_dependent_sigma(self):
         # sigma(t)^2 = 1 + 2t, no drift or reaction: u(t, x) =
         # exp(-((T - t) + (T^2 - t^2))/2) cos x, so u(0, 0) = e^{-1}.  The

@@ -291,8 +291,9 @@ class TestStopping:
         grid = TimeGrid(0.0, 1.0, 4)
         batch = sample_brownian(grid, 4, 1, seed=0)
         g = builtin_generator("linear")
-        with pytest.raises(ValidationError):
-            stopping_indices(batch, g, x_path=batch.cumulative(), barrier=0.0)
+        for barrier in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValidationError):
+                stopping_indices(batch, g, x_path=batch.cumulative(), barrier=barrier)
 
 
 class TestBatchExtension:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from bsdelab import (
@@ -102,6 +104,15 @@ class TestStopping:
         assert q2.frac_stopped <= q1.frac_stopped
         assert abs(q2.mean - 1.5) <= abs(q1.mean - 1.5) + 1e-9
 
+    def test_nan_barrier_is_refused(self):
+        # every comparison with NaN is false, so a NaN barrier would switch
+        # the stop off without a word
+        g = builtin_generator("linear", c=1.0)
+        with pytest.raises(ValidationError, match="barrier"):
+            representation_quotient(
+                g, 0.2, 0.0, 0.0, 0.8, 0.04, _cfg(M=500, n=50), barrier=float("nan")
+            )
+
 
 class TestCommonRandomNumbers:
     def test_same_seed_pairs_cancel(self):
@@ -162,26 +173,79 @@ class TestRandomizedBase:
 class TestAnchoredSolveMemory:
     @pytest.mark.parametrize("d", [1, 2])
     def test_window_paths_are_never_copied(self, d):
-        # an anchored window regresses on (base, X - base) one step at a
-        # time: the traced peak of the whole solve (stops, terminal, sweep)
-        # stays below one (N+1, M, d) array of the window's paths
+        # an anchored window of a unit draw regresses on (base, path) and
+        # forms its states base + s*W one step at a time: the traced peak of
+        # the whole solve (stops, terminal, sweep) stays below one
+        # (N+1, M, d) array of the window's paths
         M, n_steps = 5000, 200
         cfg = _cfg(seed=5, M=M, n=n_steps)
-        grid = TimeGrid(0.5, 0.52, n_steps)
-        batch = paths.sample_brownian(grid, M, d, cfg.seed)
+        unit = paths.sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, d, cfg.seed)
         base = 0.1 + np.sqrt(0.5) * np.random.default_rng(5).normal(size=(M, d))
-        forward = paths.ForwardBatch(grid=grid, states=batch.cumulative(start=base))
+        windows = paths.WindowStack(
+            [TimeGrid(0.5, 0.52, n_steps)], unit.cumulative(), unit.increments, base
+        )
         g = builtin_generator("stress", delta=0.1)
         tracemalloc.start()
         try:
             y_t, _, _ = representation._stopped_solve(
-                g, forward, batch, base, 0.2, np.full(d, 0.3), cfg, 1.0, on_base=True
+                g, windows, 0.2, np.full(d, 0.3), cfg, 1.0, anchor=base
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert y_t.shape == (M,)
+        assert y_t.shape == (1, M)
         assert peak < (n_steps + 1) * M * d * 8
+
+
+class TestLockstepStudy:
+    """A study's windows share one draw, one stop pass and one sweep."""
+
+    SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_peak_stays_near_two_path_arrays(self, d):
+        # the unit draw and its path are the two (N+1, M, d)-sized arrays a
+        # study holds; no window keeps states or scaled increments of its own
+        M, n_steps = 5000, 200
+        g = builtin_generator("stress", delta=0.1)
+        cfg = _cfg(seed=6, M=M, n=n_steps)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                convergence_study(
+                    g, 0.5, np.zeros(d), 0.2, np.full(d, 0.3), self.SCHEDULE, cfg
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (n_steps + 1) * M * d * 8
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        d=st.integers(1, 2),
+        t=st.sampled_from([0.0, 0.3]),
+        barrier=st.sampled_from([0.6, 1.0]),
+    )
+    def test_a_window_does_not_depend_on_its_neighbours(self, seed, d, t, barrier):
+        # windows b and d of (a, b, c, d) against the schedule (b, d): the
+        # stop is bitwise the same, and the fused fit moves the rest at
+        # rounding only
+        g = builtin_generator("stress", delta=0.1)
+        cfg = _cfg(seed=seed, M=1500, n=50)
+        a, b, c, e = self.SCHEDULE
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            full = convergence_study(g, t, [0.1] * d, 0.2, [0.3] * d, (a, b, c, e), cfg, barrier)
+            pair = convergence_study(g, t, [0.1] * d, 0.2, [0.3] * d, (b, e), cfg, barrier)
+        assert pair.frac_stopped == full.frac_stopped[1::2]
+        close = dict(rel=1e-9, abs=1e-12)
+        assert pair.quotient_means == pytest.approx(full.quotient_means[1::2], **close)
+        assert pair.quotient_ses == pytest.approx(full.quotient_ses[1::2], **close)
+        for p in representation.P_NORMS:
+            assert pair.lp_errors[p] == pytest.approx(full.lp_errors[p][1::2], **close)
+            assert pair.lp_ses[p] == pytest.approx(full.lp_ses[p][1::2], **close)
 
 
 class TestValidation:
@@ -227,7 +291,7 @@ class TestConverse:
 
 
 class TestSharedDraws:
-    """A study draws its normals once; each window still equals its own
+    """A study draws its normals once; each window still matches its own
     representation_quotient call, field for field."""
 
     M = 2 * paths.PATH_BLOCK + 7  # three path blocks
@@ -254,16 +318,23 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_window_batch_is_the_windows_own_draw(self, d):
+        # a window of a unit draw forms the increments sample_brownian draws
+        # on its own grid, bit for bit, and its states are that batch's
+        # cumulative path from the base, to rounding
         cfg = _cfg(seed=40, M=self.M, n=50)
-        draws = representation._Draws(cfg)
-        for t, eps in [(0.5, 0.1), (0.5, 0.0125), (0.2, 0.05)]:
-            grid = TimeGrid(t, t + eps, 50)
-            batch = draws.batch(grid, d)
+        unit, _ = representation._draw(cfg, d, False)
+        base = np.random.default_rng(40).normal(size=(self.M, d))
+        grids = [TimeGrid(t, t + eps, 50) for t, eps in [(0.5, 0.1), (0.5, 0.0125), (0.2, 0.05)]]
+        windows = paths.WindowStack(grids, unit.cumulative(), unit.increments, base)
+        # the stack reads the draw in place
+        assert np.shares_memory(windows.steps, unit.increments)
+        dB, x = np.empty((self.M, d)), np.empty((self.M, d))
+        for w, grid in enumerate(grids):
             want = paths.sample_brownian(grid, self.M, d, 40)
-            assert batch.grid == grid
-            assert np.array_equal(batch.increments, want.increments), (t, eps)
-            # time-major storage, so the sweep reads it without a copy
-            assert np.swapaxes(batch.increments, 0, 1).flags.c_contiguous
+            states = want.cumulative(start=base)
+            for j in range(grid.n_steps):
+                assert np.array_equal(windows.increment(w, j, dB), want.increments[:, j]), (w, j)
+                np.testing.assert_allclose(windows.state(w, j, x), states[:, j], rtol=0, atol=1e-13)
 
     def test_convergence_study_draws_once(self, monkeypatch):
         g = builtin_generator("stress", delta=0.1)
@@ -274,21 +345,22 @@ class TestSharedDraws:
         report = convergence_study(g, 0.5, [0.1, -0.1], 0.2, z, schedule, cfg, barrier=2.0)
         assert blocks == {0: 1, 1: 1, 2: 1}
         assert aux == [(self.M, 2)]
-        # the study's draws end with it: a later call draws its own
-        assert representation._STUDY_DRAWS.get() is None
 
+        # a lone call draws its own normals, and matches its study window up
+        # to the rounding of the study's wider fused fit
         cells = [
             representation_quotient(g, 0.5, [0.1, -0.1], 0.2, z, e, cfg, barrier=2.0)
             for e in schedule
         ]
         assert blocks == {0: 5, 1: 5, 2: 5}
-        assert report.quotient_means == tuple(c.mean for c in cells)
-        assert report.quotient_ses == tuple(c.se for c in cells)
+        close = dict(rel=1e-9, abs=1e-12)
         assert report.frac_stopped == tuple(c.frac_stopped for c in cells)
+        assert report.quotient_means == pytest.approx([c.mean for c in cells], **close)
+        assert report.quotient_ses == pytest.approx([c.se for c in cells], **close)
         for p in representation.P_NORMS:
             want = [representation._lp_error(c.per_path, c.targets, c.se, p) for c in cells]
-            assert report.lp_errors[p] == tuple(e for e, _ in want)
-            assert report.lp_ses[p] == tuple(se for _, se in want)
+            assert report.lp_errors[p] == pytest.approx([e for e, _ in want], **close)
+            assert report.lp_ses[p] == pytest.approx([se for _, se in want], **close)
         assert report.target_mean == float(np.mean(cells[-1].targets))
 
     def test_converse_probe_draws_once(self, monkeypatch):

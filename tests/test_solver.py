@@ -21,7 +21,7 @@ from bsdelab import (
     solve_bsde,
 )
 from bsdelab import solver
-from bsdelab.paths import ForwardBatch, stopping_indices
+from bsdelab.paths import ForwardBatch, WindowStack, stopping_indices
 from bsdelab.solver import _fit, _picard_step, comparison_check, polynomial_design
 
 
@@ -204,8 +204,8 @@ class TestGramProjector:
     def test_binary_coordinate_falls_back_to_lstsq(self):
         # a +-1 anchor makes s^2 a copy of the intercept and s^3 a copy of
         # s: the Gram matrix is singular, eigenvalues cannot resolve the
-        # cutoff, and every step goes to lstsq; at step 0, X_0 - anchor is
-        # -anchor, so lstsq keeps rank 2 there
+        # cutoff, and every step goes to lstsq; at step 0 the path X_0 is
+        # the constant 0, so lstsq keeps rank 2 there
         grid = TimeGrid(0.0, 1.0, 10)
         M = 1000
         fw, batch = _brownian_forward(grid, M, 1, seed=13)
@@ -218,14 +218,19 @@ class TestGramProjector:
             terminal=lambda s: np.sin(s[:, -1, 0]) + s[:, -1, 0],
         )
         cfg = ExperimentConfig(seed=13, n_paths=M, n_steps=10, basis_degree=3)
-        Y, _, _, diag = solver._sweep(problem, fw, batch, cfg, anchor=anchor, history=True)
+        xi = problem.terminal(fw.states)[None]
+        windows = WindowStack((grid,), fw.states, batch.increments)
+        Y, _, _, (diag,) = solver._sweep(
+            problem.generator, xi, windows, cfg, anchor=anchor, history=True
+        )
+        Y = Y[0]
         assert diag["regression_fallbacks"].shape == (10,)
         assert np.all(diag["regression_fallbacks"] == 1)
-        design = _column_stack_design(np.concatenate([anchor, -anchor], axis=1), 3)
+        design = _column_stack_design(np.concatenate([anchor, fw.states[:, 0]], axis=1), 3)
         targets = np.stack([Y[1], Y[1] * batch.increments[:, 0, 0] / grid.dt], axis=1)
         want, _, _, want_rank = _lstsq_fit(design, targets)
         assert want_rank == 2
-        # the other steps add the three power rows of a continuous X - anchor
+        # the other steps add the three power rows of a continuous X
         assert diag["rank"][0] == want_rank
         assert np.all(diag["rank"][1:] == want_rank + 3)
         fitted, _, _, rank, fell_back = _fit(design, targets)
@@ -956,10 +961,9 @@ class TestSweepMemory:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_lean_stopped_basis_solve_keeps_no_step_dimension(self, d):
-        # the estimators' sweep: stopped, conditioning on (base, X - base)
-        # with base as the anchor, its rows built once and X - base formed
-        # a step at a time; an (N+1, M) temporary alone would be N+1 = 201
-        # M-vectors
+        # the estimators' sweep: stopped, conditioning on (base, X) with
+        # base as the anchor, its rows built once; an (N+1, M) temporary
+        # alone would be N+1 = 201 M-vectors
         M, n_steps = 5000, 200
         grid = TimeGrid(0.3, 0.5, n_steps)
         rng = np.random.default_rng(5)
@@ -976,23 +980,26 @@ class TestSweepMemory:
             terminal=lambda s: np.cos(s[:, -1, 0]),
         )
         cfg = ExperimentConfig(seed=5, n_paths=M, n_steps=n_steps)
+        xi = problem.terminal(fw.states)[None]
+        windows = WindowStack((grid,), fw.states, batch.increments)
         tracemalloc.start()
         try:
-            Y, Z, _, _ = solver._sweep(problem, fw, batch, cfg, stop, anchor=base)
+            Y, Z, _, _ = solver._sweep(g, xi, windows, cfg, stop[None], anchor=base)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert Y.shape == (2, M) and Z.shape == (1, M, d)
+        assert Y.shape == (1, 2, M) and Z.shape == (1, 1, M, d)
         assert peak < 64 * 8 * M
 
 
 class TestLeanSweep:
-    """The estimators' sweep (no history, anchor rows built once) against
-    the history sweep and polynomial_design, bit for bit."""
+    """The estimators' sweep (no history, anchor rows built once, windows
+    in lockstep) against the history sweep, polynomial_design and one
+    window at a time."""
 
     @staticmethod
     def _window(d, seed, M=3000, n_steps=30):
-        # a quotient-style window: random base, (base, X - base) basis
+        # a quotient-style window: random base, paths started at it
         grid = TimeGrid(0.4, 0.5, n_steps)
         base = 0.2 + np.sqrt(0.4) * np.random.default_rng(seed).normal(size=(M, d))
         fw, batch = _brownian_forward(grid, M, d, seed=seed, start=base)
@@ -1004,14 +1011,16 @@ class TestLeanSweep:
         grid, base, fw, _ = self._window(d, seed=20 + d)
         steps = list(range(grid.n_steps - 1, -1, -1))
         x_tm = np.swapaxes(fw.states, 0, 1)
+        # the displacement path from the base, as a study's unit path is
+        moved = x_tm - base
         seen = []
-        for i, design in solver._step_designs(x_tm, degree, base):
-            want = polynomial_design(np.concatenate([base, x_tm[i] - base], axis=1), degree)
+        for i, design in solver._step_designs(moved, degree, base):
+            want = polynomial_design(np.concatenate([base, moved[i]], axis=1), degree)
             assert np.array_equal(design, want), i
             seen.append(i)
         assert seen == steps
-        # step 0: the increment columns are zero, so their rows are too
-        assert np.all(x_tm[0] - base == 0.0)
+        # step 0: the displacement columns are zero, so their rows are too
+        assert np.all(moved[0] == 0.0)
         seen = []
         for i, design in solver._step_designs(x_tm, degree, None):
             assert np.array_equal(design, polynomial_design(x_tm[i], degree)), i
@@ -1037,15 +1046,19 @@ class TestLeanSweep:
         )
         cfg = ExperimentConfig(seed=30 + d, n_paths=base.shape[0], n_steps=grid.n_steps)
         if on_base:
-            Y_full, _, tele_full, diag_full = solver._sweep(
-                problem, fw, batch, cfg, stop, anchor=base, history=True
+            xi = problem.terminal(fw.states)[None]
+            windows = WindowStack((grid,), fw.states, batch.increments)
+            stops = None if stop is None else stop[None]
+            Y_full, _, tele_full, (diag_full,) = solver._sweep(
+                g, xi, windows, cfg, stops, anchor=base, history=True
             )
-            lean = solver._sweep(problem, fw, batch, cfg, stop, anchor=base)
+            Y_full, tele_full = Y_full[0], tele_full[0]
+            Y, Z, telescoped, (diagnostics,) = solver._sweep(g, xi, windows, cfg, stops, anchor=base)
+            Y, Z, telescoped = Y[0], Z[0], telescoped[0]
         else:
             sol = solve_bsde(problem, fw, batch, cfg, stop_indices=stop)
             Y_full, tele_full, diag_full = sol.Y.T, sol.telescoped, sol.diagnostics
-            lean = solver._sweep(problem, fw, batch, cfg, stop)
-        Y, Z, telescoped, diagnostics = lean
+            Y, Z, telescoped, diagnostics = solver._solve(problem, fw, batch, cfg, stop)
         assert Y_full.shape == (grid.n_steps + 1, base.shape[0])
         assert Y.shape == (2, base.shape[0]) and Z.shape == (1, base.shape[0], d)
         assert np.array_equal(Y[0], Y_full[0])
@@ -1053,6 +1066,38 @@ class TestLeanSweep:
         assert diagnostics.keys() == diag_full.keys()
         for key, value in diagnostics.items():
             assert np.array_equal(value, diag_full[key]), key
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_lockstep_windows_match_one_at_a_time(self, d, anchored):
+        # three windows of one unit draw swept together against each swept
+        # alone: the same stops and iteration counts, and solutions that
+        # differ only by the rounding of the wider fused fit
+        M, n_steps = 3000, 30
+        unit = sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, d, seed=40 + d)
+        base = 0.2 + np.sqrt(0.4) * np.random.default_rng(40 + d).normal(size=(M, d))
+        grids = [TimeGrid(0.4, 0.4 + eps, n_steps) for eps in (0.2, 0.1, 0.05)]
+        g = builtin_generator("stress", delta=0.1)
+        cfg = ExperimentConfig(seed=40 + d, n_paths=M, n_steps=n_steps)
+        anchor = base if anchored else None
+
+        def sweep(gs):
+            windows = WindowStack(gs, unit.cumulative(), unit.increments, base)
+            stops = stopping_indices(windows, g, barrier=0.5)
+            xi = np.array(
+                [np.sin(windows.displacement(w, tau)[:, 0]) for w, tau in enumerate(stops)]
+            )
+            return stops, solver._sweep(g, xi, windows, cfg, stops, anchor)
+
+        stops, (Y, _, telescoped, diagnostics) = sweep(grids)
+        assert 0 < np.count_nonzero(stops < n_steps) < stops.size
+        for w, grid in enumerate(grids):
+            stop_w, (Y_w, _, tele_w, (diag_w,)) = sweep([grid])
+            assert np.array_equal(stop_w[0], stops[w])
+            np.testing.assert_allclose(Y_w[0, 0], Y[w, 0], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(tele_w[0], telescoped[w], rtol=1e-9, atol=1e-12)
+            assert np.array_equal(diag_w["rank"], diagnostics[w]["rank"])
+            np.testing.assert_allclose(diag_w["cond"], diagnostics[w]["cond"], rtol=1e-9)
 
 
 class TestTelescopedSum:
