@@ -3,7 +3,10 @@
 A generator is the driver g(t, x, y, z) of a scalar backward equation.  All
 randomness enters through the explicit state argument x (typically the value
 of the driving Brownian motion or of a forward diffusion), so evaluation is a
-pure function and safe to call concurrently.  Evaluations broadcast over a
+pure function and safe to call concurrently.  It has to be: a study with
+K >= 2 windows (convergence_study) calls the driver from several threads at
+once, so a driver must keep no mutable state and must not write to its
+arguments.  Evaluations broadcast over a
 leading batch axis: t is a float, x has shape (..., n), y has shape (...),
 z has shape (..., d), and the result has shape (...).  For d == 1, z may be
 passed as a bare scalar.
@@ -142,6 +145,11 @@ class Generator:
         then fall back to an empirical sup over a y-grid.
     state_dependent : bool
         Whether eval actually reads x.
+
+    eval must be pure: a study with K >= 2 windows calls it from several
+    threads at once, so it keeps no mutable state and writes to none of
+    its arguments.  A warning it raises (the stress driver's exponent
+    clamp) reaches the caller's warning filters from any thread.
     """
 
     name: str
@@ -216,21 +224,25 @@ def _stress_generator(delta: float) -> Generator:
     def ev(t, x, y, z):
         y = np.asarray(y, dtype=float)
         expo = y * _norm_last(x)
-        clipped = np.abs(expo) > EXP_CLAMP
-        if np.any(clipped):
+        clipped = int(np.count_nonzero(np.abs(expo) > EXP_CLAMP))
+        if clipped:
             warnings.warn(
                 f"stress generator exponent clamped to +-{EXP_CLAMP} on "
-                f"{int(np.count_nonzero(clipped))} evaluation(s)",
+                f"{clipped} evaluation(s)",
                 RuntimeWarning,
                 stacklevel=2,
             )
             expo = np.clip(expo, -EXP_CLAMP, EXP_CLAMP)
-        # -exp + h + |z| accumulated in one buffer of the broadcast shape;
-        # h - exp is bitwise -exp + h
-        nz = _norm_last(z)
-        out = np.exp(expo, out=np.empty(np.broadcast_shapes(np.shape(expo), np.shape(nz))))
+        # -exp + h + |z| accumulated in one buffer of the broadcast shape,
+        # expo's own where it has that shape (it is a fresh array), with |z|
+        # formed last: the windows of a study evaluate side by side, so
+        # each live temporary counts once per worker.  h - exp is bitwise
+        # -exp + h
+        shape = np.broadcast_shapes(np.shape(expo), np.shape(z)[:-1] if np.ndim(z) else ())
+        own = isinstance(expo, np.ndarray) and expo.shape == shape
+        out = np.exp(expo, out=expo if own else np.empty(shape))
         np.subtract(h(np.abs(y)), out, out=out)
-        out += nz
+        out += _norm_last(z)
         return out
 
     def modulus(u):
@@ -399,7 +411,8 @@ class ExperimentConfig:
     """Knobs shared by the Monte Carlo experiments.
 
     Together with the inputs they fix every output byte; path sampling
-    sizes its own thread pool (sample_brownian), which changes no result.
+    and the windows of a study size their own thread pool, one worker per
+    usable CPU (paths._side_by_side), which changes no result.
     """
 
     seed: int

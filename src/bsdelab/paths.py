@@ -15,12 +15,20 @@ storage without a copy, and copies a caller-built path-major array once.
 A WindowStack reads K time windows off one batch, a step at a time: the
 windows of a quotient study scale one unit-step draw by their own
 sqrt(dt), so none of them stores states or increments of its own.
+
+Independent tasks run side by side on one rule (_side_by_side): path
+blocks when sampling, and the windows of a stack in stopping_indices and
+in the solver's sweep.  Each task writes only its own outputs with the
+arithmetic it has alone, so no output byte depends on the CPU count.
+With K >= 2 windows the driver is called from several threads at once.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,8 +136,9 @@ class WindowStack:
     grids[w], has scale s_w = sqrt(dt_w): its state at node j is
     base + s_w*W_j and its increment s_w*dW_j, the increments
     sample_brownian draws on grids[w] bit for bit.  Those are formed a
-    step at a time into a caller's scratch, so no window's states or
-    increments are ever stored.  Every grid has the draw's N steps.
+    step at a time, into a caller's scratch or a new array, so no window's
+    states or increments are ever stored.  Every grid has the draw's N
+    steps.
     """
 
     def __init__(self, grids, states, increments, base=None):
@@ -155,15 +164,15 @@ class WindowStack:
         """The shared increments, (M, N, d), a transposed view as in BrownianBatch."""
         return np.swapaxes(self.steps, 0, 1)
 
-    def state(self, w: int, j: int, out: np.ndarray) -> np.ndarray:
-        """Window w's state at node j, (M, n); a scaled one is written to out."""
+    def state(self, w: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Window w's state at node j, (M, n); a scaled one goes to out or a new array."""
         if self.base is None:
             return self.path[j]
-        np.multiply(self.path[j], self.scales[w], out=out)
+        out = np.multiply(self.path[j], self.scales[w], out=out)
         return np.add(self.base, out, out=out)
 
-    def increment(self, w: int, j: int, out: np.ndarray) -> np.ndarray:
-        """Window w's increment over step j, (M, d); a scaled one is written to out."""
+    def increment(self, w: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Window w's increment over step j, (M, d); a scaled one goes to out or a new array."""
         if self.base is None:
             return self.steps[j]
         return np.multiply(self.steps[j], self.scales[w], out=out)
@@ -195,12 +204,42 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+@contextmanager
+def _side_by_side(n_tasks: int):
+    """Yield run(fn), which calls fn(0), ..., fn(n_tasks - 1) side by side.
+
+    A single task runs in the caller's thread, with no pool, and run
+    returns its value.  Two or more run on one pool of
+    min(_cpu_count(), n_tasks) workers, kept for the whole block, each
+    task in a copy of the caller's context (numpy's errstate included);
+    run waits for them, discards their values and re-raises the first
+    failure in task order.  Tasks must write disjoint outputs.
+    """
+    if n_tasks == 1:
+        yield lambda fn: fn(0)
+        return
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), n_tasks)) as pool:
+
+        def run(fn):
+            contexts = [contextvars.copy_context() for _ in range(n_tasks)]
+
+            def task(k):
+                # a value would stay referenced until run reaches its task
+                contexts[k].run(fn, k)
+
+            for _ in pool.map(task, range(n_tasks)):
+                pass
+
+        yield run
+
+
 def sample_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianBatch:
     """Draw M Brownian paths' increments on the grid, reproducibly.
 
     The same (seed, n_steps, d) always yields the same path m, regardless of
     M and of the CPU count: blocks are independent streams written to
-    disjoint slices by a pool with one worker per usable CPU (and block).
+    disjoint slices side by side (_side_by_side, one worker per usable
+    CPU and block).
     Each block's standard normals are scaled by sqrt(dt) as they are
     written, so on a grid of unit steps (dt = 1, where the scaling is exact)
     the increments are the normals themselves, and those times sqrt(dt)
@@ -216,8 +255,8 @@ def sample_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianBatch:
     incr = np.empty((grid.n_steps, M, d))
     scale = np.sqrt(grid.dt)
     n_blocks = (M + PATH_BLOCK - 1) // PATH_BLOCK
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), n_blocks)) as pool:
-        list(pool.map(lambda b: _fill_block(incr, b, seed, scale), range(n_blocks)))
+    with _side_by_side(n_blocks) as run:
+        run(lambda b: _fill_block(incr, b, seed, scale))
     return BrownianBatch(grid=grid, increments=np.swapaxes(incr, 0, 1))
 
 
@@ -278,12 +317,14 @@ def stopping_indices(
 
     g0_i = g(t_i, x_i, 0, 0).  batch is either a BrownianBatch, read along
     the state path x_path, shape (M, N+1, n), which gives shape (M,), or a
-    WindowStack (x_path None), which gives (K, M): one pass over the shared
-    path stops every window, each on its own grid, states and increments.
-    Paths that never exceed the barrier return n_steps.  No sub-step
-    interpolation: exceedance is detected at grid nodes only.  The paths
-    are read time-major; a path-major x_path is copied once.  The pass
-    keeps each window's integral, displacement (the running sum of its
+    WindowStack (x_path None), which gives (K, M): every window is stopped
+    on its own grid, states and increments, and with K >= 2 the windows
+    walk the shared path side by side (_side_by_side), each as one task, so
+    g is called from several threads at once and must keep no mutable
+    state.  Paths that never exceed the barrier return n_steps.  No
+    sub-step interpolation: exceedance is detected at grid nodes only.  The
+    paths are read time-major; a path-major x_path is copied once.  A
+    window keeps its integral, displacement (the running sum of its
     increments, as cumulative() sums them; d = 1 takes abs, bitwise
     sqrt(x^2)) and first hit as running (M,) values.  A barrier that is
     not > 0, NaN included, raises ValidationError.
@@ -298,25 +339,30 @@ def stopping_indices(
     else:
         stack = WindowStack((batch.grid,), x_path, batch.increments)
     n_steps, M, d = stack.steps.shape
-    n = stack.path.shape[2]
     zeros = np.zeros(M)
     zeros_z = np.zeros((M, d))
-    x_scratch = np.empty((M, n))
-    dB_scratch = np.empty((M, d))
-    times = [grid.times() for grid in stack.grids]
-    integral = np.zeros((len(times), M))
-    disp = np.zeros((len(times), M, d))
     # n_steps marks a path not hit yet; a hit at node n_steps writes it too
-    idx = np.full((len(times), M), n_steps, dtype=np.int64)
-    for k in range(1, n_steps + 1):
-        for w, grid in enumerate(stack.grids):
+    idx = np.full((len(stack.grids), M), n_steps, dtype=np.int64)
+
+    def walk(w):
+        grid = stack.grids[w]
+        times = grid.times()
+        x_scratch = np.empty((M, stack.path.shape[2]))
+        dB_scratch = np.empty((M, d))
+        integral = np.zeros(M)
+        disp = np.zeros((M, d))
+        first = idx[w]
+        for k in range(1, n_steps + 1):
             x = stack.state(w, k - 1, x_scratch)
             g0 = np.broadcast_to(
-                np.asarray(g(times[w][k - 1], x, zeros, zeros_z), dtype=float), (M,)
+                np.asarray(g(times[k - 1], x, zeros, zeros_z), dtype=float), (M,)
             )
-            integral[w] += g0 * g0 * grid.dt
-            disp[w] += stack.increment(w, k - 1, dB_scratch)
-            hit = _norm_last(disp[w]) + integral[w] > barrier
-            hit &= idx[w] == n_steps
-            idx[w][hit] = k
+            integral += g0 * g0 * grid.dt
+            disp += stack.increment(w, k - 1, dB_scratch)
+            hit = _norm_last(disp) + integral > barrier
+            hit &= first == n_steps
+            first[hit] = k
+
+    with _side_by_side(len(stack.grids)) as run:
+        run(walk)
     return idx if stack is batch else idx[0]

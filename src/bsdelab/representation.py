@@ -67,8 +67,12 @@ def _stopped_solve(g, windows, y, z, config, barrier, anchor=None):
     is too wide for the barrier.  The windows are then swept in lockstep
     (_sweep), without history, regressing on the stack's shared path or,
     with an (M, d) anchor, on (anchor, path) pairs, the anchor's rows built
-    once.  Returns (Y_t, telescoped sums, fraction of stopped paths), each
-    with one row or entry per window.
+    once.  With two or more windows the stop pass and each step's implicit
+    steps run the windows side by side on a pool of one worker per usable
+    CPU, so g is called from several threads at once and must be pure;
+    every output byte is the one a serial run gives.  Returns (Y_t,
+    telescoped sums, fraction of stopped paths), each with one row or
+    entry per window.
     """
     stop = stopping_indices(windows, g, barrier=barrier)
     frac_stopped = np.mean(stop < windows.steps.shape[0], axis=1)
@@ -245,7 +249,10 @@ def convergence_study(
     in one least-squares solve, while the implicit step, the stop and the
     terminal stay per window.  A window's stop is the one a
     representation_quotient call gives, bit for bit; its other fields
-    match that call to the rounding of the wider fit.
+    match that call to the rounding of the wider fit.  The windows' stop
+    passes and implicit steps run side by side, one worker per usable CPU
+    and window, so g is called from several threads at once and must keep
+    no mutable state; the report's bytes do not depend on the CPU count.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import BSDEProblem, ExperimentConfig, Generator, _sample_sd
 from .errors import HypothesisError, NumericalError, PicardError, ValidationError
-from .paths import BrownianBatch, ForwardBatch, WindowStack
+from .paths import BrownianBatch, ForwardBatch, WindowStack, _side_by_side
 
 # Relative singular-value cutoff: directions of the basis below it are
 # projected out, which degrades the fit gracefully (constant states collapse
@@ -98,7 +98,7 @@ def _step_designs(x: np.ndarray, degree: int, anchor: np.ndarray | None):
         yield i, buf.T
 
 
-def _fit(design: np.ndarray, targets: np.ndarray):
+def _fit(design: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None):
     """Least squares fit; returns (fitted, coeffs, cond, rank, fell_back).
 
     Solves the normal equations through an eigendecomposition of the Gram
@@ -118,7 +118,10 @@ def _fit(design: np.ndarray, targets: np.ndarray):
     transpose of a (q, M) one, as _sweep passes them, every product
     reads and writes contiguous rows.  The columns of targets are fitted
     together: one Gram matrix and one factorization serve every column,
-    and the products with the targets are one product each.
+    and the products with the targets are one product each.  With out,
+    an (M, q) array laid out like targets (targets itself included, which
+    the fit has read by then), the fitted values are written there and
+    out is returned; otherwise they take the residual's buffer.
     """
     gram = design.T @ design
     active = np.flatnonzero(np.diag(gram))
@@ -128,7 +131,11 @@ def _fit(design: np.ndarray, targets: np.ndarray):
     if not active.size or not w[0] > GRAM_CUTOFF * w[-1]:
         coef, _, rank, sv = np.linalg.lstsq(design, targets, rcond=RCOND)
         cond = float(sv[0] / sv[rank - 1]) if rank > 0 else np.inf
-        return design @ coef, coef, cond, rank, True
+        fitted = design @ coef
+        if out is not None:
+            out[...] = fitted
+            fitted = out
+        return fitted, coef, cond, rank, True
 
     def solve(rhs):
         return V @ ((V.T @ rhs[active]) / w[:, None])
@@ -139,8 +146,9 @@ def _fit(design: np.ndarray, targets: np.ndarray):
     np.subtract(targets.T, resid, out=resid)
     coef[active] += solve(design.T @ resid.T)
     cond = float(np.sqrt(w[-1] / w[0]))
-    # the fitted values take the residual's buffer, which is read by now
-    return np.matmul(coef.T, design.T, out=resid).T, coef, cond, int(active.size), False
+    # the residual is read by now, so its buffer can take the fitted values
+    fitted = np.matmul(coef.T, design.T, out=resid if out is None else out.T).T
+    return fitted, coef, cond, int(active.size), False
 
 
 @dataclass
@@ -374,15 +382,25 @@ def _sweep(
     (anchor, path[i]), the anchor's rows built once (_step_designs).  The
     K*(1+d) targets [Y_{i+1}; Y_{i+1}*dB_i/dt] of all windows are the
     columns of one fit, so one Gram matrix and one factorization serve
-    them.  The implicit y-step, the stop and the terminal stay per window,
-    on its own grid, states and increments, which windows forms a step at
-    a time.  Returns (Y, Z, telescoped, diagnostics).  Y is (K, rows, M)
-    and Z (K, rows, M, d), time-major: with history they hold every step,
-    N+1 and N rows; without it step i writes row i % 2 of Y and the one
-    row of Z, all the next step reads, so Y[:, 0] is the initial row
-    either way.  telescoped is (K, M).  diagnostics holds one dict per
-    window; its cond, rank and regression_fallbacks arrays are shared by
-    all windows.
+    them, and the fitted values overwrite them.  The implicit y-step, the
+    stop and the terminal stay per window, on its own grid, states and
+    increments, which windows forms a step at a time.
+
+    The design and the fit run in the calling thread.  Then each window's
+    implicit step, finite check, writes and targets for the next step run
+    as one task, side by side with the other windows' when K >= 2
+    (paths._side_by_side, one worker per usable CPU and window), so g is
+    called from several threads at once and must be pure and keep no
+    mutable state.  A task writes only its window's rows with the
+    arithmetic the window has alone: no output byte depends on the CPU
+    count, and a failure names the first failing window in window order.
+
+    Returns (Y, Z, telescoped, diagnostics).  Y is (K, rows, M) and Z
+    (K, rows, M, d), time-major: with history they hold every step, N+1
+    and N rows; without it step i writes row i % 2 of Y and the one row
+    of Z, so Y[:, 0] is the initial row either way.  telescoped is (K, M).
+    diagnostics holds one dict per window; its cond, rank and
+    regression_fallbacks arrays are shared by all windows.
     """
     n_steps, M, d = windows.steps.shape
     K = len(windows.grids)
@@ -406,46 +424,57 @@ def _sweep(
 
     # regression targets, [Y_{i+1}; Y_{i+1}*dB_i/dt] of each window in turn
     targets = np.empty((K * q, M))
-    x_scratch = np.empty((M, windows.path.shape[2]))
-    dB_scratch = np.empty((M, d))
 
-    for i, design in _step_designs(windows.path, config.basis_degree, anchor):
-        for w, grid in enumerate(windows.grids):
-            y_next = Y[w, (i + 1) % rows_y]
-            rows = targets[w * q : (w + 1) * q]
-            rows[0] = y_next
-            np.multiply(y_next, windows.increment(w, i, dB_scratch).T, out=rows[1:])
-            np.divide(rows[1:], grid.dt, out=rows[1:])
-        fitted, _, cond[i], rank[i], lstsq_fallbacks[i] = _fit(design, targets.T)
-        fitted = fitted.T
+    def fill_targets(w, i):
+        # window w's rows of targets for step i
+        y_next = Y[w, (i + 1) % rows_y]
+        rows = targets[w * q : (w + 1) * q]
+        rows[0] = y_next
+        np.multiply(y_next, windows.increment(w, i).T, out=rows[1:])
+        np.divide(rows[1:], windows.grids[w].dt, out=rows[1:])
 
-        for w, grid in enumerate(windows.grids):
-            ey = fitted[w * q]
-            z = Z[w, i % rows_z]
-            z[:] = fitted[w * q + 1 : (w + 1) * q].T
-            if stops is None:
-                dt_eff = grid.dt
-            else:
-                dt_eff = np.where(i < stops[w], grid.dt, 0.0)
+    def window_step(w, i):
+        # window w's implicit step i, from its fitted values in its rows of
+        # targets, then its targets for step i - 1; it writes only its rows
+        dt = windows.grids[w].dt
+        ey = targets[w * q]
+        z = Z[w, i % rows_z]
+        z[:] = targets[w * q + 1 : (w + 1) * q].T
+        dt_eff = dt if stops is None else np.where(i < stops[w], dt, 0.0)
+        y, iters, nfb, gv = _picard_step(
+            g, times[w][i], windows.state(w, i), ey, z, dt_eff, config
+        )
+        # bisection can settle a finite y where g is NaN, so the generator
+        # values are checked too
+        finite = np.isfinite(y)
+        finite &= np.isfinite(gv)
+        finite &= np.isfinite(z).all(axis=1)
+        if not finite.all():
+            m = int(np.argmin(finite))
+            where = f"step {i}, path {m}" if K == 1 else f"step {i}, path {m} of window {w}"
+            raise NumericalError(
+                f"non-finite value at {where}: "
+                f"y={y[m]}, g={np.broadcast_to(gv, (M,))[m]}, max|z|={np.abs(z[m]).max()}"
+            )
+        Y[w, i % rows_y] = y
+        telescoped[w] += gv * dt_eff
+        picard_iters[w, i] = iters
+        bisections[w, i] = nfb
+        if i:
+            fill_targets(w, i - 1)
+        return y, gv, dt_eff, finite
 
-            x = windows.state(w, i, x_scratch)
-            y, iters, nfb, gv = _picard_step(g, times[w][i], x, ey, z, dt_eff, config)
-            # bisection can settle a finite y where g is NaN, so the generator
-            # values are checked too
-            finite = np.isfinite(y)
-            finite &= np.isfinite(gv)
-            finite &= np.isfinite(z).all(axis=1)
-            if not finite.all():
-                m = int(np.argmin(finite))
-                where = f"step {i}, path {m}" if K == 1 else f"step {i}, path {m} of window {w}"
-                raise NumericalError(
-                    f"non-finite value at {where}: "
-                    f"y={y[m]}, g={np.broadcast_to(gv, (M,))[m]}, max|z|={np.abs(z[m]).max()}"
-                )
-            Y[w, i % rows_y] = y
-            telescoped[w] += gv * dt_eff
-            picard_iters[w, i] = iters
-            bisections[w, i] = nfb
+    for w in range(K):
+        fill_targets(w, n_steps - 1)
+    with _side_by_side(K) as run:
+        for i, design in _step_designs(windows.path, config.basis_degree, anchor):
+            # the fitted values overwrite the targets, which a window
+            # refills for the next step once its implicit step is done
+            _, _, cond[i], rank[i], lstsq_fallbacks[i] = _fit(design, targets.T, out=targets.T)
+            # a lone window's arrays stay referenced until the next step has
+            # made its own, as in a plain loop; freeing them first lets the
+            # allocator trim and refault the heap every step
+            held = run(lambda w: window_step(w, i))
 
     diagnostics = [
         {

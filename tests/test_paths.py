@@ -8,6 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsdelab import (
+    BSDEProblem,
+    ExperimentConfig,
+    Generator,
     NumericalError,
     TimeGrid,
     ValidationError,
@@ -15,8 +18,9 @@ from bsdelab import (
     euler_maruyama,
     paths,
     sample_brownian,
+    solve_bsde,
 )
-from bsdelab.paths import PATH_BLOCK, BrownianBatch, stopping_indices
+from bsdelab.paths import PATH_BLOCK, BrownianBatch, ForwardBatch, stopping_indices
 
 
 class TestTimeGrid:
@@ -294,6 +298,57 @@ class TestStopping:
         for barrier in (0.0, -1.0, float("nan")):
             with pytest.raises(ValidationError):
                 stopping_indices(batch, g, x_path=batch.cumulative(), barrier=barrier)
+
+
+class TestWindowPoolStops:
+    """The windows of a stack are stopped side by side, one task each."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_thread_count_never_changes_the_stops(self, monkeypatch, d):
+        n_steps, M = 50, PATH_BLOCK + 13
+        unit = sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, d, seed=23)
+        base = 0.2 + 0.5 * np.random.default_rng(23).standard_normal((M, d))
+        grids = [TimeGrid(0.3, 0.3 + eps, n_steps) for eps in (0.4, 0.2, 0.1, 0.05)]
+        # g(t, x, 0, 0) reads every coordinate of x, so each window's own
+        # states enter its stops
+        g = Generator(
+            name="sin_x",
+            eval=lambda t, x, y, z: 1.5 + np.sin(3.0 * x).sum(axis=-1) + 0.0 * y,
+            lipschitz_z=0.0,
+            state_dependent=True,
+        )
+
+        def stops(window_grids):
+            stack = paths.WindowStack(window_grids, unit.cumulative(), unit.increments, base)
+            return stopping_indices(stack, g, barrier=0.8)
+
+        outs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
+            outs.append(stops(grids))
+        assert outs[0].shape == (4, M)
+        # the wide windows stop some paths, so the check has teeth
+        assert np.any(outs[0] < n_steps)
+        assert all(np.array_equal(outs[0], out) for out in outs[1:])
+        # each window's task is that window stopped alone
+        alone = np.concatenate([stops([grid]) for grid in grids])
+        assert np.array_equal(outs[0], alone)
+
+    def test_one_window_makes_no_pool(self, monkeypatch):
+        # a lone window (a solve, a touch check) runs in the caller's thread
+        grid = TimeGrid(0.0, 1.0, 20)
+        batch = sample_brownian(grid, 2 * PATH_BLOCK, 1, seed=4)
+        fw = ForwardBatch(grid=grid, states=batch.cumulative())
+        pools = []
+        monkeypatch.setattr(paths, "ThreadPoolExecutor", lambda **kw: pools.append(kw))
+        g = builtin_generator("stress", delta=0.1)
+        stops = stopping_indices(batch, g, x_path=fw.states)
+        problem = BSDEProblem(
+            generator=g, t_start=0.0, t_end=1.0, dimension_d=1, terminal=lambda s: s[:, -1, 0]
+        )
+        cfg = ExperimentConfig(seed=4, n_paths=2 * PATH_BLOCK, n_steps=20)
+        solve_bsde(problem, fw, batch, cfg, stops)
+        assert pools == []
 
 
 class TestBatchExtension:

@@ -1,5 +1,6 @@
 import collections
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -14,6 +15,8 @@ from bsdelab import (
     ExperimentConfig,
     Generator,
     HypothesisError,
+    NumericalError,
+    PicardError,
     TimeGrid,
     ValidationError,
     builtin_generator,
@@ -246,6 +249,113 @@ class TestLockstepStudy:
         for p in representation.P_NORMS:
             assert pair.lp_errors[p] == pytest.approx(full.lp_errors[p][1::2], **close)
             assert pair.lp_ses[p] == pytest.approx(full.lp_ses[p][1::2], **close)
+
+
+@pytest.fixture
+def short_switch_interval():
+    """Switch threads every 10 us, so workers interleave often and a write
+    into another window's rows would show."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(old)
+
+
+class TestWindowPool:
+    """A study's windows run their stop passes and implicit steps side by
+    side, one worker per usable CPU and window, and nothing shows it."""
+
+    SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
+
+    @pytest.mark.usefixtures("short_switch_interval")
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_thread_count_never_changes_a_study(self, monkeypatch, d, t):
+        # t = 0.3 regresses on (anchor, path) pairs, t = 0 on the path alone
+        g = builtin_generator("stress", delta=0.1)
+        cfg = _cfg(seed=17, M=3000, n=50)
+        runs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                runs.append(
+                    representation._quotient_cells(
+                        g, t, [0.1] * d, 0.2, [0.3] * d, self.SCHEDULE, cfg, 1.0
+                    )
+                )
+        assert any(c.frac_stopped > 0 for c in runs[0])
+        for cells in runs[1:]:
+            for want, got in zip(runs[0], cells, strict=True):
+                assert got.frac_stopped == want.frac_stopped
+                for field in ("per_path", "raw", "targets"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    @staticmethod
+    def _nan_at_step_30():
+        # windows 1 and 3 reach t = 0.03 and t = 0.0075 at step 30; every
+        # other window reaches them only at steps the sweep takes later
+        def ev(t, x, y, z):
+            out = 1.0 + 0.0 * np.asarray(y, dtype=float)
+            if any(np.isclose(t, hit, rtol=0, atol=1e-12) for hit in (0.03, 0.0075)):
+                out = np.where(x[..., 0] > 0.1, np.nan, out)
+            return out
+
+        return Generator(name="nan_at_step_30", eval=ev, lipschitz_z=0.0, state_dependent=True)
+
+    def test_a_failing_worker_keeps_the_serial_witness(self, monkeypatch):
+        g = self._nan_at_step_30()
+        cfg = _cfg(seed=3, M=600, n=50)
+        messages = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
+            with pytest.raises(NumericalError, match=r"step 30, path \d+ of window 1: ") as err:
+                convergence_study(g, 0.0, 0.0, 0.5, 0.0, self.SCHEDULE, cfg, barrier=3.0)
+            messages.append(str(err.value))
+        assert messages[1:] == messages[:1] * 2
+        # window 3 fails at the same step too: the first failing window in
+        # window order is named, whichever worker finishes first
+        with pytest.raises(NumericalError, match=r"at step 30, path \d+ of window 1: "):
+            convergence_study(g, 0.0, 0.0, 0.5, 0.0, self.SCHEDULE[2:], cfg, barrier=3.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_picard_error_in_a_worker_stays_a_picard_error(self, monkeypatch):
+        # at t = 0.03 (window 1, step 30) the implicit step
+        # y = 10 + 1e6*y^2*dt has no root
+        def ev(t, x, y, z):
+            y = np.asarray(y, dtype=float)
+            return (1e6 if np.isclose(t, 0.03, rtol=0, atol=1e-12) else 0.0) * y * y
+
+        g = Generator(name="no_root_at_step_30", eval=ev, lipschitz_z=0.0)
+        cfg = _cfg(seed=3, M=600, n=50)
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
+            with pytest.raises(PicardError, match="t=0.03") as err:
+                convergence_study(g, 0.0, 0.0, 10.0, 0.0, self.SCHEDULE[:2], cfg, barrier=3.0)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_clamp_warnings_reach_the_caller_from_workers(self, monkeypatch):
+        # y*|x| = 60 at the first implicit-step evaluation clamps the
+        # stress driver's exponent in every window's task
+        monkeypatch.setattr(paths, "_cpu_count", lambda: 2)
+        g = builtin_generator("stress", delta=0.1)
+        cfg = _cfg(seed=3, M=600, n=50)
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            report = convergence_study(g, 0.0, 60.0, 1.0, 0.0, self.SCHEDULE[:2], cfg)
+        assert np.all(np.isfinite(report.quotient_means))
+        # an error filter, as the suite's, ends the study at the first
+        # clamp, with the warning a serial run ends it with
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RuntimeWarning, match="clamped") as err:
+                    convergence_study(g, 0.0, 60.0, 1.0, 0.0, self.SCHEDULE[:2], cfg)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestValidation:
