@@ -21,11 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BSDEProblem, ExperimentConfig, Generator, _mean_se, builtin_generator
+from .core import ExperimentConfig, Generator, _mean_se, builtin_generator
 from .errors import NumericalError, ValidationError
 from .paths import TimeGrid, WindowStack, euler_maruyama, sample_brownian
 from .representation import _stopped_solve
-from .solver import _solve
+from .solver import _sweep
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,8 @@ class McSolution:
 def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfig) -> McSolution:
     """Estimate u(t, x) by forward simulation plus the backward sweep.
 
+    The simulated paths are one window (a WindowStack of K = 1) of _sweep,
+    run without history, as solve_bsde would run them with it, bit for bit.
     The reported standard error comes from the sweep's pathwise telescoped
     sums (SolutionBatch.telescoped: terminal value plus accumulated
     generator), whose mean coincides with the regression estimate but whose
@@ -110,14 +112,13 @@ def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfi
     grid = TimeGrid(t, problem.T, config.n_steps)
     batch = sample_brownian(grid, config.n_paths, 1, config.seed)
     fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
-    prob = BSDEProblem(
-        generator=problem.generator,
-        t_start=t,
-        t_end=problem.T,
-        dimension_d=1,
-        terminal=lambda s: np.asarray(problem.phi(s[:, -1, 0]), dtype=float),
-    )
-    Y, _, telescoped, _ = _solve(prob, fw, batch, config)
+    # an overflow is reported by _sweep with its path
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = np.asarray(problem.phi(fw.states[:, -1, 0]), dtype=float)
+    if xi.shape != (config.n_paths,):
+        raise ValidationError(f"phi returned shape {xi.shape}, expected ({config.n_paths},)")
+    window = WindowStack((grid,), fw.states, batch.increments)
+    (Y,), _, (telescoped,), _ = _sweep(problem.generator, xi[None], window, config)
     return McSolution(u=float(Y[0].mean()), se=_mean_se(telescoped))
 
 
@@ -413,15 +414,17 @@ def viscosity_touch_check(
     """Residual of a touching test function, two ways.
 
     Validates that (t, x) is a local max (mode=sub) or min (mode=super) of
-    u - phi over a 5x5 space-time stencil, up to 1e-9, then evaluates the
-    PDE residual of phi at (t, x) directly from its analytic derivatives and,
-    separately, as the difference quotient of the compensated generator
-    along the simulated diffusion: the stop-gated solve of
-    representation_quotient at (y, z) = (0, 0) with base x, which warns
-    the same way when the stop binds on more than 1% of paths.  The window
-    [t, t + eps] must lie in [0, T], where the problem is posed.  Sign
-    conventions: a subsolution touching point must give residual >= 0 up
-    to tolerance.
+    u - phi over a 5x5 space-time stencil, steps stencil_k in time and
+    stencil_h in space, up to 1e-9, then evaluates the PDE residual of phi
+    at (t, x) directly from its analytic derivatives and, separately, as
+    the difference quotient of the compensated generator along the
+    simulated diffusion: the stop-gated solve of representation_quotient
+    at (y, z) = (0, 0) with base x, which warns the same way when the stop
+    binds on more than 1% of paths.  The window [t, t + eps] must lie in
+    [0, T], where the problem is posed, and both stencil steps must be
+    > 0, NaN refused (a zero or NaN step makes the touching check
+    vacuous); either failure raises ValidationError.  Sign conventions: a
+    subsolution touching point must give residual >= 0 up to tolerance.
     """
     if mode not in ("sub", "super"):
         raise ValidationError(f"mode must be 'sub' or 'super', got {mode!r}")
@@ -429,6 +432,11 @@ def viscosity_touch_check(
         raise ValidationError(
             f"touch window [t, t + eps] = [{t}, {t + eps}] must lie in "
             f"[0, T={problem.T}] with eps > 0"
+        )
+    # negated > also refuses NaN, which would pass every stencil node
+    if not (stencil_h > 0 and stencil_k > 0):
+        raise ValidationError(
+            f"stencil steps must be > 0, got stencil_h={stencil_h}, stencil_k={stencil_k}"
         )
 
     center = u_source(t, x) - float(phi.value(t, np.asarray(x)))

@@ -14,7 +14,9 @@ storage without a copy, and copies a caller-built path-major array once.
 
 A WindowStack reads K time windows off one batch, a step at a time: the
 windows of a quotient study scale one unit-step draw by their own
-sqrt(dt), so none of them stores states or increments of its own.
+sqrt(dt), so none of them stores states or increments of its own.  It is
+the one input of stopping_indices and of the solver's sweep; a single
+forward batch is a stack of one window (K = 1).
 
 Independent tasks run side by side on one rule (_side_by_side): path
 blocks when sampling, and the windows of a stack in stopping_indices and
@@ -306,63 +308,49 @@ def euler_maruyama(
     return ForwardBatch(grid=grid, states=np.swapaxes(states, 0, 1))
 
 
-def stopping_indices(
-    batch,
-    g: Generator,
-    *,
-    x_path: np.ndarray | None = None,
-    barrier: float = 1.0,
-) -> np.ndarray:
+def stopping_indices(batch: WindowStack, g: Generator, *, barrier: float = 1.0) -> np.ndarray:
     """First grid index where |B_{t_k} - B_{t_0}| + sum_{i<k} g0_i^2*dt > barrier.
 
-    g0_i = g(t_i, x_i, 0, 0).  batch is either a BrownianBatch, read along
-    the state path x_path, shape (M, N+1, n), which gives shape (M,), or a
-    WindowStack (x_path None), which gives (K, M): every window is stopped
-    on its own grid, states and increments, and with K >= 2 the windows
-    walk the shared path side by side (_side_by_side), each as one task, so
-    g is called from several threads at once and must keep no mutable
-    state.  Paths that never exceed the barrier return n_steps.  No
-    sub-step interpolation: exceedance is detected at grid nodes only.  The
-    paths are read time-major; a path-major x_path is copied once.  A
-    window keeps its integral, displacement (the running sum of its
-    increments, as cumulative() sums them; d = 1 takes abs, bitwise
-    sqrt(x^2)) and first hit as running (M,) values.  A barrier that is
-    not > 0, NaN included, raises ValidationError.
+    g0_i = g(t_i, x_i, 0, 0).  batch is a WindowStack of K windows and the
+    result has shape (K, M), one row per window, K = 1 included: every
+    window is stopped on its own grid, states and increments, and with
+    K >= 2 the windows walk the shared path side by side (_side_by_side),
+    each as one task, so g is called from several threads at once and must
+    keep no mutable state.  Paths that never exceed the barrier return
+    n_steps.  No sub-step interpolation: exceedance is detected at grid
+    nodes only.  A window keeps its integral, displacement (the running
+    sum of its increments, as cumulative() sums them; d = 1 takes abs,
+    bitwise sqrt(x^2)) and first hit as running (M,) values.  A barrier
+    that is not > 0, NaN included, raises ValidationError.
     """
     # negated > also refuses NaN, which would switch every stop off
     if not barrier > 0:
         raise ValidationError(f"barrier must be > 0, got {barrier}")
-    if isinstance(batch, WindowStack):
-        stack = batch
-    elif x_path is None:
-        raise ValidationError("a BrownianBatch is stopped along its state path: pass x_path")
-    else:
-        stack = WindowStack((batch.grid,), x_path, batch.increments)
-    n_steps, M, d = stack.steps.shape
+    n_steps, M, d = batch.steps.shape
     zeros = np.zeros(M)
     zeros_z = np.zeros((M, d))
     # n_steps marks a path not hit yet; a hit at node n_steps writes it too
-    idx = np.full((len(stack.grids), M), n_steps, dtype=np.int64)
+    idx = np.full((len(batch.grids), M), n_steps, dtype=np.int64)
 
     def walk(w):
-        grid = stack.grids[w]
+        grid = batch.grids[w]
         times = grid.times()
-        x_scratch = np.empty((M, stack.path.shape[2]))
+        x_scratch = np.empty((M, batch.path.shape[2]))
         dB_scratch = np.empty((M, d))
         integral = np.zeros(M)
         disp = np.zeros((M, d))
         first = idx[w]
         for k in range(1, n_steps + 1):
-            x = stack.state(w, k - 1, x_scratch)
+            x = batch.state(w, k - 1, x_scratch)
             g0 = np.broadcast_to(
                 np.asarray(g(times[k - 1], x, zeros, zeros_z), dtype=float), (M,)
             )
             integral += g0 * g0 * grid.dt
-            disp += stack.increment(w, k - 1, dB_scratch)
+            disp += batch.increment(w, k - 1, dB_scratch)
             hit = _norm_last(disp) + integral > barrier
             hit &= first == n_steps
             first[hit] = k
 
-    with _side_by_side(len(stack.grids)) as run:
+    with _side_by_side(len(batch.grids)) as run:
         run(walk)
-    return idx if stack is batch else idx[0]
+    return idx

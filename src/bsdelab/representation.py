@@ -345,10 +345,18 @@ def converse_comparison_probe(
     The probe draws its normals once (_draw): the hypothesis check runs on
     them scaled to its window, and every quotient is a stack of one
     (K = 1) on them, bitwise what a representation_quotient call gives.
-    Every point's z must have the size of the first point's.
+    Every point's z must have the size of the first point's, and
+    hypothesis_threshold, the least fraction of ordered pairs, must lie in
+    (0, 1]: NaN would switch the ordering gate off and a value above 1
+    would fail every check.
     """
     if not points:
         raise ValidationError("need at least one probe point")
+    # negated comparisons also refuse NaN
+    if not (0 < hypothesis_threshold <= 1):
+        raise ValidationError(
+            f"hypothesis_threshold must lie in (0, 1], got {hypothesis_threshold}"
+        )
     t0, x0, y0, z0 = points[0]
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     d = z0.size

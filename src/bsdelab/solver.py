@@ -286,52 +286,29 @@ def solve_bsde(
     forward: ForwardBatch,
     brownian: BrownianBatch,
     config: ExperimentConfig,
-    stop_indices: np.ndarray | None = None,
 ) -> SolutionBatch:
     """Backward least-squares Monte Carlo sweep over the batch, with history.
 
     Per step i (from the terminal inward): regress Y_{i+1}*dB_i/dt on the
     basis of the forward state X_i for the z-estimate, regress Y_{i+1} for
-    the conditional mean, then solve the implicit y-equation pathwise.
-    When stop_indices is given, the generator contribution of path m is
-    switched off from that index on (dt_eff = 0), which realizes a
-    generator truncated at a stopping time; the terminal values must
-    already incorporate the stop.  A non-finite y, z row or generator
-    value raises NumericalError naming the step and the first such path.
+    the conditional mean, then solve the implicit y-equation pathwise.  A
+    non-finite terminal value, y, z row or generator value raises
+    NumericalError naming the step and the first such path.
 
-    The sweep reads increments and states time-major, one contiguous row
-    per step: the batches built by this package are transposed views and
-    are read in place, while a caller-built path-major array is copied
-    once per call.  The regression is time-major too: the targets are
-    written into one (1+d, M) buffer per call, and _fit returns the fitted
-    values as the transpose of a (1+d, M) product, so the conditional mean
-    and each z-coordinate are read as contiguous rows.
+    The batches are one window (a WindowStack of K = 1) of _sweep, which
+    reads increments and states time-major, one contiguous row per step:
+    the batches built by this package are transposed views and are read in
+    place, while a caller-built path-major array is copied once per call.
+    The regression is time-major too: the targets are written into one
+    (1+d, M) buffer per call, and _fit returns the fitted values as the
+    transpose of a (1+d, M) product, so the conditional mean and each
+    z-coordinate are read as contiguous rows.
 
     This is the variant that keeps every step's Y and Z, which the CLI
     solve table and comparison_check read.  The quotient and Feynman-Kac
     estimators read only the initial row and the telescoped sums, and run
-    the same loop (_sweep) without the history, in O(M) memory.
-    """
-    Y, Z, telescoped, diagnostics = _solve(
-        problem, forward, brownian, config, stop_indices, history=True
-    )
-    return SolutionBatch(
-        Y=Y.T, Z=np.swapaxes(Z, 0, 1), telescoped=telescoped, diagnostics=diagnostics
-    )
-
-
-def _solve(
-    problem: BSDEProblem,
-    forward: ForwardBatch,
-    brownian: BrownianBatch,
-    config: ExperimentConfig,
-    stop_indices: np.ndarray | None = None,
-    history: bool = False,
-):
-    """One problem on its forward batch: the input checks, then _sweep with K = 1.
-
-    Returns that window's (Y, Z, telescoped, diagnostics), time-major as
-    _sweep writes them.
+    the same loop (_sweep) without the history, in O(M) memory; the
+    quotient estimators also switch g off from a stopping index on.
     """
     M, n_steps, d = brownian.increments.shape
     if problem.dimension_d != d:
@@ -345,11 +322,6 @@ def _solve(
     grid = forward.grid
     if abs(grid.t_start - problem.t_start) > 1e-12 or abs(grid.t_end - problem.t_end) > 1e-12:
         raise ValidationError("forward grid does not span the problem horizon")
-    if stop_indices is not None:
-        stop_indices = np.asarray(stop_indices)
-        if stop_indices.shape != (M,):
-            raise ValidationError(f"stop_indices must have shape ({M},)")
-        stop_indices = stop_indices[None]
 
     # an overflow is reported by _sweep with its path
     with np.errstate(over="ignore", invalid="ignore"):
@@ -357,11 +329,13 @@ def _solve(
     if xi.shape != (M,):
         raise ValidationError(f"terminal returned shape {xi.shape}, expected ({M},)")
 
-    windows = WindowStack((grid,), forward.states, brownian.increments)
-    Y, Z, telescoped, diagnostics = _sweep(
-        problem.generator, xi[None], windows, config, stop_indices, history=history
+    window = WindowStack((grid,), forward.states, brownian.increments)
+    (Y,), (Z,), (telescoped,), (diagnostics,) = _sweep(
+        problem.generator, xi[None], window, config, history=True
     )
-    return Y[0], Z[0], telescoped[0], diagnostics[0]
+    return SolutionBatch(
+        Y=Y.T, Z=np.swapaxes(Z, 0, 1), telescoped=telescoped, diagnostics=diagnostics
+    )
 
 
 def _sweep(
@@ -375,6 +349,9 @@ def _sweep(
 ):
     """The backward loop, for the K windows of a stack in lockstep.
 
+    solve_bsde runs it on one window with history, mc_solution on one
+    without, and representation._stopped_solve on a stack of stop-gated
+    windows.
     Window w has generator g, terminal values terminals[w] and, when stops
     is given, its generator switched off from stops[w] on.  Every window
     regresses on the same design: step i's is built once from the stack's

@@ -420,8 +420,22 @@ class TestConfigErrors:
                 "pde = heat_cos\nt = 0.99\nx = 0.0\n",
                 "touch window [t, t + eps] = [0.99, 1.015] must lie in [0, T=1.0]",
             ),
+            (
+                "touch",
+                "pde = heat_cos\nt = 0.5\nx = 0.0\nstencil_h = 0\n",
+                "stencil steps must be > 0, got stencil_h=0.0, stencil_k=0.01",
+            ),
+            (
+                "converse",
+                "generator1 = linear\ngenerator2 = linear\npoints_t = 0.0\npoints_x = 0.0\n"
+                "points_y = 0.0\npoints_z = 0.0\neps = 0.05\nhypothesis_threshold = 1.5\n",
+                "hypothesis_threshold must lie in (0, 1], got 1.5",
+            ),
         ],
-        ids=["x0_vs_d", "phi", "bump_amplitude", "probe_lengths", "touch_window"],
+        ids=[
+            "x0_vs_d", "phi", "bump_amplitude", "probe_lengths", "touch_window",
+            "touch_stencil", "converse_threshold",
+        ],
     )
     def test_runner_validation(self, tmp_path, capsys, command, text, witness):
         cfg = _write(tmp_path, "c.cfg", text)

@@ -4,23 +4,29 @@ import numpy as np
 import pytest
 
 from bsdelab import (
+    BSDEProblem,
     ExperimentConfig,
     NumericalError,
     PDEProblem,
     TestFunction,
+    TimeGrid,
     ValidationError,
     affine_problem,
     builtin_generator,
+    euler_maruyama,
     fd_reference,
     heat_cos_problem,
     heat_cos_solution,
     mc_solution,
     mc_vs_fd,
+    sample_brownian,
     semilinear_cos_problem,
     semilinear_cos_solution,
+    solve_bsde,
     square_problem,
     viscosity_touch_check,
 )
+from bsdelab.core import _mean_se
 from bsdelab.feynmankac import growth_check, proof_generator
 
 H_COS = math.pi / 64
@@ -282,6 +288,46 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             mc_solution(heat_cos_problem(), 1.0, 0.0, _cfg(M=64, n=10))
 
+    def test_phi_shape_checked(self):
+        # a phi that is not vectorized over the paths is refused, not
+        # broadcast into every path's terminal value
+        p = PDEProblem(
+            drift=lambda t, x: 0.0,
+            sigma=lambda t, x: 1.0,
+            generator=builtin_generator("linear"),
+            phi=lambda x: 0.5,
+            growth_L=2.0,
+            growth_p=1.0,
+            T=1.0,
+            x_lo=-4.0,
+            x_hi=4.0,
+        )
+        with pytest.raises(ValidationError, match=r"phi returned shape \(\), expected \(64,\)"):
+            mc_solution(p, 0.0, 0.0, _cfg(M=64, n=10))
+
+    @pytest.mark.parametrize("make", [heat_cos_problem, semilinear_cos_problem])
+    @pytest.mark.parametrize("t", [0.0, 0.4])
+    def test_pinned_to_solve_bsde(self, make, t):
+        # mc_solution sweeps its own window without history; solve_bsde on
+        # the same draw and forward batch gives the same numbers, bit for bit
+        p = make()
+        x = 0.3
+        cfg = _cfg(seed=12, M=3000, n=40)
+        grid = TimeGrid(t, p.T, cfg.n_steps)
+        batch = sample_brownian(grid, cfg.n_paths, 1, cfg.seed)
+        fw = euler_maruyama(grid, p.drift, p.sigma, x, batch)
+        problem = BSDEProblem(
+            generator=p.generator,
+            t_start=t,
+            t_end=p.T,
+            dimension_d=1,
+            terminal=lambda s: p.phi(s[:, -1, 0]),
+        )
+        sol = solve_bsde(problem, fw, batch, cfg)
+        mc = mc_solution(p, t, x, cfg)
+        assert mc.u == float(sol.Y[:, 0].mean())
+        assert mc.se == _mean_se(sol.telescoped)
+
 
 class TestMcVsFd:
     def test_heat_probes_agree(self):
@@ -397,6 +443,26 @@ class TestViscosityTouch:
         with pytest.raises(ValidationError):
             viscosity_touch_check(
                 p, u_src, sol, 0.3, 0.0, mode="nonsense", config=_cfg(M=64, n=50)
+            )
+
+    @pytest.mark.parametrize(
+        "h, k",
+        [(0.0, 0.0), (0.0, 0.01), (0.05, 0.0), (math.nan, math.nan), (0.05, math.nan), (-0.05, 0.01)],
+    )
+    def test_stencil_steps_must_be_positive(self, h, k):
+        # the exact solution bumped downward at x0 is no local max of u - phi,
+        # and the default stencil says so; a zero or NaN step would compare
+        # the centre with itself, or with nothing, and pass it
+        p = heat_cos_problem()
+        sol = heat_cos_solution()
+        u_src = lambda t, x: float(np.asarray(sol.value(t, np.asarray(x, dtype=float))))
+        phi = sol.bumped(0.4, -5.0)
+        with pytest.raises(ValidationError, match="not a local max"):
+            viscosity_touch_check(p, u_src, phi, 0.3, 0.4, mode="sub", config=_cfg(M=64, n=50))
+        with pytest.raises(ValidationError, match="stencil steps must be > 0"):
+            viscosity_touch_check(
+                p, u_src, phi, 0.3, 0.4, mode="sub", stencil_h=h, stencil_k=k,
+                config=_cfg(M=64, n=50),
             )
 
 

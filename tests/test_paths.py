@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsdelab import (
-    BSDEProblem,
     ExperimentConfig,
     Generator,
     NumericalError,
@@ -18,9 +17,9 @@ from bsdelab import (
     euler_maruyama,
     paths,
     sample_brownian,
-    solve_bsde,
+    solver,
 )
-from bsdelab.paths import PATH_BLOCK, BrownianBatch, ForwardBatch, stopping_indices
+from bsdelab.paths import PATH_BLOCK, BrownianBatch, ForwardBatch, WindowStack, stopping_indices
 
 
 class TestTimeGrid:
@@ -164,6 +163,13 @@ class TestEulerMaruyama:
             euler_maruyama(grid, lambda t, x: np.inf, lambda t, x: 1.0, 0.0, batch)
 
 
+def _stops(batch, g, x_path, barrier=1.0):
+    """The (M,) stops of batch read along the state path x_path: a stack of
+    one window on batch's grid and increments."""
+    stack = WindowStack((batch.grid,), x_path, batch.increments)
+    return stopping_indices(stack, g, barrier=barrier)[0]
+
+
 def _naive_stops(batch, g, grid, x_path, barrier):
     """Reference implementation with explicit per-path loops."""
     M, n_steps, d = batch.increments.shape
@@ -216,7 +222,7 @@ class TestStopping:
         batch = sample_brownian(grid, 200, 2, seed=21)
         g = builtin_generator("stress", delta=0.1)
         x_path = batch.cumulative(start=np.full((200, 2), 0.4))
-        fast = stopping_indices(batch, g, x_path=x_path, barrier=0.3)
+        fast = _stops(batch, g, x_path, barrier=0.3)
         slow = _naive_stops(batch, g, grid, x_path, 0.3)
         assert np.array_equal(fast, slow)
 
@@ -225,8 +231,8 @@ class TestStopping:
         batch = sample_brownian(grid, 500, 1, seed=13)
         g = builtin_generator("linear", c=1.5)
         x_path = batch.cumulative()
-        lo = stopping_indices(batch, g, x_path=x_path, barrier=0.5)
-        hi = stopping_indices(batch, g, x_path=x_path, barrier=2.0)
+        lo = _stops(batch, g, x_path, barrier=0.5)
+        hi = _stops(batch, g, x_path, barrier=2.0)
         assert np.all(hi >= lo)
 
     def test_small_window_rarely_stops(self):
@@ -235,7 +241,7 @@ class TestStopping:
         grid = TimeGrid(0.5, 0.55, 50)
         batch = sample_brownian(grid, 100_000, 1, seed=17)
         g = builtin_generator("linear")
-        stops = stopping_indices(batch, g, x_path=batch.cumulative(), barrier=1.0)
+        stops = _stops(batch, g, batch.cumulative(), barrier=1.0)
         assert np.mean(stops < 50) < 1e-3
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -262,9 +268,9 @@ class TestStopping:
             return build(self, start)
 
         monkeypatch.setattr(BrownianBatch, "cumulative", counting)
-        assert np.array_equal(stopping_indices(batch, stress, x_path=x_path, barrier=0.8), want_x)
+        assert np.array_equal(_stops(batch, stress, x_path, barrier=0.8), want_x)
         assert calls == []
-        got = stopping_indices(batch, linear, x_path=brownian, barrier=0.8)
+        got = _stops(batch, linear, brownian, barrier=0.8)
         assert np.array_equal(got, want_default)
         assert calls == []
 
@@ -284,7 +290,7 @@ class TestStopping:
         assert 0 < np.count_nonzero(want < n_steps) < M
         tracemalloc.start()
         try:
-            got = stopping_indices(batch, g, x_path=x_path, barrier=barrier)
+            got = _stops(batch, g, x_path, barrier=barrier)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -297,7 +303,7 @@ class TestStopping:
         g = builtin_generator("linear")
         for barrier in (0.0, -1.0, float("nan")):
             with pytest.raises(ValidationError):
-                stopping_indices(batch, g, x_path=batch.cumulative(), barrier=barrier)
+                _stops(batch, g, batch.cumulative(), barrier=barrier)
 
 
 class TestWindowPoolStops:
@@ -342,12 +348,12 @@ class TestWindowPoolStops:
         pools = []
         monkeypatch.setattr(paths, "ThreadPoolExecutor", lambda **kw: pools.append(kw))
         g = builtin_generator("stress", delta=0.1)
-        stops = stopping_indices(batch, g, x_path=fw.states)
-        problem = BSDEProblem(
-            generator=g, t_start=0.0, t_end=1.0, dimension_d=1, terminal=lambda s: s[:, -1, 0]
-        )
+        stack = WindowStack((grid,), fw.states, batch.increments)
+        stops = stopping_indices(stack, g)
+        assert stops.shape == (1, 2 * PATH_BLOCK)
+        xi = fw.states[:, -1, 0]
         cfg = ExperimentConfig(seed=4, n_paths=2 * PATH_BLOCK, n_steps=20)
-        solve_bsde(problem, fw, batch, cfg, stops)
+        solver._sweep(g, xi[None], stack, cfg, stops, history=True)
         assert pools == []
 
 
@@ -380,7 +386,7 @@ class TestBatchExtension:
                 np.full(d, 0.2),
                 batch,
             )
-            return fw.states, stopping_indices(batch, g, x_path=fw.states, barrier=0.8)
+            return fw.states, _stops(batch, g, fw.states, barrier=0.8)
 
         small_states, small_stops = run(m0, cpus0)
         big_states, big_stops = run(m0 + extra, cpus1)

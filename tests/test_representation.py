@@ -399,6 +399,23 @@ class TestConverse:
         with pytest.raises(ValidationError):
             converse_comparison_probe(g, g, [], 0.04, _cfg())
 
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -0.5, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # NaN would switch the solution-ordering gate off (fraction < NaN is
+        # never true) and 1.5 would fail an ordering that holds everywhere
+        g1 = builtin_generator("linear", c=1.0)
+        g2 = builtin_generator("linear", c=0.4)
+        points = [(0.2, 0.0, 1.0, 1.0)]
+        with pytest.raises(ValidationError, match=r"hypothesis_threshold must lie in \(0, 1\]"):
+            converse_comparison_probe(
+                g1, g2, points, 0.04, _cfg(M=1024), hypothesis_threshold=threshold
+            )
+        # the closed end is a threshold: every pair ordered passes it
+        rep = converse_comparison_probe(
+            g1, g2, points, 0.04, _cfg(M=1024), hypothesis_threshold=1.0
+        )
+        assert rep.hypothesis_fraction == 1.0
+
 
 class TestSharedDraws:
     """A study draws its normals once; each window still matches its own

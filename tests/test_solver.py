@@ -30,6 +30,28 @@ def _brownian_forward(grid, M, d, seed, start=0.0):
     return ForwardBatch(grid=grid, states=batch.cumulative(start=start)), batch
 
 
+def _stops(batch, g, states, barrier):
+    """The (M,) stops of batch read along states: a stack of one window."""
+    stack = WindowStack((batch.grid,), states, batch.increments)
+    return stopping_indices(stack, g, barrier=barrier)[0]
+
+
+def _solve_stopped(problem, fw, batch, config, stop=None):
+    """solve_bsde, with g switched off from stop[m] on along path m when a
+    stop is given: then one window of the sweep with history, as a
+    SolutionBatch."""
+    if stop is None:
+        return solve_bsde(problem, fw, batch, config)
+    xi = np.asarray(problem.terminal(fw.states), dtype=float)
+    stack = WindowStack((fw.grid,), fw.states, batch.increments)
+    (Y,), (Z,), (telescoped,), (diagnostics,) = solver._sweep(
+        problem.generator, xi[None], stack, config, stop[None], history=True
+    )
+    return solver.SolutionBatch(
+        Y=Y.T, Z=np.swapaxes(Z, 0, 1), telescoped=telescoped, diagnostics=diagnostics
+    )
+
+
 def _mean_ode_oracle(a, b, c, y0, z0, t_start, t_end, n=200_000):
     """RK4 on m' = -(a m + <b, z0> e^{a(T-s)} + c), m(T) = y0, backward.
 
@@ -822,7 +844,7 @@ class TestStopGating:
             terminal=lambda s: s[:, -1, 0],
         )
         cfg = ExperimentConfig(seed=7, n_paths=M, n_steps=10)
-        sol = solve_bsde(problem, fw, batch, cfg, stop_indices=np.zeros(M, dtype=int))
+        sol = _solve_stopped(problem, fw, batch, cfg, np.zeros(M, dtype=int))
         # with dt_eff = 0 everywhere the huge driver never contributes
         assert abs(sol.Y[:, 0].mean() - fw.states[:, -1, 0].mean()) < 1e-8
 
@@ -839,25 +861,9 @@ class TestStopGating:
         )
         cfg = ExperimentConfig(seed=7, n_paths=M, n_steps=10)
         full = solve_bsde(problem, fw, batch, cfg)
-        half = solve_bsde(
-            problem, fw, batch, cfg, stop_indices=np.full(M, 5, dtype=int)
-        )
+        half = _solve_stopped(problem, fw, batch, cfg, np.full(M, 5, dtype=int))
         assert full.Y[:, 0].mean() == pytest.approx(1.0, abs=1e-8)
         assert half.Y[:, 0].mean() == pytest.approx(0.5, abs=1e-8)
-
-    def test_stop_shape_validated(self):
-        grid = TimeGrid(0.0, 1.0, 5)
-        fw, batch = _brownian_forward(grid, 32, 1, seed=0)
-        problem = BSDEProblem(
-            generator=builtin_generator("linear"),
-            t_start=0.0,
-            t_end=1.0,
-            dimension_d=1,
-            terminal=lambda s: s[:, -1, 0],
-        )
-        cfg = ExperimentConfig(seed=0, n_paths=32, n_steps=5)
-        with pytest.raises(ValidationError):
-            solve_bsde(problem, fw, batch, cfg, stop_indices=np.zeros(7, dtype=int))
 
 
 class TestNonFiniteWitness:
@@ -947,11 +953,11 @@ class TestSweepMemory:
         stop = None
         if stopped:
             g0 = builtin_generator("linear", b=np.zeros(d), c=0.8)
-            stop = stopping_indices(batch, g0, x_path=batch.cumulative(), barrier=2.0)
+            stop = _stops(batch, g0, batch.cumulative(), 2.0)
             assert 0 < np.count_nonzero(stop < n_steps) < M
         tracemalloc.start()
         try:
-            sol = solve_bsde(problem, fw, batch, cfg, stop_indices=stop)
+            sol = _solve_stopped(problem, fw, batch, cfg, stop)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -970,7 +976,7 @@ class TestSweepMemory:
         base = rng.normal(size=(M, d))
         fw, batch = _brownian_forward(grid, M, d, seed=5, start=base)
         g = builtin_generator("stress", delta=0.1)
-        stop = stopping_indices(batch, g, x_path=fw.states, barrier=0.6)
+        stop = _stops(batch, g, fw.states, 0.6)
         assert 0 < np.count_nonzero(stop < n_steps) < M
         problem = BSDEProblem(
             generator=g,
@@ -1035,7 +1041,7 @@ class TestLeanSweep:
         g = builtin_generator("stress", delta=0.1)
         stop = None
         if stopped:
-            stop = stopping_indices(batch, g, x_path=fw.states, barrier=0.3)
+            stop = _stops(batch, g, fw.states, 0.3)
             assert 0 < np.count_nonzero(stop < grid.n_steps) < stop.size
         problem = BSDEProblem(
             generator=g,
@@ -1045,20 +1051,19 @@ class TestLeanSweep:
             terminal=lambda s: np.sin(s[:, -1, 0]) + 0.5 * s[:, -1, -1],
         )
         cfg = ExperimentConfig(seed=30 + d, n_paths=base.shape[0], n_steps=grid.n_steps)
+        xi = problem.terminal(fw.states)[None]
+        windows = WindowStack((grid,), fw.states, batch.increments)
+        stops = None if stop is None else stop[None]
         if on_base:
-            xi = problem.terminal(fw.states)[None]
-            windows = WindowStack((grid,), fw.states, batch.increments)
-            stops = None if stop is None else stop[None]
-            Y_full, _, tele_full, (diag_full,) = solver._sweep(
+            (Y_full,), _, (tele_full,), (diag_full,) = solver._sweep(
                 g, xi, windows, cfg, stops, anchor=base, history=True
             )
-            Y_full, tele_full = Y_full[0], tele_full[0]
-            Y, Z, telescoped, (diagnostics,) = solver._sweep(g, xi, windows, cfg, stops, anchor=base)
-            Y, Z, telescoped = Y[0], Z[0], telescoped[0]
         else:
-            sol = solve_bsde(problem, fw, batch, cfg, stop_indices=stop)
+            sol = _solve_stopped(problem, fw, batch, cfg, stop)
             Y_full, tele_full, diag_full = sol.Y.T, sol.telescoped, sol.diagnostics
-            Y, Z, telescoped, diagnostics = solver._solve(problem, fw, batch, cfg, stop)
+        (Y,), (Z,), (telescoped,), (diagnostics,) = solver._sweep(
+            g, xi, windows, cfg, stops, anchor=base if on_base else None
+        )
         assert Y_full.shape == (grid.n_steps + 1, base.shape[0])
         assert Y.shape == (2, base.shape[0]) and Z.shape == (1, base.shape[0], d)
         assert np.array_equal(Y[0], Y_full[0])
@@ -1117,7 +1122,7 @@ class TestTelescopedSum:
     def _solve(self, g, grid, M, seed, barrier, terminal, picard_max=50):
         batch = sample_brownian(grid, M, 1, seed)
         states = batch.cumulative(start=0.8)
-        stop = stopping_indices(batch, g, x_path=states, barrier=barrier)
+        stop = _stops(batch, g, states, barrier)
         # the stop gating must bind on some paths and not on others
         assert 0 < np.count_nonzero(stop < grid.n_steps) < M
         problem = BSDEProblem(
@@ -1126,9 +1131,7 @@ class TestTelescopedSum:
         cfg = ExperimentConfig(
             seed=seed, n_paths=M, n_steps=grid.n_steps, picard_max=picard_max
         )
-        sol = solve_bsde(
-            problem, ForwardBatch(grid=grid, states=states), batch, cfg, stop_indices=stop
-        )
+        sol = _solve_stopped(problem, ForwardBatch(grid=grid, states=states), batch, cfg, stop)
         return sol, self._reevaluated(g, grid, states, sol, stop), cfg
 
     def test_stress_driver_with_stops(self):
@@ -1235,7 +1238,7 @@ class TestStorageLayout:
     @staticmethod
     def _run(batch, fw, cfg):
         g = builtin_generator("stress", delta=0.1)
-        stop = stopping_indices(batch, g, x_path=fw.states, barrier=0.9)
+        stop = _stops(batch, g, fw.states, 0.9)
         problem = BSDEProblem(
             generator=g,
             t_start=0.2,
@@ -1243,7 +1246,7 @@ class TestStorageLayout:
             dimension_d=2,
             terminal=lambda s: np.sin(s[:, -1, 0]) + 0.5 * s[:, -1, 1],
         )
-        sol = solve_bsde(problem, fw, batch, cfg, stop_indices=stop)
+        sol = _solve_stopped(problem, fw, batch, cfg, stop)
         return stop, sol
 
     def test_path_major_inputs_give_identical_results(self):
