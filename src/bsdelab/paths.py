@@ -14,9 +14,14 @@ storage without a copy, and copies a caller-built path-major array once.
 
 A WindowStack reads K time windows off one batch, a step at a time: the
 windows of a quotient study scale one unit-step draw by their own
-sqrt(dt), so none of them stores states or increments of its own.  It is
-the one input of stopping_indices and of the solver's sweep; a single
-forward batch is a stack of one window (K = 1).
+sqrt(dt), so none of them stores states or increments of its own, and
+the draw's path W is not stored either.  The stack keeps W's rows at
+every c-th node, c = ceil(sqrt(N+1)), and rebuilds one segment of c rows
+at a time as the backward sweep reaches it (checkpointing, as in
+Griewank-Walther's revolve), so a study holds its draw plus about
+2*sqrt(N+1) path rows.  A stack is the one input of stopping_indices and
+of the solver's sweep; a single forward batch is a stack of one window
+(K = 1) that reads the caller's states.
 
 Independent tasks run side by side on one rule (_side_by_side): path
 blocks when sampling, and the windows of a stack in stopping_indices and
@@ -28,10 +33,12 @@ With K >= 2 windows the driver is called from several threads at once.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -128,49 +135,121 @@ class ForwardBatch:
 class WindowStack:
     """K time windows on one batch of paths, read one step at a time.
 
-    states (M, N+1, n) and increments (M, N, d) are shared by every window
-    and laid out like ForwardBatch.states and BrownianBatch.increments
-    (time-major storage, read in place; a path-major array is copied
-    once).  Without a base there is one window, on grids[0], and its
-    states and increments are those arrays.  With an (M, n) base the
-    arrays are the path and increments of a unit-step Brownian draw
-    (sample_brownian on a grid with dt = 1, n = d), and window w, on
-    grids[w], has scale s_w = sqrt(dt_w): its state at node j is
-    base + s_w*W_j and its increment s_w*dW_j, the increments
-    sample_brownian draws on grids[w] bit for bit.  Those are formed a
-    step at a time, into a caller's scratch or a new array, so no window's
-    states or increments are ever stored.  Every grid has the draw's N
-    steps.
+    WindowStack(grids, states, increments) is one window, on grids[0]: its
+    states (M, N+1, n) and increments (M, N, d), laid out like
+    ForwardBatch.states and BrownianBatch.increments (time-major storage,
+    read in place; a path-major array is copied once), are read as given.
+
+    WindowStack.from_draw(grids, increments, base) is K >= 1 windows of one
+    unit-step Brownian draw (sample_brownian on a grid with dt = 1) from an
+    (M, d) base.  Window w, on grids[w], has scale s_w = sqrt(dt_w): its
+    state at node j is base + s_w*W_j, W the draw's path, and its
+    increment over step j is s_w*dW_j, the increment sample_brownian draws
+    on grids[w] bit for bit.  Neither is stored, and nor is W: the stack
+    keeps W's rows at every c-th node, c = ceil(sqrt(N+1)), and rebuilds
+    the c rows of one segment at a time from them, so besides the draw it
+    holds about 2*sqrt(N+1) rows of W.  Every row is the one
+    BrownianBatch.cumulative() gives, bit for bit: it is the running sum of
+    the increments from a +0.0 row, and a sum that starts at +0.0 never
+    reaches -0.0, just as cumulative()'s final += start leaves none.
+
+    Every grid has the draw's N steps.  The shared path, the states of a
+    lone window or W of a draw, is read a row at a time, forward (rows,
+    the stop pass) or backward (rows_backward, the sweep), and state()
+    maps one of its rows to a window's state.
     """
 
-    def __init__(self, grids, states, increments, base=None):
+    def __init__(self, grids, states, increments):
+        self._setup(grids, increments, None)
+        self._states = _time_major(states)
+        N, M, _ = self.steps.shape
+        if self._states.shape[:2] != (N + 1, M):
+            raise ValidationError(
+                f"states shaped {np.shape(states)}, expected ({M}, {N + 1}, n)"
+            )
+        self.dim = self._states.shape[2]
+
+    @classmethod
+    def from_draw(cls, grids, increments, base) -> "WindowStack":
+        """The windows on grids of the unit-step draw increments from base."""
+        stack = cls.__new__(cls)
+        stack._setup(grids, increments, np.asarray(base, dtype=float))
+        N, M, d = stack.steps.shape
+        if stack.base.shape != (M, d):
+            raise ValidationError(f"base shaped {stack.base.shape}, expected ({M}, {d})")
+        stack.dim = d
+        stack.scales = [np.sqrt(grid.dt) for grid in stack.grids]
+        # rows 0, c, 2c, ... of W up to row N - 1, the last one the sweep reads
+        c = stack._stride = math.ceil(math.sqrt(N + 1))
+        marks = stack._marks = np.empty(((N - 1) // c + 1, M, d))
+        for mark, row in zip(marks, islice(stack.rows(), 0, N, c)):
+            mark[...] = row
+        return stack
+
+    def _setup(self, grids, increments, base):
         self.grids = tuple(grids)
-        self.path = _time_major(states)
         self.steps = _time_major(increments)
         self.base = base
-        N, M, _ = self.steps.shape
+        self.scales = None
+        N = self.steps.shape[0]
         if not self.grids or (base is None and len(self.grids) != 1):
             raise ValidationError(
                 f"need one grid, or a base and >= 1 grids; got {len(self.grids)}"
             )
         if any(grid.n_steps != N for grid in self.grids):
             raise ValidationError(f"every window must have the draw's {N} steps")
-        if self.path.shape[:2] != (N + 1, M):
-            raise ValidationError(
-                f"states shaped {np.shape(states)}, expected ({M}, {N + 1}, n)"
-            )
-        self.scales = None if base is None else [np.sqrt(grid.dt) for grid in self.grids]
 
     @property
     def increments(self) -> np.ndarray:
         """The shared increments, (M, N, d), a transposed view as in BrownianBatch."""
         return np.swapaxes(self.steps, 0, 1)
 
-    def state(self, w: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Window w's state at node j, (M, n); a scaled one goes to out or a new array."""
+    def rows(self):
+        """Yield the shared path's rows at nodes 0, ..., N, each (M, dim).
+
+        A draw's rows are one running buffer, valid until the next row is
+        drawn; each call has its own, so windows may walk side by side.
+        """
         if self.base is None:
-            return self.path[j]
-        out = np.multiply(self.path[j], self.scales[w], out=out)
+            yield from self._states
+            return
+        row = np.zeros(self.base.shape)
+        yield row
+        for dW in self.steps:
+            np.add(row, dW, out=row)
+            yield row
+
+    def rows_backward(self):
+        """Yield the shared path's rows at nodes N-1, ..., 0, each (M, dim).
+
+        A draw's segment of c rows is rebuilt from its first row, in the
+        calling thread, as the walk enters it; a row is valid until the
+        walk leaves its segment.
+        """
+        N = self.steps.shape[0]
+        if self.base is None:
+            yield from self._states[N - 1 :: -1]
+            return
+        c = self._stride
+        segment = np.empty((c,) + self.base.shape)
+        for j in range(len(self._marks) - 1, -1, -1):
+            lo = j * c
+            n_rows = min(c, N - lo)
+            segment[0] = self._marks[j]
+            for r in range(1, n_rows):
+                np.add(segment[r - 1], self.steps[lo + r - 1], out=segment[r])
+            for r in range(n_rows - 1, -1, -1):
+                yield segment[r]
+
+    def state(self, w: int, row: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Window w's state at the node of the shared path's row, (M, n).
+
+        A lone window's state is the row itself; a draw's window's goes to
+        out or a new array.
+        """
+        if self.base is None:
+            return row
+        out = np.multiply(row, self.scales[w], out=out)
         return np.add(self.base, out, out=out)
 
     def increment(self, w: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -179,12 +258,15 @@ class WindowStack:
             return self.steps[j]
         return np.multiply(self.steps[j], self.scales[w], out=out)
 
-    def displacement(self, w: int, idx: np.ndarray) -> np.ndarray:
-        """X_idx - X_0 of window w, node idx[m] on path m, shape (M, n)."""
-        at = self.path[idx, np.arange(idx.size)]
+    def displacement(self, w: int, at: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """X_tau - X_0 of window w into out, (M, n), at the shared path's rows at tau.
+
+        at[m] is the row's entry of path m at its own node tau[m], as the
+        stop pass records it.
+        """
         if self.base is None:
-            return at - self.path[0]
-        return at * self.scales[w]
+            return np.subtract(at, self._states[0], out=out)
+        return np.multiply(at, self.scales[w], out=out)
 
 
 def _fill_block(incr, b, seed, scale):
@@ -308,7 +390,13 @@ def euler_maruyama(
     return ForwardBatch(grid=grid, states=np.swapaxes(states, 0, 1))
 
 
-def stopping_indices(batch: WindowStack, g: Generator, *, barrier: float = 1.0) -> np.ndarray:
+def stopping_indices(
+    batch: WindowStack,
+    g: Generator,
+    *,
+    barrier: float = 1.0,
+    displacement: np.ndarray,
+) -> np.ndarray:
     """First grid index where |B_{t_k} - B_{t_0}| + sum_{i<k} g0_i^2*dt > barrier.
 
     g0_i = g(t_i, x_i, 0, 0).  batch is a WindowStack of K windows and the
@@ -318,15 +406,24 @@ def stopping_indices(batch: WindowStack, g: Generator, *, barrier: float = 1.0) 
     each as one task, so g is called from several threads at once and must
     keep no mutable state.  Paths that never exceed the barrier return
     n_steps.  No sub-step interpolation: exceedance is detected at grid
-    nodes only.  A window keeps its integral, displacement (the running
-    sum of its increments, as cumulative() sums them; d = 1 takes abs,
-    bitwise sqrt(x^2)) and first hit as running (M,) values.  A barrier
-    that is not > 0, NaN included, raises ValidationError.
+    nodes only.  A window keeps its integral, Brownian displacement (the
+    running sum of its increments, as cumulative() sums them; d = 1 takes
+    abs, bitwise sqrt(x^2)), first hit and row of the shared path
+    (WindowStack.rows) as running values, and records that row at each
+    path's stop.  Window w's state displacement X_tau - X_0 at its stops
+    is written to displacement[w], displacement a (K, M, n) float array.
+    A barrier that is not > 0, NaN included, or a displacement of another
+    shape raises ValidationError.
     """
     # negated > also refuses NaN, which would switch every stop off
     if not barrier > 0:
         raise ValidationError(f"barrier must be > 0, got {barrier}")
     n_steps, M, d = batch.steps.shape
+    if displacement.shape != (len(batch.grids), M, batch.dim):
+        raise ValidationError(
+            f"displacement shaped {displacement.shape}, "
+            f"expected ({len(batch.grids)}, {M}, {batch.dim})"
+        )
     zeros = np.zeros(M)
     zeros_z = np.zeros((M, d))
     # n_steps marks a path not hit yet; a hit at node n_steps writes it too
@@ -335,13 +432,17 @@ def stopping_indices(batch: WindowStack, g: Generator, *, barrier: float = 1.0) 
     def walk(w):
         grid = batch.grids[w]
         times = grid.times()
-        x_scratch = np.empty((M, batch.path.shape[2]))
+        x_scratch = np.empty((M, batch.dim))
         dB_scratch = np.empty((M, d))
         integral = np.zeros(M)
         disp = np.zeros((M, d))
         first = idx[w]
+        # the shared path's row at each path's stop
+        at = np.empty((M, batch.dim))
+        rows = batch.rows()
+        row = next(rows)
         for k in range(1, n_steps + 1):
-            x = batch.state(w, k - 1, x_scratch)
+            x = batch.state(w, row, x_scratch)
             g0 = np.broadcast_to(
                 np.asarray(g(times[k - 1], x, zeros, zeros_z), dtype=float), (M,)
             )
@@ -350,6 +451,13 @@ def stopping_indices(batch: WindowStack, g: Generator, *, barrier: float = 1.0) 
             hit = _norm_last(disp) + integral > barrier
             hit &= first == n_steps
             first[hit] = k
+            row = next(rows)
+            if hit.any():
+                at[hit] = row[hit]
+        # row is node n_steps's now
+        last = first == n_steps
+        at[last] = row[last]
+        batch.displacement(w, at, displacement[w])
 
     with _side_by_side(len(batch.grids)) as run:
         run(walk)

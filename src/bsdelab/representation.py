@@ -13,6 +13,13 @@ Monte Carlo mean is the estimator.  For a state-dependent generator the
 time-t state is realized pathwise (Brownian marginal anchored at x) and the
 regression conditions on (initial state, increment) pairs, so the fitted
 initial values estimate the conditional quotient path by path.
+
+The windows of one study scale one unit-step draw
+(paths.WindowStack.from_draw), so a study's memory is the draw, N*M*d
+doubles, plus about 2*sqrt(N+1) rows of its path and a per-step working
+set: the path itself, (N+1)*M*d doubles, is never stored.  Only the
+converse probe's hypothesis check, which needs every step's states,
+builds a whole path.
 """
 
 from __future__ import annotations
@@ -61,8 +68,9 @@ def _draw(config: ExperimentConfig, d: int, randomize: bool):
 def _stopped_solve(g, windows, y, z, config, barrier, anchor=None):
     """Solve the stop-gated windows of one stack, g switched off from tau on.
 
-    One stopping_indices pass over the stack gives every window's tau, and
-    window w's terminal is y + <z, X_tau - X_t> on its own states.  A stop
+    One stopping_indices pass over the stack gives every window's tau and
+    its displacement X_tau - X_t on its own states, and window w's
+    terminal is y + <z, X_tau - X_t>.  A stop
     that binds on more than 1% of a window's paths warns that the window
     is too wide for the barrier.  The windows are then swept in lockstep
     (_sweep), without history, regressing on the stack's shared path or,
@@ -74,7 +82,8 @@ def _stopped_solve(g, windows, y, z, config, barrier, anchor=None):
     telescoped sums, fraction of stopped paths), each with one row or
     entry per window.
     """
-    stop = stopping_indices(windows, g, barrier=barrier)
+    moved = np.empty((len(windows.grids), windows.steps.shape[1], windows.dim))
+    stop = stopping_indices(windows, g, barrier=barrier, displacement=moved)
     frac_stopped = np.mean(stop < windows.steps.shape[0], axis=1)
     for grid, frac in zip(windows.grids, frac_stopped):
         if frac > 0.01:
@@ -84,7 +93,7 @@ def _stopped_solve(g, windows, y, z, config, barrier, anchor=None):
                 RuntimeWarning,
                 stacklevel=4,
             )
-    xi = np.array([y + windows.displacement(w, tau) @ z for w, tau in enumerate(stop)])
+    xi = np.array([y + moved_w @ z for moved_w in moved])
     Y, _, telescoped, _ = _sweep(g, xi, windows, config, stop, anchor)
     return Y[:, 0], telescoped, frac_stopped
 
@@ -116,6 +125,8 @@ def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
     Every window spans config.n_steps steps from t and scales one unit
     draw (_draw, or the caller's draw for the same config and d) by its
     own sqrt(dt); their states share the base, the realized time-t state.
+    The stack holds the draw's path only at its checkpoint rows
+    (WindowStack.from_draw), so no cumulative() path is built.
     A state-dependent generator (g.state_dependent) at t > 0 is probed at
     the Brownian marginal anchored at x, base = x + sqrt(t)*aux, and the
     regression conditions on (base, path) pairs; any other keeps base = x.
@@ -143,7 +154,7 @@ def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
     else:
         base = np.broadcast_to(x, (M, d)).copy()
     grids = [TimeGrid(t, t + eps, config.n_steps) for eps in eps_schedule]
-    windows = WindowStack(grids, unit.cumulative(), unit.increments, base)
+    windows = WindowStack.from_draw(grids, unit.increments, base)
     y_t, telescoped, frac_stopped = _stopped_solve(
         g, windows, y, z, config, barrier, anchor=base if randomize_base else None
     )

@@ -73,29 +73,29 @@ def polynomial_design(states: np.ndarray, degree: int) -> np.ndarray:
     return buf.T
 
 
-def _step_designs(x: np.ndarray, degree: int, anchor: np.ndarray | None):
-    """Yield (i, design) for steps i = N-1, ..., 0 of time-major states x.
+def _step_designs(windows: WindowStack, degree: int, anchor: np.ndarray | None):
+    """Yield (x, design) for each row x of windows.rows_backward().
 
-    Without an anchor each design is polynomial_design(x[i]).  With an
-    (M, k) anchor the design of step i is polynomial_design([anchor, x[i]])
+    The rows are the stack's shared path at nodes N-1, ..., 0, the
+    sweep's order.  Without an anchor each design is polynomial_design(x).
+    With an (M, k) anchor the design of x is polynomial_design([anchor, x])
     bit for bit, since each column's rows are built on their own: one
     (p, M) buffer takes polynomial_design(anchor)'s rows once, and each
-    step copies the power rows of x[i]'s design in behind them.  Every
-    build goes through the module's polynomial_design.  A design is valid
-    until the next one is drawn.
+    step copies the power rows of x's design in behind them.  Every build
+    goes through the module's polynomial_design.  A design is valid until
+    the next one is drawn.
     """
-    n_steps = x.shape[0] - 1
     if anchor is None:
-        for i in range(n_steps - 1, -1, -1):
-            yield i, polynomial_design(x[i], degree)
+        for x in windows.rows_backward():
+            yield x, polynomial_design(x, degree)
         return
     M, k = anchor.shape
     split = 1 + k * degree
-    buf = np.empty((split + x.shape[2] * degree, M))
+    buf = np.empty((split + windows.dim * degree, M))
     buf[:split] = polynomial_design(anchor, degree).T
-    for i in range(n_steps - 1, -1, -1):
-        buf[split:] = polynomial_design(x[i], degree).T[1:]
-        yield i, buf.T
+    for x in windows.rows_backward():
+        buf[split:] = polynomial_design(x, degree).T[1:]
+        yield x, buf.T
 
 
 def _fit(design: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None):
@@ -354,9 +354,12 @@ def _sweep(
     windows.
     Window w has generator g, terminal values terminals[w] and, when stops
     is given, its generator switched off from stops[w] on.  Every window
-    regresses on the same design: step i's is built once from the stack's
-    shared path, windows.path[i], or, with an (M, n) anchor, from the pair
-    (anchor, path[i]), the anchor's rows built once (_step_designs).  The
+    regresses on the same design: step i's is built once from row i of
+    the stack's shared path or, with an (M, n) anchor, from the pair
+    (anchor, row i), the anchor's rows built once (_step_designs).  The
+    rows come backward from the stack (WindowStack.rows_backward), so a
+    unit draw's segment of rows is rebuilt in the calling thread before
+    the window tasks of its first step start.  The
     K*(1+d) targets [Y_{i+1}; Y_{i+1}*dB_i/dt] of all windows are the
     columns of one fit, so one Gram matrix and one factorization serve
     them, and the fitted values overwrite them.  The implicit y-step, the
@@ -410,7 +413,7 @@ def _sweep(
         np.multiply(y_next, windows.increment(w, i).T, out=rows[1:])
         np.divide(rows[1:], windows.grids[w].dt, out=rows[1:])
 
-    def window_step(w, i):
+    def window_step(w, i, x):
         # window w's implicit step i, from its fitted values in its rows of
         # targets, then its targets for step i - 1; it writes only its rows
         dt = windows.grids[w].dt
@@ -419,7 +422,7 @@ def _sweep(
         z[:] = targets[w * q + 1 : (w + 1) * q].T
         dt_eff = dt if stops is None else np.where(i < stops[w], dt, 0.0)
         y, iters, nfb, gv = _picard_step(
-            g, times[w][i], windows.state(w, i), ey, z, dt_eff, config
+            g, times[w][i], windows.state(w, x), ey, z, dt_eff, config
         )
         # bisection can settle a finite y where g is NaN, so the generator
         # values are checked too
@@ -444,14 +447,15 @@ def _sweep(
     for w in range(K):
         fill_targets(w, n_steps - 1)
     with _side_by_side(K) as run:
-        for i, design in _step_designs(windows.path, config.basis_degree, anchor):
+        designs = _step_designs(windows, config.basis_degree, anchor)
+        for i, (x, design) in zip(range(n_steps - 1, -1, -1), designs):
             # the fitted values overwrite the targets, which a window
             # refills for the next step once its implicit step is done
             _, _, cond[i], rank[i], lstsq_fallbacks[i] = _fit(design, targets.T, out=targets.T)
             # a lone window's arrays stay referenced until the next step has
             # made its own, as in a plain loop; freeing them first lets the
             # allocator trim and refault the heap every step
-            held = run(lambda w: window_step(w, i))
+            held = run(lambda w: window_step(w, i, x))
 
     diagnostics = [
         {

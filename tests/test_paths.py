@@ -167,7 +167,12 @@ def _stops(batch, g, x_path, barrier=1.0):
     """The (M,) stops of batch read along the state path x_path: a stack of
     one window on batch's grid and increments."""
     stack = WindowStack((batch.grid,), x_path, batch.increments)
-    return stopping_indices(stack, g, barrier=barrier)[0]
+    return stopping_indices(stack, g, barrier=barrier, displacement=_moved(stack))[0]
+
+
+def _moved(stack):
+    """A buffer for the stop pass's displacements of stack, (K, M, n)."""
+    return np.empty((len(stack.grids), stack.steps.shape[1], stack.dim))
 
 
 def _naive_stops(batch, g, grid, x_path, barrier):
@@ -305,6 +310,15 @@ class TestStopping:
             with pytest.raises(ValidationError):
                 _stops(batch, g, batch.cumulative(), barrier=barrier)
 
+    def test_displacement_shape_validated(self):
+        grid = TimeGrid(0.0, 1.0, 4)
+        batch = sample_brownian(grid, 4, 2, seed=0)
+        stack = WindowStack((grid,), batch.cumulative(), batch.increments)
+        g = builtin_generator("linear")
+        for shape in ((4, 2), (1, 4, 1), (2, 4, 2)):
+            with pytest.raises(ValidationError, match="displacement shaped"):
+                stopping_indices(stack, g, displacement=np.empty(shape))
+
 
 class TestWindowPoolStops:
     """The windows of a stack are stopped side by side, one task each."""
@@ -325,8 +339,8 @@ class TestWindowPoolStops:
         )
 
         def stops(window_grids):
-            stack = paths.WindowStack(window_grids, unit.cumulative(), unit.increments, base)
-            return stopping_indices(stack, g, barrier=0.8)
+            stack = paths.WindowStack.from_draw(window_grids, unit.increments, base)
+            return stopping_indices(stack, g, barrier=0.8, displacement=_moved(stack))
 
         outs = []
         for cpus in (1, 2, 4):
@@ -349,12 +363,107 @@ class TestWindowPoolStops:
         monkeypatch.setattr(paths, "ThreadPoolExecutor", lambda **kw: pools.append(kw))
         g = builtin_generator("stress", delta=0.1)
         stack = WindowStack((grid,), fw.states, batch.increments)
-        stops = stopping_indices(stack, g)
+        stops = stopping_indices(stack, g, displacement=_moved(stack))
         assert stops.shape == (1, 2 * PATH_BLOCK)
         xi = fw.states[:, -1, 0]
         cfg = ExperimentConfig(seed=4, n_paths=2 * PATH_BLOCK, n_steps=20)
         solver._sweep(g, xi[None], stack, cfg, stops, history=True)
         assert pools == []
+
+
+def _same_bits(a, b):
+    """Equal shapes and bytes: unlike np.array_equal, -0.0 differs from +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCheckpointedPath:
+    """A unit-draw stack keeps W's rows at every c-th node, c =
+    ceil(sqrt(N+1)), and rebuilds the rest: every row it serves, read
+    forward, backward or at a stop, is cumulative()'s bit for bit."""
+
+    M = 257
+
+    @staticmethod
+    def _planted(n_steps, d, M):
+        # exact -0.0 increments: a leading run keeps the plain running sum
+        # at -0.0, which cumulative()'s final += start turns into +0.0
+        unit = sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, d, seed=60 + n_steps)
+        incr = unit.increments.copy()
+        incr[: M // 4, : max(1, n_steps // 2)] = -0.0
+        incr[::5, ::3] = -0.0
+        raw = np.cumsum(incr, axis=1)
+        assert np.any(np.signbit(raw) & (raw == 0.0))
+        return BrownianBatch(unit.grid, incr)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 48, 50, 63])
+    def test_rows_are_cumulative_bit_for_bit(self, n_steps, d):
+        M = self.M
+        batch = self._planted(n_steps, d, M)
+        cum = np.swapaxes(batch.cumulative(), 0, 1)
+        assert not np.any(np.signbit(cum) & (cum == 0.0))
+        # a -0.0 base with unit steps makes every state its row, bit for bit
+        base = np.full((M, d), -0.0)
+        stack = WindowStack.from_draw([batch.grid], batch.increments, base)
+        assert stack._marks.shape[0] + stack._stride <= 2 * math.ceil(math.sqrt(n_steps + 1))
+
+        forward = [row.copy() for row in stack.rows()]
+        assert len(forward) == n_steps + 1
+        for k, row in enumerate(forward):
+            assert _same_bits(row, cum[k]), k
+        backward = [row.copy() for row in stack.rows_backward()]
+        assert len(backward) == n_steps
+        for k, row in zip(range(n_steps - 1, -1, -1), backward):
+            assert _same_bits(row, cum[k]), k
+
+        # the rows the stop pass and the sweep hand to g, node t_k = k
+        seen = []
+        g = Generator(
+            name="record",
+            eval=lambda t, x, y, z: seen.append((t, x.copy())) or -0.5 * y,
+            lipschitz_z=0.0,
+            state_dependent=True,
+        )
+        stopping_indices(stack, g, barrier=1e9, displacement=_moved(stack))
+        assert [t for t, _ in seen] == list(range(n_steps))
+        for t, x in seen:
+            assert _same_bits(x, cum[int(t)]), t
+        seen.clear()
+        cfg = ExperimentConfig(seed=0, n_paths=M, n_steps=n_steps)
+        solver._sweep(g, np.zeros((1, M)), stack, cfg)
+        assert {t for t, _ in seen} == set(range(n_steps))
+        for t, x in seen:
+            assert _same_bits(x, cum[int(t)]), t
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 48, 50, 63])
+    def test_displacement_at_the_stops(self, n_steps, d):
+        # each window's X_tau - X_0 is s*W_tau, W_tau read off cumulative()
+        M = self.M
+        batch = self._planted(n_steps, d, M)
+        cum = np.swapaxes(batch.cumulative(), 0, 1)
+        base = np.random.default_rng(n_steps).normal(size=(M, d))
+        grids = [batch.grid, TimeGrid(0.2, 0.3, n_steps)]
+        stack = WindowStack.from_draw(grids, batch.increments, base)
+        moved = np.empty((2, M, d))
+        g = builtin_generator("linear")
+        stops = stopping_indices(stack, g, barrier=1.5 * np.sqrt(n_steps), displacement=moved)
+        # a stop before the last node needs two steps or more
+        assert n_steps == 1 or 0 < np.count_nonzero(stops < n_steps) < stops.size
+        for w, grid in enumerate(grids):
+            want = cum[stops[w], np.arange(M)] * np.sqrt(grid.dt)
+            assert _same_bits(moved[w], want), w
+
+    def test_base_must_be_shaped_m_by_d(self):
+        M, d = 64, 2
+        unit = sample_brownian(TimeGrid(0.0, 5.0, 5), M, d, seed=1)
+        grids = [TimeGrid(0.0, 0.1, 5)]
+        for shape in [(M, 1), (M,), (1, d), (M, d + 1), (M + 1, d)]:
+            with pytest.raises(ValidationError, match="base shaped"):
+                WindowStack.from_draw(grids, unit.increments, np.zeros(shape))
+        stack = WindowStack.from_draw(grids, unit.increments, np.zeros((M, d)))
+        assert stack.dim == d
 
 
 class TestBatchExtension:

@@ -184,9 +184,8 @@ class TestAnchoredSolveMemory:
         cfg = _cfg(seed=5, M=M, n=n_steps)
         unit = paths.sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, d, cfg.seed)
         base = 0.1 + np.sqrt(0.5) * np.random.default_rng(5).normal(size=(M, d))
-        windows = paths.WindowStack(
-            [TimeGrid(0.5, 0.52, n_steps)], unit.cumulative(), unit.increments, base
-        )
+        grid = TimeGrid(0.5, 0.52, n_steps)
+        windows = paths.WindowStack.from_draw([grid], unit.increments, base)
         g = builtin_generator("stress", delta=0.1)
         tracemalloc.start()
         try:
@@ -207,8 +206,9 @@ class TestLockstepStudy:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_peak_stays_near_two_path_arrays(self, d):
-        # the unit draw and its path are the two (N+1, M, d)-sized arrays a
-        # study holds; no window keeps states or scaled increments of its own
+        # the unit draw is the one (N, M, d)-sized array a study holds (its
+        # path only at checkpoint rows, TestCheckpointedStudy); no window
+        # keeps states or scaled increments of its own
         M, n_steps = 5000, 200
         g = builtin_generator("stress", delta=0.1)
         cfg = _cfg(seed=6, M=M, n=n_steps)
@@ -249,6 +249,68 @@ class TestLockstepStudy:
         for p in representation.P_NORMS:
             assert pair.lp_errors[p] == pytest.approx(full.lp_errors[p][1::2], **close)
             assert pair.lp_ses[p] == pytest.approx(full.lp_ses[p][1::2], **close)
+
+
+class TestCheckpointedStudy:
+    """A study holds its unit draw and about 2*sqrt(N+1) rows of its path,
+    never the whole cumulative path."""
+
+    SCHEDULE = (0.1, 0.05, 0.025, 0.0125)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_quotient_cells_keep_no_path(self, d):
+        # the draw is made before tracing, so the peak is all beyond it:
+        # measured 97 (d = 1) and 148 (d = 2) M-vectors, where the stored
+        # (N+1, M, d) path alone is 201*d of them
+        M, n_steps = 5000, 200
+        g = builtin_generator("stress", delta=0.1)
+        cfg = _cfg(seed=7, M=M, n=n_steps)
+        draw = representation._draw(cfg, d, True)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                cells = representation._quotient_cells(
+                    g, 0.5, np.zeros(d), 0.2, np.full(d, 0.3), self.SCHEDULE, cfg, 1.0, draw
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 4
+        assert peak < (n_steps + 1) * M * d * 8
+
+    @staticmethod
+    def _count_cumulative(monkeypatch):
+        calls = []
+        build = paths.BrownianBatch.cumulative
+
+        def counting(self, start=0.0):
+            calls.append(self.grid)
+            return build(self, start)
+
+        monkeypatch.setattr(paths.BrownianBatch, "cumulative", counting)
+        return calls
+
+    def test_studies_build_no_cumulative_path(self, monkeypatch):
+        g = builtin_generator("stress", delta=0.1)
+        cfg = _cfg(seed=8, M=2000, n=50)
+        calls = self._count_cumulative(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            convergence_study(g, 0.5, [0.1, -0.1], 0.2, [0.3, -0.2], self.SCHEDULE, cfg, 2.0)
+            representation_quotient(g, 0.5, [0.1, -0.1], 0.2, [0.3, -0.2], 0.05, cfg, 2.0)
+        assert calls == []
+
+    def test_converse_probe_builds_one_cumulative_path(self, monkeypatch):
+        # the hypothesis check's forward states; no quotient builds one
+        g1 = builtin_generator("linear", c=1.0)
+        g2 = builtin_generator("linear", c=-1.0)
+        cfg = _cfg(seed=9, M=2000, n=50)
+        points = [(0.0, 0.0, 1.0, 0.5), (0.3, 0.2, -0.5, 0.0), (0.6, -0.1, 0.0, -0.4)]
+        calls = self._count_cumulative(monkeypatch)
+        report = converse_comparison_probe(g1, g2, points, 0.05, cfg, barrier=3.0)
+        assert len(report.rows) == len(points)
+        assert calls == [TimeGrid(0.0, 0.05, 50)]
 
 
 @pytest.fixture
@@ -452,16 +514,18 @@ class TestSharedDraws:
         unit, _ = representation._draw(cfg, d, False)
         base = np.random.default_rng(40).normal(size=(self.M, d))
         grids = [TimeGrid(t, t + eps, 50) for t, eps in [(0.5, 0.1), (0.5, 0.0125), (0.2, 0.05)]]
-        windows = paths.WindowStack(grids, unit.cumulative(), unit.increments, base)
+        windows = paths.WindowStack.from_draw(grids, unit.increments, base)
         # the stack reads the draw in place
         assert np.shares_memory(windows.steps, unit.increments)
         dB, x = np.empty((self.M, d)), np.empty((self.M, d))
         for w, grid in enumerate(grids):
             want = paths.sample_brownian(grid, self.M, d, 40)
             states = want.cumulative(start=base)
+            rows = windows.rows()
             for j in range(grid.n_steps):
+                row = next(rows)
                 assert np.array_equal(windows.increment(w, j, dB), want.increments[:, j]), (w, j)
-                np.testing.assert_allclose(windows.state(w, j, x), states[:, j], rtol=0, atol=1e-13)
+                np.testing.assert_allclose(windows.state(w, row, x), states[:, j], rtol=0, atol=1e-13)
 
     def test_convergence_study_draws_once(self, monkeypatch):
         g = builtin_generator("stress", delta=0.1)

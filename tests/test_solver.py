@@ -33,7 +33,8 @@ def _brownian_forward(grid, M, d, seed, start=0.0):
 def _stops(batch, g, states, barrier):
     """The (M,) stops of batch read along states: a stack of one window."""
     stack = WindowStack((batch.grid,), states, batch.increments)
-    return stopping_indices(stack, g, barrier=barrier)[0]
+    moved = np.empty((1, stack.steps.shape[1], stack.dim))
+    return stopping_indices(stack, g, barrier=barrier, displacement=moved)[0]
 
 
 def _solve_stopped(problem, fw, batch, config, stop=None):
@@ -1014,21 +1015,25 @@ class TestLeanSweep:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("degree", [0, 1, 3])
     def test_cached_base_rows_give_polynomial_design(self, d, degree):
-        grid, base, fw, _ = self._window(d, seed=20 + d)
+        grid, base, fw, batch = self._window(d, seed=20 + d)
         steps = list(range(grid.n_steps - 1, -1, -1))
         x_tm = np.swapaxes(fw.states, 0, 1)
         # the displacement path from the base, as a study's unit path is
         moved = x_tm - base
+        stack = WindowStack((grid,), np.swapaxes(moved, 0, 1), batch.increments)
         seen = []
-        for i, design in solver._step_designs(moved, degree, base):
+        for i, (x, design) in zip(steps, solver._step_designs(stack, degree, base), strict=True):
+            assert np.array_equal(x, moved[i]), i
             want = polynomial_design(np.concatenate([base, moved[i]], axis=1), degree)
             assert np.array_equal(design, want), i
             seen.append(i)
         assert seen == steps
         # step 0: the displacement columns are zero, so their rows are too
         assert np.all(moved[0] == 0.0)
+        stack = WindowStack((grid,), fw.states, batch.increments)
         seen = []
-        for i, design in solver._step_designs(x_tm, degree, None):
+        for i, (x, design) in zip(steps, solver._step_designs(stack, degree, None), strict=True):
+            assert np.array_equal(x, x_tm[i]), i
             assert np.array_equal(design, polynomial_design(x_tm[i], degree)), i
             seen.append(i)
         assert seen == steps
@@ -1087,11 +1092,10 @@ class TestLeanSweep:
         anchor = base if anchored else None
 
         def sweep(gs):
-            windows = WindowStack(gs, unit.cumulative(), unit.increments, base)
-            stops = stopping_indices(windows, g, barrier=0.5)
-            xi = np.array(
-                [np.sin(windows.displacement(w, tau)[:, 0]) for w, tau in enumerate(stops)]
-            )
+            windows = WindowStack.from_draw(gs, unit.increments, base)
+            moved = np.empty((len(gs), M, d))
+            stops = stopping_indices(windows, g, barrier=0.5, displacement=moved)
+            xi = np.sin(moved[:, :, 0])
             return stops, solver._sweep(g, xi, windows, cfg, stops, anchor)
 
         stops, (Y, _, telescoped, diagnostics) = sweep(grids)
