@@ -431,5 +431,7 @@ class ExperimentConfig:
             raise ValidationError(f"basis_degree must be >= 0, got {self.basis_degree}")
         if self.picard_max < 1:
             raise ValidationError(f"picard_max must be >= 1, got {self.picard_max}")
-        if not self.picard_tol > 0:
-            raise ValidationError(f"picard_tol must be > 0, got {self.picard_tol}")
+        # an infinite tolerance would stop every implicit step after one
+        # evaluation
+        if not 0 < self.picard_tol < math.inf:
+            raise ValidationError(f"picard_tol must be finite and > 0, got {self.picard_tol}")

@@ -357,8 +357,11 @@ def euler_maruyama(
     return a scalar, an (M, n)-shaped array (diagonal n == d case), or a full
     (M, n, d) matrix.  x0 is a scalar or an n-vector.  NaN/Inf in any state is
     reported with the first offending step and path index.  The states
-    are a transposed view of an (n_steps+1, M, n) buffer.
+    are a transposed view of an (n_steps+1, M, n) buffer.  batch must be
+    drawn on grid itself; another grid is refused with ValidationError.
     """
+    if batch.grid != grid:
+        raise ValidationError(f"batch grid {batch.grid} differs from grid {grid}")
     incr = _time_major(batch.increments)
     n_steps, M, d = incr.shape
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))

@@ -183,20 +183,29 @@ class SolutionBatch:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
+def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config, slope=None):
     """Solve y = base + g(t_i, x_i, y, z_i)*dt_eff pathwise.
 
-    Secant iteration on F(y) = y - base - g(y)*dt_eff from y0 = base, whose
-    first step is the undamped fixed-point step y1 = base + g(base)*dt_eff.
-    Where a secant slope is not finite or not positive the damped step
-    (slope 2, i.e. y + (base + g*dt_eff - y)/2) is taken instead.  The
-    iteration stops once every path moves by at most picard_tol, measured
-    as the change of y after rounding; an affine driver needs three
-    evaluations.  Paths still unconverged after picard_max evaluations are
-    finished by bisection, which stops a path at width picard_tol or where
-    its bracket is two adjacent doubles.  Returns (y, iters, n_fallback,
-    gv), gv the generator value of the last evaluation: at the iterate
-    before y when the iteration converged, at y itself otherwise.
+    Secant iteration on F(y) = y - base - g(y)*dt_eff from y0 = base.  Its
+    first step divides F(base) by slope, a float carried from the previous
+    step, or by 1 when slope is None, which is the undamped fixed-point
+    step y1 = base + g(base)*dt_eff.  Where a secant slope is not finite or
+    not positive the damped step (slope 2, i.e.
+    y + (base + g*dt_eff - y)/2) is taken instead.  The iteration stops
+    once every path moves by at most picard_tol, measured as the change of
+    y after rounding; after a first step with a carried slope it stops
+    only where |F(base)| is within picard_tol as well, since a stale slope
+    larger than the current one shortens that step.  An affine driver
+    needs three evaluations from slope None and two from the slope of a
+    step with the same y-coefficient.  Paths still unconverged after
+    picard_max evaluations are finished by bisection, which stops a path at
+    width picard_tol or where its bracket is two adjacent doubles.
+
+    Returns (y, iters, n_fallback, gv, slope).  gv is the generator value
+    of the last evaluation: at the iterate before y when the iteration
+    converged, at y itself otherwise.  slope is the mean of the first
+    secant slopes, after the guard above, for the next step to start from;
+    a step that makes one evaluation only returns the slope it was given.
     """
     tol = config.picard_tol
     y = base
@@ -210,28 +219,34 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
         iters += 1
         # y_next = y + (-f/s) is computed as y - f/s, bitwise the same
         if f_prev is None:
-            quot = f
+            quot = f if slope is None else np.divide(f, slope, out=scratch)
         else:
             # f_prev becomes the secant slope s
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = np.subtract(f, f_prev, out=f_prev)
                 np.divide(s, dy, out=s)
             np.copyto(s, 2.0, where=~((s > 0) & (s < np.inf)))
+            if iters == 2:
+                slope = float(s.mean())
             quot = np.divide(f, s, out=scratch)
         # the step as taken: one that rounds away leaves y converged
         y_next = y - quot
         dy = np.subtract(y_next, y, out=dy)
         y, f_prev = y_next, f
-        # NaN propagates through min and max and fails the test
-        if max(-dy.min(), dy.max()) <= tol:
-            return y, iters, 0, gv
+        # NaN propagates through min and max and fails the test; a first
+        # step from a carried slope (not yet replaced at iters == 1) also
+        # needs its residual within tol
+        if max(-dy.min(), dy.max()) <= tol and (
+            iters > 1 or slope is None or max(-f.min(), f.max()) <= tol
+        ):
+            return y, iters, 0, gv, slope
 
     gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
     resid = y - base - gv * dt_eff
     # negated <= keeps NaN residuals (diverged iterates) in the bad set
     bad = ~(np.abs(resid) <= tol)
     if not np.any(bad):
-        return y, iters, 0, gv
+        return y, iters, 0, gv, slope
 
     idx = np.nonzero(bad)[0]
     xb = x_i[idx]
@@ -278,7 +293,7 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
     y[idx] = mid
     gv = np.array(np.broadcast_to(gv, y.shape))
     gv[idx] = np.asarray(g(t_i, xb, y[idx], zb), dtype=float)
-    return y, iters, int(idx.size), gv
+    return y, iters, int(idx.size), gv, slope
 
 
 def solve_bsde(
@@ -293,7 +308,9 @@ def solve_bsde(
     basis of the forward state X_i for the z-estimate, regress Y_{i+1} for
     the conditional mean, then solve the implicit y-equation pathwise.  A
     non-finite terminal value, y, z row or generator value raises
-    NumericalError naming the step and the first such path.
+    NumericalError naming the step and the first such path.  brownian must
+    be drawn on forward's grid; another grid is refused with
+    ValidationError.
 
     The batches are one window (a WindowStack of K = 1) of _sweep, which
     reads increments and states time-major, one contiguous row per step:
@@ -320,6 +337,8 @@ def solve_bsde(
             f"forward states shaped {forward.states.shape}, expected ({M}, {n_steps + 1}, n)"
         )
     grid = forward.grid
+    if brownian.grid != grid:
+        raise ValidationError(f"brownian grid {brownian.grid} differs from forward grid {grid}")
     if abs(grid.t_start - problem.t_start) > 1e-12 or abs(grid.t_end - problem.t_end) > 1e-12:
         raise ValidationError("forward grid does not span the problem horizon")
 
@@ -364,7 +383,10 @@ def _sweep(
     columns of one fit, so one Gram matrix and one factorization serve
     them, and the fitted values overwrite them.  The implicit y-step, the
     stop and the terminal stay per window, on its own grid, states and
-    increments, which windows forms a step at a time.
+    increments, which windows forms a step at a time.  So does the one
+    float a window carries from step to step: the mean first secant slope
+    of its last implicit step that made one, from which _picard_step
+    starts the next (None until then, a start from slope 1).
 
     The design and the fit run in the calling thread.  Then each window's
     implicit step, finite check, writes and targets for the next step run
@@ -404,6 +426,8 @@ def _sweep(
 
     # regression targets, [Y_{i+1}; Y_{i+1}*dB_i/dt] of each window in turn
     targets = np.empty((K * q, M))
+    # each window's mean first secant slope, the next implicit step's start
+    slopes = [None] * K
 
     def fill_targets(w, i):
         # window w's rows of targets for step i
@@ -421,8 +445,8 @@ def _sweep(
         z = Z[w, i % rows_z]
         z[:] = targets[w * q + 1 : (w + 1) * q].T
         dt_eff = dt if stops is None else np.where(i < stops[w], dt, 0.0)
-        y, iters, nfb, gv = _picard_step(
-            g, times[w][i], windows.state(w, x), ey, z, dt_eff, config
+        y, iters, nfb, gv, slopes[w] = _picard_step(
+            g, times[w][i], windows.state(w, x), ey, z, dt_eff, config, slopes[w]
         )
         # bisection can settle a finite y where g is NaN, so the generator
         # values are checked too

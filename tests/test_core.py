@@ -402,3 +402,8 @@ class TestProblemAndConfig:
             ExperimentConfig(seed=0, n_paths=10, n_steps=10, basis_degree=-1)
         with pytest.raises(ValidationError):
             ExperimentConfig(seed=0, n_paths=10, n_steps=10, picard_tol=0.0)
+        # an infinite tolerance would stop every implicit step after one
+        # evaluation; NaN fails every comparison
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="picard_tol must be finite and > 0"):
+                ExperimentConfig(seed=0, n_paths=10, n_steps=10, picard_tol=tol)

@@ -115,6 +115,21 @@ class TestSampling:
 
 
 class TestEulerMaruyama:
+    @pytest.mark.parametrize(
+        "grid, drawn",
+        [
+            # more steps than the batch, fewer steps, and another horizon
+            (TimeGrid(0.0, 1.0, 100), TimeGrid(0.0, 1.0, 50)),
+            (TimeGrid(0.0, 1.0, 50), TimeGrid(0.0, 1.0, 100)),
+            (TimeGrid(0.0, 2.0, 50), TimeGrid(0.0, 1.0, 50)),
+        ],
+    )
+    def test_batch_on_another_grid_is_refused(self, grid, drawn):
+        batch = sample_brownian(drawn, 16, 1, seed=0)
+        with pytest.raises(ValidationError) as err:
+            euler_maruyama(grid, lambda t, x: 1.0, lambda t, x: 1.0, 0.0, batch)
+        assert str(grid) in str(err.value) and str(drawn) in str(err.value)
+
     def test_geometric_mean(self):
         # dX = 0.05 X dt + 0.2 X dB, X0 = 1: E X_T = e^{0.05}; the scheme's
         # mean recursion is exact up to (1 + 0.05 dt)^N vs e^{0.05}

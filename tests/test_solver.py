@@ -546,7 +546,7 @@ class TestPicardFallback:
         rng = np.random.default_rng(5)
         base = 1e6 * (1.0 + 0.1 * rng.normal(size=M))
         x, z = np.zeros((M, 1)), np.zeros((M, 1))
-        y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt, cfg)
+        y, iters, n_fallback, gv, _ = _picard_step(g, 0.0, x, base, z, dt, cfg)
         assert n_fallback == M
         assert np.array_equal(gv, -y)
         # root base/(1 + dt), itself rounded by half a spacing
@@ -597,35 +597,42 @@ class TestPicardFallback:
             solve_bsde(problem, fw, batch, cfg)
 
 
-def _picard_step_allocating(g, t_i, x_i, base, z_i, dt_eff, config):
+def _picard_step_allocating(g, t_i, x_i, base, z_i, dt_eff, config, slope=None):
     # the implicit step before its in-place secant update (a fresh array
     # per operation, np.where for the slope, np.abs for the stop test),
-    # kept as its exact oracle; only the error messages are shortened
+    # kept as its exact oracle, plus the carried first slope: the first
+    # step divides by it, a stop after that step also needs the residual
+    # within tolerance, and the mean guarded first secant slope is
+    # returned; only the error messages are shortened
     tol = config.picard_tol
     y = base
     f_prev = dy = None
     iters = 0
+    warm = slope is not None
     for _ in range(config.picard_max):
         gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
         f = y - base - gv * dt_eff
         iters += 1
         if f_prev is None:
-            step = -f
+            step = -f / slope if warm else -f
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = (f - f_prev) / dy
-            step = -f / np.where((s > 0) & (s < np.inf), s, 2.0)
+            s = np.where((s > 0) & (s < np.inf), s, 2.0)
+            if iters == 2:
+                slope = float(np.mean(s))
+            step = -f / s
         y_next = y + step
         dy = y_next - y
         y, f_prev = y_next, f
-        if np.max(np.abs(dy)) <= tol:
-            return y, iters, 0, gv
+        if np.max(np.abs(dy)) <= tol and not (iters == 1 and warm and np.max(np.abs(f)) > tol):
+            return y, iters, 0, gv, slope
 
     gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
     resid = y - base - gv * dt_eff
     bad = ~(np.abs(resid) <= tol)
     if not np.any(bad):
-        return y, iters, 0, gv
+        return y, iters, 0, gv, slope
 
     idx = np.nonzero(bad)[0]
     xb = x_i[idx]
@@ -663,10 +670,10 @@ def _picard_step_allocating(g, t_i, x_i, base, z_i, dt_eff, config):
     y[idx] = mid
     gv = np.array(np.broadcast_to(gv, y.shape))
     gv[idx] = np.asarray(g(t_i, xb, y[idx], zb), dtype=float)
-    return y, iters, int(idx.size), gv
+    return y, iters, int(idx.size), gv, slope
 
 
-def _step_against_allocating(driver, per_path_dt, picard_max, dt, seed):
+def _step_against_allocating(driver, per_path_dt, picard_max, dt, seed, slope=None):
     """Run _picard_step and its oracle on one draw; assert equal, return n_fallback."""
     rng = np.random.default_rng(seed)
     M = 64
@@ -692,15 +699,16 @@ def _step_against_allocating(driver, per_path_dt, picard_max, dt, seed):
     dt_eff = np.where(rng.random(M) < 0.25, 0.0, dt) if per_path_dt else dt
     cfg = ExperimentConfig(seed=0, n_paths=M, n_steps=1, picard_max=picard_max)
     base0 = base.copy()
-    y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt_eff, cfg)
+    y, iters, n_fallback, gv, next_slope = _picard_step(g, 0.0, x, base, z, dt_eff, cfg, slope)
     # the in-place update writes only into its own buffers
     assert np.array_equal(base, base0)
-    want_y, want_iters, want_fallback, want_gv = _picard_step_allocating(
-        g, 0.0, x, base, z, dt_eff, cfg
+    want_y, want_iters, want_fallback, want_gv, want_slope = _picard_step_allocating(
+        g, 0.0, x, base, z, dt_eff, cfg, slope
     )
     assert (iters, n_fallback) == (want_iters, want_fallback)
     assert np.array_equal(y, want_y)
     assert np.array_equal(gv, want_gv)
+    assert next_slope == want_slope
     return n_fallback
 
 
@@ -714,15 +722,19 @@ class TestInPlaceSecant:
         picard_max=st.sampled_from([1, 2, 3, 50]),
         dt=st.floats(1e-3, 0.2),
         seed=st.integers(0, 2**32 - 1),
+        # a carried first slope, log-uniform over [1e-2, 1e4], or none
+        slope=st.none() | st.floats(-2.0, 4.0).map(lambda e: 10.0**e),
     )
-    def test_matches_allocating_loop(self, driver, per_path_dt, picard_max, dt, seed):
-        _step_against_allocating(driver, per_path_dt, picard_max, dt, seed)
+    def test_matches_allocating_loop(self, driver, per_path_dt, picard_max, dt, seed, slope):
+        _step_against_allocating(driver, per_path_dt, picard_max, dt, seed, slope)
 
     @pytest.mark.parametrize("driver", ["affine", "stress", "wavy"])
     @pytest.mark.parametrize("per_path_dt", [False, True])
     def test_bisection_paths_match(self, driver, per_path_dt):
-        # one evaluation leaves every path with a dt_eff > 0 unconverged
-        assert _step_against_allocating(driver, per_path_dt, 1, 0.05, seed=9) > 0
+        # one evaluation leaves every path with a dt_eff > 0 unconverged,
+        # from slope 1 and from a carried slope
+        for slope in (None, 1e3):
+            assert _step_against_allocating(driver, per_path_dt, 1, 0.05, 9, slope) > 0
 
 
 class TestImplicitStepProperties:
@@ -749,7 +761,7 @@ class TestImplicitStepProperties:
         z = rng.normal(size=(M, 1))
         # a quarter of the paths stopped: their step is y = base
         dt_eff = np.where(rng.random(M) < 0.25, 0.0, dt)
-        y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt_eff, cfg)
+        y, iters, n_fallback, gv, _ = _picard_step(g, 0.0, x, base, z, dt_eff, cfg)
         assert n_fallback == 0
         assert iters <= 4
 
@@ -771,6 +783,77 @@ class TestImplicitStepProperties:
         lo = np.minimum(gy(y - tol), gy(y + tol))
         hi = np.maximum(gy(y - tol), gy(y + tol))
         assert np.all((lo - g_dust <= gv) & (gv <= hi + g_dust))
+
+
+class TestWarmSlope:
+    """The sweep starts each implicit step from its window's last first slope."""
+
+    def test_stale_slope_does_not_stop_early(self):
+        # the stiff half's slope 1 + 1e4*dt = 1001 is carried into the flat
+        # half, where its first step moves y by 1e-9/1001 < picard_tol; only
+        # the residual rule keeps those steps going to y + 1e-9
+        def ev(t, x, y, z):
+            y = np.asarray(y, dtype=float)
+            return -1e4 * y if t >= 0.5 else np.full(y.shape, 1e-8)
+
+        g = Generator(name="stiff_then_flat", eval=ev, lipschitz_z=0.0)
+        N, M = 10, 64
+        grid = TimeGrid(0.0, 1.0, N)
+        fw, batch = _brownian_forward(grid, M, 1, seed=0)
+        problem = BSDEProblem(
+            generator=g,
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=1,
+            terminal=lambda s: np.ones(s.shape[0]),
+        )
+        cfg = ExperimentConfig(seed=0, n_paths=M, n_steps=N, basis_degree=0)
+        sol = solve_bsde(problem, fw, batch, cfg)
+        times, dt = grid.times(), grid.dt
+        want = np.empty(N + 1)
+        want[N] = 1.0
+        for i in range(N - 1, -1, -1):
+            if times[i] >= 0.5:
+                want[i] = want[i + 1] / (1.0 + 1e4 * dt)
+            else:
+                want[i] = want[i + 1] + 1e-8 * dt
+        # want[0] is about 5e-9; stopping after one evaluation errs by 5e-9
+        assert np.max(np.abs(sol.Y - want)) <= 1e-20
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_affine_driver_takes_two_evaluations(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        d = 1 + seed % 2
+        M, N = 2000, 20
+        grid = TimeGrid(0.0, 1.0, N)
+        fw, batch = _brownian_forward(grid, M, d, seed)
+        w = rng.normal(size=d)
+        g = builtin_generator(
+            "linear", a=rng.uniform(-3.0, 0.5), b=rng.normal(size=d), c=rng.normal()
+        )
+        problem = BSDEProblem(
+            generator=g,
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=d,
+            terminal=lambda s: np.sin(s[:, -1] @ w) + 0.5 * s[:, -1, 0],
+        )
+        cfg = ExperimentConfig(seed=seed, n_paths=M, n_steps=N)
+        warm = solve_bsde(problem, fw, batch, cfg)
+        # the first solved step, N - 1, has no slope yet
+        want_iters = np.full(N, 2)
+        want_iters[N - 1] = 3
+        assert np.array_equal(warm.diagnostics["picard_iters"], want_iters)
+
+        # the same sweep with the carried slope dropped at every step
+        step = solver._picard_step
+        monkeypatch.setattr(solver, "_picard_step", lambda *args: step(*args[:7]))
+        cold = solve_bsde(problem, fw, batch, cfg)
+        assert np.all(cold.diagnostics["picard_iters"] == 3)
+        # measured: at most 3.2 ulps of max|Y| for Y, 3.7 of max|Z| for Z
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(warm.Y - cold.Y)) <= 16 * eps * np.max(np.abs(cold.Y))
+        assert np.max(np.abs(warm.Z - cold.Z)) <= 16 * eps * np.max(np.abs(cold.Z))
 
 
 class TestSolutionInvariances:
@@ -904,6 +987,12 @@ class TestInputChecks:
                 r"forward states shaped \(39, 11, 1\), expected \(40, 11, n\)",
             ),
             ("horizon", ValidationError, "forward grid does not span the problem horizon"),
+            (
+                "brownian_grid",
+                ValidationError,
+                r"brownian grid TimeGrid\(t_start=0\.0, t_end=2\.0, n_steps=10\) differs "
+                r"from forward grid TimeGrid\(t_start=0\.0, t_end=1\.0, n_steps=10\)",
+            ),
             ("terminal_shape", ValidationError, r"terminal returned shape \(40, 1\), expected \(40,\)"),
             ("terminal_nonfinite", NumericalError, r"non-finite terminal value at path 3\b"),
         ],
@@ -925,6 +1014,10 @@ class TestInputChecks:
             fw = ForwardBatch(grid=grid, states=fw.states[1:])
         elif case == "horizon":
             problem["t_end"] = 2.0
+        elif case == "brownian_grid":
+            # same N, twice the horizon: Z would read the increments at the
+            # wrong dt
+            batch = sample_brownian(TimeGrid(0.0, 2.0, 10), M, 1, seed=0)
         elif case == "terminal_shape":
             problem["terminal"] = lambda s: s[:, -1]
         else:
