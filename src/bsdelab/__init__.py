@@ -17,7 +17,7 @@ from .core import (
     builtin_generator,
     check_generator_metadata,
 )
-from .envelope import convergence_curve, envelopes, sandwich_check
+from .envelope import convergence_curve, sandwich_check
 from .errors import (
     BsdeLabError,
     ExperimentFailure,
@@ -65,7 +65,6 @@ __all__ = [
     "convergence_curve",
     "convergence_study",
     "converse_comparison_probe",
-    "envelopes",
     "euler_maruyama",
     "fd_reference",
     "heat_cos_problem",

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import BSDEProblem, ExperimentConfig, _sample_sd, builtin_generator
+from .core import _BUILTINS, BSDEProblem, ExperimentConfig, _sample_sd, builtin_generator
 from .envelope import convergence_curve
 from .errors import BsdeLabError, ExperimentFailure, ValidationError
 from .feynmankac import (
@@ -44,14 +44,12 @@ from .solver import solve_bsde
 _REQUIRED = object()
 _OPTIONAL = object()
 
-# per-subcommand config schemas: key -> (kind, default)
-_GEN_KEYS = {
-    "generator": ("str", _REQUIRED),
-    "a": ("float", _OPTIONAL),
-    "b": ("floats", _OPTIONAL),
-    "c": ("float", _OPTIONAL),
-    "scale": ("float", _OPTIONAL),
-    "delta": ("float", _OPTIONAL),
+# per-subcommand config schemas: key -> (kind, default); the generator keys
+# are the built-ins' parameters, whose defaults builtin_generator fills in
+_GEN_KEYS = {"generator": ("str", _REQUIRED)} | {
+    key: ("floats" if isinstance(default, tuple) else "float", _OPTIONAL)
+    for _, defaults in _BUILTINS.values()
+    for key, default in defaults.items()
 }
 
 _SIZES = {

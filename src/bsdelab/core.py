@@ -110,11 +110,17 @@ def h_entropy(u, delta: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_alpha(alpha) -> float:
+    """alpha as a float; a truncation radius that is not >= 0, NaN included, raises."""
+    alpha = float(alpha)
+    if not alpha >= 0:
+        raise ValidationError(f"truncation radius alpha must be >= 0, got {alpha}")
+    return alpha
+
+
 def q_trunc(y, alpha: float):
     """Radial truncation alpha*y/(|y| v alpha); maps everything to 0 if alpha == 0."""
-    alpha = float(alpha)
-    if alpha < 0:
-        raise ValidationError(f"truncation radius must be >= 0, got {alpha}")
+    alpha = _check_alpha(alpha)
     y = np.asarray(y, dtype=float)
     if alpha == 0.0:
         return 0.0 if y.ndim == 0 else np.zeros_like(y)
@@ -278,10 +284,10 @@ def _negative_exponential_generator() -> Generator:
     )
 
 
-# name -> (factory, parameter defaults); a None default marks a required
-# parameter
+# name -> (factory, parameter defaults), the CLI's generator keys; a None
+# default marks a required parameter and a tuple a list-valued one
 _BUILTINS = {
-    "linear": (_linear_generator, {"a": 0.0, "b": 0.0, "c": 0.0}),
+    "linear": (_linear_generator, {"a": 0.0, "b": (0.0,), "c": 0.0}),
     "z_abs": (_z_abs_generator, {"scale": 1.0}),
     "stress": (_stress_generator, {"delta": None}),
     "negative_exponential": (_negative_exponential_generator, {}),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Generator, q_trunc
+from .core import Generator, _check_alpha, q_trunc
 from .errors import ValidationError
 
 
@@ -42,18 +42,12 @@ def empirical_growth_bound(g: Generator, alpha, t, x, g0: float | None = None) -
 
     g0 is g(t, x, 0, 0), evaluated here unless the caller already holds it.
     """
-    if alpha < 0:
-        raise ValidationError(f"alpha must be >= 0, got {alpha}")
+    alpha = _check_alpha(alpha)
     y = np.linspace(-alpha, alpha, 2048)
     if g0 is None:
         g0 = float(np.asarray(g(t, x, 0.0, 0.0), dtype=float))
     vals = np.asarray(g(t, x, y, 0.0), dtype=float)
     return float(np.max(np.abs(vals - g0)))
-
-
-def envelopes(g: Generator, alpha, n, t, x, u_resolution: float = 1e-4) -> EnvelopeRow:
-    """Both envelopes of g at (t, x) for one slope n: a one-row convergence_curve."""
-    return convergence_curve(g, alpha, t, x, [n], u_resolution)[0]
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,8 @@ def sandwich_check(
     lower up and upper down by at most one cell, so violations up to
     10*u_resolution*(n + local Lipschitz estimate) are tolerated.
     """
-    res = envelopes(g, alpha, n, t, x, u_resolution)
+    alpha = _check_alpha(alpha)
+    res = convergence_curve(g, alpha, t, x, [n], u_resolution)[0]
     y = np.asarray(y_samples, dtype=float)
     vals = np.asarray(g(t, x, q_trunc(y, alpha), 0.0), dtype=float)
     pen = n * np.abs(y)
@@ -136,6 +131,7 @@ def convergence_curve(
         raise ValidationError(f"penalty slope n must be > 0, got {n_list[0]}")
     if not u_resolution > 0:
         raise ValidationError(f"u_resolution must be > 0, got {u_resolution}")
+    alpha = _check_alpha(alpha)
     g0 = float(np.asarray(g(t, x, 0.0, 0.0), dtype=float))
     if g.growth_bound is not None:
         psi_hat = float(g.growth_bound(alpha, t))

@@ -138,7 +138,8 @@ class WindowStack:
     WindowStack(grids, states, increments) is one window, on grids[0]: its
     states (M, N+1, n) and increments (M, N, d), laid out like
     ForwardBatch.states and BrownianBatch.increments (time-major storage,
-    read in place; a path-major array is copied once), are read as given.
+    read in place; a path-major array is copied once), are read as given;
+    states whose first two axes are not (M, N+1) raise ValidationError.
 
     WindowStack.from_draw(grids, increments, base) is K >= 1 windows of one
     unit-step Brownian draw (sample_brownian on a grid with dt = 1) from an
@@ -160,13 +161,13 @@ class WindowStack:
     """
 
     def __init__(self, grids, states, increments):
+        M, N, _ = np.shape(increments)
+        if np.shape(states)[:2] != (M, N + 1):
+            raise ValidationError(
+                f"forward states shaped {np.shape(states)}, expected ({M}, {N + 1}, n)"
+            )
         self._setup(grids, increments, None)
         self._states = _time_major(states)
-        N, M, _ = self.steps.shape
-        if self._states.shape[:2] != (N + 1, M):
-            raise ValidationError(
-                f"states shaped {np.shape(states)}, expected ({M}, {N + 1}, n)"
-            )
         self.dim = self._states.shape[2]
 
     @classmethod

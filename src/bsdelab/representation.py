@@ -50,19 +50,19 @@ def _aux_normals(seed: int, shape) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
-def _draw(config: ExperimentConfig, d: int, randomize: bool):
+def _draw(config: ExperimentConfig, d: int):
     """The normals of one study: (unit, aux).
 
     unit is the study's Brownian draw on unit steps, sample_brownian on a
     grid of config.n_steps steps with dt = 1, so its increments are the
     normals themselves and any window of that many steps scales them by
-    its own sqrt(dt) (WindowStack).  aux, drawn only when an anchor is
-    randomized, holds the (M, d) base normals of the time-t state.
+    its own sqrt(dt) (WindowStack).  aux holds the (M, d) base normals of
+    the time-t state, which a randomized anchor reads; aux has its own
+    Philox stream, so drawing it leaves unit unchanged whatever the driver.
     """
     n = config.n_steps
     unit = sample_brownian(TimeGrid(0.0, float(n), n), config.n_paths, d, config.seed)
-    aux = _aux_normals(config.seed, (config.n_paths, d)) if randomize else None
-    return unit, aux
+    return unit, _aux_normals(config.seed, (config.n_paths, d))
 
 
 def _stopped_solve(g, windows, y, z, config, barrier, anchor=None):
@@ -70,9 +70,10 @@ def _stopped_solve(g, windows, y, z, config, barrier, anchor=None):
 
     One stopping_indices pass over the stack gives every window's tau and
     its displacement X_tau - X_t on its own states, and window w's
-    terminal is y + <z, X_tau - X_t>.  A stop
-    that binds on more than 1% of a window's paths warns that the window
-    is too wide for the barrier.  The windows are then swept in lockstep
+    terminal is y + <z, X_tau - X_t>: the K terminals are one product of
+    the (K, M, n) displacements with z, plus y in place.  A stop that binds
+    on more than 1% of a window's paths warns that the window is too wide
+    for the barrier.  The windows are then swept in lockstep
     (_sweep), without history, regressing on the stack's shared path or,
     with an (M, d) anchor, on (anchor, path) pairs, the anchor's rows built
     once.  With two or more windows the stop pass and each step's implicit
@@ -93,7 +94,8 @@ def _stopped_solve(g, windows, y, z, config, barrier, anchor=None):
                 RuntimeWarning,
                 stacklevel=4,
             )
-    xi = np.array([y + moved_w @ z for moved_w in moved])
+    xi = moved @ z
+    xi += y
     Y, _, telescoped, _ = _sweep(g, xi, windows, config, stop, anchor)
     return Y[:, 0], telescoped, frac_stopped
 
@@ -108,6 +110,7 @@ class QuotientEstimate:
     measures the estimator's Monte Carlo noise.  Their generator values
     come from the implicit step, so raw differs from sums re-evaluated at
     the solved Y by at most picard_tol*L, L the local y-slope of g.
+    targets, g at the realized time-t state, is one read-only array per study.
     """
 
     eps: float
@@ -147,7 +150,7 @@ def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
         raise ValidationError(f"state anchor has size {x.size}, expected {d}")
     randomize_base = g.state_dependent and t > 0
 
-    unit, aux = draw if draw is not None else _draw(config, d, randomize_base)
+    unit, aux = draw if draw is not None else _draw(config, d)
     M = config.n_paths
     if randomize_base:
         base = x + np.sqrt(t) * aux
@@ -174,7 +177,7 @@ def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
                 se=_mean_se(raw),
                 per_path=per_path,
                 raw=raw,
-                targets=np.asarray(targets, dtype=float).copy(),
+                targets=targets,
                 frac_stopped=float(frac),
             )
         )
@@ -247,7 +250,8 @@ def convergence_study(
 ) -> RepresentationReport:
     """Run representation_quotient along eps_schedule and fit the rate.
 
-    The schedule must be strictly decreasing.  L^p errors (p in P_NORMS,
+    The schedule must be strictly decreasing, and _quotient_cells refuses
+    an eps that is not > 0, NaN included.  L^p errors (p in P_NORMS,
     i.e. 1 and 2) are computed pathwise against g evaluated at the
     realized time-t state.  A non-monotone L1 sequence beyond one combined
     standard error is reported via errors_decreasing=False, not raised: the
@@ -270,8 +274,6 @@ def convergence_study(
         raise ValidationError("eps_schedule must be nonempty")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValidationError("eps_schedule must be strictly decreasing")
-    if eps_schedule[-1] <= 0:
-        raise ValidationError("eps_schedule entries must be > 0")
 
     cells = _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier)
     lp_errors: dict[int, list] = {p: [] for p in P_NORMS}
@@ -374,8 +376,7 @@ def converse_comparison_probe(
     for _, _, _, z in points:
         if np.size(z) != d:
             raise ValidationError(f"every probe z must have size {d}, got {np.size(z)}")
-    randomize = any(g.state_dependent and t > 0 for g in (g1, g2) for t, _, _, _ in points)
-    draw = _draw(config, d, randomize)
+    draw = _draw(config, d)
     unit = draw[0]
     grid = TimeGrid(t0, t0 + eps, config.n_steps)
     # the product keeps the time-major layout of the unit increments

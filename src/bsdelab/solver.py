@@ -327,20 +327,18 @@ def solve_bsde(
     the same loop (_sweep) without the history, in O(M) memory; the
     quotient estimators also switch g off from a stopping index on.
     """
-    M, n_steps, d = brownian.increments.shape
+    M, _, d = brownian.increments.shape
     if problem.dimension_d != d:
         raise ValidationError(
             f"problem.dimension_d={problem.dimension_d} but batch has d={d}"
-        )
-    if forward.states.shape[0] != M or forward.states.shape[1] != n_steps + 1:
-        raise ValidationError(
-            f"forward states shaped {forward.states.shape}, expected ({M}, {n_steps + 1}, n)"
         )
     grid = forward.grid
     if brownian.grid != grid:
         raise ValidationError(f"brownian grid {brownian.grid} differs from forward grid {grid}")
     if abs(grid.t_start - problem.t_start) > 1e-12 or abs(grid.t_end - problem.t_end) > 1e-12:
         raise ValidationError("forward grid does not span the problem horizon")
+    # refuses forward states that are not shaped (M, N+1, n)
+    window = WindowStack((grid,), forward.states, brownian.increments)
 
     # an overflow is reported by _sweep with its path
     with np.errstate(over="ignore", invalid="ignore"):
@@ -348,7 +346,6 @@ def solve_bsde(
     if xi.shape != (M,):
         raise ValidationError(f"terminal returned shape {xi.shape}, expected ({M},)")
 
-    window = WindowStack((grid,), forward.states, brownian.increments)
     (Y,), (Z,), (telescoped,), (diagnostics,) = _sweep(
         problem.generator, xi[None], window, config, history=True
     )
@@ -399,8 +396,9 @@ def _sweep(
 
     Returns (Y, Z, telescoped, diagnostics).  Y is (K, rows, M) and Z
     (K, rows, M, d), time-major: with history they hold every step, N+1
-    and N rows; without it step i writes row i % 2 of Y and the one row
-    of Z, so Y[:, 0] is the initial row either way.  telescoped is (K, M).
+    and N rows; without it one row each, which step i overwrites (a task
+    reads its Y row back at once for the next step's targets), so Y[:, 0]
+    is the initial row either way.  telescoped is (K, M).
     diagnostics holds one dict per window; its cond, rank and
     regression_fallbacks arrays are shared by all windows.
     """
@@ -413,7 +411,7 @@ def _sweep(
         raise NumericalError(f"non-finite terminal value at {where}")
 
     times = [grid.times() for grid in windows.grids]
-    Y = np.empty((K, n_steps + 1 if history else 2, M))
+    Y = np.empty((K, n_steps + 1 if history else 1, M))
     Z = np.empty((K, n_steps if history else 1, M, d))
     rows_y, rows_z = Y.shape[1], Z.shape[1]
     Y[:, n_steps % rows_y] = terminals

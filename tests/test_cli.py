@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from bsdelab import builtin_generator, convergence_curve, paths
-from bsdelab.cli import _COLUMN_DOCS, _GEN_KEYS, _REQUIRED, _SCHEMAS, main
-from bsdelab.core import _BUILTINS
+from bsdelab.cli import _COLUMN_DOCS, _REQUIRED, _SCHEMAS, main
 
 
 def _write(tmp_path, name, text):
@@ -537,11 +536,6 @@ class TestConfigErrors:
         cfg = _write(tmp_path, "c.cfg", "generator = linear\na = -2.0\nn_list = 1\n" + text)
         needle = f"ValidationError: envelope lattice on [-U, U] with {witness}"
         self._expect2(["envelope", "--config", cfg], capsys, needle)
-
-    def test_generator_keys_are_the_builtin_parameters(self):
-        # a parameter added on one side only would be unreachable or rejected
-        params = set().union(*(defaults for _, defaults in _BUILTINS.values()))
-        assert set(_GEN_KEYS) - {"generator"} == params
 
     def test_unknown_pde(self, tmp_path, capsys):
         cfg = _write(

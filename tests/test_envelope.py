@@ -12,7 +12,6 @@ from bsdelab import (
     ValidationError,
     builtin_generator,
     convergence_curve,
-    envelopes,
     sandwich_check,
 )
 from bsdelab.core import q_trunc
@@ -39,24 +38,24 @@ class TestAgainstBruteForce:
         x = np.zeros(1)
         expected_lower = {1: -1.0, 2: 0.0, 4: 0.0}
         for n in (1, 2, 4):
-            r = envelopes(g, 1.0, n, 0.0, x)
+            r = convergence_curve(g, 1.0, 0.0, x, [n])[0]
             bf_lo, bf_hi = _brute_force(g, 1.0, n, 0.0, x)
             assert r.lower == pytest.approx(bf_lo, abs=1e-9)
             assert r.lower == pytest.approx(expected_lower[n], abs=3e-4)
-            u = envelopes(g, 1.0, n, 0.0, x)
+            u = convergence_curve(g, 1.0, 0.0, x, [n])[0]
             assert u.upper == pytest.approx(bf_hi, abs=1e-9)
             assert u.upper == pytest.approx(-expected_lower[n], abs=3e-4)
 
     def test_argmin_location(self):
         g = builtin_generator("linear", a=-2.0)
-        r = envelopes(g, 1.0, 1, 0.0, np.zeros(1))
+        r = convergence_curve(g, 1.0, 0.0, np.zeros(1), [1])[0]
         assert r.argmin_u == pytest.approx(1.0, abs=1e-3)
 
     def test_offset_generator(self):
         g = builtin_generator("linear", a=1.5, c=-0.7)
         x = np.zeros(1)
         for n in (1, 3):
-            r = envelopes(g, 2.0, n, 0.0, x)
+            r = convergence_curve(g, 2.0, 0.0, x, [n])[0]
             bf_lo, _ = _brute_force(g, 2.0, n, 0.0, x, lo=-4.0, hi=4.0)
             assert r.lower == pytest.approx(bf_lo, abs=1e-9)
 
@@ -79,14 +78,14 @@ class TestEnvelopeStructure:
         x = np.zeros(1)
         g0 = 0.3
         for n in (1, 2, 8):
-            assert envelopes(g, 1.0, n, 0.0, x).lower <= g0
-            assert envelopes(g, 1.0, n, 0.0, x).upper >= g0
+            assert convergence_curve(g, 1.0, 0.0, x, [n])[0].lower <= g0
+            assert convergence_curve(g, 1.0, 0.0, x, [n])[0].upper >= g0
 
     def test_monotone_in_n(self):
         g = builtin_generator("linear", a=-2.0, c=0.5)
         x = np.zeros(1)
-        lowers = [envelopes(g, 1.0, n, 0.0, x).lower for n in (1, 2, 4, 8)]
-        uppers = [envelopes(g, 1.0, n, 0.0, x).upper for n in (1, 2, 4, 8)]
+        lowers = [convergence_curve(g, 1.0, 0.0, x, [n])[0].lower for n in (1, 2, 4, 8)]
+        uppers = [convergence_curve(g, 1.0, 0.0, x, [n])[0].upper for n in (1, 2, 4, 8)]
         assert all(a <= b + 1e-12 for a, b in zip(lowers, lowers[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(uppers, uppers[1:]))
 
@@ -106,7 +105,9 @@ class TestEnvelopeStructure:
         # subset of the n1 grid, so the envelopes tighten with n
         xs = np.array([x])
         g0 = float(np.asarray(g(t, xs, 0.0, 0.0), dtype=float))
-        e1, e2 = (envelopes(g, alpha, n, t, xs, u_resolution=1e-3) for n in (n1, r * n1))
+        e1, e2 = (
+            convergence_curve(g, alpha, t, xs, [n], u_resolution=1e-3)[0] for n in (n1, r * n1)
+        )
         assert e1.lower <= e2.lower + 1e-12
         assert e2.lower <= g0 <= e2.upper
         assert e2.upper <= e1.upper + 1e-12
@@ -115,7 +116,7 @@ class TestEnvelopeStructure:
     def test_non_finite_scan_inputs_rejected(self, n, u_resolution):
         g = builtin_generator("linear", a=-2.0)
         with pytest.raises(ValidationError, match="must be > 0"):
-            envelopes(g, 1.0, n, 0.0, np.zeros(1), u_resolution=u_resolution)
+            convergence_curve(g, 1.0, 0.0, np.zeros(1), [n], u_resolution=u_resolution)[0]
 
     def test_exact_once_slope_dominates(self):
         # once n exceeds the y-Lipschitz constant the envelope collapses
@@ -123,20 +124,20 @@ class TestEnvelopeStructure:
         g = builtin_generator("linear", a=-2.0)
         res = 1e-4
         for n in (2, 3, 10):
-            r = envelopes(g, 1.0, n, 0.0, np.zeros(1), u_resolution=res)
+            r = convergence_curve(g, 1.0, 0.0, np.zeros(1), [n], u_resolution=res)[0]
             assert abs(r.lower - 0.0) <= (2 + n) * res
 
     def test_truncation_limits_the_probe(self):
         # with alpha = 0 only y = 0 is probed, so both envelopes equal g0
         g = builtin_generator("linear", a=-5.0, c=1.1)
-        r = envelopes(g, 0.0, 1, 0.0, np.zeros(1))
-        u = envelopes(g, 0.0, 1, 0.0, np.zeros(1))
+        r = convergence_curve(g, 0.0, 0.0, np.zeros(1), [1])[0]
+        u = convergence_curve(g, 0.0, 0.0, np.zeros(1), [1])[0]
         assert r.lower == pytest.approx(1.1, abs=1e-9)
         assert u.upper == pytest.approx(1.1, abs=1e-9)
 
     def test_declared_growth_bound_used(self):
         g = builtin_generator("linear", a=-2.0)
-        r = envelopes(g, 1.0, 1, 0.0, np.zeros(1))
+        r = convergence_curve(g, 1.0, 0.0, np.zeros(1), [1])[0]
         # U = (2 psi + 2|g0| + 1)/n with psi(1) = 2, g0 = 0
         assert r.search_bound == pytest.approx(5.0)
 
@@ -145,8 +146,8 @@ class TestEnvelopeStructure:
         x = np.array([0.5])
         emp = empirical_growth_bound(g, 1.0, 0.2, x)
         assert emp > 0
-        r = envelopes(g, 1.0, 2, 0.2, x)
-        u = envelopes(g, 1.0, 2, 0.2, x)
+        r = convergence_curve(g, 1.0, 0.2, x, [2])[0]
+        u = convergence_curve(g, 1.0, 0.2, x, [2])[0]
         g0 = float(np.asarray(g(0.2, x.reshape(1, 1), np.zeros(1), np.zeros((1, 1)))).reshape(()))
         assert r.lower <= g0 <= u.upper
         assert np.isfinite(r.lower) and np.isfinite(u.upper)
@@ -233,6 +234,24 @@ class TestCurve:
         with pytest.raises(ValidationError, match=witness):
             convergence_curve(g, alpha, 0.0, np.zeros(1), [1.0], u_resolution=u_resolution)
 
+    @pytest.mark.parametrize("alpha", [math.nan, -1.0])
+    @pytest.mark.parametrize(
+        "entry", ["q_trunc", "empirical_growth_bound", "convergence_curve", "sandwich_check"]
+    )
+    def test_bad_truncation_radius_rejected(self, entry, alpha):
+        # a NaN radius used to give NaN values (q_trunc,
+        # empirical_growth_bound) or the lattice-size message
+        g = builtin_generator("linear", a=-2.0)
+        x = np.zeros(1)
+        calls = {
+            "q_trunc": lambda: q_trunc(0.5, alpha),
+            "empirical_growth_bound": lambda: empirical_growth_bound(g, alpha, 0.0, x),
+            "convergence_curve": lambda: convergence_curve(g, alpha, 0.0, x, [1.0]),
+            "sandwich_check": lambda: sandwich_check(g, alpha, 1.0, 0.0, x, [0.5]),
+        }
+        with pytest.raises(ValidationError, match=f"alpha must be >= 0, got {alpha}"):
+            calls[entry]()
+
     @pytest.mark.parametrize("name, kw", [("stress", {"delta": 0.1}), ("linear", {"a": -2.0, "c": 0.3})])
     @pytest.mark.parametrize("n_slopes", [1, 7])
     def test_generator_scanned_once_per_curve(self, name, kw, n_slopes):
@@ -251,7 +270,7 @@ class TestCurve:
         x = np.array([0.3])
         rows = convergence_curve(g, 1.0, 0.2, x, n_list)
         assert len(calls) == (3 if base.growth_bound is None else 2)
-        assert [envelopes(base, 1.0, n, 0.2, x) for n in n_list] == rows
+        assert [convergence_curve(base, 1.0, 0.2, x, [n])[0] for n in n_list] == rows
 
 
 class TestCustomGenerator:
@@ -263,9 +282,9 @@ class TestCustomGenerator:
             eval=lambda t, x, y, z: -np.asarray(y, dtype=float) ** 3,
             lipschitz_z=0.0,
         )
-        r = envelopes(g, 1.0, 50, 0.0, np.zeros(1))
+        r = convergence_curve(g, 1.0, 0.0, np.zeros(1), [50])[0]
         assert abs(r.lower) < 0.1
-        r1 = envelopes(g, 1.0, 1, 0.0, np.zeros(1))
+        r1 = convergence_curve(g, 1.0, 0.0, np.zeros(1), [1])[0]
         assert r1.lower == pytest.approx(-1.0 + 1.0, abs=3e-4) or r1.lower <= 0.0
 
 
@@ -277,7 +296,7 @@ class TestPublicNames:
         import bsdelab.envelope
 
         assert isinstance(bsdelab.envelope, types.ModuleType)
-        assert bsdelab.envelope.envelopes is bsdelab.envelopes
+        assert bsdelab.envelope.convergence_curve is bsdelab.convergence_curve
 
     def test_every_exported_name_resolves(self):
         import bsdelab
@@ -297,9 +316,9 @@ class TestPublicNames:
             "PicardError", "TestFunction", "TimeGrid", "ValidationError",
             "affine_problem", "builtin_generator", "check_generator_metadata",
             "convergence_curve", "convergence_study", "converse_comparison_probe",
-            "envelopes", "euler_maruyama", "fd_reference", "heat_cos_problem",
-            "heat_cos_solution", "mc_solution", "mc_vs_fd", "sample_brownian",
-            "sandwich_check", "semilinear_cos_problem", "semilinear_cos_solution",
-            "solve_bsde", "square_problem", "viscosity_touch_check",
+            "euler_maruyama", "fd_reference", "heat_cos_problem", "heat_cos_solution",
+            "mc_solution", "mc_vs_fd", "sample_brownian", "sandwich_check",
+            "semilinear_cos_problem", "semilinear_cos_solution", "solve_bsde",
+            "square_problem", "viscosity_touch_check",
         }
-        assert len(bsdelab.__all__) == 32
+        assert len(bsdelab.__all__) == 31

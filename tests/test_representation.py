@@ -265,7 +265,7 @@ class TestCheckpointedStudy:
         M, n_steps = 5000, 200
         g = builtin_generator("stress", delta=0.1)
         cfg = _cfg(seed=7, M=M, n=n_steps)
-        draw = representation._draw(cfg, d, True)
+        draw = representation._draw(cfg, d)
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
@@ -511,7 +511,7 @@ class TestSharedDraws:
         # on its own grid, bit for bit, and its states are that batch's
         # cumulative path from the base, to rounding
         cfg = _cfg(seed=40, M=self.M, n=50)
-        unit, _ = representation._draw(cfg, d, False)
+        unit, _ = representation._draw(cfg, d)
         base = np.random.default_rng(40).normal(size=(self.M, d))
         grids = [TimeGrid(t, t + eps, 50) for t, eps in [(0.5, 0.1), (0.5, 0.0125), (0.2, 0.05)]]
         windows = paths.WindowStack.from_draw(grids, unit.increments, base)
@@ -567,7 +567,7 @@ class TestSharedDraws:
         blocks, aux = self._count_draws(monkeypatch)
         report = converse_comparison_probe(g1, g2, points, 0.05, cfg, barrier=3.0)
         assert blocks == {0: 1, 1: 1, 2: 1}
-        # only g1 at t > 0 randomizes its anchor
+        # one aux draw, read only by g1 at t > 0, whose anchor is randomized
         assert aux == [(self.M, 1)]
 
         for row, (t, x, y, z) in zip(report.rows, points, strict=True):
@@ -575,3 +575,72 @@ class TestSharedDraws:
             q2 = representation_quotient(g2, t, x, y, z, 0.05, cfg, barrier=3.0)
             assert (row.mean1, row.mean2) == (q1.mean, q2.mean)
             assert row.se_diff == _mean_se(q1.raw - q2.raw)
+
+
+class TestEstimatorInvariants:
+    """One draw rule, one terminal product and one target array per study."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_terminals_are_one_product(self, monkeypatch, d, K):
+        # the K terminals handed to the sweep are y + moved_w @ z, bit for
+        # bit, moved_w window w's displacement at its stops
+        M, n = 3000, 50
+        cfg = _cfg(seed=60 + d, M=M, n=n)
+        unit, aux = representation._draw(cfg, d)
+        base = 0.1 + np.sqrt(0.5) * aux
+        grids = [TimeGrid(0.5, 0.5 + 0.1 / 2**w, n) for w in range(K)]
+        windows = paths.WindowStack.from_draw(grids, unit.increments, base)
+        g = builtin_generator("stress", delta=0.1)
+        y, z = 0.2, np.linspace(0.3, -0.4, d)
+        seen = []
+
+        def capture(g, terminals, *args, **kwargs):
+            seen.append(terminals.copy())
+            return np.zeros((K, 1, M)), None, np.zeros((K, M)), None
+
+        monkeypatch.setattr(representation, "_sweep", capture)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            representation._stopped_solve(g, windows, y, z, cfg, 0.5, anchor=base)
+        moved = np.empty((K, M, d))
+        stop = paths.stopping_indices(windows, g, barrier=0.5, displacement=moved)
+        assert 0 < np.count_nonzero(stop < n) < K * M
+        want = np.array([y + moved_w @ z for moved_w in moved])
+        (got,) = seen
+        assert got.shape == (K, M)
+        assert got.tobytes() == want.tobytes()
+
+    def test_cells_share_one_read_only_targets_array(self):
+        g = builtin_generator("stress", delta=0.1)
+        cfg = _cfg(seed=61, M=2000, n=50)
+        cells = representation._quotient_cells(
+            g, 0.5, [0.1, -0.1], 0.2, [0.3, -0.2], (0.1, 0.05, 0.025), cfg, 2.0
+        )
+        assert len(cells) == 3
+        assert all(c.targets is cells[0].targets for c in cells)
+        assert not cells[0].targets.flags.writeable
+        assert cells[0].targets.shape == (2000,)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_draw_is_the_unit_draw_and_the_aux_stream(self, monkeypatch, d):
+        M, n, seed = 2000, 50, 62
+        cfg = _cfg(seed=seed, M=M, n=n)
+        unit, aux = representation._draw(cfg, d)
+        want = paths.sample_brownian(TimeGrid(0.0, float(n), n), M, d, seed)
+        assert unit.grid == want.grid
+        assert np.array_equal(unit.increments, want.increments)
+        assert np.array_equal(aux, representation._aux_normals(seed, (M, d)))
+        # a driver that reads no state draws the aux normals too, once
+        drawn = []
+        aux_normals = representation._aux_normals
+
+        def counting(seed, shape):
+            drawn.append(shape)
+            return aux_normals(seed, shape)
+
+        monkeypatch.setattr(representation, "_aux_normals", counting)
+        for g in (builtin_generator("linear", c=1.0), builtin_generator("stress", delta=0.1)):
+            drawn.clear()
+            representation_quotient(g, 0.5, np.zeros(d), 0.2, np.full(d, 0.3), 0.05, cfg, 2.0)
+            assert drawn == [(M, d)]

@@ -1088,7 +1088,7 @@ class TestSweepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert Y.shape == (1, 2, M) and Z.shape == (1, 1, M, d)
+        assert Y.shape == (1, 1, M) and Z.shape == (1, 1, M, d)
         assert peak < 64 * 8 * M
 
 
@@ -1163,7 +1163,7 @@ class TestLeanSweep:
             g, xi, windows, cfg, stops, anchor=base if on_base else None
         )
         assert Y_full.shape == (grid.n_steps + 1, base.shape[0])
-        assert Y.shape == (2, base.shape[0]) and Z.shape == (1, base.shape[0], d)
+        assert Y.shape == (1, base.shape[0]) and Z.shape == (1, base.shape[0], d)
         assert np.array_equal(Y[0], Y_full[0])
         assert np.array_equal(telescoped, tele_full)
         assert diagnostics.keys() == diag_full.keys()
