@@ -15,6 +15,7 @@ passed as a bare scalar.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -151,6 +152,11 @@ class Generator:
         then fall back to an empirical sup over a y-grid.
     state_dependent : bool
         Whether eval actually reads x.
+    y_slope : float or None
+        A declaration that g is affine in y: g(t,x,y,z) = g(t,x,0,z) +
+        y_slope*y.  The backward sweep then solves each implicit step in
+        closed form; None (the default) leaves it to the secant iteration.
+        A value that is not a finite float raises ValidationError.
 
     eval must be pure: a study with K >= 2 windows calls it from several
     threads at once, so it keeps no mutable state and writes to none of
@@ -164,6 +170,17 @@ class Generator:
     monotonicity_modulus: Callable | None = None
     growth_bound: Callable | None = None
     state_dependent: bool = False
+    y_slope: float | None = None
+
+    def __post_init__(self):
+        if self.y_slope is not None:
+            # isfinite refuses NaN and +-inf; a bool is an int but no slope
+            ok = isinstance(self.y_slope, numbers.Real) and not isinstance(self.y_slope, bool)
+            if not (ok and math.isfinite(self.y_slope)):
+                raise ValidationError(
+                    f"{self.name}: y_slope must be a finite float or None, got {self.y_slope!r}"
+                )
+            object.__setattr__(self, "y_slope", float(self.y_slope))
 
     def __call__(self, t, x, y, z):
         return self.eval(t, x, y, z)
@@ -202,6 +219,7 @@ def _linear_generator(a: float, b, c: float) -> Generator:
         monotonicity_modulus=lambda u: abs(a) * np.asarray(u, dtype=float),
         growth_bound=lambda alpha, t: abs(a) * float(alpha),
         state_dependent=False,
+        y_slope=a,
     )
 
 
@@ -218,6 +236,7 @@ def _z_abs_generator(scale: float) -> Generator:
         monotonicity_modulus=lambda u: np.asarray(u, dtype=float),
         growth_bound=lambda alpha, t: 0.0,
         state_dependent=False,
+        y_slope=0.0,
     )
 
 
@@ -281,6 +300,7 @@ def _negative_exponential_generator() -> Generator:
         monotonicity_modulus=lambda u: 0.0 * np.asarray(u, dtype=float),
         growth_bound=lambda alpha, t: float(alpha),
         state_dependent=False,
+        y_slope=-1.0,
     )
 
 
@@ -332,8 +352,9 @@ def check_generator_metadata(
 
     Samples (t, x, y, z) tuples and checks the z-Lipschitz constant, the
     monotonicity inequality against the declared modulus, and (if present)
-    the growth bound.  Raises ValidationError carrying the first offending
-    tuple.
+    the growth bound and the affine declaration y_slope, g(t,x,y,z) -
+    g(t,x,0,z) = y_slope*y within slack.  Raises ValidationError carrying
+    the first offending tuple.
     """
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, 1.0, n_samples)
@@ -385,6 +406,19 @@ def check_generator_metadata(
                 raise ValidationError(
                     f"{g.name}: growth bound violated at t={tk}, x={xa[i]}, "
                     f"y={ya[i]}: {lhs[i]:.6e} > psi={bound:.6e}"
+                )
+
+        if g.y_slope is not None:
+            dg = g(tk, xa, ya, za) - g(tk, xa, np.zeros_like(ya), za)
+            gap = np.abs(dg - g.y_slope * ya)
+            # negated <= also flags a NaN gap
+            bad = ~(gap <= slack)
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise ValidationError(
+                    f"{g.name}: y_slope {g.y_slope} violated at t={tk}, x={xa[i]}, "
+                    f"y={ya[i]}, z={za[i]}: g(y) - g(0) = {dg[i]:.6e}, "
+                    f"y_slope*y = {g.y_slope * ya[i]:.6e}"
                 )
 
 

@@ -102,7 +102,9 @@ def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfi
     sums (SolutionBatch.telescoped: terminal value plus accumulated
     generator), whose mean coincides with the regression estimate but whose
     spread is the estimator's real Monte Carlo noise.  Their generator
-    values come from the implicit step, so the sums differ from sums
+    values come from the implicit step: for a driver that declares y_slope
+    (every builtin PDE problem's) they are g at the solved Y by the affine
+    identity, up to rounding; for any other the sums differ from sums
     re-evaluated at the solved Y by at most picard_tol*L*(T - t), L the
     local y-slope of g.
     """
@@ -359,7 +361,8 @@ def proof_generator(problem: PDEProblem, phi: TestFunction) -> Generator:
 
     The backward solution with terminal 0 and this generator is the original
     Y minus phi along the diffusion; its difference quotient at (y, z) =
-    (0, 0) recovers G(t, x, 0, 0), the PDE residual of phi against u.
+    (0, 0) recovers G(t, x, 0, 0), the PDE residual of phi against u.  G is
+    affine in y wherever g is, with the same slope, so it copies g's y_slope.
     """
     g = problem.generator
 
@@ -383,6 +386,7 @@ def proof_generator(problem: PDEProblem, phi: TestFunction) -> Generator:
         monotonicity_modulus=g.monotonicity_modulus,
         growth_bound=None,
         state_dependent=True,
+        y_slope=g.y_slope,
     )
 
 

@@ -154,10 +154,11 @@ class WindowStack:
     the increments from a +0.0 row, and a sum that starts at +0.0 never
     reaches -0.0, just as cumulative()'s final += start leaves none.
 
-    Every grid has the draw's N steps.  The shared path, the states of a
-    lone window or W of a draw, is read a row at a time, forward (rows,
-    the stop pass) or backward (rows_backward, the sweep), and state()
-    maps one of its rows to a window's state.
+    Every grid has the N steps of the increments; a grid with another
+    count raises ValidationError naming both counts.  The shared path, the
+    states of a lone window or W of a draw, is read a row at a time,
+    forward (rows, the stop pass) or backward (rows_backward, the sweep),
+    and state() maps one of its rows to a window's state.
     """
 
     def __init__(self, grids, states, increments):
@@ -197,8 +198,10 @@ class WindowStack:
             raise ValidationError(
                 f"need one grid, or a base and >= 1 grids; got {len(self.grids)}"
             )
-        if any(grid.n_steps != N for grid in self.grids):
-            raise ValidationError(f"every window must have the draw's {N} steps")
+        for grid in self.grids:
+            if grid.n_steps != N:
+                held = "the draw holds" if base is not None else "the batch's increments hold"
+                raise ValidationError(f"grid {grid} has {grid.n_steps} steps but {held} {N}")
 
     @property
     def increments(self) -> np.ndarray:

@@ -108,8 +108,10 @@ class QuotientEstimate:
     L^p errors against the pathwise targets; raw holds the rescaled
     telescoped sums of the sweep (SolutionBatch.telescoped), whose spread
     measures the estimator's Monte Carlo noise.  Their generator values
-    come from the implicit step, so raw differs from sums re-evaluated at
-    the solved Y by at most picard_tol*L, L the local y-slope of g.
+    come from the implicit step: g at the solved Y by the affine identity,
+    up to rounding, for a driver that declares y_slope; otherwise raw
+    differs from sums re-evaluated at the solved Y by at most
+    picard_tol*L, L the local y-slope of g.
     targets, g at the realized time-t state, is one read-only array per study.
     """
 

@@ -3,13 +3,14 @@
 Backward recursion on a path batch: at each step the conditional expectation
 of the next value and the z-component are estimated by a global polynomial
 regression on the current state, then the implicit one-step equation
-y = E_i[Y_{i+1}] + g(t_i, x_i, y, z_i)*dt is solved pathwise by a safeguarded
-secant iteration, falling back to bisection where the iteration fails.  The
-implicit step is used because the generator is only assumed monotone in y;
-the map y - g*dt is strictly increasing whenever dt times the local slope
-stays below 1, so its secant slopes are positive (a non-positive or
-non-finite one falls back to the damped fixed-point step) and bisection
-brackets its root.
+y = E_i[Y_{i+1}] + g(t_i, x_i, y, z_i)*dt is solved pathwise.  A driver that
+declares itself affine in y (Generator.y_slope) is solved in closed form;
+any other by a safeguarded secant iteration, falling back to bisection
+where the iteration fails.  The implicit step is used because the
+generator is only assumed monotone in y; the map y - g*dt is strictly
+increasing whenever dt times the local slope stays below 1, so its secant
+slopes are positive (a non-positive or non-finite one falls back to the
+damped fixed-point step) and bisection brackets its root.
 
 The regression at each step projects the targets onto the span of the
 design through the eigendecomposition of its Gram matrix, plus one step of
@@ -166,10 +167,13 @@ class SolutionBatch:
     telescoped, shape (M,), is the pathwise sum
     xi + sum_i g(t_i, X_i, Y_i, Z_i)*dt_eff accumulated during the sweep:
     its mean matches Y[:, 0] (least squares preserves target means) and its
-    spread is the estimator's Monte Carlo noise.  Each g value is the last
-    one the implicit step evaluated, at an iterate within picard_tol of
-    Y_i, so the sum differs from one re-evaluated at the solved Y by at
-    most picard_tol*L*(t_end - t_start), L the local y-slope of g.
+    spread is the estimator's Monte Carlo noise.  For a driver that
+    declares y_slope each g value is g at Y_i by the affine identity
+    g(Y_i) = g(E_i) + y_slope*(Y_i - E_i), up to rounding.  For any other
+    it is the last one the implicit step evaluated, at an iterate within
+    picard_tol of Y_i, so the sum differs from one re-evaluated at the
+    solved Y by at most picard_tol*L*(t_end - t_start), L the local
+    y-slope of g.
     diagnostics carries per-step arrays of regression condition numbers
     (cond), basis ranks (rank), implicit-step iteration counts
     (picard_iters), bisection-fallback path counts (bisection_paths) and
@@ -183,30 +187,42 @@ class SolutionBatch:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config, slope=None):
+def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
     """Solve y = base + g(t_i, x_i, y, z_i)*dt_eff pathwise.
 
-    Secant iteration on F(y) = y - base - g(y)*dt_eff from y0 = base.  Its
-    first step divides F(base) by slope, a float carried from the previous
-    step, or by 1 when slope is None, which is the undamped fixed-point
+    A driver that declares y_slope a (g affine in y) is solved in closed
+    form from one evaluation g0 = g(base): the root is y = base +
+    gv*dt_eff with gv = g0/(1 - a*dt_eff), which is g0 + a*(y - base),
+    the generator value at y.  A step with 1 - a*dt_eff not > 0 has no
+    unique root and raises PicardError.
+
+    Any other driver takes a secant iteration on F(y) = y - base -
+    g(y)*dt_eff from y0 = base.  Its first step is the undamped fixed-point
     step y1 = base + g(base)*dt_eff.  Where a secant slope is not finite or
     not positive the damped step (slope 2, i.e.
     y + (base + g*dt_eff - y)/2) is taken instead.  The iteration stops
     once every path moves by at most picard_tol, measured as the change of
-    y after rounding; after a first step with a carried slope it stops
-    only where |F(base)| is within picard_tol as well, since a stale slope
-    larger than the current one shortens that step.  An affine driver
-    needs three evaluations from slope None and two from the slope of a
-    step with the same y-coefficient.  Paths still unconverged after
-    picard_max evaluations are finished by bisection, which stops a path at
-    width picard_tol or where its bracket is two adjacent doubles.
+    y after rounding.  Paths still unconverged after picard_max
+    evaluations are finished by bisection, which stops a path at width
+    picard_tol or where its bracket is two adjacent doubles.
 
-    Returns (y, iters, n_fallback, gv, slope).  gv is the generator value
-    of the last evaluation: at the iterate before y when the iteration
-    converged, at y itself otherwise.  slope is the mean of the first
-    secant slopes, after the guard above, for the next step to start from;
-    a step that makes one evaluation only returns the slope it was given.
+    Returns (y, iters, n_fallback, gv).  gv is the generator value of the
+    last evaluation: at the iterate before y when the iteration converged,
+    at y itself otherwise, and at y by the affine identity in closed form.
     """
+    a = g.y_slope
+    if a is not None:
+        denom = 1.0 - a * dt_eff
+        # negated > also refuses NaN
+        if not np.all(denom > 0):
+            raise PicardError(
+                f"no unique root at step t={t_i}: y_slope*dt = {a * np.max(dt_eff):.6g} >= 1"
+            )
+        gv = np.asarray(g(t_i, x_i, base, z_i), dtype=float) / denom
+        y = gv * dt_eff
+        y += base
+        return y, 1, 0, gv
+
     tol = config.picard_tol
     y = base
     f_prev = dy = None
@@ -219,34 +235,28 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config, slope=None):
         iters += 1
         # y_next = y + (-f/s) is computed as y - f/s, bitwise the same
         if f_prev is None:
-            quot = f if slope is None else np.divide(f, slope, out=scratch)
+            quot = f
         else:
             # f_prev becomes the secant slope s
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = np.subtract(f, f_prev, out=f_prev)
                 np.divide(s, dy, out=s)
             np.copyto(s, 2.0, where=~((s > 0) & (s < np.inf)))
-            if iters == 2:
-                slope = float(s.mean())
             quot = np.divide(f, s, out=scratch)
         # the step as taken: one that rounds away leaves y converged
         y_next = y - quot
         dy = np.subtract(y_next, y, out=dy)
         y, f_prev = y_next, f
-        # NaN propagates through min and max and fails the test; a first
-        # step from a carried slope (not yet replaced at iters == 1) also
-        # needs its residual within tol
-        if max(-dy.min(), dy.max()) <= tol and (
-            iters > 1 or slope is None or max(-f.min(), f.max()) <= tol
-        ):
-            return y, iters, 0, gv, slope
+        # NaN propagates through min and max and fails the test
+        if max(-dy.min(), dy.max()) <= tol:
+            return y, iters, 0, gv
 
     gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
     resid = y - base - gv * dt_eff
     # negated <= keeps NaN residuals (diverged iterates) in the bad set
     bad = ~(np.abs(resid) <= tol)
     if not np.any(bad):
-        return y, iters, 0, gv, slope
+        return y, iters, 0, gv
 
     idx = np.nonzero(bad)[0]
     xb = x_i[idx]
@@ -293,7 +303,7 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config, slope=None):
     y[idx] = mid
     gv = np.array(np.broadcast_to(gv, y.shape))
     gv[idx] = np.asarray(g(t_i, xb, y[idx], zb), dtype=float)
-    return y, iters, int(idx.size), gv, slope
+    return y, iters, int(idx.size), gv
 
 
 def solve_bsde(
@@ -380,10 +390,13 @@ def _sweep(
     columns of one fit, so one Gram matrix and one factorization serve
     them, and the fitted values overwrite them.  The implicit y-step, the
     stop and the terminal stay per window, on its own grid, states and
-    increments, which windows forms a step at a time.  So does the one
-    float a window carries from step to step: the mean first secant slope
-    of its last implicit step that made one, from which _picard_step
-    starts the next (None until then, a start from slope 1).
+    increments, which windows forms a step at a time.  For a driver that
+    declares y_slope the implicit step is solved in closed form, and each
+    window's first solved step (i = N - 1) is checked once: g is evaluated
+    again at the root, and a residual beyond picard_tol plus rounding
+    raises HypothesisError naming the step, the path and the residual, so
+    a driver that is not affine with the declared slope is refused before
+    it can bias the sweep.
 
     The design and the fit run in the calling thread.  Then each window's
     implicit step, finite check, writes and targets for the next step run
@@ -424,8 +437,6 @@ def _sweep(
 
     # regression targets, [Y_{i+1}; Y_{i+1}*dB_i/dt] of each window in turn
     targets = np.empty((K * q, M))
-    # each window's mean first secant slope, the next implicit step's start
-    slopes = [None] * K
 
     def fill_targets(w, i):
         # window w's rows of targets for step i
@@ -435,6 +446,26 @@ def _sweep(
         np.multiply(y_next, windows.increment(w, i).T, out=rows[1:])
         np.divide(rows[1:], windows.grids[w].dt, out=rows[1:])
 
+    def where(w, i, m):
+        return f"step {i}, path {m}" if K == 1 else f"step {i}, path {m} of window {w}"
+
+    def check_root(w, i, x_w, base, z, dt_eff, y):
+        # the closed-form root of a declared driver against g itself; the
+        # allowance adds rounding at the scale of the step's terms, which
+        # exceeds picard_tol once |y| >~ 1e6
+        gy = np.asarray(g(times[w][i], x_w, y, z), dtype=float) * dt_eff
+        resid = np.abs(y - base - gy)
+        ulps = 16 * np.finfo(float).eps * (1.0 + np.abs(g.y_slope * dt_eff))
+        rounding = (np.abs(y) + np.abs(base) + np.abs(gy)) * ulps
+        # negated <= also refuses a NaN residual
+        bad = ~(resid <= config.picard_tol + rounding)
+        if bad.any():
+            m = int(np.argmax(bad))
+            raise HypothesisError(
+                f"{g.name}: not affine in y with the declared y_slope {g.y_slope}: "
+                f"implicit-step residual {resid[m]:.3e} at {where(w, i, m)}"
+            )
+
     def window_step(w, i, x):
         # window w's implicit step i, from its fitted values in its rows of
         # targets, then its targets for step i - 1; it writes only its rows
@@ -443,9 +474,8 @@ def _sweep(
         z = Z[w, i % rows_z]
         z[:] = targets[w * q + 1 : (w + 1) * q].T
         dt_eff = dt if stops is None else np.where(i < stops[w], dt, 0.0)
-        y, iters, nfb, gv, slopes[w] = _picard_step(
-            g, times[w][i], windows.state(w, x), ey, z, dt_eff, config, slopes[w]
-        )
+        x_w = windows.state(w, x)
+        y, iters, nfb, gv = _picard_step(g, times[w][i], x_w, ey, z, dt_eff, config)
         # bisection can settle a finite y where g is NaN, so the generator
         # values are checked too
         finite = np.isfinite(y)
@@ -453,11 +483,12 @@ def _sweep(
         finite &= np.isfinite(z).all(axis=1)
         if not finite.all():
             m = int(np.argmin(finite))
-            where = f"step {i}, path {m}" if K == 1 else f"step {i}, path {m} of window {w}"
             raise NumericalError(
-                f"non-finite value at {where}: "
+                f"non-finite value at {where(w, i, m)}: "
                 f"y={y[m]}, g={np.broadcast_to(gv, (M,))[m]}, max|z|={np.abs(z[m]).max()}"
             )
+        if g.y_slope is not None and i == n_steps - 1:
+            check_root(w, i, x_w, ey, z, dt_eff, y)
         Y[w, i % rows_y] = y
         telescoped[w] += gv * dt_eff
         picard_iters[w, i] = iters

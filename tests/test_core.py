@@ -384,6 +384,41 @@ class TestMetadataCheck:
         with pytest.raises(ValidationError, match="growth"):
             check_generator_metadata(lying, seed=0, n_samples=4000)
 
+    @pytest.mark.parametrize(
+        "name,params,slope",
+        [
+            ("linear", {"a": -2.5}, -2.5),
+            ("negative_exponential", {}, -1.0),
+            ("z_abs", {"scale": 2.0}, 0.0),
+            ("stress", {"delta": 0.1}, None),
+        ],
+    )
+    def test_builtins_declare_their_y_slope(self, name, params, slope):
+        assert builtin_generator(name, **params).y_slope == slope
+
+    def test_misdeclared_y_slope_caught(self):
+        # the stress driver is not affine in y; a linear one with another a
+        # is affine with the wrong slope
+        stress = builtin_generator("stress", delta=0.1)
+        lying = Generator(name="lying", eval=stress.eval, lipschitz_z=1.0, y_slope=-1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValidationError, match=r"y_slope -1\.0 violated at t=.*, x=.*, y="):
+                check_generator_metadata(lying, seed=0, n_samples=4000)
+        linear = builtin_generator("linear", a=-2.0, c=1.0)
+        lying = Generator(name="lying", eval=linear.eval, lipschitz_z=0.0, y_slope=-1.9)
+        with pytest.raises(ValidationError, match="y_slope"):
+            check_generator_metadata(lying, seed=0, n_samples=4000)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1", True, np.array([1.0])])
+    def test_y_slope_must_be_a_finite_float(self, bad):
+        with pytest.raises(ValidationError, match="y_slope must be a finite float"):
+            Generator(name="g", eval=lambda t, x, y, z: y, lipschitz_z=0.0, y_slope=bad)
+
+    def test_y_slope_is_stored_as_float(self):
+        g = Generator(name="g", eval=lambda t, x, y, z: y, lipschitz_z=0.0, y_slope=np.int64(1))
+        assert type(g.y_slope) is float and g.y_slope == 1.0
+
 
 class TestProblemAndConfig:
     def test_problem_validation(self):

@@ -13,6 +13,7 @@ from bsdelab import (
     ValidationError,
     affine_problem,
     builtin_generator,
+    check_generator_metadata,
     euler_maruyama,
     fd_reference,
     heat_cos_problem,
@@ -472,6 +473,9 @@ class TestProofGenerator:
         G = proof_generator(p, semilinear_cos_solution())
         assert G.state_dependent
         assert G.lipschitz_z == p.generator.lipschitz_z
+        # G(y) - G(0) = g(y + phi) - g(phi), affine with g's slope
+        assert G.y_slope == p.generator.y_slope == -1.0
+        check_generator_metadata(G, seed=0, n_samples=2000)
 
     def test_exact_solution_compensates_to_zero(self):
         # along any state, G(t, x, 0, 0) is the PDE residual of the exact

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsdelab import (
+    BSDEProblem,
     ExperimentConfig,
     Generator,
     NumericalError,
@@ -17,6 +18,7 @@ from bsdelab import (
     euler_maruyama,
     paths,
     sample_brownian,
+    solve_bsde,
     solver,
 )
 from bsdelab.paths import PATH_BLOCK, BrownianBatch, ForwardBatch, WindowStack, stopping_indices
@@ -129,6 +131,30 @@ class TestEulerMaruyama:
         with pytest.raises(ValidationError) as err:
             euler_maruyama(grid, lambda t, x: 1.0, lambda t, x: 1.0, 0.0, batch)
         assert str(grid) in str(err.value) and str(drawn) in str(err.value)
+
+    def test_grid_and_increments_of_different_lengths_are_refused(self):
+        # a batch whose grid says 10 steps but whose increments hold 20, with
+        # the 21 states those increments give: the message names both counts
+        grid, drawn = TimeGrid(0.0, 1.0, 10), TimeGrid(0.0, 1.0, 20)
+        increments = sample_brownian(drawn, 16, 1, seed=0).increments
+        batch = BrownianBatch(grid, increments)
+        states = BrownianBatch(drawn, increments).cumulative()
+        with pytest.raises(ValidationError, match=r"grid .* has 10 steps but the batch's increments hold 20$"):
+            WindowStack((grid,), states, increments)
+        problem = BSDEProblem(
+            generator=builtin_generator("linear", a=-1.0),
+            t_start=0.0,
+            t_end=1.0,
+            dimension_d=1,
+            terminal=lambda s: s[:, -1, 0],
+        )
+        cfg = ExperimentConfig(seed=0, n_paths=16, n_steps=10)
+        with pytest.raises(ValidationError, match="has 10 steps but the batch's increments hold 20"):
+            solve_bsde(problem, ForwardBatch(grid, states), batch, cfg)
+        # windows of a unit draw name the draw
+        unit = sample_brownian(TimeGrid(0.0, 20.0, 20), 16, 1, seed=0).increments
+        with pytest.raises(ValidationError, match="has 10 steps but the draw holds 20$"):
+            WindowStack.from_draw((drawn, grid), unit, np.zeros((16, 1)))
 
     def test_geometric_mean(self):
         # dX = 0.05 X dt + 0.2 X dB, X0 = 1: E X_T = e^{0.05}; the scheme's

@@ -11,11 +11,13 @@ from bsdelab import (
     BSDEProblem,
     ExperimentConfig,
     Generator,
+    HypothesisError,
     NumericalError,
     PicardError,
     TimeGrid,
     ValidationError,
     builtin_generator,
+    convergence_study,
     euler_maruyama,
     sample_brownian,
     solve_bsde,
@@ -23,6 +25,11 @@ from bsdelab import (
 from bsdelab import solver
 from bsdelab.paths import ForwardBatch, WindowStack, stopping_indices
 from bsdelab.solver import _fit, _picard_step, comparison_check, polynomial_design
+
+
+def _undeclared(g):
+    """g without its y_slope declaration, so the sweep solves it by secant."""
+    return Generator(name=g.name, eval=g.eval, lipschitz_z=g.lipschitz_z)
 
 
 def _brownian_forward(grid, M, d, seed, start=0.0):
@@ -494,7 +501,7 @@ class TestPicardFallback:
         M = 64
         fw, batch = _brownian_forward(grid, M, 1, seed=5)
         problem = BSDEProblem(
-            generator=builtin_generator("linear", a=-60.0),
+            generator=_undeclared(builtin_generator("linear", a=-60.0)),
             t_start=0.0,
             t_end=1.0,
             dimension_d=1,
@@ -541,12 +548,12 @@ class TestPicardFallback:
         # doubles lie more than picard_tol apart: a path stops once its
         # midpoint rounds onto an endpoint, which brackets the root
         M, dt = 2000, 0.05
-        g = builtin_generator("linear", a=-1.0)
+        g = _undeclared(builtin_generator("linear", a=-1.0))
         cfg = ExperimentConfig(seed=5, n_paths=M, n_steps=20, picard_max=1)
         rng = np.random.default_rng(5)
         base = 1e6 * (1.0 + 0.1 * rng.normal(size=M))
         x, z = np.zeros((M, 1)), np.zeros((M, 1))
-        y, iters, n_fallback, gv, _ = _picard_step(g, 0.0, x, base, z, dt, cfg)
+        y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt, cfg)
         assert n_fallback == M
         assert np.array_equal(gv, -y)
         # root base/(1 + dt), itself rounded by half a spacing
@@ -597,42 +604,35 @@ class TestPicardFallback:
             solve_bsde(problem, fw, batch, cfg)
 
 
-def _picard_step_allocating(g, t_i, x_i, base, z_i, dt_eff, config, slope=None):
+def _picard_step_allocating(g, t_i, x_i, base, z_i, dt_eff, config):
     # the implicit step before its in-place secant update (a fresh array
     # per operation, np.where for the slope, np.abs for the stop test),
-    # kept as its exact oracle, plus the carried first slope: the first
-    # step divides by it, a stop after that step also needs the residual
-    # within tolerance, and the mean guarded first secant slope is
-    # returned; only the error messages are shortened
+    # kept as its exact oracle; only the error messages are shortened
     tol = config.picard_tol
     y = base
     f_prev = dy = None
     iters = 0
-    warm = slope is not None
     for _ in range(config.picard_max):
         gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
         f = y - base - gv * dt_eff
         iters += 1
         if f_prev is None:
-            step = -f / slope if warm else -f
+            step = -f
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 s = (f - f_prev) / dy
-            s = np.where((s > 0) & (s < np.inf), s, 2.0)
-            if iters == 2:
-                slope = float(np.mean(s))
-            step = -f / s
+            step = -f / np.where((s > 0) & (s < np.inf), s, 2.0)
         y_next = y + step
         dy = y_next - y
         y, f_prev = y_next, f
-        if np.max(np.abs(dy)) <= tol and not (iters == 1 and warm and np.max(np.abs(f)) > tol):
-            return y, iters, 0, gv, slope
+        if np.max(np.abs(dy)) <= tol:
+            return y, iters, 0, gv
 
     gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
     resid = y - base - gv * dt_eff
     bad = ~(np.abs(resid) <= tol)
     if not np.any(bad):
-        return y, iters, 0, gv, slope
+        return y, iters, 0, gv
 
     idx = np.nonzero(bad)[0]
     xb = x_i[idx]
@@ -670,17 +670,18 @@ def _picard_step_allocating(g, t_i, x_i, base, z_i, dt_eff, config, slope=None):
     y[idx] = mid
     gv = np.array(np.broadcast_to(gv, y.shape))
     gv[idx] = np.asarray(g(t_i, xb, y[idx], zb), dtype=float)
-    return y, iters, int(idx.size), gv, slope
+    return y, iters, int(idx.size), gv
 
 
-def _step_against_allocating(driver, per_path_dt, picard_max, dt, seed, slope=None):
+def _step_against_allocating(driver, per_path_dt, picard_max, dt, seed):
     """Run _picard_step and its oracle on one draw; assert equal, return n_fallback."""
     rng = np.random.default_rng(seed)
     M = 64
     if driver == "affine":
         a = rng.uniform(-20.0, 0.5) / dt
         b, c = rng.normal(size=2)
-        g = builtin_generator("linear", a=a, b=b, c=c)
+        # undeclared, so the step takes the secant iteration
+        g = _undeclared(builtin_generator("linear", a=a, b=b, c=c))
         base = 100.0 * rng.uniform(-1.0, 1.0, M)
     elif driver == "stress":
         g = builtin_generator("stress", delta=0.1)
@@ -699,16 +700,15 @@ def _step_against_allocating(driver, per_path_dt, picard_max, dt, seed, slope=No
     dt_eff = np.where(rng.random(M) < 0.25, 0.0, dt) if per_path_dt else dt
     cfg = ExperimentConfig(seed=0, n_paths=M, n_steps=1, picard_max=picard_max)
     base0 = base.copy()
-    y, iters, n_fallback, gv, next_slope = _picard_step(g, 0.0, x, base, z, dt_eff, cfg, slope)
+    y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt_eff, cfg)
     # the in-place update writes only into its own buffers
     assert np.array_equal(base, base0)
-    want_y, want_iters, want_fallback, want_gv, want_slope = _picard_step_allocating(
-        g, 0.0, x, base, z, dt_eff, cfg, slope
+    want_y, want_iters, want_fallback, want_gv = _picard_step_allocating(
+        g, 0.0, x, base, z, dt_eff, cfg
     )
     assert (iters, n_fallback) == (want_iters, want_fallback)
     assert np.array_equal(y, want_y)
     assert np.array_equal(gv, want_gv)
-    assert next_slope == want_slope
     return n_fallback
 
 
@@ -722,23 +722,20 @@ class TestInPlaceSecant:
         picard_max=st.sampled_from([1, 2, 3, 50]),
         dt=st.floats(1e-3, 0.2),
         seed=st.integers(0, 2**32 - 1),
-        # a carried first slope, log-uniform over [1e-2, 1e4], or none
-        slope=st.none() | st.floats(-2.0, 4.0).map(lambda e: 10.0**e),
     )
-    def test_matches_allocating_loop(self, driver, per_path_dt, picard_max, dt, seed, slope):
-        _step_against_allocating(driver, per_path_dt, picard_max, dt, seed, slope)
+    def test_matches_allocating_loop(self, driver, per_path_dt, picard_max, dt, seed):
+        _step_against_allocating(driver, per_path_dt, picard_max, dt, seed)
 
     @pytest.mark.parametrize("driver", ["affine", "stress", "wavy"])
     @pytest.mark.parametrize("per_path_dt", [False, True])
     def test_bisection_paths_match(self, driver, per_path_dt):
-        # one evaluation leaves every path with a dt_eff > 0 unconverged,
-        # from slope 1 and from a carried slope
-        for slope in (None, 1e3):
-            assert _step_against_allocating(driver, per_path_dt, 1, 0.05, 9, slope) > 0
+        # one evaluation leaves every path with a dt_eff > 0 unconverged
+        assert _step_against_allocating(driver, per_path_dt, 1, 0.05, seed=9) > 0
 
 
 class TestImplicitStepProperties:
-    """The implicit step on affine drivers g = a*y + b*z + c, any slope."""
+    """The implicit step on affine drivers g = a*y + b*z + c, any slope,
+    in closed form (declared) and by secant (undeclared)."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -748,10 +745,13 @@ class TestImplicitStepProperties:
         c=st.floats(-100.0, 100.0),
         scale=st.floats(0.0, 1e4),
         seed=st.integers(0, 2**32 - 1),
+        declared=st.booleans(),
     )
-    def test_affine_step(self, a_dt, dt, b, c, scale, seed):
+    def test_affine_step(self, a_dt, dt, b, c, scale, seed, declared):
         a = a_dt / dt
         g = builtin_generator("linear", a=a, b=b, c=c)
+        if not declared:
+            g = _undeclared(g)
         cfg = ExperimentConfig(seed=0, n_paths=32, n_steps=1)
         tol = cfg.picard_tol
         rng = np.random.default_rng(seed)
@@ -761,9 +761,9 @@ class TestImplicitStepProperties:
         z = rng.normal(size=(M, 1))
         # a quarter of the paths stopped: their step is y = base
         dt_eff = np.where(rng.random(M) < 0.25, 0.0, dt)
-        y, iters, n_fallback, gv, _ = _picard_step(g, 0.0, x, base, z, dt_eff, cfg)
+        y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt_eff, cfg)
         assert n_fallback == 0
-        assert iters <= 4
+        assert iters == 1 if declared else iters <= 4
 
         def gy(v):
             return np.asarray(g(0.0, x, v, z), dtype=float)
@@ -772,88 +772,110 @@ class TestImplicitStepProperties:
         eps = np.finfo(float).eps
         g_dust = 8 * eps * (abs(a) * (np.abs(y) + tol) + np.abs(b * z[:, 0]) + abs(c))
         y_dust = 8 * eps * (np.abs(y) + np.abs(base))
-        # the step-size stop leaves y within picard_tol of the root, so the
-        # residual is within picard_tol times the slope 1 - a*dt_eff
+        # the closed form, or the secant's step-size stop, leaves y within
+        # picard_tol of the root, so the residual is within picard_tol
+        # times the slope 1 - a*dt_eff
         slope = 1.0 - a * dt_eff
         resid = np.abs(y - base - gy(y) * dt_eff)
         assert np.all(resid <= slope * tol + g_dust * dt_eff + y_dust)
         assert np.all(resid <= 25 * tol)
-        # gv is g at an iterate within picard_tol of y: g is affine in y, so
-        # gv lies between g(y - tol) and g(y + tol)
+        # gv is g at y, or at an iterate within picard_tol of it: g is
+        # affine in y, so gv lies between g(y - tol) and g(y + tol)
         lo = np.minimum(gy(y - tol), gy(y + tol))
         hi = np.maximum(gy(y - tol), gy(y + tol))
         assert np.all((lo - g_dust <= gv) & (gv <= hi + g_dust))
 
 
-class TestWarmSlope:
-    """The sweep starts each implicit step from its window's last first slope."""
+class TestClosedFormStep:
+    """A driver that declares y_slope: one evaluation per step, no iteration."""
 
-    def test_stale_slope_does_not_stop_early(self):
-        # the stiff half's slope 1 + 1e4*dt = 1001 is carried into the flat
-        # half, where its first step moves y by 1e-9/1001 < picard_tol; only
-        # the residual rule keeps those steps going to y + 1e-9
-        def ev(t, x, y, z):
-            y = np.asarray(y, dtype=float)
-            return -1e4 * y if t >= 0.5 else np.full(y.shape, 1e-8)
-
-        g = Generator(name="stiff_then_flat", eval=ev, lipschitz_z=0.0)
-        N, M = 10, 64
-        grid = TimeGrid(0.0, 1.0, N)
-        fw, batch = _brownian_forward(grid, M, 1, seed=0)
-        problem = BSDEProblem(
-            generator=g,
-            t_start=0.0,
-            t_end=1.0,
-            dimension_d=1,
-            terminal=lambda s: np.ones(s.shape[0]),
-        )
-        cfg = ExperimentConfig(seed=0, n_paths=M, n_steps=N, basis_degree=0)
-        sol = solve_bsde(problem, fw, batch, cfg)
-        times, dt = grid.times(), grid.dt
-        want = np.empty(N + 1)
-        want[N] = 1.0
-        for i in range(N - 1, -1, -1):
-            if times[i] >= 0.5:
-                want[i] = want[i + 1] / (1.0 + 1e4 * dt)
-            else:
-                want[i] = want[i + 1] + 1e-8 * dt
-        # want[0] is about 5e-9; stopping after one evaluation errs by 5e-9
-        assert np.max(np.abs(sol.Y - want)) <= 1e-20
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_affine_driver_takes_two_evaluations(self, seed, monkeypatch):
-        rng = np.random.default_rng(seed)
-        d = 1 + seed % 2
-        M, N = 2000, 20
-        grid = TimeGrid(0.0, 1.0, N)
-        fw, batch = _brownian_forward(grid, M, d, seed)
-        w = rng.normal(size=d)
-        g = builtin_generator(
-            "linear", a=rng.uniform(-3.0, 0.5), b=rng.normal(size=d), c=rng.normal()
-        )
-        problem = BSDEProblem(
+    @staticmethod
+    def _problem(g, d, w):
+        return BSDEProblem(
             generator=g,
             t_start=0.0,
             t_end=1.0,
             dimension_d=d,
             terminal=lambda s: np.sin(s[:, -1] @ w) + 0.5 * s[:, -1, 0],
         )
-        cfg = ExperimentConfig(seed=seed, n_paths=M, n_steps=N)
-        warm = solve_bsde(problem, fw, batch, cfg)
-        # the first solved step, N - 1, has no slope yet
-        want_iters = np.full(N, 2)
-        want_iters[N - 1] = 3
-        assert np.array_equal(warm.diagnostics["picard_iters"], want_iters)
 
-        # the same sweep with the carried slope dropped at every step
-        step = solver._picard_step
-        monkeypatch.setattr(solver, "_picard_step", lambda *args: step(*args[:7]))
-        cold = solve_bsde(problem, fw, batch, cfg)
-        assert np.all(cold.diagnostics["picard_iters"] == 3)
-        # measured: at most 3.2 ulps of max|Y| for Y, 3.7 of max|Z| for Z
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(-3.0, 0.5),
+        c=st.floats(-2.0, 2.0),
+        d=st.sampled_from([1, 2]),
+        stopped=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_secant_sweep(self, a, c, d, stopped, seed):
+        rng = np.random.default_rng(seed)
+        M, N = 1000, 20
+        grid = TimeGrid(0.0, 1.0, N)
+        fw, batch = _brownian_forward(grid, M, d, seed)
+        g = builtin_generator("linear", a=a, b=rng.normal(size=d), c=c)
+        problem = self._problem(g, d, rng.normal(size=d))
+        cfg = ExperimentConfig(seed=seed, n_paths=M, n_steps=N)
+        stop = rng.integers(0, N + 1, M) if stopped else None
+        closed = _solve_stopped(problem, fw, batch, cfg, stop)
+        secant = _solve_stopped(
+            dataclasses.replace(problem, generator=_undeclared(g)), fw, batch, cfg, stop
+        )
+        assert np.all(closed.diagnostics["picard_iters"] == 1)
+        assert np.all(secant.diagnostics["picard_iters"] >= 2)
+        # the secant's third evaluation lands on the root up to rounding
+        # (measured: at most 5 ulps of the largest value over 300 draws)
         eps = np.finfo(float).eps
-        assert np.max(np.abs(warm.Y - cold.Y)) <= 16 * eps * np.max(np.abs(cold.Y))
-        assert np.max(np.abs(warm.Z - cold.Z)) <= 16 * eps * np.max(np.abs(cold.Z))
+        assert np.max(np.abs(closed.Y - secant.Y)) <= 16 * eps * np.max(np.abs(secant.Y))
+        assert np.max(np.abs(closed.Z - secant.Z)) <= 16 * eps * np.max(np.abs(secant.Z))
+        scale = np.max(np.abs(secant.telescoped))
+        assert np.max(np.abs(closed.telescoped - secant.telescoped)) <= 16 * eps * scale
+
+    def test_one_evaluation_per_step_plus_one_check(self):
+        calls = []
+        linear = builtin_generator("linear", a=-1.0, b=0.3)
+
+        def ev(t, x, y, z):
+            calls.append(t)
+            return linear.eval(t, x, y, z)
+
+        g = Generator(name="counted", eval=ev, lipschitz_z=0.3, y_slope=-1.0)
+        M, N = 500, 25
+        grid = TimeGrid(0.0, 1.0, N)
+        fw, batch = _brownian_forward(grid, M, 1, seed=4)
+        sol = solve_bsde(
+            self._problem(g, 1, np.ones(1)), fw, batch, ExperimentConfig(seed=4, n_paths=M, n_steps=N)
+        )
+        assert np.array_equal(sol.diagnostics["picard_iters"], np.ones(N, dtype=int))
+        assert sol.diagnostics["bisection_paths"].sum() == 0
+        # steps N-1, ..., 0, the check at the first solved step right after it
+        times = grid.times()
+        assert calls == [times[N - 1], times[N - 1]] + [times[i] for i in range(N - 2, -1, -1)]
+
+    @pytest.mark.parametrize("a", [10.0, 20.0])
+    def test_step_without_unique_root_raises(self, a):
+        # dt = 0.1, so a*dt = 1 leaves 1 - a*dt = 0 and a*dt = 2 makes it negative
+        M, N = 64, 10
+        grid = TimeGrid(0.0, 1.0, N)
+        fw, batch = _brownian_forward(grid, M, 1, seed=7)
+        problem = self._problem(builtin_generator("linear", a=a), 1, np.ones(1))
+        cfg = ExperimentConfig(seed=7, n_paths=M, n_steps=N)
+        with pytest.raises(PicardError, match=rf"step t=0\.9.*y_slope\*dt = {a * 0.1:g} >= 1"):
+            solve_bsde(problem, fw, batch, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_misdeclared_slope_refused_at_the_first_step(self):
+        stress = builtin_generator("stress", delta=0.1)
+        lying = Generator(name="lying", eval=stress.eval, lipschitz_z=1.0, y_slope=-1.0)
+        M, N = 256, 10
+        grid = TimeGrid(0.0, 1.0, N)
+        fw, batch = _brownian_forward(grid, M, 1, seed=8)
+        cfg = ExperimentConfig(seed=8, n_paths=M, n_steps=N)
+        with pytest.raises(HypothesisError, match=rf"y_slope -1\.0.*residual .* at step {N - 1}, path \d+$"):
+            solve_bsde(self._problem(lying, 1, np.ones(1)), fw, batch, cfg)
+        # a study's windows are each checked; the witness names the window
+        cfg = dataclasses.replace(cfg, n_steps=50)
+        with pytest.raises(HypothesisError, match=r"step 49, path \d+ of window 0$"):
+            convergence_study(lying, 0.5, np.zeros(1), 0.2, [0.3], [0.1, 0.05], cfg)
 
 
 class TestSolutionInvariances:
@@ -1251,7 +1273,7 @@ class TestTelescopedSum:
         # a*dt = -6 with a one-evaluation budget sends every unstopped path
         # to bisection, whose g values must be taken at the settled y rather
         # than the unconverged iterate
-        g = builtin_generator("linear", a=-60.0)
+        g = _undeclared(builtin_generator("linear", a=-60.0))
         grid = TimeGrid(0.0, 1.0, 10)
         sol, oracle, _ = self._solve(
             g, grid, 256, 5, 0.8, lambda s: np.ones(s.shape[0]), picard_max=1
