@@ -340,6 +340,41 @@ def builtin_generator(name: str, **params) -> Generator:
     return factory(**{**defaults, **params})
 
 
+def _require_le(lhs, bound, error, message: str, **witness) -> None:
+    """Raise error at the first entry where lhs <= bound fails; NaN fails too.
+
+    lhs and bound broadcast to one 1-D shape, an entry per sampled tuple.
+    The message reads "<message> at <witness>: <lhs> not <= <bound>", each
+    witness shown at that entry: an array indexed along its first axis, a
+    scalar whole.
+    """
+    lhs, bound = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(bound, dtype=float))
+    # negated <= also flags NaN on either side
+    bad = ~(lhs <= bound)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = ", ".join(f"{k}={v[i] if np.ndim(v) else v}" for k, v in witness.items())
+        raise error(f"{message} at {where}: {lhs[i]:.6e} not <= {bound[i]:.6e}")
+
+
+def _over_time(f, t0: float, t1: float, size: int, *args):
+    """f(t, *args) on sampled tuples, in chunks of at most size rows, each at its own time.
+
+    A driver takes a scalar t, so a check evaluates its tuples a chunk at a
+    time.  The chunk times are evenly spaced over [t0, t1], both ends
+    included, with two chunks at least, so a check sees the whole interval.
+    Returns each row's time and f's values, broadcast to one per row.
+    """
+    n = len(args[0])
+    k = min(n, max(2, -(-n // size)))
+    times, edges = np.linspace(t0, t1, k), np.linspace(0, n, k + 1).astype(int)
+    values = [
+        np.broadcast_to(np.asarray(f(tk, *(a[lo:hi] for a in args)), dtype=float), (hi - lo,))
+        for tk, lo, hi in zip(times, edges[:-1], edges[1:])
+    ]
+    return np.repeat(times, np.diff(edges)), np.concatenate(values)
+
+
 def check_generator_metadata(
     g: Generator,
     seed: int = 0,
@@ -353,73 +388,42 @@ def check_generator_metadata(
     Samples (t, x, y, z) tuples and checks the z-Lipschitz constant, the
     monotonicity inequality against the declared modulus, and (if present)
     the growth bound and the affine declaration y_slope, g(t,x,y,z) -
-    g(t,x,0,z) = y_slope*y within slack.  Raises ValidationError carrying
-    the first offending tuple.
+    g(t,x,0,z) = y_slope*y, each within slack.  The tuples' times come in
+    chunks of 2000 whose times are evenly spaced over [0, 1], both ends
+    included.  A NaN on either side of an inequality violates it.  Raises
+    ValidationError carrying the first offending tuple; so does an
+    n_samples below 1, which would check nothing.
     """
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, 1.0, n_samples)
     x = rng.uniform(-3.0, 3.0, (n_samples, state_dim))
     y1 = rng.uniform(-3.0, 3.0, n_samples)
     y2 = rng.uniform(-3.0, 3.0, n_samples)
     z1 = rng.uniform(-3.0, 3.0, (n_samples, z_dim))
     z2 = rng.uniform(-3.0, 3.0, (n_samples, z_dim))
+    y0 = np.zeros(n_samples)
 
-    # evaluations are vectorized over the batch but t is scalar per the
-    # signature, so bucket by a few shared times
-    for k in range(0, n_samples, 2000):
-        sl = slice(k, min(k + 2000, n_samples))
-        tk = float(t[sl].mean())
-        xa, ya, yb, za, zb = x[sl], y1[sl], y2[sl], z1[sl], z2[sl]
+    def G(y, z):
+        return _over_time(g, 0.0, 1.0, 2000, x, y, z)[1]
 
-        lhs = np.abs(g(tk, xa, ya, za) - g(tk, xa, ya, zb))
-        bound = g.lipschitz_z * _norm_last(za - zb)
-        bad = lhs > bound + slack
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValidationError(
-                f"{g.name}: z-Lipschitz violated at t={tk}, x={xa[i]}, "
-                f"y={ya[i]}, z1={za[i]}, z2={zb[i]}: "
-                f"|dg|={lhs[i]:.6e} > {bound[i]:.6e}"
-            )
+    def require(lhs, bound, what, **witness):
+        message = f"{g.name}: {what} violated"
+        _require_le(lhs, bound + slack, ValidationError, message, t=t, x=x, **witness)
 
-        if g.monotonicity_modulus is not None:
-            dg = g(tk, xa, ya, za) - g(tk, xa, yb, za)
-            lhs = (ya - yb) * dg
-            bound = np.asarray(g.monotonicity_modulus((ya - yb) ** 2), dtype=float)
-            bad = lhs > bound + slack
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise ValidationError(
-                    f"{g.name}: monotonicity modulus violated at t={tk}, "
-                    f"x={xa[i]}, y1={ya[i]}, y2={yb[i]}, z={za[i]}: "
-                    f"lhs={lhs[i]:.6e} > rho={np.atleast_1d(bound)[i]:.6e}"
-                )
-
-        if g.growth_bound is not None:
-            alpha = 3.0
-            z0 = np.zeros_like(za)
-            lhs = np.abs(g(tk, xa, ya, z0) - g(tk, xa, np.zeros_like(ya), z0))
-            bound = g.growth_bound(alpha, tk)
-            bad = lhs > bound + slack
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise ValidationError(
-                    f"{g.name}: growth bound violated at t={tk}, x={xa[i]}, "
-                    f"y={ya[i]}: {lhs[i]:.6e} > psi={bound:.6e}"
-                )
-
-        if g.y_slope is not None:
-            dg = g(tk, xa, ya, za) - g(tk, xa, np.zeros_like(ya), za)
-            gap = np.abs(dg - g.y_slope * ya)
-            # negated <= also flags a NaN gap
-            bad = ~(gap <= slack)
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise ValidationError(
-                    f"{g.name}: y_slope {g.y_slope} violated at t={tk}, x={xa[i]}, "
-                    f"y={ya[i]}, z={za[i]}: g(y) - g(0) = {dg[i]:.6e}, "
-                    f"y_slope*y = {g.y_slope * ya[i]:.6e}"
-                )
+    t, g11 = _over_time(g, 0.0, 1.0, 2000, x, y1, z1)
+    lip = g.lipschitz_z * _norm_last(z1 - z2)
+    require(np.abs(g11 - G(y1, z2)), lip, "z-Lipschitz bound", y=y1, z1=z1, z2=z2)
+    if g.monotonicity_modulus is not None:
+        rho = np.asarray(g.monotonicity_modulus((y1 - y2) ** 2), dtype=float)
+        require((y1 - y2) * (g11 - G(y2, z1)), rho, "monotonicity modulus", y1=y1, y2=y2, z=z1)
+    if g.growth_bound is not None:
+        z0 = np.zeros_like(z1)
+        psi = _over_time(lambda tk, _: g.growth_bound(3.0, tk), 0.0, 1.0, 2000, y1)[1]
+        require(np.abs(G(y1, z0) - G(y0, z0)), psi, "growth bound psi(3, t)", y=y1)
+    if g.y_slope is not None:
+        dg = g11 - G(y0, z1)
+        require(np.abs(dg - g.y_slope * y1), 0.0, f"y_slope {g.y_slope}", y=y1, z=z1, dg=dg)
 
 
 @dataclass(frozen=True)

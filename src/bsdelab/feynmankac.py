@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ExperimentConfig, Generator, _mean_se, builtin_generator
+from .core import ExperimentConfig, Generator, _mean_se, _over_time, _require_le, builtin_generator
 from .errors import NumericalError, ValidationError
 from .paths import TimeGrid, WindowStack, euler_maruyama, sample_brownian
 from .representation import _stopped_solve
@@ -64,27 +64,19 @@ def _coef(f, t, x: np.ndarray) -> np.ndarray:
 
 
 def growth_check(problem: PDEProblem) -> None:
-    """Check of the declared growth bound on 512 nodes x 8 times; raises on violation."""
-    n_samples = 512
-    xs = np.linspace(problem.x_lo, problem.x_hi, n_samples)
-    phi_v = np.asarray(problem.phi(xs), dtype=float)
+    """Check the declared growth bound on 512 nodes x 8 times; raises on violation.
+
+    The nodes span [x_lo, x_hi] and the times [0, T], both ends included
+    (core._over_time); a NaN in phi or g(t, x, 0, 0) violates the bound.
+    """
+    xs = np.tile(np.linspace(problem.x_lo, problem.x_hi, 512), 8)
+    ts, g0 = _over_time(
+        lambda t, x: problem.generator(t, x[:, None], np.zeros(x.size), np.zeros((x.size, 1))),
+        0.0, problem.T, 512, xs,
+    )
+    lhs = np.abs(np.asarray(problem.phi(xs), dtype=float)) + np.abs(g0)
     bound = problem.growth_L * (1.0 + np.abs(xs) ** problem.growth_p)
-    for t in np.linspace(0.0, problem.T, 8):
-        g0 = np.broadcast_to(
-            np.asarray(
-                problem.generator(t, xs[:, None], np.zeros(n_samples), np.zeros((n_samples, 1))),
-                dtype=float,
-            ),
-            (n_samples,),
-        )
-        tot = np.abs(phi_v) + np.abs(g0)
-        bad = tot > bound
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValidationError(
-                f"growth bound violated at t={t:.3f}, x={xs[i]:.4f}: "
-                f"{tot[i]:.4e} > {bound[i]:.4e}"
-            )
+    _require_le(lhs, bound, ValidationError, "growth bound violated", t=ts, x=xs)
 
 
 @dataclass(frozen=True)
@@ -276,7 +268,10 @@ def fd_reference(
         if info > 0:
             raise NumericalError(f"singular FD system at time index {j}")
         if not np.all(np.isfinite(sol)):
-            raise NumericalError(f"non-finite FD row at time index {j}")
+            i = int(np.argmin(np.isfinite(sol)))
+            raise NumericalError(
+                f"non-finite FD row at time index {j}: u={sol[i]} at x={xi_int[i]}"
+            )
         u[j, 1:-1] = sol
         u[j, 0] = ub_lo
         u[j, -1] = ub_hi
@@ -419,7 +414,9 @@ def viscosity_touch_check(
 
     Validates that (t, x) is a local max (mode=sub) or min (mode=super) of
     u - phi over a 5x5 space-time stencil, steps stencil_k in time and
-    stencil_h in space, up to 1e-9, then evaluates the PDE residual of phi
+    stencil_h in space, up to 1e-9, on the stencil nodes that lie in
+    [0, T] x [x_lo, x_hi]; a NaN in u - phi at any of them, the centre
+    included, fails the check.  It then evaluates the PDE residual of phi
     at (t, x) directly from its analytic derivatives and, separately, as
     the difference quotient of the compensated generator along the
     simulated diffusion: the stop-gated solve of representation_quotient
@@ -443,22 +440,20 @@ def viscosity_touch_check(
             f"stencil steps must be > 0, got stencil_h={stencil_h}, stencil_k={stencil_k}"
         )
 
-    center = u_source(t, x) - float(phi.value(t, np.asarray(x)))
-    worst = -np.inf
-    for dt_off in (-2, -1, 0, 1, 2):
-        for dx_off in (-2, -1, 0, 1, 2):
-            tt = t + dt_off * stencil_k
-            xx = x + dx_off * stencil_h
-            if not (0.0 <= tt <= problem.T and problem.x_lo <= xx <= problem.x_hi):
-                continue
-            s = u_source(tt, xx) - float(phi.value(tt, np.asarray(xx)))
-            gap = s - center if mode == "sub" else center - s
-            worst = max(worst, gap)
-    if worst > 1e-9:
-        raise ValidationError(
-            f"(t={t}, x={x}) is not a local {'max' if mode == 'sub' else 'min'} "
-            f"of u - phi on the stencil (violation {worst:.3e})"
-        )
+    def u_minus_phi(tt, xx):
+        return u_source(tt, xx) - float(phi.value(tt, np.asarray(xx)))
+
+    steps = np.arange(-2, 3)
+    ts, xs = np.meshgrid(t + stencil_k * steps, x + stencil_h * steps, indexing="ij")
+    inside = (0.0 <= ts) & (ts <= problem.T) & (problem.x_lo <= xs) & (xs <= problem.x_hi)
+    ts, xs = ts[inside], xs[inside]
+    stencil = np.array([u_minus_phi(tt, xx) for tt, xx in zip(ts, xs)])
+    center = u_minus_phi(t, x)
+    gaps = stencil - center if mode == "sub" else center - stencil
+    extremum = "max" if mode == "sub" else "min"
+    message = f"(t={t}, x={x}) is not a local {extremum} of u - phi on the stencil"
+    _require_le(gaps, 1e-9, ValidationError, message, t=ts, x=xs)
+    worst = float(gaps.max(initial=-np.inf))
 
     x_arr = np.asarray(x, dtype=float)
     xs2 = x_arr.reshape(1, 1)

@@ -420,7 +420,8 @@ def stopping_indices(
     path's stop.  Window w's state displacement X_tau - X_0 at its stops
     is written to displacement[w], displacement a (K, M, n) float array.
     A barrier that is not > 0, NaN included, or a displacement of another
-    shape raises ValidationError.
+    shape raises ValidationError, and a g0 that is not finite raises
+    NumericalError naming the window, step and path.
     """
     # negated > also refuses NaN, which would switch every stop off
     if not barrier > 0:
@@ -453,6 +454,12 @@ def stopping_indices(
             g0 = np.broadcast_to(
                 np.asarray(g(times[k - 1], x, zeros, zeros_z), dtype=float), (M,)
             )
+            # a NaN g0 would make the integral NaN and switch the stop off
+            if not np.isfinite(g0).all():
+                m = int(np.argmin(np.isfinite(g0)))
+                raise NumericalError(
+                    f"non-finite g0 at window {w}, step {k - 1}, path {m}: g0={g0[m]}"
+                )
             integral += g0 * g0 * grid.dt
             disp += batch.increment(w, k - 1, dB_scratch)
             hit = _norm_last(disp) + integral > barrier

@@ -309,6 +309,11 @@ class TestBuiltinGenerators:
             builtin_generator("negative_exponential", a=1.0)
 
 
+def _late(early, late):
+    """A driver that is early(y, z) for t <= 0.8 and late(y, z) after, z of size 1."""
+    return lambda t, x, y, z: (early if t <= 0.8 else late)(np.asarray(y), np.asarray(z)[..., 0])
+
+
 class TestMetadataCheck:
     @pytest.mark.parametrize(
         "gen",
@@ -383,6 +388,78 @@ class TestMetadataCheck:
         )
         with pytest.raises(ValidationError, match="growth"):
             check_generator_metadata(lying, seed=0, n_samples=4000)
+
+    @pytest.mark.parametrize(
+        "lying,match",
+        [
+            # a NaN driver with a modulus and a growth bound: NaN fails the
+            # first inequality it reaches
+            (
+                Generator(
+                    name="lying",
+                    eval=lambda t, x, y, z: np.where(np.asarray(y) > 2, np.nan, -np.asarray(y)),
+                    lipschitz_z=0.0,
+                    monotonicity_modulus=lambda u: np.asarray(u, dtype=float),
+                    growth_bound=lambda alpha, t: float(alpha),
+                ),
+                "Lipschitz",
+            ),
+            # slope 5 in z only late in [0, 1], where the sampled times reach
+            (
+                Generator(
+                    name="lying",
+                    eval=_late(lambda y, z: np.abs(z), lambda y, z: 5.0 * np.abs(z)),
+                    lipschitz_z=1.0,
+                ),
+                "Lipschitz",
+            ),
+            # a NaN modulus
+            (
+                Generator(
+                    name="lying",
+                    eval=lambda t, x, y, z: -np.asarray(y, dtype=float),
+                    lipschitz_z=0.0,
+                    monotonicity_modulus=lambda u: np.where(u > 4.0, np.nan, 0.0),
+                ),
+                "monotonicity",
+            ),
+            # NaN at z = 0, which only the growth check evaluates
+            (
+                Generator(
+                    name="lying",
+                    eval=lambda t, x, y, z: np.where(
+                        np.all(np.asarray(z) == 0.0, axis=-1), np.nan, -np.asarray(y)
+                    ),
+                    lipschitz_z=0.0,
+                    growth_bound=lambda alpha, t: float(alpha),
+                ),
+                "growth",
+            ),
+            # slope -1 in y early and -2 late
+            (
+                Generator(
+                    name="lying",
+                    eval=_late(lambda y, z: -y, lambda y, z: -2.0 * y),
+                    lipschitz_z=0.0,
+                    y_slope=-1.0,
+                ),
+                r"y_slope -1\.0 violated at t=1\.0, x=.*, y=",
+            ),
+        ],
+        ids=["lipschitz-nan", "lipschitz-late", "monotonicity-nan", "growth-nan", "y_slope-late"],
+    )
+    def test_nan_and_late_time_witnesses_caught(self, lying, match):
+        # NaN on either side of an inequality violates it, and the sampled
+        # times reach both ends of [0, 1]
+        with pytest.raises(ValidationError, match=match):
+            check_generator_metadata(lying, seed=0, n_samples=4000)
+        with pytest.raises(ValidationError, match=match):
+            check_generator_metadata(lying)
+
+    def test_no_samples_refused(self):
+        # zero tuples would pass any declaration
+        with pytest.raises(ValidationError, match="n_samples must be >= 1"):
+            check_generator_metadata(builtin_generator("linear"), n_samples=0)
 
     @pytest.mark.parametrize(
         "name,params,slope",

@@ -224,6 +224,22 @@ class TestFDReference:
         with pytest.raises(NumericalError, match="singular FD system at time index 49"):
             fd_reference(heat_cos_problem(), h=H_COS, k=0.02)
 
+    def test_non_finite_row_names_its_node(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        solve = lapack.dgtsv
+
+        def poisoned(dl, d, du, b, overwrite_b=False):
+            out = solve(dl, d, du, b, overwrite_b=overwrite_b)
+            out[3][7] = np.nan
+            return out
+
+        monkeypatch.setattr(lapack, "dgtsv", poisoned)
+        with pytest.raises(
+            NumericalError, match=r"non-finite FD row at time index 49: u=nan at x="
+        ):
+            fd_reference(heat_cos_problem(), h=H_COS, k=0.02)
+
     def test_time_dependent_sigma(self):
         # sigma(t)^2 = 1 + 2t, no drift or reaction: u(t, x) =
         # exp(-((T - t) + (T^2 - t^2))/2) cos x, so u(0, 0) = e^{-1}.  The
@@ -251,22 +267,28 @@ class TestGrowthCheck:
         growth_check(square_problem())
 
     def test_understated_bound_caught(self):
-        p = PDEProblem(
-            drift=lambda t, x: 0.0,
-            sigma=lambda t, x: 1.0,
-            generator=builtin_generator("linear"),
-            phi=lambda x: np.asarray(x, dtype=float) ** 2,
-            growth_L=0.5,
-            growth_p=1.0,
-            T=1.0,
-            x_lo=-6.0,
-            x_hi=6.0,
-        )
-        with pytest.raises(ValidationError, match="growth"):
-            growth_check(p)
-        # and the Monte Carlo front door refuses to run on it
-        with pytest.raises(ValidationError, match="growth"):
-            mc_solution(p, 0.0, 0.0, _cfg(M=64, n=10))
+        cases = [
+            (lambda x: np.asarray(x, dtype=float) ** 2, 0.5),
+            # NaN for x > 1 violates any bound
+            (lambda x: np.where(np.asarray(x) > 1.0, np.nan, 0.0), 1.0),
+        ]
+        for phi, growth_L in cases:
+            p = PDEProblem(
+                drift=lambda t, x: 0.0,
+                sigma=lambda t, x: 1.0,
+                generator=builtin_generator("linear"),
+                phi=phi,
+                growth_L=growth_L,
+                growth_p=1.0,
+                T=1.0,
+                x_lo=-6.0,
+                x_hi=6.0,
+            )
+            with pytest.raises(ValidationError, match="growth"):
+                growth_check(p)
+            # and the Monte Carlo front door refuses to run on it
+            with pytest.raises(ValidationError, match="growth"):
+                mc_solution(p, 0.0, 0.0, _cfg(M=64, n=10))
 
 
 class TestMonteCarlo:
@@ -427,6 +449,16 @@ class TestViscosityTouch:
         with pytest.raises(ValidationError, match="local max"):
             viscosity_touch_check(
                 p, u_src, wrong, 0.3, x0, mode="sub", config=_cfg(M=64, n=50)
+            )
+
+    def test_nan_u_source_rejected(self):
+        # NaN compares false against the centre, so it must fail the check
+        # rather than pass every node
+        p = heat_cos_problem()
+        sol = heat_cos_solution()
+        with pytest.raises(ValidationError, match=r"not a local max .* at t=.*, x=.*: nan not <="):
+            viscosity_touch_check(
+                p, lambda t, x: math.nan, sol, 0.3, 0.4, mode="sub", config=_cfg(M=64, n=50)
             )
 
     @pytest.mark.parametrize("t, eps", [(0.99, 0.025), (-0.1, 0.025), (0.3, 0.0), (0.3, math.nan)])

@@ -351,6 +351,20 @@ class TestStopping:
             with pytest.raises(ValidationError):
                 _stops(batch, g, batch.cumulative(), barrier=barrier)
 
+    def test_non_finite_g0_refused(self):
+        # a NaN g0 makes the running integral NaN, which never exceeds the
+        # barrier, so the stop would be switched off on those paths
+        grid = TimeGrid(0.0, 1.0, 50)
+        batch = sample_brownian(grid, 1000, 1, seed=0)
+        g = Generator(
+            name="nan_g0",
+            eval=lambda t, x, y, z: np.where(x[..., 0] > 0.1, np.nan, 0.0),
+            lipschitz_z=0.0,
+            state_dependent=True,
+        )
+        with pytest.raises(NumericalError, match=r"non-finite g0 at window 0, step 1, path \d+: g0=nan"):
+            _stops(batch, g, batch.cumulative(), barrier=0.5)
+
     def test_displacement_shape_validated(self):
         grid = TimeGrid(0.0, 1.0, 4)
         batch = sample_brownian(grid, 4, 2, seed=0)

@@ -354,19 +354,22 @@ class TestWindowPool:
                     assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     @staticmethod
-    def _nan_at_step_30():
+    def _nan_at_step_30(in_stop_pass):
         # windows 1 and 3 reach t = 0.03 and t = 0.0075 at step 30; every
-        # other window reaches them only at steps the sweep takes later
+        # other window reaches them only at steps the sweep takes later.
+        # The stop pass evaluates g at y = 0, where the NaN is left out
+        # unless in_stop_pass
         def ev(t, x, y, z):
-            out = 1.0 + 0.0 * np.asarray(y, dtype=float)
+            y = np.asarray(y, dtype=float)
+            out = 1.0 + 0.0 * y
             if any(np.isclose(t, hit, rtol=0, atol=1e-12) for hit in (0.03, 0.0075)):
-                out = np.where(x[..., 0] > 0.1, np.nan, out)
+                out = np.where((x[..., 0] > 0.1) & (in_stop_pass | (y != 0)), np.nan, out)
             return out
 
         return Generator(name="nan_at_step_30", eval=ev, lipschitz_z=0.0, state_dependent=True)
 
     def test_a_failing_worker_keeps_the_serial_witness(self, monkeypatch):
-        g = self._nan_at_step_30()
+        g = self._nan_at_step_30(in_stop_pass=False)
         cfg = _cfg(seed=3, M=600, n=50)
         messages = []
         for cpus in (1, 2, 4):
@@ -375,6 +378,18 @@ class TestWindowPool:
                 convergence_study(g, 0.0, 0.0, 0.5, 0.0, self.SCHEDULE, cfg, barrier=3.0)
             messages.append(str(err.value))
         assert messages[1:] == messages[:1] * 2
+        # the stop pass names its first failing window in window order too:
+        # window 0 reaches t = 0.03 at step 15
+        stop_messages = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
+            with pytest.raises(NumericalError, match=r"g0 at window 0, step 15, path \d+") as err:
+                convergence_study(
+                    self._nan_at_step_30(in_stop_pass=True), 0.0, 0.0, 0.5, 0.0, self.SCHEDULE,
+                    cfg, barrier=3.0,
+                )
+            stop_messages.append(str(err.value))
+        assert stop_messages[1:] == stop_messages[:1] * 2
         # window 3 fails at the same step too: the first failing window in
         # window order is named, whichever worker finishes first
         with pytest.raises(NumericalError, match=r"at step 30, path \d+ of window 1: "):

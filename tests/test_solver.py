@@ -1341,13 +1341,37 @@ class TestComparison:
         assert rep.fraction >= 0.999
 
     def test_misordered_generators_rejected(self):
+        cases = [
+            (builtin_generator("linear", c=0.4), 1.0),
+            # NaN where y > 2.5 fails the ordering, not drops out of its minimum
+            (
+                Generator(
+                    name="nan_high_y",
+                    eval=lambda t, x, y, z: np.where(np.asarray(y) > 2.5, np.nan, 1.0),
+                    lipschitz_z=0.0,
+                ),
+                0.0,
+            ),
+            # ordered except in the last tenth of [0, 0.5], where the sampled
+            # times reach
+            (
+                Generator(
+                    name="late_flip",
+                    eval=lambda t, x, y, z: np.full(np.shape(y), 1.0 if t < 0.45 else -1.0),
+                    lipschitz_z=0.0,
+                ),
+                0.0,
+            ),
+        ]
         grid = TimeGrid(0.0, 0.5, 20)
-        g1 = builtin_generator("linear", c=0.4)
-        g2 = builtin_generator("linear", c=1.0)
-        problem, fw, batch = self._template(grid, 1000, 9, g1, lambda s: s[:, -1, 0])
         cfg = ExperimentConfig(seed=9, n_paths=1000, n_steps=20)
-        with pytest.raises(ValidationError, match="ordering"):
-            comparison_check(g1, g2, problem, fw, batch, cfg)
+        for g1, c2 in cases:
+            g2 = builtin_generator("linear", c=c2)
+            problem, fw, batch = self._template(grid, 1000, 9, g1, lambda s: s[:, -1, 0])
+            with pytest.raises(
+                HypothesisError, match="ordering g1 >= g2 fails at t=.*, x=.*, y=.*, z="
+            ):
+                comparison_check(g1, g2, problem, fw, batch, cfg)
 
 
 class TestStorageLayout:
