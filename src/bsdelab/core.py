@@ -357,15 +357,15 @@ def _require_le(lhs, bound, error, message: str, **witness) -> None:
         raise error(f"{message} at {where}: {lhs[i]:.6e} not <= {bound[i]:.6e}")
 
 
-def _over_time(f, t0: float, t1: float, size: int, *args):
-    """f(t, *args) on sampled tuples, in chunks of at most size rows, each at its own time.
+def _over_time(f, t0: float, t1: float, n: int, size: int, *args):
+    """f(t, *args) on n sampled tuples, in chunks of at most size rows, each at its own time.
 
     A driver takes a scalar t, so a check evaluates its tuples a chunk at a
-    time.  The chunk times are evenly spaced over [t0, t1], both ends
-    included, with two chunks at least, so a check sees the whole interval.
-    Returns each row's time and f's values, broadcast to one per row.
+    time; f gets the chunk's rows of each of args (an f of t alone, none).
+    The chunk times are evenly spaced over [t0, t1], both ends included,
+    with two chunks at least, so a check sees the whole interval.  Returns
+    each row's time and f's values, broadcast to one per row.
     """
-    n = len(args[0])
     k = min(n, max(2, -(-n // size)))
     times, edges = np.linspace(t0, t1, k), np.linspace(0, n, k + 1).astype(int)
     values = [
@@ -405,13 +405,13 @@ def check_generator_metadata(
     y0 = np.zeros(n_samples)
 
     def G(y, z):
-        return _over_time(g, 0.0, 1.0, 2000, x, y, z)[1]
+        return _over_time(g, 0.0, 1.0, n_samples, 2000, x, y, z)[1]
 
     def require(lhs, bound, what, **witness):
         message = f"{g.name}: {what} violated"
         _require_le(lhs, bound + slack, ValidationError, message, t=t, x=x, **witness)
 
-    t, g11 = _over_time(g, 0.0, 1.0, 2000, x, y1, z1)
+    t, g11 = _over_time(g, 0.0, 1.0, n_samples, 2000, x, y1, z1)
     lip = g.lipschitz_z * _norm_last(z1 - z2)
     require(np.abs(g11 - G(y1, z2)), lip, "z-Lipschitz bound", y=y1, z1=z1, z2=z2)
     if g.monotonicity_modulus is not None:
@@ -419,7 +419,7 @@ def check_generator_metadata(
         require((y1 - y2) * (g11 - G(y2, z1)), rho, "monotonicity modulus", y1=y1, y2=y2, z=z1)
     if g.growth_bound is not None:
         z0 = np.zeros_like(z1)
-        psi = _over_time(lambda tk, _: g.growth_bound(3.0, tk), 0.0, 1.0, 2000, y1)[1]
+        psi = _over_time(lambda tk: g.growth_bound(3.0, tk), 0.0, 1.0, n_samples, 2000)[1]
         require(np.abs(G(y1, z0) - G(y0, z0)), psi, "growth bound psi(3, t)", y=y1)
     if g.y_slope is not None:
         dg = g11 - G(y0, z1)

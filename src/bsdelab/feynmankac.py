@@ -66,17 +66,18 @@ def _coef(f, t, x: np.ndarray) -> np.ndarray:
 def growth_check(problem: PDEProblem) -> None:
     """Check the declared growth bound on 512 nodes x 8 times; raises on violation.
 
-    The nodes span [x_lo, x_hi] and the times [0, T], both ends included
-    (core._over_time); a NaN in phi or g(t, x, 0, 0) violates the bound.
+    Nodes span [x_lo, x_hi], times [0, T], ends included (core._over_time);
+    phi and the bound are taken once per node; NaN in phi or g(t, x, 0, 0) fails.
     """
-    xs = np.tile(np.linspace(problem.x_lo, problem.x_hi, 512), 8)
+    nodes = np.linspace(problem.x_lo, problem.x_hi, 512)
+    xs = np.tile(nodes, 8)
     ts, g0 = _over_time(
         lambda t, x: problem.generator(t, x[:, None], np.zeros(x.size), np.zeros((x.size, 1))),
-        0.0, problem.T, 512, xs,
+        0.0, problem.T, xs.size, 512, xs,
     )
-    lhs = np.abs(np.asarray(problem.phi(xs), dtype=float)) + np.abs(g0)
-    bound = problem.growth_L * (1.0 + np.abs(xs) ** problem.growth_p)
-    _require_le(lhs, bound, ValidationError, "growth bound violated", t=ts, x=xs)
+    lhs = np.abs(np.asarray(problem.phi(nodes), dtype=float)) + np.abs(g0).reshape(8, -1)
+    bound = np.tile(problem.growth_L * (1.0 + np.abs(nodes) ** problem.growth_p), 8)
+    _require_le(lhs.ravel(), bound, ValidationError, "growth bound violated", t=ts, x=xs)
 
 
 @dataclass(frozen=True)

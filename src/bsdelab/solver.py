@@ -562,7 +562,7 @@ def comparison_check(
     xs = rng.uniform(lo, hi, (n_precheck, forward.states.shape[2]))
     ys = rng.uniform(-3.0, 3.0, n_precheck)
     zs = rng.uniform(-3.0, 3.0, (n_precheck, brownian.increments.shape[2]))
-    span = (problem_template.t_start, problem_template.t_end, 512, xs, ys, zs)
+    span = (problem_template.t_start, problem_template.t_end, n_precheck, 512, xs, ys, zs)
     ts, gap = _over_time(g1, *span)
     gap -= _over_time(g2, *span)[1]
     message = "generator ordering g1 >= g2 fails"
