@@ -93,13 +93,9 @@ def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfi
     run without history, as solve_bsde would run them with it, bit for bit.
     The reported standard error comes from the sweep's pathwise telescoped
     sums (SolutionBatch.telescoped: terminal value plus accumulated
-    generator), whose mean coincides with the regression estimate but whose
-    spread is the estimator's real Monte Carlo noise.  Their generator
-    values come from the implicit step: for a driver that declares y_slope
-    (every builtin PDE problem's) they are g at the solved Y by the affine
-    identity, up to rounding; for any other the sums differ from sums
-    re-evaluated at the solved Y by at most picard_tol*L*(T - t), L the
-    local y-slope of g.
+    generator, which says how close its values are to g at the solved Y),
+    whose mean coincides with the regression estimate but whose spread is
+    the estimator's real Monte Carlo noise.
     """
     if not 0.0 <= t < problem.T:
         raise ValidationError(f"need 0 <= t < T={problem.T}, got t={t}")
@@ -309,8 +305,14 @@ def mc_vs_fd(
     errors plus the FD truncation budget).  The budget charges 0.5% of
     scale, max(1, |u_fd|), matching the reference's own acceptance bar.
     Probe i is seeded with (config.seed + i) mod 2**64, so a valid seed
-    stays valid for every probe.
+    stays valid for every probe.  Every probe is checked, as mc_solution
+    and FDField.value check it, before any solve.
     """
+    for t, x in points:
+        if not 0.0 <= t < problem.T:
+            raise ValidationError(f"need 0 <= t < T={problem.T}, got t={t}")
+        if not problem.x_lo <= x <= problem.x_hi + 1e-12:
+            raise ValidationError(f"x={x} outside [{problem.x_lo}, {problem.x_hi}]")
     field = fd_reference(problem, h, k, theta)
     rows = []
     for i, (t, x) in enumerate(points):
@@ -422,11 +424,11 @@ def viscosity_touch_check(
     the difference quotient of the compensated generator along the
     simulated diffusion: the stop-gated solve of representation_quotient
     at (y, z) = (0, 0) with base x, which warns the same way when the stop
-    binds on more than 1% of paths.  The window [t, t + eps] must lie in
-    [0, T], where the problem is posed, and both stencil steps must be
-    > 0, NaN refused (a zero or NaN step makes the touching check
-    vacuous); either failure raises ValidationError.  Sign conventions: a
-    subsolution touching point must give residual >= 0 up to tolerance.
+    binds on more than 1% of paths.  [t, t + eps] must lie in [0, T] and
+    x in [x_lo, x_hi], and both stencil steps must be > 0, NaN refused (a
+    zero or NaN step makes the touching check vacuous); each failure
+    raises ValidationError.  Sign conventions: a subsolution touching
+    point must give residual >= 0 up to tolerance.
     """
     if mode not in ("sub", "super"):
         raise ValidationError(f"mode must be 'sub' or 'super', got {mode!r}")
@@ -435,6 +437,8 @@ def viscosity_touch_check(
             f"touch window [t, t + eps] = [{t}, {t + eps}] must lie in "
             f"[0, T={problem.T}] with eps > 0"
         )
+    if not problem.x_lo <= x <= problem.x_hi:
+        raise ValidationError(f"x={x} outside the box [{problem.x_lo}, {problem.x_hi}]")
     # negated > also refuses NaN, which would pass every stencil node
     if not (stencil_h > 0 and stencil_k > 0):
         raise ValidationError(
@@ -475,7 +479,7 @@ def viscosity_touch_check(
     fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
     window = WindowStack((grid,), fw.states, batch.increments)
     (y_t,), (telescoped,), (frac_stopped,) = _stopped_solve(
-        G, window, 0.0, np.zeros(1), config, barrier
+        G, window, 0.0, np.zeros(1), config, barrier, stacklevel=3
     )
     raw = telescoped / eps
     quotient = float(y_t.mean()) / eps

@@ -17,21 +17,20 @@ initial values estimate the conditional quotient path by path.
 The windows of one study scale one unit-step draw
 (paths.WindowStack.from_draw), so a study's memory is the draw, N*M*d
 doubles, plus about 2*sqrt(N+1) rows of its path and a per-step working
-set: the path itself, (N+1)*M*d doubles, is never stored.  Only the
-converse probe's hypothesis check, which needs every step's states,
-builds a whole path.
+set: the path itself, (N+1)*M*d doubles, is never stored.  The converse
+probe's hypothesis check reads its draw the same way, through one window.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BSDEProblem, ExperimentConfig, Generator, _mean_se
+from .core import ExperimentConfig, Generator, _mean_se
 from .errors import HypothesisError, ValidationError
-from .paths import ForwardBatch, TimeGrid, WindowStack, sample_brownian, stopping_indices
+from .paths import TimeGrid, WindowStack, sample_brownian, stopping_indices
 from .solver import _sweep, comparison_check
 
 # Auxiliary Philox stream offset, disjoint from the path-block keyspace.
@@ -65,23 +64,23 @@ def _draw(config: ExperimentConfig, d: int):
     return unit, _aux_normals(config.seed, (config.n_paths, d))
 
 
-def _stopped_solve(g, windows, y, z, config, barrier, anchor=None):
+def _stopped_solve(g, windows, y, z, config, barrier, anchor=None, stacklevel=4):
     """Solve the stop-gated windows of one stack, g switched off from tau on.
 
     One stopping_indices pass over the stack gives every window's tau and
     its displacement X_tau - X_t on its own states, and window w's
     terminal is y + <z, X_tau - X_t>: the K terminals are one product of
     the (K, M, n) displacements with z, plus y in place.  A stop that binds
-    on more than 1% of a window's paths warns that the window is too wide
-    for the barrier.  The windows are then swept in lockstep
-    (_sweep), without history, regressing on the stack's shared path or,
-    with an (M, d) anchor, on (anchor, path) pairs, the anchor's rows built
-    once.  With two or more windows the stop pass and each step's implicit
-    steps run the windows side by side on a pool of one worker per usable
-    CPU, so g is called from several threads at once and must be pure;
-    every output byte is the one a serial run gives.  Returns (Y_t,
-    telescoped sums, fraction of stopped paths), each with one row or
-    entry per window.
+    on more than 1% of a window's paths warns, stacklevel frames up, that
+    the window is too wide for the barrier.  The windows are then swept in
+    lockstep (_sweep), without history, regressing on the stack's shared
+    path or, with an (M, d) anchor, on (anchor, path) pairs, the anchor's
+    rows built once.  With two or more windows the stop pass and each
+    step's implicit steps run the windows side by side on a pool of one
+    worker per usable CPU, so g is called from several threads at once and
+    must be pure; every output byte is the one a serial run gives.
+    Returns (Y_t, telescoped sums, fraction of stopped paths), each with
+    one row or entry per window.
     """
     moved = np.empty((len(windows.grids), windows.steps.shape[1], windows.dim))
     stop = stopping_indices(windows, g, barrier=barrier, displacement=moved)
@@ -92,7 +91,7 @@ def _stopped_solve(g, windows, y, z, config, barrier, anchor=None):
                 f"stopping index binds on {100 * frac:.2f}% of paths on "
                 f"[{grid.t_start}, {grid.t_end}]; quotient window too wide for the barrier",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=stacklevel,
             )
     xi = moved @ z
     xi += y
@@ -106,13 +105,10 @@ class QuotientEstimate:
 
     per_path holds the conditional (regression-fitted) quotients used for
     L^p errors against the pathwise targets; raw holds the rescaled
-    telescoped sums of the sweep (SolutionBatch.telescoped), whose spread
-    measures the estimator's Monte Carlo noise.  Their generator values
-    come from the implicit step: g at the solved Y by the affine identity,
-    up to rounding, for a driver that declares y_slope; otherwise raw
-    differs from sums re-evaluated at the solved Y by at most
-    picard_tol*L, L the local y-slope of g.
-    targets, g at the realized time-t state, is one read-only array per study.
+    telescoped sums of the sweep, whose spread measures the estimator's
+    Monte Carlo noise (SolutionBatch.telescoped says how close their
+    generator values are to g at the solved Y).  targets, g at the
+    realized time-t state, is one read-only array per study.
     """
 
     eps: float
@@ -357,9 +353,10 @@ def converse_comparison_probe(
     HypothesisError, while a bad input stays a ValidationError.  Then, at each
     probe point, both quotients are estimated on common random numbers and
     declared ordered when mean1 >= mean2 - 3*SE(diff) - solver slack.
-    The probe draws its normals once (_draw): the hypothesis check runs on
-    them scaled to its window, and every quotient is a stack of one
-    (K = 1) on them, bitwise what a representation_quotient call gives.
+    The probe draws its normals once (_draw) and reads them one way, as
+    stacks of one window (K = 1), so no whole path is built: the hypothesis
+    check's on [t0, t0 + eps] from x0, with terminals y0 + <z0, X_N - X_t0>,
+    and every quotient's, bitwise what a representation_quotient call gives.
     Every point's z must have the size of the first point's, and
     hypothesis_threshold, the least fraction of ordered pairs, must lie in
     (0, 1]: NaN would switch the ordering gate off and a value above 1
@@ -379,20 +376,12 @@ def converse_comparison_probe(
         if np.size(z) != d:
             raise ValidationError(f"every probe z must have size {d}, got {np.size(z)}")
     draw = _draw(config, d)
-    unit = draw[0]
     grid = TimeGrid(t0, t0 + eps, config.n_steps)
-    # the product keeps the time-major layout of the unit increments
-    batch = replace(unit, grid=grid, increments=unit.increments * np.sqrt(grid.dt))
-    states = batch.cumulative(start=np.atleast_1d(np.asarray(x0, dtype=float)))
-    forward = ForwardBatch(grid=grid, states=states)
-
-    def terminal(s):
-        return y0 + (s[:, -1, :] - s[:, 0, :]) @ z0
-
-    template = BSDEProblem(
-        generator=g1, t_start=t0, t_end=t0 + eps, dimension_d=d, terminal=terminal
-    )
-    cmp = comparison_check(g1, g2, template, forward, batch, config)
+    base = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (config.n_paths, d))
+    window = WindowStack.from_draw([grid], draw[0].increments, base)
+    *_, w_end = window.rows()  # the draw's path at node N
+    terminals = window.displacement(0, w_end, np.empty_like(base)) @ z0 + y0
+    cmp = comparison_check(g1, g2, window, terminals, config)
     if cmp.fraction < hypothesis_threshold:
         raise HypothesisError(
             f"solution ordering holds on only {100 * cmp.fraction:.3f}% of pairs"

@@ -24,7 +24,7 @@ factorization per step fit the targets of every window at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,11 +159,10 @@ class SolutionBatch:
     Y has shape (M, N+1) with Y[:, N] equal to the terminal values exactly;
     Z has shape (M, N, d).  Both are transposed views of time-major
     buffers, (N+1, M) and (N, M, d), that the sweep writes row by row.
-    Only solve_bsde returns one: its callers (the CLI solve table,
-    comparison_check) read every step, and each step regresses on the
-    forward state.  The quotient and Feynman-Kac estimators need only
-    Y[:, 0] and telescoped, and their sweep (_sweep, which solves a
-    quotient study's windows in lockstep) keeps no history.
+    Only solve_bsde returns one, for the CLI solve table, which reads
+    every step; comparison_check reads every step's Y of the same sweep
+    (_sweep) with history.  The quotient and Feynman-Kac estimators need
+    only Y[:, 0] and telescoped, and their sweep keeps no history.
     telescoped, shape (M,), is the pathwise sum
     xi + sum_i g(t_i, X_i, Y_i, Z_i)*dt_eff accumulated during the sweep:
     its mean matches Y[:, 0] (least squares preserves target means) and its
@@ -332,10 +331,9 @@ def solve_bsde(
     z-coordinate are read as contiguous rows.
 
     This is the variant that keeps every step's Y and Z, which the CLI
-    solve table and comparison_check read.  The quotient and Feynman-Kac
-    estimators read only the initial row and the telescoped sums, and run
-    the same loop (_sweep) without the history, in O(M) memory; the
-    quotient estimators also switch g off from a stopping index on.
+    solve table reads.  comparison_check runs the same loop (_sweep) with
+    history on a window of its own, and the quotient and Feynman-Kac
+    estimators run it without, in O(M) memory.
     """
     M, _, d = brownian.increments.shape
     if problem.dimension_d != d:
@@ -375,9 +373,9 @@ def _sweep(
 ):
     """The backward loop, for the K windows of a stack in lockstep.
 
-    solve_bsde runs it on one window with history, mc_solution on one
-    without, and representation._stopped_solve on a stack of stop-gated
-    windows.
+    solve_bsde and comparison_check run it on one window with history,
+    mc_solution on one without, and representation._stopped_solve on a
+    stack of stop-gated windows.
     Window w has generator g, terminal values terminals[w] and, when stops
     is given, its generator switched off from stops[w] on.  Every window
     regresses on the same design: step i's is built once from row i of
@@ -538,43 +536,50 @@ class ComparisonReport:
 def comparison_check(
     g1: Generator,
     g2: Generator,
-    problem_template: BSDEProblem,
-    forward: ForwardBatch,
-    brownian: BrownianBatch,
+    window: WindowStack,
+    terminals: np.ndarray,
     config: ExperimentConfig,
 ) -> ComparisonReport:
     """Verify Y1 >= Y2 pathwise after confirming g1 >= g2 on sampled tuples.
 
-    The generator ordering is a precondition: if g1 - g2 is negative
-    beyond float noise, or NaN, on a sampled tuple, the check raises
-    HypothesisError naming that tuple rather than reporting a comparison
-    failure.  The ordering is sampled on 4096 tuples in 8 chunks whose
-    times are evenly spaced over [t_start, t_end], both ends included.
-    Both problems are then solved on the same paths, and the fraction of
-    (path, step) pairs with Y1 >= Y2 - slack is reported.  The slack
-    combines the accumulated implicit-step tolerance with 3 regression
-    standard errors of the fitted difference.
+    window is a WindowStack of one window and terminals its (M,) terminal
+    values; more windows or another shape raise ValidationError.  The
+    generator ordering is a precondition: g1 - g2 negative beyond float
+    noise, or NaN, on a sampled tuple raises HypothesisError naming it.
+    It is sampled on 4096 tuples, at states over the range the window's
+    states visit, in 8 chunks at times evenly spaced over the window's
+    grid, both ends included.  Both drivers are then swept with history
+    (_sweep) on the window, and the share of (path, step) pairs with
+    Y1 >= Y2 - slack is reported; the slack is the accumulated
+    implicit-step tolerance plus 3 regression standard errors of the
+    fitted difference.
     """
+    n_steps, M, d = window.steps.shape
+    if len(window.grids) != 1:
+        raise ValidationError(f"need a stack of one window, got {len(window.grids)}")
+    terminals = np.asarray(terminals, dtype=float)
+    if terminals.shape != (M,):
+        raise ValidationError(f"terminals shaped {terminals.shape}, expected ({M},)")
+    states = (window.state(0, row) for row in window.rows())
+    ends = np.array([(x.min(axis=0), x.max(axis=0)) for x in states])  # (N+1, 2, n)
+
     n_precheck = 4096
     rng = np.random.default_rng(config.seed)
-    lo = forward.states.min(axis=(0, 1))
-    hi = forward.states.max(axis=(0, 1))
-    xs = rng.uniform(lo, hi, (n_precheck, forward.states.shape[2]))
+    xs = rng.uniform(ends[:, 0].min(axis=0), ends[:, 1].max(axis=0), (n_precheck, window.dim))
     ys = rng.uniform(-3.0, 3.0, n_precheck)
-    zs = rng.uniform(-3.0, 3.0, (n_precheck, brownian.increments.shape[2]))
-    span = (problem_template.t_start, problem_template.t_end, n_precheck, 512, xs, ys, zs)
+    zs = rng.uniform(-3.0, 3.0, (n_precheck, d))
+    span = (window.grids[0].t_start, window.grids[0].t_end, n_precheck, 512, xs, ys, zs)
     ts, gap = _over_time(g1, *span)
     gap -= _over_time(g2, *span)[1]
     message = "generator ordering g1 >= g2 fails"
     _require_le(-gap, 1e-12, HypothesisError, message, t=ts, x=xs, y=ys, z=zs)
 
-    s1 = solve_bsde(replace(problem_template, generator=g1), forward, brownian, config)
-    s2 = solve_bsde(replace(problem_template, generator=g2), forward, brownian, config)
+    (Y1,), _, _, _ = _sweep(g1, terminals[None], window, config, history=True)
+    (Y2,), _, _, _ = _sweep(g2, terminals[None], window, config, history=True)
 
-    D = s1.Y.T - s2.Y.T  # (N+1, M), one row per time column
-    M = D.shape[1]
-    n_feat = 1 + forward.states.shape[2] * config.basis_degree
-    picard_budget = brownian.increments.shape[1] * config.picard_tol
+    D = Y1 - Y2  # (N+1, M), one row per time column
+    n_feat = 1 + window.dim * config.basis_degree
+    picard_budget = n_steps * config.picard_tol
     se = np.array([_sample_sd(row) for row in D]) * np.sqrt(n_feat / M)
     slack = picard_budget + 3.0 * se  # per time column
     ok = D >= -slack[:, None]

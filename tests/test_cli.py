@@ -221,6 +221,15 @@ class TestDeterminism:
         assert len(b1) > 0
 
     BLAS_CONFIGS = {
+        "converse": (
+            "n_paths = 20000\nn_steps = 50\ngenerator1 = linear\ng1_c = 1.0\n"
+            "generator2 = linear\ng2_c = -1.0\npoints_t = 0.0, 0.2\npoints_x = 0.0, 0.5\n"
+            "points_y = 1.0, -0.5\npoints_z = 0.5, 0.0\neps = 0.05\nbarrier = 3.0\n"
+        ),
+        "fk": (
+            "n_paths = 20000\nn_steps = 50\npde = semilinear_cos\nprobes_t = 0.0, 0.5\n"
+            "probes_x = 0.0, 0.3\nh = 0.19634954084936207\nk = 0.01\n"
+        ),
         "represent": (
             "n_paths = 20000\nn_steps = 50\ngenerator = stress\ndelta = 0.1\n"
             "t = 0.5\ny = 0.2\nz = 0.3\neps_schedule = 0.1, 0.05\n"

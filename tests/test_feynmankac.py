@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bsdelab import (
     square_problem,
     viscosity_touch_check,
 )
+from bsdelab import feynmankac
 from bsdelab.core import _mean_se
 from bsdelab.feynmankac import growth_check, proof_generator
 
@@ -374,6 +376,26 @@ class TestMcVsFd:
         )
         assert all(r.passed for r in rows)
 
+    @pytest.mark.parametrize(
+        "points, match",
+        [
+            ([(0.0, 0.0), (0.0, 100.0)], r"x=100.0 outside \[-12.56\d*, 12.56\d*\]"),
+            ([(0.0, 0.0), (0.0, math.nan)], r"x=nan outside"),
+            ([(0.5, 0.0), (1.0, 0.0)], r"need 0 <= t < T=1.0, got t=1.0"),
+            ([(-0.1, 0.0)], r"need 0 <= t < T=1.0, got t=-0.1"),
+        ],
+    )
+    def test_probes_checked_before_any_solve(self, monkeypatch, points, match):
+        # a bad probe anywhere in the list is refused before the FD march
+        # and the first Monte Carlo solve, in the words of the one that
+        # would refuse it later
+        calls = []
+        monkeypatch.setattr(feynmankac, "mc_solution", lambda *a: calls.append("mc"))
+        monkeypatch.setattr(feynmankac, "fd_reference", lambda *a: calls.append("fd"))
+        with pytest.raises(ValidationError, match=match):
+            mc_vs_fd(heat_cos_problem(), points, _cfg(M=2000, n=100), h=H_COS, k=2e-3)
+        assert calls == []
+
 
 class TestViscosityTouch:
     def test_exact_solution_residuals_vanish_both_ways(self):
@@ -468,6 +490,18 @@ class TestViscosityTouch:
         u_src = lambda t, x: float(np.asarray(sol.value(t, np.asarray(x, dtype=float))))
         with pytest.raises(ValidationError, match=r"touch window \[t, t \+ eps\]"):
             viscosity_touch_check(p, u_src, sol, t, 0.0, eps=eps, config=_cfg(M=64, n=50))
+
+    @pytest.mark.parametrize("x", [30.0, -4 * math.pi - 0.01, math.nan])
+    def test_touching_point_must_lie_in_box(self, x):
+        # the stencil skips nodes outside the box, so outside it phi bumped
+        # downward at x, no local max of u - phi, would pass every node
+        p = heat_cos_problem()
+        sol = heat_cos_solution()
+        u_src = lambda t, x: float(np.asarray(sol.value(t, np.asarray(x, dtype=float))))
+        phi = sol.bumped(x, -5.0)
+        box = re.escape(f"x={x} outside the box [{p.x_lo}, {p.x_hi}]")
+        with pytest.raises(ValidationError, match=box):
+            viscosity_touch_check(p, u_src, phi, 0.3, x, mode="sub", config=_cfg(M=500, n=50))
 
     def test_mode_validated(self):
         p = heat_cos_problem()

@@ -22,6 +22,9 @@ from bsdelab import (
     builtin_generator,
     convergence_study,
     converse_comparison_probe,
+    semilinear_cos_problem,
+    semilinear_cos_solution,
+    viscosity_touch_check,
 )
 from bsdelab import paths, representation
 from bsdelab.core import _mean_se, h_entropy
@@ -106,6 +109,40 @@ class TestStopping:
         q2 = representation_quotient(g, 0.1, 0.0, 0.0, 0.0, 0.05, _cfg(M=4096), barrier=2.0)
         assert q2.frac_stopped <= q1.frac_stopped
         assert abs(q2.mean - 1.5) <= abs(q1.mean - 1.5) + 1e-9
+
+    # entry point -> its positional arguments; barrier 0.05 binds on most
+    # paths of every window
+    _LINEAR = builtin_generator("linear", c=0.3)
+    _SOL = semilinear_cos_solution()
+    _BINDING = {
+        representation_quotient: (_LINEAR, 0.5, 0.0, 0.2, 0.3, 0.05, _cfg(M=500, n=50)),
+        convergence_study: (_LINEAR, 0.5, 0.0, 0.2, 0.3, (0.1, 0.05), _cfg(M=500, n=50)),
+        converse_comparison_probe: (
+            builtin_generator("linear", c=1.0),
+            builtin_generator("linear", c=-1.0),
+            [(0.0, 0.0, 0.5, 0.3)],
+            0.05,
+            _cfg(M=500, n=50),
+        ),
+        viscosity_touch_check: (
+            semilinear_cos_problem(),
+            lambda t, x, sol=_SOL: float(sol.value(t, np.asarray(x, dtype=float))),
+            _SOL,
+            0.3,
+            0.4,
+            _cfg(M=500, n=50),
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", list(_BINDING), ids=lambda f: f.__name__)
+    def test_binding_stop_warning_names_the_calling_line(self, entry):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            entry(*self._BINDING[entry], barrier=0.05)
+        hits = [w for w in caught if "too wide" in str(w.message)]
+        assert hits
+        assert {(w.filename, w.lineno) for w in hits} == {(__file__, line)}
 
     def test_nan_barrier_is_refused(self):
         # every comparison with NaN is false, so a NaN barrier would switch
@@ -301,8 +338,9 @@ class TestCheckpointedStudy:
             representation_quotient(g, 0.5, [0.1, -0.1], 0.2, [0.3, -0.2], 0.05, cfg, 2.0)
         assert calls == []
 
-    def test_converse_probe_builds_one_cumulative_path(self, monkeypatch):
-        # the hypothesis check's forward states; no quotient builds one
+    def test_converse_probe_builds_no_cumulative_path(self, monkeypatch):
+        # the hypothesis check reads the draw through one window, as every
+        # quotient does
         g1 = builtin_generator("linear", c=1.0)
         g2 = builtin_generator("linear", c=-1.0)
         cfg = _cfg(seed=9, M=2000, n=50)
@@ -310,7 +348,7 @@ class TestCheckpointedStudy:
         calls = self._count_cumulative(monkeypatch)
         report = converse_comparison_probe(g1, g2, points, 0.05, cfg, barrier=3.0)
         assert len(report.rows) == len(points)
-        assert calls == [TimeGrid(0.0, 0.05, 50)]
+        assert calls == []
 
 
 @pytest.fixture
@@ -475,6 +513,30 @@ class TestConverse:
         g = builtin_generator("linear")
         with pytest.raises(ValidationError):
             converse_comparison_probe(g, g, [], 0.04, _cfg())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(-1.0, 1.0),
+        b=st.floats(-0.5, 0.5),
+        c=st.floats(-1.0, 1.0),
+        shift=st.floats(0.0, 1.0),
+        points=st.lists(
+            st.tuples(
+                st.floats(0.0, 0.5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_shifted_generator_passes_both_orderings(self, a, b, c, shift, points, seed):
+        # comparison theorem and its converse: g + s >= g for s >= 0, so the
+        # solutions are ordered and so are the quotients at every point
+        g1 = builtin_generator("linear", a=a, b=b, c=c + shift)
+        g2 = builtin_generator("linear", a=a, b=b, c=c)
+        rep = converse_comparison_probe(g1, g2, points, 0.05, _cfg(seed=seed, M=2000, n=50))
+        assert rep.hypothesis_fraction >= 0.999
+        assert rep.all_ordered
 
     @pytest.mark.parametrize("threshold", [math.nan, 0.0, -0.5, 1.5])
     def test_threshold_outside_unit_interval_rejected(self, threshold):

@@ -1283,33 +1283,26 @@ class TestTelescopedSum:
 
 
 class TestComparison:
-    def _template(self, grid, M, seed, g, terminal):
+    def _window(self, grid, M, seed, terminal):
+        """One window on a forward batch and its (M,) terminal values."""
         fw, batch = _brownian_forward(grid, M, 1, seed)
-        problem = BSDEProblem(
-            generator=g, t_start=grid.t_start, t_end=grid.t_end,
-            dimension_d=1, terminal=terminal,
-        )
-        return problem, fw, batch
+        return WindowStack((grid,), fw.states, batch.increments), terminal(fw.states)
 
     def test_identical_generators_tie(self):
         grid = TimeGrid(0.0, 0.5, 20)
         g = builtin_generator("linear", a=-1.0, c=0.3)
-        problem, fw, batch = self._template(
-            grid, 4000, 9, g, lambda s: np.sin(s[:, -1, 0])
-        )
+        window, xi = self._window(grid, 4000, 9, lambda s: np.sin(s[:, -1, 0]))
         cfg = ExperimentConfig(seed=9, n_paths=4000, n_steps=20)
-        rep = comparison_check(g, g, problem, fw, batch, cfg)
+        rep = comparison_check(g, g, window, xi, cfg)
         assert rep.fraction == 1.0
 
     def test_ordered_pair(self):
         grid = TimeGrid(0.0, 0.5, 20)
         g1 = builtin_generator("linear", c=1.0)
         g2 = builtin_generator("linear", c=0.4)
-        problem, fw, batch = self._template(
-            grid, 4000, 9, g1, lambda s: s[:, -1, 0]
-        )
+        window, xi = self._window(grid, 4000, 9, lambda s: s[:, -1, 0])
         cfg = ExperimentConfig(seed=9, n_paths=4000, n_steps=20)
-        rep = comparison_check(g1, g2, problem, fw, batch, cfg)
+        rep = comparison_check(g1, g2, window, xi, cfg)
         assert rep.fraction == 1.0
         assert rep.generator_gap_min >= 0.6 - 1e-9
 
@@ -1334,10 +1327,10 @@ class TestComparison:
         grid = TimeGrid(0.0, horizon, N)
         phi = self._TERMINALS[terminal]
         g = builtin_generator("linear", a=a, b=b, c=c)
-        problem, fw, batch = self._template(grid, M, seed, g, lambda s: phi(s[:, -1, 0]))
+        window, xi = self._window(grid, M, seed, lambda s: phi(s[:, -1, 0]))
         cfg = ExperimentConfig(seed=seed, n_paths=M, n_steps=N)
         shifted = builtin_generator("linear", a=a, b=b, c=c + shift)
-        rep = comparison_check(shifted, g, problem, fw, batch, cfg)
+        rep = comparison_check(shifted, g, window, xi, cfg)
         assert rep.fraction >= 0.999
 
     def test_misordered_generators_rejected(self):
@@ -1367,11 +1360,28 @@ class TestComparison:
         cfg = ExperimentConfig(seed=9, n_paths=1000, n_steps=20)
         for g1, c2 in cases:
             g2 = builtin_generator("linear", c=c2)
-            problem, fw, batch = self._template(grid, 1000, 9, g1, lambda s: s[:, -1, 0])
+            window, xi = self._window(grid, 1000, 9, lambda s: s[:, -1, 0])
             with pytest.raises(
                 HypothesisError, match="ordering g1 >= g2 fails at t=.*, x=.*, y=.*, z="
             ):
-                comparison_check(g1, g2, problem, fw, batch, cfg)
+                comparison_check(g1, g2, window, xi, cfg)
+
+    def test_two_windows_refused(self):
+        g = builtin_generator("linear", c=0.3)
+        cfg = ExperimentConfig(seed=9, n_paths=500, n_steps=20)
+        unit = sample_brownian(TimeGrid(0.0, 20.0, 20), 500, 1, 9)
+        grids = [TimeGrid(0.0, 0.5, 20), TimeGrid(0.0, 0.25, 20)]
+        stack = WindowStack.from_draw(grids, unit.increments, np.zeros((500, 1)))
+        with pytest.raises(ValidationError, match="need a stack of one window, got 2"):
+            comparison_check(g, g, stack, np.zeros(500), cfg)
+
+    @pytest.mark.parametrize("shape", [(499,), (1, 500), (500, 1), ()])
+    def test_terminals_of_another_shape_refused(self, shape):
+        g = builtin_generator("linear", c=0.3)
+        window, _ = self._window(TimeGrid(0.0, 0.5, 20), 500, 9, lambda s: s[:, -1, 0])
+        cfg = ExperimentConfig(seed=9, n_paths=500, n_steps=20)
+        with pytest.raises(ValidationError, match=r"terminals shaped .*, expected \(500,\)"):
+            comparison_check(g, g, window, np.zeros(shape), cfg)
 
 
 class TestStorageLayout:
