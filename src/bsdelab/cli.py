@@ -434,14 +434,12 @@ def _run_envelope(cfg: dict):
 
 def _run_represent(cfg: dict):
     g = _generator_from(cfg)
-    z = cfg["z"]
-    x = cfg.get("x", [0.0] * len(z))
     report = convergence_study(
         g,
         cfg["t"],
-        np.asarray(x, dtype=float),
+        cfg.get("x", 0.0),
         cfg["y"],
-        np.asarray(z, dtype=float),
+        cfg["z"],
         cfg["eps_schedule"],
         _experiment_config(cfg),
         barrier=cfg["barrier"],

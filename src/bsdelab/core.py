@@ -71,7 +71,9 @@ def _check_delta(delta) -> float:
 
 
 def _entropy_kernel(delta: float):
-    """h_entropy for a delta already checked, on arrays u >= 0 (unchecked)."""
+    """Entropy-type modulus h for a delta already checked, on u >= 0 (unchecked):
+    -u*ln(u) on [0, delta], linear above with the slope -ln(delta) - 1 it
+    has at delta, so concave, nondecreasing, C^1 away from 0 and h(0) = 0."""
     slope = -math.log(delta) - 1.0
     h_delta = -delta * math.log(delta)
 
@@ -94,21 +96,6 @@ def _entropy_kernel(delta: float):
         return out
 
     return h
-
-
-def h_entropy(u, delta: float):
-    """Entropy-type modulus: -u*ln(u) on [0, delta], linear above.
-
-    The linear branch has slope (-ln(delta) - 1), the one-sided derivative at
-    delta, so the function is concave, nondecreasing and C^1 away from 0.
-    Defined for u >= 0 only; h(0) = 0.
-    """
-    delta = _check_delta(delta)
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise ValidationError("h_entropy is defined for u >= 0")
-    out = _entropy_kernel(delta)(u)
-    return float(out) if out.ndim == 0 else out
 
 
 def _check_alpha(alpha) -> float:

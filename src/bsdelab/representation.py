@@ -120,32 +120,45 @@ class QuotientEstimate:
     frac_stopped: float
 
 
-def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
-    """One QuotientEstimate per window eps, all windows solved in lockstep.
-
-    Every window spans config.n_steps steps from t and scales one unit
-    draw (_draw, or the caller's draw for the same config and d) by its
-    own sqrt(dt); their states share the base, the realized time-t state.
-    The stack holds the draw's path only at its checkpoint rows
-    (WindowStack.from_draw), so no cumulative() path is built.
-    A state-dependent generator (g.state_dependent) at t > 0 is probed at
-    the Brownian marginal anchored at x, base = x + sqrt(t)*aux, and the
-    regression conditions on (base, path) pairs; any other keeps base = x.
-    """
+def _probe_rule(x, z, eps_schedule, config):
+    """x and z as float d-vectors, d = z.size, a one-entry x spread over d,
+    and eps_schedule as floats, each checked before any draw: a bad one
+    raises ValidationError."""
+    eps_schedule = [float(e) for e in eps_schedule]
+    if not eps_schedule:
+        raise ValidationError("eps_schedule must be nonempty")
     for eps in eps_schedule:
         if not eps > 0:
             raise ValidationError(f"eps must be > 0, got {eps}")
+    if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
+        raise ValidationError("eps_schedule must be strictly decreasing")
     if config.n_steps < MIN_STEPS_PER_EPS:
         raise ValidationError(
             f"need n_steps >= {MIN_STEPS_PER_EPS} per quotient window, got {config.n_steps}"
         )
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    d = z.size
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size == 1 and d > 1:
-        x = np.full(d, x[0])
-    if x.size != d:
-        raise ValidationError(f"state anchor has size {x.size}, expected {d}")
+    if x.size == 1:
+        x = np.full(z.size, x[0])
+    if x.size != z.size:
+        raise ValidationError(f"state anchor has size {x.size}, expected {z.size}")
+    return x, z, eps_schedule
+
+
+def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
+    """One QuotientEstimate per window eps, all windows solved in lockstep.
+
+    x, z and eps_schedule are _probe_rule's output.  Every window spans
+    config.n_steps steps from t and scales one unit draw (_draw, or the
+    caller's draw for the same config and d) by its own sqrt(dt); their
+    states share the base, the realized time-t state.  The stack holds
+    the draw's path only at its checkpoint rows (WindowStack.from_draw),
+    so no cumulative() path is built.  A state-dependent generator
+    (g.state_dependent) at t > 0 is probed at the Brownian marginal
+    anchored at x, base = x + sqrt(t)*aux, and the regression conditions
+    on (base, path) pairs; any other keeps base = x.
+    """
+    d = z.size
     randomize_base = g.state_dependent and t > 0
 
     unit, aux = draw if draw is not None else _draw(config, d)
@@ -170,7 +183,7 @@ def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
         raw = (tele_w - y) / eps
         cells.append(
             QuotientEstimate(
-                eps=float(eps),
+                eps=eps,
                 mean=float(per_path.mean()),
                 se=_mean_se(raw),
                 per_path=per_path,
@@ -194,17 +207,19 @@ def representation_quotient(
 ) -> QuotientEstimate:
     """Estimate the difference quotient of g at (t, x, y, z) over window eps.
 
-    Builds the grid on [t, t+eps] (config.n_steps must keep dt <= eps/50),
-    realizes the time-t state, and solves the stop-gated backward problem
-    through _stopped_solve (the same path viscosity_touch_check takes), then
-    rescales.  A state-dependent generator (g.state_dependent) is probed at
-    the realized Brownian marginal anchored at x when t > 0, any other at x
-    itself.  If the stop binds on more than 1% of paths a RuntimeWarning
-    says the window is too wide for the barrier.  The window is a stack of
-    one (K = 1) on its own unit draw; a convergence_study window with the
-    same config differs from it only by the rounding of the wider fit.
+    Checks the point (_probe_rule; config.n_steps must keep dt <= eps/50),
+    builds the grid on [t, t+eps], realizes the time-t state, and solves
+    the stop-gated backward problem through _stopped_solve (the same path
+    viscosity_touch_check takes), then rescales.  A state-dependent
+    generator (g.state_dependent) is probed at the realized Brownian
+    marginal anchored at x when t > 0, any other at x itself.  A stop that
+    binds on more than 1% of paths warns (RuntimeWarning) that the window
+    is too wide for the barrier.  The window is a stack of one (K = 1) on
+    its own unit draw; a convergence_study window with the same config
+    differs from it only by the rounding of the wider fit.
     """
-    return _quotient_cells(g, t, x, y, z, [eps], config, barrier)[0]
+    x, z, windows = _probe_rule(x, z, [eps], config)
+    return _quotient_cells(g, t, x, y, z, windows, config, barrier)[0]
 
 
 @dataclass(frozen=True)
@@ -248,10 +263,10 @@ def convergence_study(
 ) -> RepresentationReport:
     """Run representation_quotient along eps_schedule and fit the rate.
 
-    The schedule must be strictly decreasing, and _quotient_cells refuses
-    an eps that is not > 0, NaN included.  L^p errors (p in P_NORMS,
-    i.e. 1 and 2) are computed pathwise against g evaluated at the
-    realized time-t state.  A non-monotone L1 sequence beyond one combined
+    The schedule must be strictly decreasing and > 0 (_probe_rule), and
+    the report's x and z are the d-vectors the solve used.  L^p errors (p
+    in P_NORMS, i.e. 1 and 2) are computed pathwise against g evaluated at
+    the realized time-t state.  A non-monotone L1 sequence beyond one combined
     standard error is reported via errors_decreasing=False, not raised: the
     caller decides whether that fails the run.  The rate fit is skipped when
     every error is statistically indistinguishable from zero.
@@ -267,12 +282,7 @@ def convergence_study(
     and window, so g is called from several threads at once and must keep
     no mutable state; the report's bytes do not depend on the CPU count.
     """
-    eps_schedule = [float(e) for e in eps_schedule]
-    if not eps_schedule:
-        raise ValidationError("eps_schedule must be nonempty")
-    if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
-        raise ValidationError("eps_schedule must be strictly decreasing")
-
+    x, z, eps_schedule = _probe_rule(x, z, eps_schedule, config)
     cells = _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier)
     lp_errors: dict[int, list] = {p: [] for p in P_NORMS}
     lp_ses: dict[int, list] = {p: [] for p in P_NORMS}
@@ -302,9 +312,9 @@ def convergence_study(
 
     return RepresentationReport(
         t=float(t),
-        x=tuple(np.atleast_1d(np.asarray(x, dtype=float))),
+        x=tuple(x.tolist()),
         y=float(y),
-        z=tuple(np.atleast_1d(np.asarray(z, dtype=float))),
+        z=tuple(z.tolist()),
         eps_schedule=tuple(eps_schedule),
         quotient_means=tuple(c.mean for c in cells),
         quotient_ses=tuple(c.se for c in cells),
@@ -353,14 +363,15 @@ def converse_comparison_probe(
     HypothesisError, while a bad input stays a ValidationError.  Then, at each
     probe point, both quotients are estimated on common random numbers and
     declared ordered when mean1 >= mean2 - 3*SE(diff) - solver slack.
-    The probe draws its normals once (_draw) and reads them one way, as
-    stacks of one window (K = 1), so no whole path is built: the hypothesis
-    check's on [t0, t0 + eps] from x0, with terminals y0 + <z0, X_N - X_t0>,
-    and every quotient's, bitwise what a representation_quotient call gives.
-    Every point's z must have the size of the first point's, and
-    hypothesis_threshold, the least fraction of ordered pairs, must lie in
-    (0, 1]: NaN would switch the ordering gate off and a value above 1
-    would fail every check.
+    Every point passes _probe_rule, its z of the first point's size, before
+    anything is drawn or swept, and its row carries the d-vector x and z
+    used.  hypothesis_threshold, the least fraction of ordered pairs, must
+    lie in (0, 1]: NaN would switch the ordering gate off and a value above
+    1 would fail every check.  The probe draws its normals once (_draw) and
+    reads them one way, as stacks of one window (K = 1), so no whole path
+    is built: the hypothesis check's on [t0, t0 + eps] from x0, with
+    terminals y0 + <z0, X_N - X_t0>, and every quotient's, bitwise what a
+    representation_quotient call gives.
     """
     if not points:
         raise ValidationError("need at least one probe point")
@@ -369,15 +380,17 @@ def converse_comparison_probe(
         raise ValidationError(
             f"hypothesis_threshold must lie in (0, 1], got {hypothesis_threshold}"
         )
-    t0, x0, y0, z0 = points[0]
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    d = z0.size
-    for _, _, _, z in points:
+    d = np.size(points[0][3])
+    probes = []
+    for t, x, y, z in points:
         if np.size(z) != d:
             raise ValidationError(f"every probe z must have size {d}, got {np.size(z)}")
+        x, z, (eps,) = _probe_rule(x, z, [eps], config)
+        probes.append((t, x, y, z))
+    t0, x0, y0, z0 = probes[0]
     draw = _draw(config, d)
     grid = TimeGrid(t0, t0 + eps, config.n_steps)
-    base = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (config.n_paths, d))
+    base = np.broadcast_to(x0, (config.n_paths, d))
     window = WindowStack.from_draw([grid], draw[0].increments, base)
     *_, w_end = window.rows()  # the draw's path at node N
     terminals = window.displacement(0, w_end, np.empty_like(base)) @ z0 + y0
@@ -389,7 +402,7 @@ def converse_comparison_probe(
 
     rows = []
     slack_fp = 2.0 * config.n_steps * config.picard_tol / eps
-    for t, x, y, z in points:
+    for t, x, y, z in probes:
         (q1,) = _quotient_cells(g1, t, x, y, z, [eps], config, barrier, draw)
         (q2,) = _quotient_cells(g2, t, x, y, z, [eps], config, barrier, draw)
         diff_raw = q1.raw - q2.raw
@@ -398,9 +411,9 @@ def converse_comparison_probe(
         rows.append(
             ConversePointRow(
                 t=float(t),
-                x=tuple(np.atleast_1d(np.asarray(x, dtype=float))),
+                x=tuple(x.tolist()),
                 y=float(y),
-                z=tuple(np.atleast_1d(np.asarray(z, dtype=float))),
+                z=tuple(z.tolist()),
                 mean1=q1.mean,
                 mean2=q2.mean,
                 se_diff=se,

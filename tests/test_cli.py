@@ -482,7 +482,7 @@ class TestConfigErrors:
             "eps_schedule = 0.1\n"
         ),
         "converse": (
-            "n_paths = 100\nn_steps = 10\ngenerator1 = linear\ng1_c = 1.0\n"
+            "n_paths = 100\nn_steps = 50\ngenerator1 = linear\ng1_c = 1.0\n"
             "generator2 = linear\ng2_c = -1.0\npoints_t = 0.0\npoints_x = 0.0\n"
             "points_y = 1.0\npoints_z = 0.5\neps = 0.05\n"
         ),

@@ -14,7 +14,7 @@ from bsdelab import (
     builtin_generator,
     check_generator_metadata,
 )
-from bsdelab.core import EXP_CLAMP, _entropy_kernel, _norm_last, h_entropy, q_trunc
+from bsdelab.core import EXP_CLAMP, _entropy_kernel, _norm_last, q_trunc
 
 
 class TestEntropyModulus:
@@ -24,32 +24,29 @@ class TestEntropyModulus:
         #   h = slope*(0.2 - 0.1) + (-0.1*ln(0.1))
         #     = 0.1*(ln 10 - 1) + 0.1*ln 10 = 0.2*ln 10 - 0.1
         expected = 0.2 * math.log(10.0) - 0.1
-        assert h_entropy(0.2, 0.1) == pytest.approx(expected, abs=1e-15)
+        assert _entropy_kernel(0.1)(0.2) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.3605170185988091, abs=1e-15)
 
     def test_curved_branch_and_origin(self):
-        assert h_entropy(0.0, 0.1) == 0.0
+        assert _entropy_kernel(0.1)(0.0) == 0.0
         u = 0.05
-        assert h_entropy(u, 0.1) == pytest.approx(-u * math.log(u), abs=1e-15)
+        assert _entropy_kernel(0.1)(u) == pytest.approx(-u * math.log(u), abs=1e-15)
 
     def test_continuity_and_smoothness_at_knee(self):
         delta = 0.2
-        below = h_entropy(delta - 1e-9, delta)
-        above = h_entropy(delta + 1e-9, delta)
+        h = _entropy_kernel(delta)
+        below = h(delta - 1e-9)
+        above = h(delta + 1e-9)
         assert abs(above - below) < 1e-7
         # one-sided slopes agree by construction
-        d_below = (h_entropy(delta, delta) - h_entropy(delta - 1e-6, delta)) / 1e-6
-        d_above = (h_entropy(delta + 1e-6, delta) - h_entropy(delta, delta)) / 1e-6
+        d_below = (h(delta) - h(delta - 1e-6)) / 1e-6
+        d_above = (h(delta + 1e-6) - h(delta)) / 1e-6
         assert d_below == pytest.approx(d_above, abs=1e-4)
 
     @pytest.mark.parametrize("delta", [0.0, -0.1, 1.0 / math.e, 0.5])
     def test_delta_domain(self, delta):
-        with pytest.raises(ValidationError):
-            h_entropy(0.1, delta)
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValidationError):
-            h_entropy(-0.01, 0.1)
+        with pytest.raises(ValidationError, match="delta must lie in"):
+            builtin_generator("stress", delta=delta)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -57,15 +54,15 @@ class TestEntropyModulus:
         v=st.floats(0.0, 0.3),
     )
     def test_concave_and_nondecreasing(self, u, v):
-        delta = 0.1
-        mid = h_entropy(0.5 * (u + v), delta)
-        assert mid >= 0.5 * (h_entropy(u, delta) + h_entropy(v, delta)) - 1e-12
+        h = _entropy_kernel(0.1)
+        mid = h(0.5 * (u + v))
+        assert mid >= 0.5 * (h(u) + h(v)) - 1e-12
         lo, hi = sorted((u, v))
-        assert h_entropy(hi, delta) >= h_entropy(lo, delta) - 1e-15
+        assert h(hi) >= h(lo) - 1e-15
 
     def test_vectorized(self):
         u = np.array([0.0, 0.05, 0.1, 0.3])
-        out = h_entropy(u, 0.1)
+        out = _entropy_kernel(0.1)(u)
         assert out.shape == u.shape
         assert out[0] == 0.0
 
@@ -142,8 +139,8 @@ class TestFastPathsBitIdentical:
                 np.abs(_mixed_magnitudes(rng, 2000)),
             ]
         )
-        assert np.array_equal(h_entropy(u, delta), _h_entropy_by_mask(u, delta))
-        assert h_entropy(delta, delta) == _h_entropy_by_mask(delta, delta)[0]
+        assert np.array_equal(_entropy_kernel(delta)(u), _h_entropy_by_mask(u, delta))
+        assert _entropy_kernel(delta)(delta) == _h_entropy_by_mask(delta, delta)[0]
 
     @pytest.mark.parametrize("delta", [0.01, 0.1, 0.3])
     def test_stress_generator(self, delta):
@@ -285,7 +282,7 @@ class TestBuiltinGenerators:
         x = np.array([[2.0]])
         y = np.array([0.2])
         z = np.array([[0.5]])
-        expected = -math.exp(0.4) + h_entropy(0.2, 0.1) + 0.5
+        expected = -math.exp(0.4) + _entropy_kernel(0.1)(0.2) + 0.5
         assert g(0.3, x, y, z)[0] == pytest.approx(expected, abs=1e-12)
         assert g.state_dependent
 
@@ -294,7 +291,7 @@ class TestBuiltinGenerators:
         with pytest.warns(RuntimeWarning, match="clamped"):
             out = g(0.0, np.array([[3.0]]), np.array([30.0]), np.zeros((1, 1)))
         assert np.isfinite(out[0])
-        assert out[0] <= -math.exp(EXP_CLAMP) + h_entropy(30.0, 0.1)
+        assert out[0] <= -math.exp(EXP_CLAMP) + _entropy_kernel(0.1)(30.0)
 
     def test_negative_exponential(self):
         g = builtin_generator("negative_exponential")
@@ -346,17 +343,18 @@ class TestMetadataCheck:
         # concavity with h(0)=0 gives |h(a)-h(b)| <= h(|a-b|).
         delta = 0.1
         # frozen from 2*((ln 10 - 1)*1.9 + 0.1*ln 10) etc.
-        prod = 2.0 * h_entropy(2.0, delta)
+        h = _entropy_kernel(delta)
+        prod = 2.0 * h(2.0)
         assert prod == pytest.approx(5.4103404, abs=1e-6)
-        assert h_entropy(4.0, delta) == pytest.approx(5.3103405, abs=1e-6)
-        assert prod > h_entropy(4.0, delta)
+        assert h(4.0) == pytest.approx(5.3103405, abs=1e-6)
+        assert prod > h(4.0)
 
         rho = builtin_generator("stress", delta=delta).monotonicity_modulus
         assert rho(4.0) == pytest.approx(prod, rel=1e-12)
         rng = np.random.default_rng(9)
         y1 = rng.uniform(-6, 6, 4000)
         y2 = rng.uniform(-6, 6, 4000)
-        lhs = (y1 - y2) * (h_entropy(np.abs(y1), delta) - h_entropy(np.abs(y2), delta))
+        lhs = (y1 - y2) * (h(np.abs(y1)) - h(np.abs(y2)))
         assert np.all(lhs <= rho((y1 - y2) ** 2) + 1e-12)
 
     def test_understated_lipschitz_caught(self):

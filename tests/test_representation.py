@@ -26,8 +26,8 @@ from bsdelab import (
     semilinear_cos_solution,
     viscosity_touch_check,
 )
-from bsdelab import paths, representation
-from bsdelab.core import _mean_se, h_entropy
+from bsdelab import paths, representation, solver
+from bsdelab.core import _entropy_kernel, _mean_se
 from bsdelab.representation import representation_quotient
 
 
@@ -198,7 +198,7 @@ class TestRandomizedBase:
         # against the Gaussian density gives the population mean
         y, znorm = 0.2, 0.7
         dens = lambda v: math.exp(-(v - x0) ** 2 / (2 * t)) / math.sqrt(2 * math.pi * t)
-        fn = lambda v: (-math.exp(y * abs(v)) + h_entropy(y, 0.1) + znorm) * dens(v)
+        fn = lambda v: (-math.exp(y * abs(v)) + _entropy_kernel(0.1)(y) + znorm) * dens(v)
         want, _ = integrate.quad(fn, -10, 10)
         se = q.targets.std(ddof=1) / math.sqrt(q.targets.size)
         assert abs(np.mean(q.targets) - want) < 4 * se
@@ -381,7 +381,7 @@ class TestWindowPool:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 runs.append(
                     representation._quotient_cells(
-                        g, t, [0.1] * d, 0.2, [0.3] * d, self.SCHEDULE, cfg, 1.0
+                        g, t, np.full(d, 0.1), 0.2, np.full(d, 0.3), self.SCHEDULE, cfg, 1.0
                     )
                 )
         assert any(c.frac_stopped > 0 for c in runs[0])
@@ -487,6 +487,83 @@ class TestValidation:
             convergence_study(g, 0.1, 0.0, 0.0, 0.0, [0.05, 0.1], _cfg())
         with pytest.raises(ValidationError):
             convergence_study(g, 0.1, 0.0, 0.0, 0.0, [], _cfg())
+
+
+class TestProbeRule:
+    """Every entry point checks and shapes its (x, z, eps) before any draw,
+    and its report carries the d-vectors the solve used."""
+
+    @staticmethod
+    def _spy_draws_and_sweeps(monkeypatch):
+        calls = []
+        for module, name in [
+            (representation, "sample_brownian"),
+            (representation, "_sweep"),
+            (solver, "_sweep"),  # the hypothesis check's sweeps
+        ]:
+            fn = getattr(module, name)
+
+            def spy(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    GOOD = (0.2, 0.0, 1.0, [0.5, 0.3])
+    WIDE = (0.4, [0.0, 0.0, 0.0], -0.5, [0.3, 0.1])  # x of size 3 at d = 2
+
+    @pytest.mark.parametrize(
+        "points, eps, n, match",
+        [
+            ([WIDE], 0.04, 50, "state anchor has size 3, expected 2"),
+            ([GOOD, WIDE], 0.04, 50, "state anchor has size 3, expected 2"),
+            ([GOOD], 0.04, 10, "need n_steps >= 50 per quotient window, got 10"),
+            ([GOOD], 0.0, 50, "eps must be > 0, got 0.0"),
+            ([GOOD], math.nan, 50, "eps must be > 0, got nan"),
+        ],
+        ids=["first_x", "later_x", "n_steps", "eps_zero", "eps_nan"],
+    )
+    def test_converse_refuses_before_any_draw(self, monkeypatch, points, eps, n, match):
+        g1 = builtin_generator("linear", c=1.0)
+        g2 = builtin_generator("linear", c=0.4)
+        calls = self._spy_draws_and_sweeps(monkeypatch)
+        with pytest.raises(ValidationError, match=match):
+            converse_comparison_probe(g1, g2, points, eps, _cfg(M=512, n=n))
+        assert calls == []
+        # the spies do see a valid probe's draw and sweeps
+        converse_comparison_probe(g1, g2, [self.GOOD], 0.04, _cfg(M=512, n=50))
+        assert set(calls) == {"sample_brownian", "_sweep"}
+
+    def test_study_refuses_a_nan_window_before_any_draw(self, monkeypatch):
+        g = builtin_generator("linear")
+        calls = self._spy_draws_and_sweeps(monkeypatch)
+        with pytest.raises(ValidationError, match="eps must be > 0, got nan"):
+            convergence_study(g, 0.1, 0.0, 0.0, 0.0, [0.1, math.nan, 0.02], _cfg())
+        assert calls == []
+
+    def test_study_reports_the_spread_anchor(self):
+        g = builtin_generator("linear", a=-0.5, b=[0.2, -0.1], c=0.3)
+        cfg = _cfg(M=1024, n=50)
+        report = convergence_study(g, 0.5, 0.1, 0.2, [0.3, 0.2], (0.1, 0.05), cfg, barrier=3.0)
+        assert report.x == (0.1, 0.1)
+        assert report.z == (0.3, 0.2)
+        assert all(type(v) is float for v in report.x + report.z)
+        # the scalar anchor is the d-vector one, field for field
+        spread = convergence_study(
+            g, 0.5, [0.1, 0.1], 0.2, [0.3, 0.2], [0.1, 0.05], cfg, barrier=3.0
+        )
+        assert report == spread
+
+    def test_converse_rows_report_the_spread_anchor(self):
+        g1 = builtin_generator("linear", c=1.0)
+        g2 = builtin_generator("linear", c=0.4)
+        points = [(0.2, 0.1, 1.0, [0.5, 0.3]), (0.4, [-0.2], -0.5, [0.3, 0.1])]
+        report = converse_comparison_probe(g1, g2, points, 0.04, _cfg(M=1024, n=50))
+        assert [row.x for row in report.rows] == [(0.1, 0.1), (-0.2, -0.2)]
+        assert [row.z for row in report.rows] == [(0.5, 0.3), (0.3, 0.1)]
+        for row in report.rows:
+            assert all(type(v) is float for v in row.x + row.z)
 
 
 class TestConverse:
@@ -692,7 +769,7 @@ class TestEstimatorInvariants:
         g = builtin_generator("stress", delta=0.1)
         cfg = _cfg(seed=61, M=2000, n=50)
         cells = representation._quotient_cells(
-            g, 0.5, [0.1, -0.1], 0.2, [0.3, -0.2], (0.1, 0.05, 0.025), cfg, 2.0
+            g, 0.5, np.array([0.1, -0.1]), 0.2, np.array([0.3, -0.2]), (0.1, 0.05, 0.025), cfg, 2.0
         )
         assert len(cells) == 3
         assert all(c.targets is cells[0].targets for c in cells)

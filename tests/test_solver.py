@@ -471,11 +471,49 @@ class TestClosedFormLinear:
             2.5, abs=1e-12
         )
 
-    def test_matches_monte_carlo_solver(self):
-        a, b, c, y0, z0 = -0.8, 0.4, 0.6, 1.2, 0.9
-        grid = TimeGrid(0.0, 1.0, 80)
-        M = 20_000
-        fw, batch = _brownian_forward(grid, M, 1, seed=12)
+    @staticmethod
+    def _euler_bias_bound(a, bz, c, y0, theta, n):
+        """Bound on |implicit Euler mean - exact mean| at N = n steps.
+
+        With tau = T - t the exact mean solves alpha' = a*alpha + bz*e^{a*tau}
+        + c, alpha(0) = y0 (bz = <b, z0>).  The sweep fits affine functions of
+        the state exactly, so its noise-free mean follows Z_k = z0*rho^k and
+        alpha_{k+1} = rho*(alpha_k + h*(bz*rho^k + c)), rho = 1/(1 - a*h),
+        h = theta/n.  Taylor at tau_{k+1} gives alpha(tau_{k+1}) =
+        rho*(alpha(tau_k) + h*(bz*e^{a*tau_{k+1}} + c) - h^2/2*alpha''), so
+        the error obeys e_{k+1} = rho*(e_k + h*bz*(rho^k - e^{a*tau_{k+1}})
+        + h^2/2*alpha'').  With E = (1 - |a|h)^-n >= |rho|^j, e^{|a|tau} for
+        all j <= n, tau <= theta; -ln(1 - x) - x <= x^2/(2(1 - |x|)); and
+        |e^u - e^v| <= E*|u - v| on exponents whose exponentials are <= E:
+          |rho^k - e^{a*tau_{k+1}}| <= E*h*(|a| + a^2*theta/(2(1 - |a|h))),
+          |alpha''| = |a*(a*alpha + 2*bz*e^{a*tau} + c)|
+                   <= |a|*(|a|*A + 2|bz|*E + |c|),
+          A = max|alpha| <= E*(|y0| + (|bz| + |c|)*theta).
+        Summing n steps, each amplified by at most E:
+          |e_n| <= theta*h*E*(|bz|*E*(|a| + a^2*theta/(2(1 - |a|h))) + |alpha''|/2),
+        first order in h.
+        """
+        h, aa = theta / n, abs(a)
+        E = (1.0 - aa * h) ** -n
+        A = E * (abs(y0) + (abs(bz) + abs(c)) * theta)
+        d2 = aa * (aa * A + 2.0 * abs(bz) * E + abs(c))
+        gap = aa + a * a * theta / (2.0 * (1.0 - aa * h))
+        return theta * h * E * (abs(bz) * E * gap + d2 / 2.0)
+
+    @settings(max_examples=30, deadline=None)
+    @example(a=-0.8, b=0.4, c=0.6, y0=1.2, z0=0.9, seed=12)
+    @given(
+        a=st.floats(-1.0, 1.0),
+        b=st.floats(-0.5, 0.5),
+        c=st.floats(-1.0, 1.0),
+        y0=st.floats(-1.5, 1.5),
+        z0=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_monte_carlo_solver(self, a, b, c, y0, z0, seed):
+        N, M = 50, 10_000
+        grid = TimeGrid(0.0, 1.0, N)
+        fw, batch = _brownian_forward(grid, M, 1, seed=seed)
         g = builtin_generator("linear", a=a, b=b, c=c)
         problem = BSDEProblem(
             generator=g,
@@ -484,12 +522,24 @@ class TestClosedFormLinear:
             dimension_d=1,
             terminal=lambda s: y0 + z0 * (s[:, -1, 0] - s[:, 0, 0]),
         )
-        cfg = ExperimentConfig(seed=12, n_paths=M, n_steps=80)
-        sol = solve_bsde(problem, fw, batch, cfg)
+        sol = solve_bsde(problem, fw, batch, ExperimentConfig(seed=seed, n_paths=M, n_steps=N))
+        got = sol.Y[:, 0].mean()
+        # standard error: least squares keeps target means (the design has a
+        # constant column), so path means obey mean(Y_i) = rho*(mean(Y_{i+1})
+        # + b*mean(Y_{i+1}*dB_i) + c*h), and Y_0 is the path mean of
+        #   r = rho^N*xi + sum_i rho^{i+1}*(b*Y_{i+1}*dB_i + c*h),
+        # whose spread also carries the z-fit's noise, which the telescoped
+        # sums' spread misses
+        h = 1.0 / N
+        rho = 1.0 / (1.0 - a * h)
+        w = rho ** np.arange(1, N + 1)
+        r = rho**N * sol.Y[:, N] + (b * sol.Y[:, 1:] * batch.increments[:, :, 0]) @ w
+        r += c * h * w.sum()
+        assert r.mean() == pytest.approx(got, abs=1e-12 * (1.0 + abs(got)))
+        se = r.std(ddof=1) / math.sqrt(M)
         target = _closed_form_linear(a, b, c, y0, z0, 0.0, 1.0)
-        # solver noise: terminal spread z0 plus O(dt) scheme bias
-        se = sol.Y[:, 0].std(ddof=1) / math.sqrt(M) + abs(z0) / math.sqrt(M)
-        assert abs(sol.Y[:, 0].mean() - target) < 4 * se + 0.02 * abs(target)
+        bias = self._euler_bias_bound(a, b * z0, c, y0, 1.0, N)
+        assert abs(got - target) <= 4.0 * se + bias + 1e-12 * (1.0 + abs(target))
 
 
 class TestPicardFallback:
