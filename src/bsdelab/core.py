@@ -144,6 +144,13 @@ class Generator:
         y_slope*y.  The backward sweep then solves each implicit step in
         closed form; None (the default) leaves it to the secant iteration.
         A value that is not a finite float raises ValidationError.
+    g0_state_free : bool
+        A declaration that g(t, x, 0, 0) does not depend on x.  The stop
+        pass (paths.stopping_indices) then evaluates g(t, x, 0, 0) on every
+        path at each window's first step only, refusing any path whose
+        value differs in a bit from path 0's (HypothesisError), and on one
+        path at every later step.  state_dependent=False implies it, so it
+        is stored as True for such a driver; stress declares it.
 
     eval must be pure: a study with K >= 2 windows calls it from several
     threads at once, so it keeps no mutable state and writes to none of
@@ -158,8 +165,11 @@ class Generator:
     growth_bound: Callable | None = None
     state_dependent: bool = False
     y_slope: float | None = None
+    g0_state_free: bool = False
 
     def __post_init__(self):
+        if not self.state_dependent:
+            object.__setattr__(self, "g0_state_free", True)
         if self.y_slope is not None:
             # isfinite refuses NaN and +-inf; a bool is an int but no slope
             ok = isinstance(self.y_slope, numbers.Real) and not isinstance(self.y_slope, bool)
@@ -273,6 +283,8 @@ def _stress_generator(delta: float) -> Generator:
         monotonicity_modulus=modulus,
         growth_bound=None,
         state_dependent=True,
+        # g(t, x, 0, 0) = h(0) - exp(0*|x|) + |0| = -1 at every x
+        g0_state_free=True,
     )
 
 
@@ -374,8 +386,9 @@ def check_generator_metadata(
 
     Samples (t, x, y, z) tuples and checks the z-Lipschitz constant, the
     monotonicity inequality against the declared modulus, and (if present)
-    the growth bound and the affine declaration y_slope, g(t,x,y,z) -
-    g(t,x,0,z) = y_slope*y, each within slack.  The tuples' times come in
+    the growth bound, the affine declaration y_slope, g(t,x,y,z) -
+    g(t,x,0,z) = y_slope*y, and the declaration g0_state_free,
+    g(t,x,0,0) = g(t,0,0,0), each within slack.  The tuples' times come in
     chunks of 2000 whose times are evenly spaced over [0, 1], both ends
     included.  A NaN on either side of an inequality violates it.  Raises
     ValidationError carrying the first offending tuple; so does an
@@ -390,6 +403,7 @@ def check_generator_metadata(
     z1 = rng.uniform(-3.0, 3.0, (n_samples, z_dim))
     z2 = rng.uniform(-3.0, 3.0, (n_samples, z_dim))
     y0 = np.zeros(n_samples)
+    z0 = np.zeros_like(z1)
 
     def G(y, z):
         return _over_time(g, 0.0, 1.0, n_samples, 2000, x, y, z)[1]
@@ -405,12 +419,17 @@ def check_generator_metadata(
         rho = np.asarray(g.monotonicity_modulus((y1 - y2) ** 2), dtype=float)
         require((y1 - y2) * (g11 - G(y2, z1)), rho, "monotonicity modulus", y1=y1, y2=y2, z=z1)
     if g.growth_bound is not None:
-        z0 = np.zeros_like(z1)
         psi = _over_time(lambda tk: g.growth_bound(3.0, tk), 0.0, 1.0, n_samples, 2000)[1]
         require(np.abs(G(y1, z0) - G(y0, z0)), psi, "growth bound psi(3, t)", y=y1)
     if g.y_slope is not None:
         dg = g11 - G(y0, z1)
         require(np.abs(dg - g.y_slope * y1), 0.0, f"y_slope {g.y_slope}", y=y1, z=z1, dg=dg)
+    if g.g0_state_free:
+        g0 = G(y0, z0)
+        g0_origin = _over_time(g, 0.0, 1.0, n_samples, 2000, np.zeros_like(x), y0, z0)[1]
+        require(
+            np.abs(g0 - g0_origin), 0.0, "state-free g(t, x, 0, 0)", g0=g0, g0_origin=g0_origin
+        )
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Generator, _norm_last
-from .errors import NumericalError, ValidationError
+from .errors import HypothesisError, NumericalError, ValidationError
 
 # Fixed block size of the stream-splitting scheme.  Changing it changes every
 # sampled path, so it is deliberately not configurable.
@@ -249,12 +249,13 @@ class WindowStack:
         """Window w's state at the node of the shared path's row, (M, n).
 
         A lone window's state is the row itself; a draw's window's goes to
-        out or a new array.
+        out or a new array.  A row of the first m < M paths only, row[:m],
+        gives those paths' states, (m, n).
         """
         if self.base is None:
             return row
         out = np.multiply(row, self.scales[w], out=out)
-        return np.add(self.base, out, out=out)
+        return np.add(self.base[: len(row)], out, out=out)
 
     def increment(self, w: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
         """Window w's increment over step j, (M, d); a scaled one goes to out or a new array."""
@@ -422,6 +423,14 @@ def stopping_indices(
     A barrier that is not > 0, NaN included, or a displacement of another
     shape raises ValidationError, and a g0 that is not finite raises
     NumericalError naming the window, step and path.
+
+    A driver that declares g0_state_free (g(t, x, 0, 0) does not depend
+    on x) has g0 evaluated on all M states at each window's first step
+    only: an entry that differs from path 0's in any bit, NaN included,
+    raises HypothesisError naming the driver, window, step and path.
+    From the second step on g0 is evaluated on path 0's state alone, no
+    window state is formed, and the integral is one float, which gives
+    the stops of the per-path sum bit for bit.
     """
     # negated > also refuses NaN, which would switch every stop off
     if not barrier > 0:
@@ -432,6 +441,7 @@ def stopping_indices(
             f"displacement shaped {displacement.shape}, "
             f"expected ({len(batch.grids)}, {M}, {batch.dim})"
         )
+    free = g.g0_state_free
     zeros = np.zeros(M)
     zeros_z = np.zeros((M, d))
     # n_steps marks a path not hit yet; a hit at node n_steps writes it too
@@ -442,7 +452,7 @@ def stopping_indices(
         times = grid.times()
         x_scratch = np.empty((M, batch.dim))
         dB_scratch = np.empty((M, d))
-        integral = np.zeros(M)
+        integral = 0.0 if free else np.zeros(M)
         disp = np.zeros((M, d))
         first = idx[w]
         # the shared path's row at each path's stop
@@ -450,16 +460,30 @@ def stopping_indices(
         rows = batch.rows()
         row = next(rows)
         for k in range(1, n_steps + 1):
-            x = batch.state(w, row, x_scratch)
+            # a state-free g0 is read on every path once, then on path 0
+            n_at = 1 if free and k > 1 else M
+            x = batch.state(w, row[:n_at], x_scratch[:n_at])
             g0 = np.broadcast_to(
-                np.asarray(g(times[k - 1], x, zeros, zeros_z), dtype=float), (M,)
+                np.asarray(g(times[k - 1], x, zeros[:n_at], zeros_z[:n_at]), dtype=float),
+                (n_at,),
             )
+            if free and k == 1:
+                bits = g0.view(np.int64)
+                bad = (bits != bits[0]) | np.isnan(g0)
+                if bad.any():
+                    m = int(np.argmax(bad))
+                    raise HypothesisError(
+                        f"{g.name}: g(t, x, 0, 0) declared state-free but g0={g0[m]} at "
+                        f"window {w}, step 0, path {m}, against g0={g0[0]} at path 0"
+                    )
             # a NaN g0 would make the integral NaN and switch the stop off
             if not np.isfinite(g0).all():
                 m = int(np.argmin(np.isfinite(g0)))
                 raise NumericalError(
                     f"non-finite g0 at window {w}, step {k - 1}, path {m}: g0={g0[m]}"
                 )
+            if free:
+                g0 = g0[0]
             integral += g0 * g0 * grid.dt
             disp += batch.increment(w, k - 1, dB_scratch)
             hit = _norm_last(disp) + integral > barrier

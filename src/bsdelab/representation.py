@@ -23,6 +23,7 @@ probe's hypothesis check reads its draw the same way, through one window.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -120,10 +121,15 @@ class QuotientEstimate:
     frac_stopped: float
 
 
-def _probe_rule(x, z, eps_schedule, config):
-    """x and z as float d-vectors, d = z.size, a one-entry x spread over d,
-    and eps_schedule as floats, each checked before any draw: a bad one
-    raises ValidationError."""
+def _probe_rule(t, x, z, eps_schedule, config):
+    """t as a float, x and z as float d-vectors, d = z.size, a one-entry x
+    spread over d, and eps_schedule as floats, each checked before any
+    draw: a bad one, a t that is not finite and >= 0 included, raises
+    ValidationError."""
+    t = float(t)
+    # negated >= also refuses NaN
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValidationError(f"t must be finite and >= 0, got {t}")
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule:
         raise ValidationError("eps_schedule must be nonempty")
@@ -142,13 +148,13 @@ def _probe_rule(x, z, eps_schedule, config):
         x = np.full(z.size, x[0])
     if x.size != z.size:
         raise ValidationError(f"state anchor has size {x.size}, expected {z.size}")
-    return x, z, eps_schedule
+    return t, x, z, eps_schedule
 
 
 def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
     """One QuotientEstimate per window eps, all windows solved in lockstep.
 
-    x, z and eps_schedule are _probe_rule's output.  Every window spans
+    t, x, z and eps_schedule are _probe_rule's output.  Every window spans
     config.n_steps steps from t and scales one unit draw (_draw, or the
     caller's draw for the same config and d) by its own sqrt(dt); their
     states share the base, the realized time-t state.  The stack holds
@@ -218,7 +224,7 @@ def representation_quotient(
     its own unit draw; a convergence_study window with the same config
     differs from it only by the rounding of the wider fit.
     """
-    x, z, windows = _probe_rule(x, z, [eps], config)
+    t, x, z, windows = _probe_rule(t, x, z, [eps], config)
     return _quotient_cells(g, t, x, y, z, windows, config, barrier)[0]
 
 
@@ -282,7 +288,7 @@ def convergence_study(
     and window, so g is called from several threads at once and must keep
     no mutable state; the report's bytes do not depend on the CPU count.
     """
-    x, z, eps_schedule = _probe_rule(x, z, eps_schedule, config)
+    t, x, z, eps_schedule = _probe_rule(t, x, z, eps_schedule, config)
     cells = _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier)
     lp_errors: dict[int, list] = {p: [] for p in P_NORMS}
     lp_ses: dict[int, list] = {p: [] for p in P_NORMS}
@@ -311,7 +317,7 @@ def convergence_study(
         rate = float(slope)
 
     return RepresentationReport(
-        t=float(t),
+        t=t,
         x=tuple(x.tolist()),
         y=float(y),
         z=tuple(z.tolist()),
@@ -385,7 +391,7 @@ def converse_comparison_probe(
     for t, x, y, z in points:
         if np.size(z) != d:
             raise ValidationError(f"every probe z must have size {d}, got {np.size(z)}")
-        x, z, (eps,) = _probe_rule(x, z, [eps], config)
+        t, x, z, (eps,) = _probe_rule(t, x, z, [eps], config)
         probes.append((t, x, y, z))
     t0, x0, y0, z0 = probes[0]
     draw = _draw(config, d)
@@ -410,7 +416,7 @@ def converse_comparison_probe(
         ordered = q1.mean >= q2.mean - 3.0 * se - slack_fp
         rows.append(
             ConversePointRow(
-                t=float(t),
+                t=t,
                 x=tuple(x.tolist()),
                 y=float(y),
                 z=tuple(z.tolist()),

@@ -494,6 +494,51 @@ class TestMetadataCheck:
         g = Generator(name="g", eval=lambda t, x, y, z: y, lipschitz_z=0.0, y_slope=np.int64(1))
         assert type(g.y_slope) is float and g.y_slope == 1.0
 
+    @pytest.mark.parametrize(
+        "eval_, match",
+        [
+            # g0 = 1 + 0.1*x_0 reads x
+            (
+                lambda t, x, y, z: 1.0 + 0.1 * x[..., 0] + 0.0 * np.asarray(y),
+                r"lying: state-free g\(t, x, 0, 0\) violated at t=0\.0, x=\[.*\], "
+                r"g0=.*, g0_origin=1\.0: ",
+            ),
+            # NaN at y = 0 away from the origin, which only this check
+            # evaluates, fails the declaration too
+            (
+                lambda t, x, y, z: np.where((np.asarray(y) == 0) & (x[..., 0] > 2.5), np.nan, 1.0),
+                r"lying: state-free g\(t, x, 0, 0\) violated at t=.*, x=\[2\.[5-9]\d*\], "
+                r"g0=nan, g0_origin=1\.0: nan not <= ",
+            ),
+        ],
+        ids=["reads-x", "nan"],
+    )
+    def test_misdeclared_g0_state_free_caught(self, eval_, match):
+        lying = Generator(
+            name="lying", eval=eval_, lipschitz_z=0.0, state_dependent=True, g0_state_free=True
+        )
+        with pytest.raises(ValidationError, match=match):
+            check_generator_metadata(lying, seed=0, n_samples=4000)
+        # undeclared, the same driver passes
+        honest = Generator(name="lying", eval=eval_, lipschitz_z=0.0, state_dependent=True)
+        check_generator_metadata(honest, seed=0, n_samples=4000)
+
+    def test_builtins_declare_g0_state_free(self):
+        for name, params in [
+            ("linear", {"c": 1.5}),
+            ("z_abs", {}),
+            ("negative_exponential", {}),
+            ("stress", {"delta": 0.1}),
+        ]:
+            g = builtin_generator(name, **params)
+            assert g.g0_state_free
+            check_generator_metadata(g, seed=0, n_samples=4000)
+        # state_dependent=False implies the declaration; True leaves it off
+        g = Generator(name="g", eval=lambda t, x, y, z: y, lipschitz_z=0.0, g0_state_free=False)
+        assert g.g0_state_free
+        reads_x = Generator(name="g", eval=g.eval, lipschitz_z=0.0, state_dependent=True)
+        assert not reads_x.g0_state_free
+
 
 class TestProblemAndConfig:
     def test_problem_validation(self):

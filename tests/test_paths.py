@@ -11,6 +11,7 @@ from bsdelab import (
     BSDEProblem,
     ExperimentConfig,
     Generator,
+    HypothesisError,
     NumericalError,
     TimeGrid,
     ValidationError,
@@ -424,6 +425,126 @@ class TestWindowPoolStops:
         cfg = ExperimentConfig(seed=4, n_paths=2 * PATH_BLOCK, n_steps=20)
         solver._sweep(g, xi[None], stack, cfg, stops, history=True)
         assert pools == []
+
+
+def _undeclared(g):
+    """g as a state-dependent driver that does not declare g0_state_free."""
+    return Generator(name=g.name, eval=g.eval, lipschitz_z=g.lipschitz_z, state_dependent=True)
+
+
+class TestStateFreeG0:
+    """A driver whose g(t, x, 0, 0) ignores x is read on every path at a
+    window's first step and on path 0 after it, with the stops and
+    displacements of the per-path pass, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        driver=st.sampled_from(["stress", "linear"]),
+        c=st.floats(0.2, 2.0),
+        negative_c=st.booleans(),
+        K=st.sampled_from([1, 4]),
+        lone=st.booleans(),
+        cpus=st.sampled_from([1, 2]),
+        t0=st.floats(0.0, 1.0),
+        widest=st.floats(0.2, 1.0),
+        barrier=st.floats(0.05, 0.4),
+    )
+    def test_declared_and_undeclared_stop_alike(
+        self, seed, d, driver, c, negative_c, K, lone, cpus, t0, widest, barrier
+    ):
+        n_steps, M = 30, 300
+        rng = np.random.default_rng(seed)
+        if driver == "stress":
+            g = builtin_generator("stress", delta=0.1)
+        else:
+            g = builtin_generator("linear", a=-0.3, b=np.full(d, 0.5), c=-c if negative_c else c)
+        assert g.g0_state_free
+        base = rng.uniform(-2.0, 2.0) + rng.standard_normal((M, d))
+        grids = [TimeGrid(t0, t0 + widest / 2**w, n_steps) for w in range(K)]
+        if K == 1 and lone:
+            # a forward batch: the states are read as given
+            batch = sample_brownian(grids[0], M, d, seed)
+            states = batch.cumulative(start=base)
+            make = lambda: WindowStack((grids[0],), states, batch.increments)
+        else:
+            unit = sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, d, seed)
+            make = lambda: WindowStack.from_draw(grids, unit.increments, base)
+        with mock.patch.object(paths, "_cpu_count", lambda: cpus):
+            outs = []
+            for driver_g in (g, _undeclared(g)):
+                stack = make()
+                moved = _moved(stack)
+                stops = stopping_indices(stack, driver_g, barrier=barrier, displacement=moved)
+                outs.append((stops, moved))
+        (stops, moved), (want_stops, want_moved) = outs
+        # the barrier is low enough that some paths stop
+        assert np.any(want_stops < n_steps)
+        assert _same_bits(stops, want_stops)
+        assert _same_bits(moved, want_moved)
+
+    def test_declared_pass_reads_one_path_after_the_first_step(self):
+        n_steps, M = 20, 500
+        seen = []
+        stress = builtin_generator("stress", delta=0.1)
+
+        def ev(t, x, y, z):
+            seen.append(x.shape)
+            return stress.eval(t, x, y, z)
+
+        g = Generator(
+            name="counted", eval=ev, lipschitz_z=1.0, state_dependent=True, g0_state_free=True
+        )
+        unit = sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, 1, seed=3)
+        grids = [TimeGrid(0.1, 0.3, n_steps), TimeGrid(0.1, 0.2, n_steps)]
+        stack = WindowStack.from_draw(grids, unit.increments, np.full((M, 1), 0.5))
+        with mock.patch.object(paths, "_cpu_count", lambda: 1):
+            stopping_indices(stack, g, barrier=0.5, displacement=_moved(stack))
+        assert sorted(seen) == sorted([(M, 1)] * 2 + [(1, 1)] * 2 * (n_steps - 1))
+
+    def test_false_declaration_refused_at_step_0(self):
+        # g0 = 1 + 0.1*x_0 reads x: the first step sees two paths differ
+        g = Generator(
+            name="lying",
+            eval=lambda t, x, y, z: 1.0 + 0.1 * x[..., 0] + 0.0 * y,
+            lipschitz_z=0.0,
+            state_dependent=True,
+            g0_state_free=True,
+        )
+        M, n_steps = 200, 10
+        unit = sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, 1, seed=0)
+        base = np.linspace(-1.0, 1.0, M)[:, None]
+        stack = WindowStack.from_draw([TimeGrid(0.0, 0.1, n_steps)], unit.increments, base)
+        want = rf"lying: g\(t, x, 0, 0\) declared state-free but g0={1.0 + 0.1 * base[1, 0]} "
+        want += rf"at window 0, step 0, path 1, against g0=0\.9 at path 0$"
+        with pytest.raises(HypothesisError, match=want):
+            stopping_indices(stack, g, barrier=1.0, displacement=_moved(stack))
+        # a NaN at step 0 is a difference too, even on path 0
+        nan_g = Generator(
+            name="nan_at_0",
+            eval=lambda t, x, y, z: np.full(np.shape(y), np.nan),
+            lipschitz_z=0.0,
+        )
+        want = r"nan_at_0: .* g0=nan at window 0, step 0, path 0"
+        with pytest.raises(HypothesisError, match=want):
+            stopping_indices(stack, nan_g, barrier=1.0, displacement=_moved(stack))
+
+    def test_non_finite_g0_at_a_later_step_refused(self):
+        # a declared driver's later steps read path 0 only; NaN there still
+        # raises NumericalError with the window and the step
+        def ev(t, x, y, z):
+            return np.full(np.shape(y), np.nan if t > 0.05 else -1.0)
+
+        g = Generator(
+            name="nan_late", eval=ev, lipschitz_z=0.0, state_dependent=True, g0_state_free=True
+        )
+        M, n_steps = 200, 10
+        unit = sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, 1, seed=0)
+        grids = [TimeGrid(0.0, 0.2, n_steps), TimeGrid(0.0, 0.1, n_steps)]
+        stack = WindowStack.from_draw(grids, unit.increments, np.zeros((M, 1)))
+        with pytest.raises(NumericalError, match=r"non-finite g0 at window 0, step 3, path 0: g0=nan"):
+            stopping_indices(stack, g, barrier=5.0, displacement=_moved(stack))
 
 
 def _same_bits(a, b):

@@ -521,8 +521,10 @@ class TestProbeRule:
             ([GOOD], 0.04, 10, "need n_steps >= 50 per quotient window, got 10"),
             ([GOOD], 0.0, 50, "eps must be > 0, got 0.0"),
             ([GOOD], math.nan, 50, "eps must be > 0, got nan"),
+            ([(math.nan,) + GOOD[1:]], 0.04, 50, "t must be finite and >= 0, got nan"),
+            ([GOOD, (-0.5,) + GOOD[1:]], 0.04, 50, "t must be finite and >= 0, got -0.5"),
         ],
-        ids=["first_x", "later_x", "n_steps", "eps_zero", "eps_nan"],
+        ids=["first_x", "later_x", "n_steps", "eps_zero", "eps_nan", "first_t_nan", "later_t"],
     )
     def test_converse_refuses_before_any_draw(self, monkeypatch, points, eps, n, match):
         g1 = builtin_generator("linear", c=1.0)
@@ -540,6 +542,19 @@ class TestProbeRule:
         calls = self._spy_draws_and_sweeps(monkeypatch)
         with pytest.raises(ValidationError, match="eps must be > 0, got nan"):
             convergence_study(g, 0.1, 0.0, 0.0, 0.0, [0.1, math.nan, 0.02], _cfg())
+        assert calls == []
+
+    @pytest.mark.parametrize("t", [math.nan, -0.5, math.inf])
+    def test_study_and_quotient_refuse_a_bad_t_before_any_draw(self, monkeypatch, t):
+        # NaN would fail later in TimeGrid without naming t; a t < 0 would
+        # probe a state-dependent driver at x itself, as at t = 0
+        g = builtin_generator("linear", c=1.0)
+        calls = self._spy_draws_and_sweeps(monkeypatch)
+        match = rf"t must be finite and >= 0, got {t}"
+        with pytest.raises(ValidationError, match=match):
+            convergence_study(g, t, 0.0, 0.0, 0.0, [0.1, 0.05], _cfg(M=500, n=50))
+        with pytest.raises(ValidationError, match=match):
+            representation_quotient(g, t, 0.0, 0.0, 0.0, 0.1, _cfg(M=500, n=50))
         assert calls == []
 
     def test_study_reports_the_spread_anchor(self):
