@@ -426,11 +426,11 @@ def stopping_indices(
 
     A driver that declares g0_state_free (g(t, x, 0, 0) does not depend
     on x) has g0 evaluated on all M states at each window's first step
-    only: an entry that differs from path 0's in any bit, NaN included,
-    raises HypothesisError naming the driver, window, step and path.
-    From the second step on g0 is evaluated on path 0's state alone, no
-    window state is formed, and the integral is one float, which gives
-    the stops of the per-path sum bit for bit.
+    only: past the finite check, an entry that differs from path 0's in
+    any bit raises HypothesisError naming the driver, window, step and
+    path.  From the second step on g0 is evaluated on path 0's state
+    alone, no window state is formed, and the integral is one float,
+    which gives the stops of the per-path sum bit for bit.
     """
     # negated > also refuses NaN, which would switch every stop off
     if not barrier > 0:
@@ -467,15 +467,6 @@ def stopping_indices(
                 np.asarray(g(times[k - 1], x, zeros[:n_at], zeros_z[:n_at]), dtype=float),
                 (n_at,),
             )
-            if free and k == 1:
-                bits = g0.view(np.int64)
-                bad = (bits != bits[0]) | np.isnan(g0)
-                if bad.any():
-                    m = int(np.argmax(bad))
-                    raise HypothesisError(
-                        f"{g.name}: g(t, x, 0, 0) declared state-free but g0={g0[m]} at "
-                        f"window {w}, step 0, path {m}, against g0={g0[0]} at path 0"
-                    )
             # a NaN g0 would make the integral NaN and switch the stop off
             if not np.isfinite(g0).all():
                 m = int(np.argmin(np.isfinite(g0)))
@@ -483,6 +474,15 @@ def stopping_indices(
                     f"non-finite g0 at window {w}, step {k - 1}, path {m}: g0={g0[m]}"
                 )
             if free:
+                if k == 1:
+                    bits = g0.view(np.int64)
+                    bad = bits != bits[0]
+                    if bad.any():
+                        m = int(np.argmax(bad))
+                        raise HypothesisError(
+                            f"{g.name}: g(t, x, 0, 0) declared state-free but g0={g0[m]} at "
+                            f"window {w}, step 0, path {m}, against g0={g0[0]} at path 0"
+                        )
                 g0 = g0[0]
             integral += g0 * g0 * grid.dt
             disp += batch.increment(w, k - 1, dB_scratch)

@@ -520,15 +520,14 @@ class TestStateFreeG0:
         want += rf"at window 0, step 0, path 1, against g0=0\.9 at path 0$"
         with pytest.raises(HypothesisError, match=want):
             stopping_indices(stack, g, barrier=1.0, displacement=_moved(stack))
-        # a NaN at step 0 is a difference too, even on path 0
-        nan_g = Generator(
-            name="nan_at_0",
-            eval=lambda t, x, y, z: np.full(np.shape(y), np.nan),
-            lipschitz_z=0.0,
-        )
-        want = r"nan_at_0: .* g0=nan at window 0, step 0, path 0"
-        with pytest.raises(HypothesisError, match=want):
-            stopping_indices(stack, nan_g, barrier=1.0, displacement=_moved(stack))
+        # a NaN g0 at step 0, as a NaN anchor gives a state-free driver,
+        # is non-finite, not a contradicted declaration
+        nan_base = np.full((M, 1), np.nan)
+        stack = WindowStack.from_draw([TimeGrid(0.0, 0.1, n_steps)], unit.increments, nan_base)
+        stress = builtin_generator("stress", delta=0.1)
+        want = r"non-finite g0 at window 0, step 0, path 0: g0=nan"
+        with pytest.raises(NumericalError, match=want):
+            stopping_indices(stack, stress, barrier=1.0, displacement=_moved(stack))
 
     def test_non_finite_g0_at_a_later_step_refused(self):
         # a declared driver's later steps read path 0 only; NaN there still
