@@ -36,7 +36,8 @@ class PDEProblem:
     (t, x) where x has shape (M, 1), returning a broadcastable array.  The
     generator receives the spatial state through its x argument.  growth_L
     and growth_p declare |phi(x)| + |g(t,x,0,0)| <= L*(1 + |x|^p), verified
-    by sampling before Monte Carlo runs.
+    when built (growth_check), so a problem that exists satisfies its
+    declared bound.
     """
 
     drift: Callable
@@ -56,6 +57,7 @@ class PDEProblem:
             raise ValidationError(f"need T > 0, got {self.T}")
         if self.growth_L <= 0:
             raise ValidationError(f"growth_L must be > 0, got {self.growth_L}")
+        growth_check(self)
 
 
 def _coef(f, t, x: np.ndarray) -> np.ndarray:
@@ -67,7 +69,10 @@ def growth_check(problem: PDEProblem) -> None:
     """Check the declared growth bound on 512 nodes x 8 times; raises on violation.
 
     Nodes span [x_lo, x_hi], times [0, T], ends included (core._over_time);
-    phi and the bound are taken once per node; NaN in phi or g(t, x, 0, 0) fails.
+    phi and the bound are taken once per node; NaN in phi or g(t, x, 0, 0)
+    fails.  PDEProblem runs it when built, so no entry point runs it again;
+    a violation raises ValidationError "growth bound violated" with its
+    witness (t, x).
     """
     nodes = np.linspace(problem.x_lo, problem.x_hi, 512)
     xs = np.tile(nodes, 8)
@@ -80,6 +85,38 @@ def growth_check(problem: PDEProblem) -> None:
     _require_le(lhs.ravel(), bound, ValidationError, "growth bound violated", t=ts, x=xs)
 
 
+def _probe(problem: PDEProblem, t, x, t_end) -> None:
+    """The bridge's entry rule, checked before anything is drawn or marched.
+
+    A probe at (t, x) on the window [t, t_end], t_end = T for a solve and
+    t + eps for a touch window, needs 0 <= t < t_end <= T and x one
+    number in [x_lo, x_hi] up to 1e-12 above; NaN and +-inf fail.  A
+    failure raises ValidationError naming the value.
+    """
+    # negated comparisons also refuse NaN
+    if not 0.0 <= t < problem.T:
+        raise ValidationError(f"need 0 <= t < T={problem.T}, got t={t}")
+    if not t < t_end <= problem.T:
+        raise ValidationError(
+            f"need t < t_end <= T={problem.T} on the window [t, t_end] = [{t}, {t_end}]"
+        )
+    # the box is 1-d: a vector x is refused too
+    if not (np.size(x) == 1 and problem.x_lo <= np.asarray(x) <= problem.x_hi + 1e-12):
+        raise ValidationError(f"x={x} outside [{problem.x_lo}, {problem.x_hi}]")
+
+
+def _paths(problem: PDEProblem, t, x, t_end, config: ExperimentConfig) -> WindowStack:
+    """config.n_paths Euler paths from x on [t, t_end], a one-window stack.
+
+    The probe passes _probe first, so a bad one draws nothing.
+    """
+    _probe(problem, t, x, t_end)
+    grid = TimeGrid(t, t_end, config.n_steps)
+    batch = sample_brownian(grid, config.n_paths, 1, config.seed)
+    fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
+    return WindowStack((grid,), fw.states, batch.increments)
+
+
 @dataclass(frozen=True)
 class McSolution:
     u: float
@@ -89,26 +126,24 @@ class McSolution:
 def mc_solution(problem: PDEProblem, t: float, x: float, config: ExperimentConfig) -> McSolution:
     """Estimate u(t, x) by forward simulation plus the backward sweep.
 
-    The simulated paths are one window (a WindowStack of K = 1) of _sweep,
-    run without history, as solve_bsde would run them with it, bit for bit.
+    (t, x) must pass the entry rule (_probe with t_end = T: 0 <= t < T, x
+    in the box), else ValidationError before anything is drawn.  The
+    simulated paths (_paths) are one window (a WindowStack of K = 1) of
+    _sweep, run without history, as solve_bsde would run them with it,
+    bit for bit.
     The reported standard error comes from the sweep's pathwise telescoped
     sums (SolutionBatch.telescoped: terminal value plus accumulated
     generator, which says how close its values are to g at the solved Y),
     whose mean coincides with the regression estimate but whose spread is
     the estimator's real Monte Carlo noise.
     """
-    if not 0.0 <= t < problem.T:
-        raise ValidationError(f"need 0 <= t < T={problem.T}, got t={t}")
-    growth_check(problem)
-    grid = TimeGrid(t, problem.T, config.n_steps)
-    batch = sample_brownian(grid, config.n_paths, 1, config.seed)
-    fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
+    window = _paths(problem, t, x, problem.T, config)
+    *_, x_end = window.rows()
     # an overflow is reported by _sweep with its path
     with np.errstate(over="ignore", invalid="ignore"):
-        xi = np.asarray(problem.phi(fw.states[:, -1, 0]), dtype=float)
+        xi = np.asarray(problem.phi(x_end[:, 0]), dtype=float)
     if xi.shape != (config.n_paths,):
         raise ValidationError(f"phi returned shape {xi.shape}, expected ({config.n_paths},)")
-    window = WindowStack((grid,), fw.states, batch.increments)
     (Y,), _, (telescoped,), _ = _sweep(problem.generator, xi[None], window, config)
     return McSolution(u=float(Y[0].mean()), se=_mean_se(telescoped))
 
@@ -305,14 +340,14 @@ def mc_vs_fd(
     errors plus the FD truncation budget).  The budget charges 0.5% of
     scale, max(1, |u_fd|), matching the reference's own acceptance bar.
     Probe i is seeded with (config.seed + i) mod 2**64, so a valid seed
-    stays valid for every probe.  Every probe is checked, as mc_solution
-    and FDField.value check it, before any solve.
+    stays valid for every probe.  An empty list, and any point that fails
+    mc_solution's entry rule (_probe), raise ValidationError before the FD
+    march and any solve.
     """
+    if not points:
+        raise ValidationError("need at least one probe point")
     for t, x in points:
-        if not 0.0 <= t < problem.T:
-            raise ValidationError(f"need 0 <= t < T={problem.T}, got t={t}")
-        if not problem.x_lo <= x <= problem.x_hi + 1e-12:
-            raise ValidationError(f"x={x} outside [{problem.x_lo}, {problem.x_hi}]")
+        _probe(problem, t, x, problem.T)
     field = fd_reference(problem, h, k, theta)
     rows = []
     for i, (t, x) in enumerate(points):
@@ -424,26 +459,22 @@ def viscosity_touch_check(
     the difference quotient of the compensated generator along the
     simulated diffusion: the stop-gated solve of representation_quotient
     at (y, z) = (0, 0) with base x, which warns the same way when the stop
-    binds on more than 1% of paths.  [t, t + eps] must lie in [0, T] and
-    x in [x_lo, x_hi], and both stencil steps must be > 0, NaN refused (a
-    zero or NaN step makes the touching check vacuous); each failure
-    raises ValidationError.  Sign conventions: a subsolution touching
-    point must give residual >= 0 up to tolerance.
+    binds on more than 1% of paths.  Both stencil steps must be > 0, NaN
+    refused (a zero or NaN step makes the touching check vacuous), and
+    (t, x) must pass the entry rule on the window [t, t + eps] (_probe:
+    eps > 0, the window in [0, T], x in the box); each failure raises
+    ValidationError before anything is drawn.  The paths are drawn
+    (_paths) before the stencil is read.  Sign conventions: a
+    subsolution touching point must give residual >= 0 up to tolerance.
     """
     if mode not in ("sub", "super"):
         raise ValidationError(f"mode must be 'sub' or 'super', got {mode!r}")
-    if not (eps > 0 and 0.0 <= t and t + eps <= problem.T):
-        raise ValidationError(
-            f"touch window [t, t + eps] = [{t}, {t + eps}] must lie in "
-            f"[0, T={problem.T}] with eps > 0"
-        )
-    if not problem.x_lo <= x <= problem.x_hi:
-        raise ValidationError(f"x={x} outside the box [{problem.x_lo}, {problem.x_hi}]")
     # negated > also refuses NaN, which would pass every stencil node
     if not (stencil_h > 0 and stencil_k > 0):
         raise ValidationError(
             f"stencil steps must be > 0, got stencil_h={stencil_h}, stencil_k={stencil_k}"
         )
+    window = _paths(problem, t, x, t + eps, config)
 
     def u_minus_phi(tt, xx):
         return u_source(tt, xx) - float(phi.value(tt, np.asarray(xx)))
@@ -474,10 +505,6 @@ def viscosity_touch_check(
     )
 
     G = proof_generator(problem, phi)
-    grid = TimeGrid(t, t + eps, config.n_steps)
-    batch = sample_brownian(grid, config.n_paths, 1, config.seed)
-    fw = euler_maruyama(grid, problem.drift, problem.sigma, x, batch)
-    window = WindowStack((grid,), fw.states, batch.increments)
     (y_t,), (telescoped,), (frac_stopped,) = _stopped_solve(
         G, window, 0.0, np.zeros(1), config, barrier, stacklevel=3
     )

@@ -205,7 +205,11 @@ class WindowStack:
 
     @property
     def increments(self) -> np.ndarray:
-        """The shared increments, (M, N, d), a transposed view as in BrownianBatch."""
+        """The shared increments, (M, N, d), a transposed view as in BrownianBatch.
+
+        Only the benchmark's tracer reads it (perfbench/tracer.py takes the
+        step count of stopping_indices' first argument from it).
+        """
         return np.swapaxes(self.steps, 0, 1)
 
     def rows(self):

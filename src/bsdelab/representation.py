@@ -121,11 +121,11 @@ class QuotientEstimate:
     frac_stopped: float
 
 
-def _probe_rule(t, x, z, eps_schedule, config):
-    """t as a float, x and z as float d-vectors, d = z.size, a one-entry x
-    spread over d, and eps_schedule as floats, each checked before any
-    draw: a bad one, a t that is not finite and >= 0 included, raises
-    ValidationError."""
+def _probe_rule(t, x, y, z, eps_schedule, config):
+    """t and y as floats, x and z as float d-vectors, d = z.size, a
+    one-entry x spread over d, and eps_schedule as floats, each checked
+    before any draw: a bad one, a t that is not finite and >= 0 or a
+    non-finite entry of x, y or z included, raises ValidationError."""
     t = float(t)
     # negated >= also refuses NaN
     if not (t >= 0 and math.isfinite(t)):
@@ -148,13 +148,17 @@ def _probe_rule(t, x, z, eps_schedule, config):
         x = np.full(z.size, x[0])
     if x.size != z.size:
         raise ValidationError(f"state anchor has size {x.size}, expected {z.size}")
-    return t, x, z, eps_schedule
+    y = float(y)
+    for name, v in (("x", x), ("y", y), ("z", z)):
+        if not np.all(np.isfinite(v)):
+            raise ValidationError(f"{name} must be finite, got {v}")
+    return t, x, y, z, eps_schedule
 
 
 def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
     """One QuotientEstimate per window eps, all windows solved in lockstep.
 
-    t, x, z and eps_schedule are _probe_rule's output.  Every window spans
+    t, x, y, z and eps_schedule are _probe_rule's output.  Every window spans
     config.n_steps steps from t and scales one unit draw (_draw, or the
     caller's draw for the same config and d) by its own sqrt(dt); their
     states share the base, the realized time-t state.  The stack holds
@@ -180,7 +184,7 @@ def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
     )
 
     targets = np.broadcast_to(
-        np.asarray(g(t, base, np.full(M, float(y)), np.broadcast_to(z, (M, d))), dtype=float),
+        np.asarray(g(t, base, np.full(M, y), np.broadcast_to(z, (M, d))), dtype=float),
         (M,),
     )
     cells = []
@@ -224,7 +228,7 @@ def representation_quotient(
     its own unit draw; a convergence_study window with the same config
     differs from it only by the rounding of the wider fit.
     """
-    t, x, z, windows = _probe_rule(t, x, z, [eps], config)
+    t, x, y, z, windows = _probe_rule(t, x, y, z, [eps], config)
     return _quotient_cells(g, t, x, y, z, windows, config, barrier)[0]
 
 
@@ -288,7 +292,7 @@ def convergence_study(
     and window, so g is called from several threads at once and must keep
     no mutable state; the report's bytes do not depend on the CPU count.
     """
-    t, x, z, eps_schedule = _probe_rule(t, x, z, eps_schedule, config)
+    t, x, y, z, eps_schedule = _probe_rule(t, x, y, z, eps_schedule, config)
     cells = _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier)
     lp_errors: dict[int, list] = {p: [] for p in P_NORMS}
     lp_ses: dict[int, list] = {p: [] for p in P_NORMS}
@@ -319,7 +323,7 @@ def convergence_study(
     return RepresentationReport(
         t=t,
         x=tuple(x.tolist()),
-        y=float(y),
+        y=y,
         z=tuple(z.tolist()),
         eps_schedule=tuple(eps_schedule),
         quotient_means=tuple(c.mean for c in cells),
@@ -391,7 +395,7 @@ def converse_comparison_probe(
     for t, x, y, z in points:
         if np.size(z) != d:
             raise ValidationError(f"every probe z must have size {d}, got {np.size(z)}")
-        t, x, z, (eps,) = _probe_rule(t, x, z, [eps], config)
+        t, x, y, z, (eps,) = _probe_rule(t, x, y, z, [eps], config)
         probes.append((t, x, y, z))
     t0, x0, y0, z0 = probes[0]
     draw = _draw(config, d)
@@ -418,7 +422,7 @@ def converse_comparison_probe(
             ConversePointRow(
                 t=t,
                 x=tuple(x.tolist()),
-                y=float(y),
+                y=y,
                 z=tuple(z.tolist()),
                 mean1=q1.mean,
                 mean2=q2.mean,

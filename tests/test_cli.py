@@ -426,7 +426,13 @@ class TestConfigErrors:
                 # the default eps = 0.025 carries the window past T = 1
                 "touch",
                 "pde = heat_cos\nt = 0.99\nx = 0.0\n",
-                "touch window [t, t + eps] = [0.99, 1.015] must lie in [0, T=1.0]",
+                "need t < t_end <= T=1.0 on the window [t, t_end] = [0.99, 1.015]",
+            ),
+            (
+                # refused before the FD march, which would refuse this h
+                "fk",
+                "pde = heat_cos\nprobes_t = 0.0\nprobes_x = 100.0\nh = 0.1\n",
+                "x=100.0 outside [-12.566370614359172, 12.566370614359172]",
             ),
             (
                 "touch",
@@ -442,7 +448,7 @@ class TestConfigErrors:
         ],
         ids=[
             "x0_vs_d", "phi", "bump_amplitude", "probe_lengths", "touch_window",
-            "touch_stencil", "converse_threshold",
+            "fk_probe_box", "touch_stencil", "converse_threshold",
         ],
     )
     def test_runner_validation(self, tmp_path, capsys, command, text, witness):

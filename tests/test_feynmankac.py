@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -31,6 +32,8 @@ from bsdelab import (
 from bsdelab import feynmankac
 from bsdelab.core import _mean_se
 from bsdelab.feynmankac import growth_check, proof_generator
+from bsdelab.paths import WindowStack
+from bsdelab.representation import _stopped_solve
 
 H_COS = math.pi / 64
 
@@ -269,28 +272,34 @@ class TestGrowthCheck:
         growth_check(square_problem())
 
     def test_understated_bound_caught(self):
+        # a false declaration is refused when the problem is built, with its
+        # witness, so no entry point ever runs on it
         cases = [
-            (lambda x: np.asarray(x, dtype=float) ** 2, 0.5),
+            (
+                lambda x: np.asarray(x, dtype=float) ** 2,
+                0.5,
+                r"growth bound violated at t=0.0, x=-6.0: 3.600000e\+01 not <= 3.500000e\+00",
+            ),
             # NaN for x > 1 violates any bound
-            (lambda x: np.where(np.asarray(x) > 1.0, np.nan, 0.0), 1.0),
+            (
+                lambda x: np.where(np.asarray(x) > 1.0, np.nan, 0.0),
+                1.0,
+                r"growth bound violated at t=0.0, x=1\.0\d+: nan not <= ",
+            ),
         ]
-        for phi, growth_L in cases:
-            p = PDEProblem(
-                drift=lambda t, x: 0.0,
-                sigma=lambda t, x: 1.0,
-                generator=builtin_generator("linear"),
-                phi=phi,
-                growth_L=growth_L,
-                growth_p=1.0,
-                T=1.0,
-                x_lo=-6.0,
-                x_hi=6.0,
-            )
-            with pytest.raises(ValidationError, match="growth"):
-                growth_check(p)
-            # and the Monte Carlo front door refuses to run on it
-            with pytest.raises(ValidationError, match="growth"):
-                mc_solution(p, 0.0, 0.0, _cfg(M=64, n=10))
+        for phi, growth_L, match in cases:
+            with pytest.raises(ValidationError, match=match):
+                PDEProblem(
+                    drift=lambda t, x: 0.0,
+                    sigma=lambda t, x: 1.0,
+                    generator=builtin_generator("linear"),
+                    phi=phi,
+                    growth_L=growth_L,
+                    growth_p=1.0,
+                    T=1.0,
+                    x_lo=-6.0,
+                    x_hi=6.0,
+                )
 
 
 class TestMonteCarlo:
@@ -396,6 +405,84 @@ class TestMcVsFd:
             mc_vs_fd(heat_cos_problem(), points, _cfg(M=2000, n=100), h=H_COS, k=2e-3)
         assert calls == []
 
+    def test_empty_probe_list_refused_before_the_march(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(feynmankac, "fd_reference", lambda *a, **k: calls.append("fd"))
+        with pytest.raises(ValidationError, match="need at least one probe point"):
+            mc_vs_fd(heat_cos_problem(), [], _cfg(M=500, n=50), h=H_COS, k=2e-3)
+        assert calls == []
+
+
+def _exact_heat(t, x):
+    return float(np.asarray(heat_cos_solution().value(t, np.asarray(x, dtype=float))))
+
+
+class TestEntryRule:
+    """Every Monte Carlo entry point checks its probe by one rule
+    (feynmankac._probe) before anything is drawn or marched."""
+
+    ENTRIES = {
+        "mc_solution": lambda p, t, x, eps, cfg: mc_solution(p, t, x, cfg),
+        # the bad point second: the whole list is checked before the march
+        "mc_vs_fd": lambda p, t, x, eps, cfg: mc_vs_fd(
+            p, [(0.0, 0.0), (t, x)], cfg, h=H_COS, k=1e-2
+        ),
+        "touch": lambda p, t, x, eps, cfg: viscosity_touch_check(
+            p, _exact_heat, heat_cos_solution(), t, x, cfg, eps=eps
+        ),
+    }
+    BOX = r"\[-12.566370614359172, 12.566370614359172\]"
+    BAD = {
+        "t_nan": (math.nan, 0.0, 0.025, r"need 0 <= t < T=1.0, got t=nan"),
+        "t_at_T": (1.0, 0.0, 0.025, r"need 0 <= t < T=1.0, got t=1.0"),
+        "t_negative": (-0.1, 0.0, 0.025, r"need 0 <= t < T=1.0, got t=-0.1"),
+        "x_nan": (0.3, math.nan, 0.025, rf"x=nan outside {BOX}"),
+        "x_inf": (0.3, math.inf, 0.025, rf"x=inf outside {BOX}"),
+        "x_minus_inf": (0.3, -math.inf, 0.025, rf"x=-inf outside {BOX}"),
+        "x_outside": (0.3, 100.0, 0.025, rf"x=100.0 outside {BOX}"),
+        # the box is 1-d; unchecked, a vector x failed in the Euler pass
+        # (mc_solution) or with a bare TypeError
+        "x_vector": (0.3, [0.1, 0.2], 0.025, rf"x=\[0.1, 0.2\] outside {BOX}"),
+    }
+    # the touch window [t, t + eps] has a second end of its own
+    WINDOW = r"need t < t_end <= T=1.0 on the window \[t, t_end\] = "
+    BAD_WINDOW = {
+        "eps_zero": (0.3, 0.0, 0.0, WINDOW + r"\[0.3, 0.3\]"),
+        "eps_nan": (0.3, 0.0, math.nan, WINDOW + r"\[0.3, nan\]"),
+        "past_T": (0.99, 0.0, 0.025, WINDOW + r"\[0.99, 1.015\]"),
+    }
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        for name in ("sample_brownian", "fd_reference"):
+            fn = getattr(feynmankac, name)
+
+            def spy(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(feynmankac, name, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "entry, case",
+        list(itertools.product(ENTRIES, BAD)) + [("touch", c) for c in BAD_WINDOW],
+    )
+    def test_bad_probe_refused_before_any_draw(self, monkeypatch, entry, case):
+        t, x, eps, match = {**self.BAD, **self.BAD_WINDOW}[case]
+        calls = self._spy(monkeypatch)
+        with pytest.raises(ValidationError, match=match):
+            self.ENTRIES[entry](heat_cos_problem(), t, x, eps, _cfg(M=500, n=50))
+        assert calls == []
+
+    def test_spies_see_a_valid_probe(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        for entry in self.ENTRIES.values():
+            entry(heat_cos_problem(), 0.3, 0.4, 0.025, _cfg(M=500, n=50))
+        draw, march = "sample_brownian", "fd_reference"
+        assert calls == [draw, march, draw, draw, draw]
+
 
 class TestViscosityTouch:
     def test_exact_solution_residuals_vanish_both_ways(self):
@@ -455,6 +542,27 @@ class TestViscosityTouch:
             )
         assert rep.frac_stopped > 0.5
 
+    @pytest.mark.parametrize("t, x", [(0.3, 0.4), (0.0, -0.2)])
+    def test_pinned_to_a_hand_built_window(self, t, x):
+        # the check's quotient is the stop-gated solve of the compensated
+        # generator on one Euler window; built by hand on the same draw,
+        # that solve gives the report's numbers, bit for bit
+        p = heat_cos_problem()
+        phi = heat_cos_solution().bumped(x, 0.5)
+        cfg, eps = _cfg(seed=13, M=3000, n=50), 0.025
+        rep = viscosity_touch_check(p, _exact_heat, phi, t, x, cfg, eps=eps)
+        grid = TimeGrid(t, t + eps, cfg.n_steps)
+        batch = sample_brownian(grid, cfg.n_paths, 1, cfg.seed)
+        fw = euler_maruyama(grid, p.drift, p.sigma, x, batch)
+        window = WindowStack((grid,), fw.states, batch.increments)
+        (y_t,), (telescoped,), (frac,) = _stopped_solve(
+            proof_generator(p, phi), window, 0.0, np.zeros(1), cfg, 1.0
+        )
+        assert rep.residual_quotient == float(y_t.mean()) / eps
+        assert rep.quotient_se == _mean_se(telescoped / eps)
+        assert rep.frac_stopped == float(frac)
+        assert rep.residual_quotient != 0.0
+
     def test_wrong_extremum_rejected(self):
         # u - phi with phi = u - (x - x0)^2 has a strict minimum at x0, so
         # claiming a subsolution touching (max) there must fail validation
@@ -488,7 +596,12 @@ class TestViscosityTouch:
         p = heat_cos_problem()
         sol = heat_cos_solution()
         u_src = lambda t, x: float(np.asarray(sol.value(t, np.asarray(x, dtype=float))))
-        with pytest.raises(ValidationError, match=r"touch window \[t, t \+ eps\]"):
+        if t < 0:
+            match = re.escape(f"need 0 <= t < T=1.0, got t={t}")
+        else:
+            window = f"[t, t_end] = [{t}, {t + eps}]"
+            match = re.escape(f"need t < t_end <= T=1.0 on the window {window}")
+        with pytest.raises(ValidationError, match=match):
             viscosity_touch_check(p, u_src, sol, t, 0.0, eps=eps, config=_cfg(M=64, n=50))
 
     @pytest.mark.parametrize("x", [30.0, -4 * math.pi - 0.01, math.nan])
@@ -499,7 +612,7 @@ class TestViscosityTouch:
         sol = heat_cos_solution()
         u_src = lambda t, x: float(np.asarray(sol.value(t, np.asarray(x, dtype=float))))
         phi = sol.bumped(x, -5.0)
-        box = re.escape(f"x={x} outside the box [{p.x_lo}, {p.x_hi}]")
+        box = re.escape(f"x={x} outside [{p.x_lo}, {p.x_hi}]")
         with pytest.raises(ValidationError, match=box):
             viscosity_touch_check(p, u_src, phi, 0.3, x, mode="sub", config=_cfg(M=500, n=50))
 

@@ -557,6 +557,36 @@ class TestProbeRule:
             representation_quotient(g, t, 0.0, 0.0, 0.0, 0.1, _cfg(M=500, n=50))
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "x, y, z, match",
+        [
+            (math.nan, 0.0, 0.0, r"x must be finite, got \[nan\]"),
+            ([0.1, math.inf], 0.0, [0.0, 0.0], r"x must be finite, got \[0.1 inf\]"),
+            (0.0, math.nan, 0.0, "y must be finite, got nan"),
+            (0.0, math.inf, 0.0, "y must be finite, got inf"),
+            (0.0, 0.0, math.nan, r"z must be finite, got \[nan\]"),
+            (0.0, 0.0, [0.3, -math.inf], r"z must be finite, got \[ 0.3 -inf\]"),
+        ],
+        ids=["x_nan", "x_inf", "y_nan", "y_inf", "z_nan", "z_minus_inf"],
+    )
+    def test_a_non_finite_point_is_refused_before_any_draw(self, monkeypatch, x, y, z, match):
+        # unchecked, y or z = NaN failed in the sweep with "non-finite
+        # terminal value", naming neither, and x = NaN with a state-free
+        # driver ran to the end and reported x = (nan,)
+        g1 = builtin_generator("linear", c=1.0)
+        g2 = builtin_generator("linear", c=0.4)
+        cfg = _cfg(M=500, n=50)
+        calls = self._spy_draws_and_sweeps(monkeypatch)
+        with pytest.raises(ValidationError, match=match):
+            representation_quotient(g1, 0.2, x, y, z, 0.1, cfg)
+        with pytest.raises(ValidationError, match=match):
+            convergence_study(g1, 0.2, x, y, z, [0.1, 0.05], cfg)
+        good = (0.2, np.zeros(np.size(z)), 0.0, np.zeros(np.size(z)))
+        for points in ([(0.2, x, y, z)], [good, (0.2, x, y, z)]):
+            with pytest.raises(ValidationError, match=match):
+                converse_comparison_probe(g1, g2, points, 0.04, cfg)
+        assert calls == []
+
     def test_study_reports_the_spread_anchor(self):
         g = builtin_generator("linear", a=-0.5, b=[0.2, -0.1], c=0.3)
         cfg = _cfg(M=1024, n=50)
