@@ -339,21 +339,48 @@ def builtin_generator(name: str, **params) -> Generator:
     return factory(**{**defaults, **params})
 
 
-def _require_le(lhs, bound, error, message: str, **witness) -> None:
-    """Raise error at the first entry where lhs <= bound fails; NaN fails too.
+# a witness shown as the failing entry's own index (a path, a node), with no index array built
+_INDEX = object()
 
-    lhs and bound broadcast to one 1-D shape, an entry per sampled tuple.
-    The message reads "<message> at <witness>: <lhs> not <= <bound>", each
-    witness shown at that entry: an array indexed along its first axis, a
-    scalar whole.
-    """
-    lhs, bound = np.broadcast_arrays(np.asarray(lhs, dtype=float), np.asarray(bound, dtype=float))
-    # negated <= also flags NaN on either side
-    bad = ~(lhs <= bound)
-    if bad.any():
-        i = int(np.argmax(bad))
-        where = ", ".join(f"{k}={v[i] if np.ndim(v) else v}" for k, v in witness.items())
-        raise error(f"{message} at {where}: {lhs[i]:.6e} not <= {bound[i]:.6e}")
+
+def _named(i: int, named: dict) -> str:
+    """k=v for each of named at entry i: an array's entry i, _INDEX as i, a scalar whole."""
+    shown = (i if v is _INDEX else v[i] if np.ndim(v) else v for v in named.values())
+    return ", ".join(f"{k}={v}" for k, v in zip(named, shown))
+
+
+def _require(ok: np.ndarray, error, message: str, witness: dict, detail) -> None:
+    """Raise error "<message> at <witness>: <detail(i)>" at the first False entry i of ok."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise error(f"{message} at {_named(i, witness)}: {detail(i)}")
+
+
+def _require_le(lhs, bound, error, message: str, **witness) -> None:
+    """Raise error at the first entry where lhs <= bound fails, NaN included (_require);
+    lhs and bound broadcast to one 1-D shape, and the detail reads "<lhs> not <= <bound>"."""
+    lhs, bound = np.asarray(lhs, dtype=float), np.asarray(bound, dtype=float)
+    # <= is False where either side is NaN
+    ok = lhs <= bound
+
+    def detail(i):
+        a, b = (np.broadcast_to(v, ok.shape)[i] for v in (lhs, bound))
+        return f"{a:.6e} not <= {b:.6e}"
+
+    _require(ok, error, message, witness, detail)
+
+
+def _require_finite(values: dict, error, message: str, **witness) -> None:
+    """Raise error at the first entry where an array of values is NaN or +-inf (_require).
+
+    values maps names to arrays over the entries (a row of a 2-D one is one
+    entry, a 0-d one counts for all), shown k=v in the detail.  A pass reads
+    each array twice, in isfinite and its all()."""
+    if all(np.isfinite(v).all() for v in values.values()):
+        return
+    rows = [np.isfinite(v).reshape(np.shape(v)[:1] + (-1,)).all(axis=-1) for v in values.values()]
+    ok = np.logical_and.reduce(np.broadcast_arrays(*rows))
+    _require(ok, error, message, witness, lambda i: _named(i, values))
 
 
 def _over_time(f, t0: float, t1: float, n: int, size: int, *args):
@@ -473,14 +500,13 @@ class ExperimentConfig:
     picard_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValidationError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.n_steps < 1:
-            raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.basis_degree < 0:
-            raise ValidationError(f"basis_degree must be >= 0, got {self.basis_degree}")
-        if self.picard_max < 1:
-            raise ValidationError(f"picard_max must be >= 1, got {self.picard_max}")
+        for name, least in (("n_paths", 1), ("n_steps", 1), ("basis_degree", 0), ("picard_max", 1)):
+            count = getattr(self, name)
+            # a bool is an int but no count; numpy integers are Integral
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {count!r}")
+            if count < least:
+                raise ValidationError(f"{name} must be >= {least}, got {count}")
         # an infinite tolerance would stop every implicit step after one
         # evaluation
         if not 0 < self.picard_tol < math.inf:

@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ExperimentConfig, Generator, _mean_se, _over_time, _require_le, builtin_generator
+from .core import ExperimentConfig, Generator, _mean_se, _over_time, builtin_generator
+from .core import _require_finite, _require_le
 from .errors import NumericalError, ValidationError
 from .paths import TimeGrid, WindowStack, euler_maruyama, sample_brownian
 from .representation import _stopped_solve
@@ -201,12 +202,14 @@ def fd_reference(
     + k * g(t_{j+1}, x, u_{j+1}, sigma * D_x u_{j+1}), with L the central
     discretization of (1/2) sigma^2 D_xx + b D_x and Dirichlet boundary
     values from the frozen-coefficient heat kernel.  theta = 1/2 is
-    Crank-Nicolson.  sigma must stay away from 0, and for theta < 1/2 the
-    parabolic CFL condition on k must hold; both are checked once, on the
-    interior nodes of every time level, from the coefficients the march
-    computes anyway, and a violation raises ValidationError naming the time
-    index.  The boundary nodes are not checked: the march never solves for
-    them, and their heat-kernel values allow sigma = 0.
+    Crank-Nicolson.  drift and sigma must be finite and sigma away from 0,
+    and for theta < 1/2 the parabolic CFL condition on k must hold; each is
+    checked once, on the interior nodes of every time level, from the
+    coefficients the march computes anyway, and a violation raises
+    ValidationError naming "time_index=j, t=..., x=..." at the first failing
+    node (core._require).  The boundary nodes are not checked: the march
+    never solves for them, and their heat-kernel values allow sigma = 0.  A
+    non-finite row raises NumericalError naming time_index and x likewise.
 
     What does not change between levels is computed once: the Gauss-Hermite
     rule of the boundary values once per march, and drift and sigma once per
@@ -237,28 +240,25 @@ def fd_reference(
     u[n_t] = np.asarray(problem.phi(xs), dtype=float)
     xi_int = xs[1:-1]
     g = problem.generator
+    # the explicit part's CFL bound on sigma^2
+    cfl = h * h / ((1.0 - 2.0 * theta) * k_eff) if theta < 0.5 else None
 
     def lin_coeffs(j):
-        # sigma may vary in time: both conditions are checked on every level,
-        # and only here, on the interior; the two ends feed the boundary values
+        # sigma may vary in time: the checks run on every level, and only
+        # here, on the interior; the two ends feed the boundary values
         t = times[j]
         b_all = _coef(problem.drift, t, xs[:, None])
         s_all = _coef(problem.sigma, t, xs[:, None])
         bv, sv = b_all[1:-1], s_all[1:-1]
+        at = dict(time_index=j, t=t, x=xi_int)
+        # first, since a NaN sigma would pass the CFL test
+        _require_finite({"b": bv, "sigma": sv}, ValidationError, "non-finite coefficient", **at)
+        _require_le(1e-8, np.abs(sv), ValidationError, "sigma degenerate", **at)
         s2 = sv * sv
-        n_deg = int(np.count_nonzero(np.abs(sv) < 1e-8))
-        if n_deg:
-            raise ValidationError(
-                f"sigma degenerate on {n_deg} interior node(s) at time index {j} "
-                f"(t={t:.6g}); FD reference refuses"
-            )
-        if theta < 0.5:
-            k_max = h * h / ((1.0 - 2.0 * theta) * float(np.max(s2)))
-            if k_eff > k_max:
-                raise ValidationError(
-                    f"CFL violation at time index {j} (t={t:.6g}): "
-                    f"k={k_eff:.3e} > {k_max:.3e} for theta={theta}"
-                )
+        # a level that meets the CFL bound reads s2 once, in the max
+        if cfl is not None and not np.max(s2) <= cfl:
+            message = f"CFL violation for k={k_eff:.3e}, theta={theta}: sigma^2"
+            _require_le(s2, cfl, ValidationError, message, **at)
         lo = s2 / (2 * h * h) - bv / (2 * h)
         di = -s2 / (h * h)
         up = s2 / (2 * h * h) + bv / (2 * h)
@@ -299,11 +299,7 @@ def fd_reference(
         )
         if info > 0:
             raise NumericalError(f"singular FD system at time index {j}")
-        if not np.all(np.isfinite(sol)):
-            i = int(np.argmin(np.isfinite(sol)))
-            raise NumericalError(
-                f"non-finite FD row at time index {j}: u={sol[i]} at x={xi_int[i]}"
-            )
+        _require_finite({"u": sol}, NumericalError, "non-finite FD row", time_index=j, x=xi_int)
         u[j, 1:-1] = sol
         u[j, 0] = ub_lo
         u[j, -1] = ub_hi

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Generator, _norm_last
+from .core import _INDEX, Generator, _norm_last, _require, _require_finite
 from .errors import HypothesisError, NumericalError, ValidationError
 
 # Fixed block size of the stream-splitting scheme.  Changing it changes every
@@ -56,7 +56,8 @@ class TimeGrid:
     """Uniform grid on [t_start, t_end] with n_steps intervals.
 
     Nodes are computed as t_start + i*dt (one multiply per node, no running
-    sums) and the final node is pinned to t_end exactly.
+    sums) and the final node is pinned to t_end exactly.  The ends must be
+    finite with t_start < t_end; any others raise ValidationError.
     """
 
     t_start: float
@@ -64,9 +65,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.t_start < self.t_end:
+        # the width is finite only for finite ends; NaN fails the <
+        if not (self.t_start < self.t_end and math.isfinite(self.t_end - self.t_start)):
             raise ValidationError(
-                f"need t_start < t_end, got [{self.t_start}, {self.t_end}]"
+                f"need finite t_start < t_end, got [{self.t_start}, {self.t_end}]"
             )
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
@@ -364,10 +366,11 @@ def euler_maruyama(
 
     drift(t, x) must broadcast to (M, n) for x of shape (M, n); diffusion may
     return a scalar, an (M, n)-shaped array (diagonal n == d case), or a full
-    (M, n, d) matrix.  x0 is a scalar or an n-vector.  NaN/Inf in any state is
-    reported with the first offending step and path index.  The states
-    are a transposed view of an (n_steps+1, M, n) buffer.  batch must be
-    drawn on grid itself; another grid is refused with ValidationError.
+    (M, n, d) matrix.  x0 is a scalar or an n-vector.  A non-finite state
+    raises NumericalError naming "step=i, path=m" at its first path, then
+    the state (core._require_finite).  The states are a transposed view of
+    an (n_steps+1, M, n) buffer.  batch must be drawn on grid itself;
+    another grid is refused with ValidationError.
     """
     if batch.grid != grid:
         raise ValidationError(f"batch grid {batch.grid} differs from grid {grid}")
@@ -393,11 +396,7 @@ def euler_maruyama(
             else:
                 inc = np.broadcast_to(sig, (M, n)) * dB
             nxt = xi + bi * dt + inc
-        if not np.all(np.isfinite(nxt)):
-            m_bad = int(np.argmax(~np.isfinite(nxt).all(axis=1)))
-            raise NumericalError(
-                f"non-finite state at step {i + 1}, path {m_bad}"
-            )
+        _require_finite({"x": nxt}, NumericalError, "non-finite state", step=i + 1, path=_INDEX)
         states[i + 1] = nxt
     return ForwardBatch(grid=grid, states=np.swapaxes(states, 0, 1))
 
@@ -426,15 +425,15 @@ def stopping_indices(
     is written to displacement[w], displacement a (K, M, n) float array.
     A barrier that is not > 0, NaN included, or a displacement of another
     shape raises ValidationError, and a g0 that is not finite raises
-    NumericalError naming the window, step and path.
+    NumericalError naming "window=w, step=k, path=m" at its first path.
 
     A driver that declares g0_state_free (g(t, x, 0, 0) does not depend
     on x) has g0 evaluated on all M states at each window's first step
-    only: past the finite check, an entry that differs from path 0's in
-    any bit raises HypothesisError naming the driver, window, step and
-    path.  From the second step on g0 is evaluated on path 0's state
-    alone, no window state is formed, and the integral is one float,
-    which gives the stops of the per-path sum bit for bit.
+    only: past the finite check, an entry that differs from path 0's in any
+    bit raises HypothesisError naming the driver, window, step and path
+    likewise (core._require).  From the second step on g0 is evaluated on
+    path 0's state alone, no window state is formed, and the integral is
+    one float, which gives the stops of the per-path sum bit for bit.
     """
     # negated > also refuses NaN, which would switch every stop off
     if not barrier > 0:
@@ -471,22 +470,16 @@ def stopping_indices(
                 np.asarray(g(times[k - 1], x, zeros[:n_at], zeros_z[:n_at]), dtype=float),
                 (n_at,),
             )
+            witness = dict(window=w, step=k - 1, path=_INDEX)
             # a NaN g0 would make the integral NaN and switch the stop off
-            if not np.isfinite(g0).all():
-                m = int(np.argmin(np.isfinite(g0)))
-                raise NumericalError(
-                    f"non-finite g0 at window {w}, step {k - 1}, path {m}: g0={g0[m]}"
-                )
+            _require_finite({"g0": g0}, NumericalError, "non-finite g0", **witness)
             if free:
                 if k == 1:
                     bits = g0.view(np.int64)
-                    bad = bits != bits[0]
-                    if bad.any():
-                        m = int(np.argmax(bad))
-                        raise HypothesisError(
-                            f"{g.name}: g(t, x, 0, 0) declared state-free but g0={g0[m]} at "
-                            f"window {w}, step 0, path {m}, against g0={g0[0]} at path 0"
-                        )
+                    message = f"{g.name}: g(t, x, 0, 0) declared state-free differs from "
+                    message += f"path 0's g0={g0[0]}"
+                    same = bits == bits[0]
+                    _require(same, HypothesisError, message, witness, lambda m: f"g0={g0[m]}")
                 g0 = g0[0]
             integral += g0 * g0 * grid.dt
             disp += batch.increment(w, k - 1, dB_scratch)

@@ -124,8 +124,9 @@ class QuotientEstimate:
 def _probe_rule(t, x, y, z, eps_schedule, config):
     """t and y as floats, x and z as float d-vectors, d = z.size, a
     one-entry x spread over d, and eps_schedule as floats, each checked
-    before any draw: a bad one, a t that is not finite and >= 0 or a
-    non-finite entry of x, y or z included, raises ValidationError."""
+    before any draw: a bad one, a t or an eps that is not finite and >= 0
+    (eps > 0) or a non-finite entry of x, y or z included, raises
+    ValidationError."""
     t = float(t)
     # negated >= also refuses NaN
     if not (t >= 0 and math.isfinite(t)):
@@ -134,8 +135,8 @@ def _probe_rule(t, x, y, z, eps_schedule, config):
     if not eps_schedule:
         raise ValidationError("eps_schedule must be nonempty")
     for eps in eps_schedule:
-        if not eps > 0:
-            raise ValidationError(f"eps must be > 0, got {eps}")
+        if not (eps > 0 and math.isfinite(eps)):
+            raise ValidationError(f"eps must be finite and > 0, got {eps}")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValidationError("eps_schedule must be strictly decreasing")
     if config.n_steps < MIN_STEPS_PER_EPS:

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BSDEProblem, ExperimentConfig, Generator, _over_time, _require_le, _sample_sd
+from .core import _INDEX, BSDEProblem, ExperimentConfig, Generator, _over_time, _sample_sd
+from .core import _require_finite, _require_le
 from .errors import HypothesisError, NumericalError, PicardError, ValidationError
 from .paths import BrownianBatch, ForwardBatch, WindowStack, _side_by_side
 
@@ -317,9 +318,9 @@ def solve_bsde(
     basis of the forward state X_i for the z-estimate, regress Y_{i+1} for
     the conditional mean, then solve the implicit y-equation pathwise.  A
     non-finite terminal value, y, z row or generator value raises
-    NumericalError naming the step and the first such path.  brownian must
-    be drawn on forward's grid; another grid is refused with
-    ValidationError.
+    NumericalError naming window=0, the step and the first such path
+    (_sweep).  brownian must be drawn on forward's grid; another grid is
+    refused with ValidationError.
 
     The batches are one window (a WindowStack of K = 1) of _sweep, which
     reads increments and states time-major, one contiguous row per step:
@@ -392,9 +393,11 @@ def _sweep(
     declares y_slope the implicit step is solved in closed form, and each
     window's first solved step (i = N - 1) is checked once: g is evaluated
     again at the root, and a residual beyond picard_tol plus rounding
-    raises HypothesisError naming the step, the path and the residual, so
-    a driver that is not affine with the declared slope is refused before
-    it can bias the sweep.
+    raises HypothesisError, so a driver that is not affine with the
+    declared slope is refused before it can bias the sweep.  A non-finite
+    terminal value (step N), y, g or z row raises NumericalError.  Each
+    refusal names "window=w, step=i, path=m" at its first failing path,
+    then the values or the residual (core._require).
 
     The design and the fit run in the calling thread.  Then each window's
     implicit step, finite check, writes and targets for the next step run
@@ -416,10 +419,9 @@ def _sweep(
     n_steps, M, d = windows.steps.shape
     K = len(windows.grids)
     q = 1 + d
-    if not np.all(np.isfinite(terminals)):
-        w, m = np.argwhere(~np.isfinite(terminals))[0]
-        where = f"path {m}" if K == 1 else f"path {m} of window {w}"
-        raise NumericalError(f"non-finite terminal value at {where}")
+    for w, xi in enumerate(terminals):
+        at = dict(window=w, step=n_steps, path=_INDEX)
+        _require_finite({"y": xi}, NumericalError, "non-finite terminal value", **at)
 
     times = [grid.times() for grid in windows.grids]
     Y = np.empty((K, n_steps + 1 if history else 1, M))
@@ -444,26 +446,6 @@ def _sweep(
         np.multiply(y_next, windows.increment(w, i).T, out=rows[1:])
         np.divide(rows[1:], windows.grids[w].dt, out=rows[1:])
 
-    def where(w, i, m):
-        return f"step {i}, path {m}" if K == 1 else f"step {i}, path {m} of window {w}"
-
-    def check_root(w, i, x_w, base, z, dt_eff, y):
-        # the closed-form root of a declared driver against g itself; the
-        # allowance adds rounding at the scale of the step's terms, which
-        # exceeds picard_tol once |y| >~ 1e6
-        gy = np.asarray(g(times[w][i], x_w, y, z), dtype=float) * dt_eff
-        resid = np.abs(y - base - gy)
-        ulps = 16 * np.finfo(float).eps * (1.0 + np.abs(g.y_slope * dt_eff))
-        rounding = (np.abs(y) + np.abs(base) + np.abs(gy)) * ulps
-        # negated <= also refuses a NaN residual
-        bad = ~(resid <= config.picard_tol + rounding)
-        if bad.any():
-            m = int(np.argmax(bad))
-            raise HypothesisError(
-                f"{g.name}: not affine in y with the declared y_slope {g.y_slope}: "
-                f"implicit-step residual {resid[m]:.3e} at {where(w, i, m)}"
-            )
-
     def window_step(w, i, x):
         # window w's implicit step i, from its fitted values in its rows of
         # targets, then its targets for step i - 1; it writes only its rows
@@ -476,24 +458,25 @@ def _sweep(
         y, iters, nfb, gv = _picard_step(g, times[w][i], x_w, ey, z, dt_eff, config)
         # bisection can settle a finite y where g is NaN, so the generator
         # values are checked too
-        finite = np.isfinite(y)
-        finite &= np.isfinite(gv)
-        finite &= np.isfinite(z).all(axis=1)
-        if not finite.all():
-            m = int(np.argmin(finite))
-            raise NumericalError(
-                f"non-finite value at {where(w, i, m)}: "
-                f"y={y[m]}, g={np.broadcast_to(gv, (M,))[m]}, max|z|={np.abs(z[m]).max()}"
-            )
+        at = dict(window=w, step=i, path=_INDEX)
+        _require_finite({"y": y, "g": gv, "z": z}, NumericalError, "non-finite value", **at)
         if g.y_slope is not None and i == n_steps - 1:
-            check_root(w, i, x_w, ey, z, dt_eff, y)
+            # the closed-form root of a declared driver against g itself; the
+            # allowance adds rounding at the scale of the step's terms, which
+            # exceeds picard_tol once |y| >~ 1e6
+            gy = np.asarray(g(times[w][i], x_w, y, z), dtype=float) * dt_eff
+            resid = np.abs(y - ey - gy)
+            ulps = 16 * np.finfo(float).eps * (1.0 + np.abs(g.y_slope * dt_eff))
+            rounding = (np.abs(y) + np.abs(ey) + np.abs(gy)) * ulps
+            message = f"{g.name}: not affine in y with the declared y_slope {g.y_slope}: residual"
+            _require_le(resid, config.picard_tol + rounding, HypothesisError, message, **at)
         Y[w, i % rows_y] = y
         telescoped[w] += gv * dt_eff
         picard_iters[w, i] = iters
         bisections[w, i] = nfb
         if i:
             fill_targets(w, i - 1)
-        return y, gv, dt_eff, finite
+        return y, gv, dt_eff
 
     for w in range(K):
         fill_targets(w, n_steps - 1)

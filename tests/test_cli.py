@@ -618,17 +618,17 @@ class TestNumericalFailure:
                 "solve",
                 "n_paths = 100\nn_steps = 10\ngenerator = linear\nterminal = square\n"
                 "x0 = 1e200\n",
-                "non-finite terminal value at path 0",
+                "non-finite terminal value at window=0, step=10, path=0: y=inf",
             ),
             (
                 "simulate",
                 "n_paths = 100\nn_steps = 10\ndrift = 1e308\nx0 = 1e308\n",
-                "non-finite state at step 8, path 0",
+                "non-finite state at step=8, path=0: x=[inf]",
             ),
             (
                 "simulate",
                 "n_paths = 100\nn_steps = 1\nsigma = 1e308\n",
-                "non-finite state at step 1, path 14",
+                "non-finite state at step=1, path=14: x=[-inf]",
             ),
         ],
         ids=["solve_terminal", "simulate_drift", "simulate_sigma"],

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,7 +15,19 @@ from bsdelab import (
     builtin_generator,
     check_generator_metadata,
 )
-from bsdelab.core import EXP_CLAMP, _entropy_kernel, _norm_last, q_trunc
+from bsdelab.core import (
+    _INDEX,
+    EXP_CLAMP,
+    _entropy_kernel,
+    _norm_last,
+    _require_finite,
+    _require_le,
+    q_trunc,
+)
+from bsdelab.errors import HypothesisError, NumericalError
+from bsdelab.feynmankac import PDEProblem, fd_reference
+from bsdelab.paths import TimeGrid, WindowStack, euler_maruyama, sample_brownian, stopping_indices
+from bsdelab.solver import solve_bsde
 
 
 class TestEntropyModulus:
@@ -562,3 +575,190 @@ class TestProblemAndConfig:
         for tol in (math.inf, math.nan):
             with pytest.raises(ValidationError, match="picard_tol must be finite and > 0"):
                 ExperimentConfig(seed=0, n_paths=10, n_steps=10, picard_tol=tol)
+
+    @pytest.mark.parametrize("key", ["n_paths", "n_steps", "basis_degree", "picard_max"])
+    @pytest.mark.parametrize("value", [50.0, 2.5, True, False, "8", None])
+    def test_counts_must_be_integers(self, key, value):
+        # a float or a bool count failed deep inside the draw with a bare
+        # TypeError
+        counts = dict(n_paths=10, n_steps=10)
+        with pytest.raises(ValidationError, match=rf"^{key} must be an integer, got {value!r}$"):
+            ExperimentConfig(seed=0, **{**counts, key: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ExperimentConfig(
+            seed=0, n_paths=np.int64(10), n_steps=np.int32(5), basis_degree=np.uint8(2),
+            picard_max=np.int16(7),
+        )
+        assert (cfg.n_paths, cfg.n_steps, cfg.basis_degree, cfg.picard_max) == (10, 5, 2, 7)
+        with pytest.raises(ValidationError, match=r"^basis_degree must be >= 0, got -1$"):
+            ExperimentConfig(seed=0, n_paths=10, n_steps=5, basis_degree=np.int64(-1))
+
+
+def _solve(g, terminal=lambda s: np.cos(s[:, -1, 0]), M=64, N=10):
+    grid = TimeGrid(0.0, 1.0, N)
+    batch = sample_brownian(grid, M, 1, seed=0)
+    fw = euler_maruyama(grid, lambda t, x: 0.0, lambda t, x: 1.0, 0.0, batch)
+    problem = BSDEProblem(g, 0.0, 1.0, 1, terminal)
+    return solve_bsde(problem, fw, batch, ExperimentConfig(seed=0, n_paths=M, n_steps=N))
+
+
+def _stop(g, base):
+    M, n_steps = base.shape[0], 10
+    unit = sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, 1, seed=0)
+    stack = WindowStack.from_draw([TimeGrid(0.0, 0.1, n_steps)], unit.increments, base)
+    return stopping_indices(stack, g, barrier=1.0, displacement=np.empty((1, M, 1)))
+
+
+def _fd(drift=lambda t, x: 0.0, sigma=lambda t, x: 1.0, g=None, k=1e-2, theta=0.5):
+    problem = PDEProblem(
+        drift=drift,
+        sigma=sigma,
+        generator=g or builtin_generator("linear"),
+        phi=np.cos,
+        growth_L=2.0,
+        growth_p=1.0,
+        T=1.0,
+        x_lo=-1.0,
+        x_hi=1.0,
+    )
+    return fd_reference(problem, h=0.125, k=k, theta=theta)
+
+
+def _near_one(value):
+    # value at the interior node x = 1 - 0.125, 1 elsewhere
+    return lambda t, x: np.where(np.abs(x - 0.875) < 1e-9, value, 1.0)
+
+
+# every first-failing-entry refusal of a computed array, one case each:
+# (thunk, error class, the whole message), read as a regex where it holds
+# \S and literally otherwise
+REFUSALS = {
+    "sweep_terminal": (
+        lambda: _solve(
+            builtin_generator("negative_exponential"),
+            terminal=lambda s: np.where(np.arange(64) == 3, np.inf, s[:, -1, 0]),
+        ),
+        NumericalError,
+        "non-finite terminal value at window=0, step=10, path=3: y=inf",
+    ),
+    "sweep_value": (
+        # a declared slope solves in closed form: y and g are NaN together
+        lambda: _solve(
+            Generator(
+                name="nan_at_t_half",
+                eval=lambda t, x, y, z: np.where(
+                    (np.arange(np.size(y)) == 5) & (abs(t - 0.5) < 1e-9), np.nan, -y
+                ),
+                lipschitz_z=0.0,
+                y_slope=-1.0,
+            )
+        ),
+        NumericalError,
+        r"non-finite value at window=0, step=5, path=5: y=nan, g=nan, z=\[\S+\]",
+    ),
+    "sweep_root": (
+        lambda: _solve(
+            Generator(
+                name="lying", eval=lambda t, x, y, z: -y - 0.5 * y * y, lipschitz_z=0.0,
+                y_slope=-1.0,
+            )
+        ),
+        HypothesisError,
+        r"lying: not affine in y with the declared y_slope -1\.0: residual "
+        r"at window=0, step=9, path=0: \S+ not <= \S+",
+    ),
+    "euler_state": (
+        lambda: euler_maruyama(
+            TimeGrid(0.0, 1.0, 4), lambda t, x: np.inf, lambda t, x: 1.0, 0.0,
+            sample_brownian(TimeGrid(0.0, 1.0, 4), 8, 1, seed=0),
+        ),
+        NumericalError,
+        "non-finite state at step=1, path=0: x=[inf]",
+    ),
+    "stop_g0": (
+        lambda: _stop(builtin_generator("stress", delta=0.1), np.full((20, 1), np.nan)),
+        NumericalError,
+        "non-finite g0 at window=0, step=0, path=0: g0=nan",
+    ),
+    "stop_state_free": (
+        lambda: _stop(
+            Generator(
+                name="lying", eval=lambda t, x, y, z: 1.0 + 0.5 * x[..., 0] + 0.0 * y,
+                lipschitz_z=0.0, state_dependent=True, g0_state_free=True,
+            ),
+            np.array([[0.0], [0.0], [0.25], [0.0]]),
+        ),
+        HypothesisError,
+        "lying: g(t, x, 0, 0) declared state-free differs from path 0's g0=1.0 "
+        "at window=0, step=0, path=2: g0=1.125",
+    ),
+    "fd_sigma": (
+        lambda: _fd(sigma=_near_one(np.nan)),
+        ValidationError,
+        "non-finite coefficient at time_index=100, t=1.0, x=0.875: b=0.0, sigma=nan",
+    ),
+    "fd_drift": (
+        lambda: _fd(drift=_near_one(-np.inf)),
+        ValidationError,
+        "non-finite coefficient at time_index=100, t=1.0, x=0.875: b=-inf, sigma=1.0",
+    ),
+    "fd_degenerate": (
+        lambda: _fd(sigma=_near_one(0.0)),
+        ValidationError,
+        "sigma degenerate at time_index=100, t=1.0, x=0.875: 1.000000e-08 not <= 0.000000e+00",
+    ),
+    "fd_cfl": (
+        # h^2/k = 0.78 < sigma^2 = 1 on every node: the first one is named
+        lambda: _fd(k=2e-2, theta=0.0),
+        ValidationError,
+        "CFL violation for k=2.000e-02, theta=0.0: sigma^2 at time_index=50, t=1.0, "
+        "x=-0.875: 1.000000e+00 not <= 7.812500e-01",
+    ),
+    "fd_row": (
+        # g(t, x, 0, 0) = 0 passes the growth check; NaN where u > 0.99
+        # (x near 0 at T) fills the solved row of the first step
+        lambda: _fd(
+            g=Generator(
+                name="nan_above", eval=lambda t, x, y, z: np.where(y > 0.99, np.nan, 0.0 * y),
+                lipschitz_z=0.0,
+            )
+        ),
+        NumericalError,
+        "non-finite FD row at time_index=99, x=-0.875: u=nan",
+    ),
+}
+
+
+class TestRefusalRule:
+    """Each refusal of a computed array names its witnesses and value at
+    the first failing entry (core._require), whole message matched."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_each_refusal_names_its_witnesses_and_value(self, case):
+        thunk, error, message = REFUSALS[case]
+        pattern = message if "\\S" in message else re.escape(message)
+        with pytest.raises(error, match=f"^(HYPOTHESIS_FAIL )?{pattern}$"):
+            thunk()
+
+    def test_first_entry_across_arrays(self):
+        # y fails at entry 2, z's row 1 first: entry 1 is named, with every
+        # value there; a 0-d value counts for every entry
+        y = np.array([1.0, 2.0, np.nan, 3.0])
+        z = np.array([[1.0, 1.0], [1.0, np.inf], [1.0, 1.0], [1.0, 1.0]])
+        values = {"y": y, "g": np.asarray(1.5), "z": z}
+        want = r"^bad at w=0, path=1: y=2\.0, g=1\.5, z=\[ 1\. inf\]$"
+        with pytest.raises(NumericalError, match=want):
+            _require_finite(values, NumericalError, "bad", w=0, path=_INDEX)
+        with pytest.raises(NumericalError, match=r"^bad at path=0: y=1\.0, g=nan$"):
+            _require_finite({"y": y, "g": np.asarray(np.nan)}, NumericalError, "bad", path=_INDEX)
+        _require_finite({"y": y[:2], "g": np.asarray(1.5), "z": z[:1]}, NumericalError, "bad")
+
+    def test_le_names_the_entry_and_refuses_nan(self):
+        t = np.array([0.1, 0.2, 0.3])
+        want = r"^le at t=0\.2, node=1: 2\.000000e\+00 not <= 1\.5"
+        with pytest.raises(ValidationError, match=want):
+            _require_le(np.array([1.0, 2.0, 0.0]), 1.5, ValidationError, "le", t=t, node=_INDEX)
+        with pytest.raises(ValidationError, match=r"^le at node=2: nan not <= 1\.5"):
+            _require_le(np.array([1.0, 1.0, np.nan]), 1.5, ValidationError, "le", node=_INDEX)
+        _require_le(np.array([1.0, 1.5]), 1.5, ValidationError, "le")

@@ -136,17 +136,37 @@ class TestFDReference:
         # violation first at the terminal level, time index 500
         p = self._time_sigma_problem(lambda t: math.sqrt(1.0 + 2.0 * t))
         assert 2e-3 <= H_COS**2
-        with pytest.raises(ValidationError, match=r"CFL violation at time index 500 \(t=1\)"):
+        # sigma^2 = 3 there breaks the bound h^2/k on the first interior node
+        want = "CFL violation for k=2.000e-03, theta=0.0: sigma^2 at time_index=500, t=1.0, "
+        want += f"x={-4 * math.pi + H_COS}: 3.000000e+00 not <= {H_COS**2 / 2e-3:.6e}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
             fd_reference(p, h=H_COS, k=2e-3, theta=0.0)
 
     def test_sigma_degenerate_mid_horizon_refused(self):
         # sigma = |t - 1/2| is 0.5 at both ends and vanishes at level 50 of
         # 100 only
         p = self._time_sigma_problem(lambda t: abs(t - 0.5))
-        with pytest.raises(
-            ValidationError, match=r"degenerate on 511 interior node\(s\) at time index 50 \(t=0.5\)"
-        ):
+        want = "sigma degenerate at time_index=50, t=0.5, "
+        want += f"x={-4 * math.pi + H_COS}: 1.000000e-08 not <= 0.000000e+00"
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
             fd_reference(p, h=H_COS, k=1e-2)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    @pytest.mark.parametrize("coef", ["drift", "sigma"])
+    def test_non_finite_coefficient_refused_at_its_node(self, coef, theta):
+        # NaN near x = 1 on [-3, 3]: unchecked, the march failed later with
+        # NumericalError at another node, and at theta = 0 the NaN passed
+        # the CFL test
+        nan_near_1 = lambda t, x: np.where(np.abs(x - 1.0) < 1e-9, np.nan, 1.0)
+        coefs = {"drift": lambda t, x: 0.0, "sigma": lambda t, x: 1.0, coef: nan_near_1}
+        p = PDEProblem(
+            **coefs, generator=builtin_generator("linear"), phi=np.cos, growth_L=2.0,
+            growth_p=1.0, T=1.0, x_lo=-3.0, x_hi=3.0,
+        )
+        b, s = ("nan", "1.0") if coef == "drift" else ("0.0", "nan")
+        want = f"non-finite coefficient at time_index=1000, t=1.0, x=1.0: b={b}, sigma={s}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            fd_reference(p, h=0.05, k=1e-3, theta=theta)
 
     def test_level_invariants_hoisted_out_of_march(self, monkeypatch):
         # the boundary rule is built once per march and drift/sigma are
@@ -240,9 +260,9 @@ class TestFDReference:
             return out
 
         monkeypatch.setattr(lapack, "dgtsv", poisoned)
-        with pytest.raises(
-            NumericalError, match=r"non-finite FD row at time index 49: u=nan at x="
-        ):
+        # entry 7 of the interior row is node 8 of the box
+        want = f"non-finite FD row at time_index=49, x={-4 * math.pi + 8 * H_COS}: u=nan"
+        with pytest.raises(NumericalError, match=f"^{re.escape(want)}$"):
             fd_reference(heat_cos_problem(), h=H_COS, k=0.02)
 
     def test_time_dependent_sigma(self):

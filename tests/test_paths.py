@@ -40,6 +40,17 @@ class TestTimeGrid:
         with pytest.raises(ValidationError):
             TimeGrid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize(
+        "t_start, t_end",
+        [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (math.nan, 1.0),
+         (0.0, math.nan), (-1e308, 1e308)],
+    )
+    def test_non_finite_ends_refused(self, t_start, t_end):
+        # unchecked, TimeGrid(0, inf, 4).times() was [nan, inf, inf, inf,
+        # inf]; a width that overflows has no finite step either
+        with pytest.raises(ValidationError, match=r"^need finite t_start < t_end, got \["):
+            TimeGrid(t_start, t_end, 4)
+
 
 class TestSampling:
     def test_deterministic_rerun(self):
@@ -201,7 +212,7 @@ class TestEulerMaruyama:
     def test_nonfinite_state_reported(self):
         grid = TimeGrid(0.0, 1.0, 4)
         batch = sample_brownian(grid, 8, 1, seed=0)
-        with pytest.raises(NumericalError, match="step 1"):
+        with pytest.raises(NumericalError, match=r"^non-finite state at step=1, path=0: x=\[inf\]$"):
             euler_maruyama(grid, lambda t, x: np.inf, lambda t, x: 1.0, 0.0, batch)
 
 
@@ -363,7 +374,7 @@ class TestStopping:
             lipschitz_z=0.0,
             state_dependent=True,
         )
-        with pytest.raises(NumericalError, match=r"non-finite g0 at window 0, step 1, path \d+: g0=nan"):
+        with pytest.raises(NumericalError, match=r"non-finite g0 at window=0, step=1, path=\d+: g0=nan$"):
             _stops(batch, g, batch.cumulative(), barrier=0.5)
 
     def test_displacement_shape_validated(self):
@@ -516,8 +527,8 @@ class TestStateFreeG0:
         unit = sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, 1, seed=0)
         base = np.linspace(-1.0, 1.0, M)[:, None]
         stack = WindowStack.from_draw([TimeGrid(0.0, 0.1, n_steps)], unit.increments, base)
-        want = rf"lying: g\(t, x, 0, 0\) declared state-free but g0={1.0 + 0.1 * base[1, 0]} "
-        want += rf"at window 0, step 0, path 1, against g0=0\.9 at path 0$"
+        want = r"lying: g\(t, x, 0, 0\) declared state-free differs from path 0's g0=0\.9 "
+        want += rf"at window=0, step=0, path=1: g0={1.0 + 0.1 * base[1, 0]}$"
         with pytest.raises(HypothesisError, match=want):
             stopping_indices(stack, g, barrier=1.0, displacement=_moved(stack))
         # a NaN g0 at step 0, as a NaN anchor gives a state-free driver,
@@ -525,7 +536,7 @@ class TestStateFreeG0:
         nan_base = np.full((M, 1), np.nan)
         stack = WindowStack.from_draw([TimeGrid(0.0, 0.1, n_steps)], unit.increments, nan_base)
         stress = builtin_generator("stress", delta=0.1)
-        want = r"non-finite g0 at window 0, step 0, path 0: g0=nan"
+        want = r"non-finite g0 at window=0, step=0, path=0: g0=nan$"
         with pytest.raises(NumericalError, match=want):
             stopping_indices(stack, stress, barrier=1.0, displacement=_moved(stack))
 
@@ -542,7 +553,7 @@ class TestStateFreeG0:
         unit = sample_brownian(TimeGrid(0.0, float(n_steps), n_steps), M, 1, seed=0)
         grids = [TimeGrid(0.0, 0.2, n_steps), TimeGrid(0.0, 0.1, n_steps)]
         stack = WindowStack.from_draw(grids, unit.increments, np.zeros((M, 1)))
-        with pytest.raises(NumericalError, match=r"non-finite g0 at window 0, step 3, path 0: g0=nan"):
+        with pytest.raises(NumericalError, match=r"non-finite g0 at window=0, step=3, path=0: g0=nan$"):
             stopping_indices(stack, g, barrier=5.0, displacement=_moved(stack))
 
 

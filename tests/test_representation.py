@@ -412,7 +412,7 @@ class TestWindowPool:
         messages = []
         for cpus in (1, 2, 4):
             monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
-            with pytest.raises(NumericalError, match=r"step 30, path \d+ of window 1: ") as err:
+            with pytest.raises(NumericalError, match=r"at window=1, step=30, path=\d+: ") as err:
                 convergence_study(g, 0.0, 0.0, 0.5, 0.0, self.SCHEDULE, cfg, barrier=3.0)
             messages.append(str(err.value))
         assert messages[1:] == messages[:1] * 2
@@ -421,7 +421,7 @@ class TestWindowPool:
         stop_messages = []
         for cpus in (1, 2, 4):
             monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
-            with pytest.raises(NumericalError, match=r"g0 at window 0, step 15, path \d+") as err:
+            with pytest.raises(NumericalError, match=r"g0 at window=0, step=15, path=\d+") as err:
                 convergence_study(
                     self._nan_at_step_30(in_stop_pass=True), 0.0, 0.0, 0.5, 0.0, self.SCHEDULE,
                     cfg, barrier=3.0,
@@ -430,7 +430,7 @@ class TestWindowPool:
         assert stop_messages[1:] == stop_messages[:1] * 2
         # window 3 fails at the same step too: the first failing window in
         # window order is named, whichever worker finishes first
-        with pytest.raises(NumericalError, match=r"at step 30, path \d+ of window 1: "):
+        with pytest.raises(NumericalError, match=r"at window=1, step=30, path=\d+: "):
             convergence_study(g, 0.0, 0.0, 0.5, 0.0, self.SCHEDULE[2:], cfg, barrier=3.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -519,12 +519,16 @@ class TestProbeRule:
             ([WIDE], 0.04, 50, "state anchor has size 3, expected 2"),
             ([GOOD, WIDE], 0.04, 50, "state anchor has size 3, expected 2"),
             ([GOOD], 0.04, 10, "need n_steps >= 50 per quotient window, got 10"),
-            ([GOOD], 0.0, 50, "eps must be > 0, got 0.0"),
-            ([GOOD], math.nan, 50, "eps must be > 0, got nan"),
+            ([GOOD], 0.0, 50, "eps must be finite and > 0, got 0.0"),
+            ([GOOD], math.nan, 50, "eps must be finite and > 0, got nan"),
+            ([GOOD], math.inf, 50, "eps must be finite and > 0, got inf"),
             ([(math.nan,) + GOOD[1:]], 0.04, 50, "t must be finite and >= 0, got nan"),
             ([GOOD, (-0.5,) + GOOD[1:]], 0.04, 50, "t must be finite and >= 0, got -0.5"),
         ],
-        ids=["first_x", "later_x", "n_steps", "eps_zero", "eps_nan", "first_t_nan", "later_t"],
+        ids=[
+            "first_x", "later_x", "n_steps", "eps_zero", "eps_nan", "eps_inf", "first_t_nan",
+            "later_t",
+        ],
     )
     def test_converse_refuses_before_any_draw(self, monkeypatch, points, eps, n, match):
         g1 = builtin_generator("linear", c=1.0)
@@ -540,8 +544,17 @@ class TestProbeRule:
     def test_study_refuses_a_nan_window_before_any_draw(self, monkeypatch):
         g = builtin_generator("linear")
         calls = self._spy_draws_and_sweeps(monkeypatch)
-        with pytest.raises(ValidationError, match="eps must be > 0, got nan"):
+        with pytest.raises(ValidationError, match="eps must be finite and > 0, got nan"):
             convergence_study(g, 0.1, 0.0, 0.0, 0.0, [0.1, math.nan, 0.02], _cfg())
+        assert calls == []
+
+    def test_study_refuses_an_infinite_window_before_any_draw(self, monkeypatch):
+        # unchecked, the study drew, ran the stop pass and failed in the
+        # sweep on a non-finite terminal value
+        g = builtin_generator("linear")
+        calls = self._spy_draws_and_sweeps(monkeypatch)
+        with pytest.raises(ValidationError, match="eps must be finite and > 0, got inf"):
+            convergence_study(g, 0.1, 0.0, 0.0, 0.0, [math.inf, 0.1], _cfg())
         assert calls == []
 
     @pytest.mark.parametrize("t", [math.nan, -0.5, math.inf])

@@ -920,11 +920,12 @@ class TestClosedFormStep:
         grid = TimeGrid(0.0, 1.0, N)
         fw, batch = _brownian_forward(grid, M, 1, seed=8)
         cfg = ExperimentConfig(seed=8, n_paths=M, n_steps=N)
-        with pytest.raises(HypothesisError, match=rf"y_slope -1\.0.*residual .* at step {N - 1}, path \d+$"):
+        want = r"y_slope -1\.0: residual at window=0, "
+        with pytest.raises(HypothesisError, match=want + rf"step={N - 1}, path=\d+: \S+ not <= \S+$"):
             solve_bsde(self._problem(lying, 1, np.ones(1)), fw, batch, cfg)
         # a study's windows are each checked; the witness names the window
         cfg = dataclasses.replace(cfg, n_steps=50)
-        with pytest.raises(HypothesisError, match=r"step 49, path \d+ of window 0$"):
+        with pytest.raises(HypothesisError, match=want + r"step=49, path=\d+: \S+ not <= \S+$"):
             convergence_study(lying, 0.5, np.zeros(1), 0.2, [0.3], [0.1, 0.05], cfg)
 
 
@@ -1044,7 +1045,7 @@ class TestNonFiniteWitness:
             terminal=lambda s: np.cos(s[:, -1, 0]),
         )
         cfg = ExperimentConfig(seed=0, n_paths=500, n_steps=20)
-        with pytest.raises(NumericalError, match=r"step 10, path 0\b"):
+        with pytest.raises(NumericalError, match=r"at window=0, step=10, path=0: y=\S+, g=nan, z=\["):
             solve_bsde(problem, fw, batch, cfg)
 
 
@@ -1066,7 +1067,11 @@ class TestInputChecks:
                 r"from forward grid TimeGrid\(t_start=0\.0, t_end=1\.0, n_steps=10\)",
             ),
             ("terminal_shape", ValidationError, r"terminal returned shape \(40, 1\), expected \(40,\)"),
-            ("terminal_nonfinite", NumericalError, r"non-finite terminal value at path 3\b"),
+            (
+                "terminal_nonfinite",
+                NumericalError,
+                r"non-finite terminal value at window=0, step=10, path=3: y=inf$",
+            ),
         ],
     )
     def test_rejected_with_witness(self, case, error, witness):
