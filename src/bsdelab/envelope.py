@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Generator, _check_alpha, q_trunc
-from .errors import ValidationError
+from .core import Generator, _check_alpha, _require_finite, q_trunc
+from .errors import NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,8 @@ def convergence_curve(
     value, so both optimizers lie inside.  Its lattice u_resolution*(-k..k),
     k = ceil(U/u_resolution), is a centred slice of the smallest slope's, so
     g is scanned once per curve; a lattice with more points than numpy can
-    index (U = inf included) raises ValidationError.
+    index (U = inf included) raises ValidationError.  A g(t, x, 0, 0) that
+    is not finite raises NumericalError "non-finite g0" first.
 
     The lower sequence is nondecreasing, the upper nonincreasing, and the
     combined column shrinks toward 0 (within grid tolerance) once n passes
@@ -132,7 +133,10 @@ def convergence_curve(
     if not u_resolution > 0:
         raise ValidationError(f"u_resolution must be > 0, got {u_resolution}")
     alpha = _check_alpha(alpha)
-    g0 = float(np.asarray(g(t, x, 0.0, 0.0), dtype=float))
+    g0 = np.asarray(g(t, x, 0.0, 0.0), dtype=float)
+    # a NaN g0 would size the lattice with U = NaN; [x] shows x whole
+    _require_finite({"g0": g0}, NumericalError, "non-finite g0", t=t, x=[x])
+    g0 = float(g0)
     if g.growth_bound is not None:
         psi_hat = float(g.growth_bound(alpha, t))
     else:

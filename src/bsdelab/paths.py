@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _INDEX, Generator, _norm_last, _require, _require_finite
+from .core import _INDEX, Generator, _norm_last, _require, _require_finite, _require_integer
 from .errors import HypothesisError, NumericalError, ValidationError
 
 # Fixed block size of the stream-splitting scheme.  Changing it changes every
@@ -57,7 +57,8 @@ class TimeGrid:
 
     Nodes are computed as t_start + i*dt (one multiply per node, no running
     sums) and the final node is pinned to t_end exactly.  The ends must be
-    finite with t_start < t_end; any others raise ValidationError.
+    finite with t_start < t_end and n_steps an integer >= 1; any others
+    raise ValidationError.
     """
 
     t_start: float
@@ -70,6 +71,8 @@ class TimeGrid:
             raise ValidationError(
                 f"need finite t_start < t_end, got [{self.t_start}, {self.t_end}]"
             )
+        # a fractional count would leave the last step short of dt
+        _require_integer("n_steps", self.n_steps)
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -340,7 +343,11 @@ def sample_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianBatch:
     the increments are the normals themselves, and those times sqrt(dt)
     are bit for bit the increments of any grid with the same n_steps.
     The seed is one 64-bit word of each block's Philox key, so 0 <= seed < 2**64.
+    M, d and seed must be integers (numpy's included, bools not); any
+    other value raises ValidationError.
     """
+    for key, value in (("M", M), ("d", d), ("seed", seed)):
+        _require_integer(key, value)
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
     if d < 1:

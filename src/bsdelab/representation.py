@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExperimentConfig, Generator, _mean_se
+from .core import _INDEX, ExperimentConfig, Generator, _mean_se, _require_le
 from .errors import HypothesisError, ValidationError
 from .paths import TimeGrid, WindowStack, sample_brownian, stopping_indices
 from .solver import _sweep, comparison_check
@@ -167,27 +167,35 @@ def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
     so no cumulative() path is built.  A state-dependent generator
     (g.state_dependent) at t > 0 is probed at the Brownian marginal
     anchored at x, base = x + sqrt(t)*aux, and the regression conditions
-    on (base, path) pairs; any other keeps base = x.
+    on (base, path) pairs; any other keeps base = x, and at t > 0 its g
+    at the realized state must equal its g at x on every path, bit for
+    bit, or HypothesisError names the first path that differs, before the
+    stop pass.
     """
     d = z.size
     randomize_base = g.state_dependent and t > 0
 
     unit, aux = draw if draw is not None else _draw(config, d)
     M = config.n_paths
-    if randomize_base:
-        base = x + np.sqrt(t) * aux
-    else:
-        base = np.broadcast_to(x, (M, d)).copy()
+    y_M, z_M = np.full(M, y), np.broadcast_to(z, (M, d))
+    base = np.broadcast_to(x, (M, d)).copy()
+    if t > 0:
+        realized = x + np.sqrt(t) * aux
+        if randomize_base:
+            base = realized
+        else:
+            # a driver declared state-free must not see the realized state
+            g_x = np.asarray(g(t, base, y_M, z_M), dtype=float)
+            gap = np.abs(np.asarray(g(t, realized, y_M, z_M), dtype=float) - g_x)
+            message = f"{g.name}: g declared state-free differs between the realized state and x"
+            _require_le(gap, 0.0, HypothesisError, message, path=_INDEX, state=realized)
     grids = [TimeGrid(t, t + eps, config.n_steps) for eps in eps_schedule]
     windows = WindowStack.from_draw(grids, unit.increments, base)
     y_t, telescoped, frac_stopped = _stopped_solve(
         g, windows, y, z, config, barrier, anchor=base if randomize_base else None
     )
 
-    targets = np.broadcast_to(
-        np.asarray(g(t, base, np.full(M, y), np.broadcast_to(z, (M, d))), dtype=float),
-        (M,),
-    )
+    targets = np.broadcast_to(np.asarray(g(t, base, y_M, z_M), dtype=float), (M,))
     cells = []
     for eps, y_w, tele_w, frac in zip(eps_schedule, y_t, telescoped, frac_stopped):
         per_path = (y_w - y) / eps

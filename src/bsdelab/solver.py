@@ -247,8 +247,9 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
         y_next = y - quot
         dy = np.subtract(y_next, y, out=dy)
         y, f_prev = y_next, f
-        # NaN propagates through min and max and fails the test
-        if max(-dy.min(), dy.max()) <= tol:
+        # NaN propagates through max and min and fails the test; a step
+        # whose largest move is too large skips the min
+        if dy.max() <= tol and -dy.min() <= tol:
             return y, iters, 0, gv
 
     gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
@@ -453,7 +454,8 @@ def _sweep(
         ey = targets[w * q]
         z = Z[w, i % rows_z]
         z[:] = targets[w * q + 1 : (w + 1) * q].T
-        dt_eff = dt if stops is None else np.where(i < stops[w], dt, 0.0)
+        # scalar before the window's earliest stop, where every path is on
+        dt_eff = dt if i < first_stop[w] else np.where(i < stops[w], dt, 0.0)
         x_w = windows.state(w, x)
         y, iters, nfb, gv = _picard_step(g, times[w][i], x_w, ey, z, dt_eff, config)
         # bisection can settle a finite y where g is NaN, so the generator
@@ -478,6 +480,7 @@ def _sweep(
             fill_targets(w, i - 1)
         return y, gv, dt_eff
 
+    first_stop = [n_steps if stops is None else stops[w].min() for w in range(K)]
     for w in range(K):
         fill_targets(w, n_steps - 1)
     with _side_by_side(K) as run:

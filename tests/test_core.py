@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsdelab import (
@@ -24,9 +24,11 @@ from bsdelab.core import (
     _require_le,
     q_trunc,
 )
+from bsdelab.envelope import convergence_curve
 from bsdelab.errors import HypothesisError, NumericalError
 from bsdelab.feynmankac import PDEProblem, fd_reference
 from bsdelab.paths import TimeGrid, WindowStack, euler_maruyama, sample_brownian, stopping_indices
+from bsdelab.representation import convergence_study
 from bsdelab.solver import solve_bsde
 
 
@@ -206,11 +208,25 @@ def _y_values(delta):
     )
 
 
+class _Drawn:
+    """Stands in for st.data() in an @example: draw returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 class TestInPlaceKernelsBitIdentical:
-    """The masked in-place entropy kernel and stress accumulation against the
-    np.where expressions they replaced, exactly, on every input shape."""
+    """The index-gathered entropy kernel and the in-place stress accumulation
+    against the np.where expressions they replaced, exactly, on every input
+    shape."""
 
     @settings(max_examples=200, deadline=None)
+    # a curved entry behind a linear one in a single row: flat indices
+    # into an (M, d) u would index its first axis out of range
+    @example(data=_Drawn([1.0, 0.05]), delta=0.1, shape="(M, d)", M=1, d=2)
     @given(
         data=st.data(),
         delta=st.floats(0.01, 0.35),
@@ -229,6 +245,16 @@ class TestInPlaceKernelsBitIdentical:
         assert np.array_equal(got, want, equal_nan=True)
 
     @settings(max_examples=200, deadline=None)
+    # a NaN beside an exponent past +-EXP_CLAMP (|x| = 36 on path 1 at
+    # seed 1): the NaN fails a bare max/min test, which must still warn
+    @example(
+        data=_Drawn([math.nan, 2.0]), delta=0.1, layout="paths", M=2, n=1, d=1, x_scale=40.0,
+        seed=1,
+    )
+    @example(
+        data=_Drawn([math.nan, -2.0]), delta=0.1, layout="paths", M=2, n=1, d=1, x_scale=40.0,
+        seed=1,
+    )
     @given(
         data=st.data(),
         delta=st.floats(0.01, 0.35),
@@ -261,6 +287,21 @@ class TestInPlaceKernelsBitIdentical:
             got = g(0.0, x, y, z)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("share", [0.0, 0.014, 0.15])
+    def test_entropy_kernel_at_sweep_size(self, share):
+        # a sweep's |y| at M = 1e5: none, 1.4% (the median call) or 15%
+        # of the entries on the curved branch, the rest zeros and beyond
+        # the knee, in scattered order
+        delta, M = 0.1, 100_000
+        rng = np.random.default_rng(17)
+        u = rng.uniform(delta, 3.0, M)
+        u[rng.random(M) < 0.01] = 0.0
+        curved = rng.choice(M, int(share * M), replace=False)
+        u[curved] = rng.uniform(0.0, delta, curved.size)
+        u[curved[:1]] = delta
+        assert np.count_nonzero((u > 0) & (u <= delta)) == curved.size
+        assert np.array_equal(_entropy_kernel(delta)(u), _entropy_kernel_by_where(delta)(u))
 
 
 class TestBuiltinGenerators:
@@ -552,6 +593,21 @@ class TestMetadataCheck:
         reads_x = Generator(name="g", eval=g.eval, lipschitz_z=0.0, state_dependent=True)
         assert not reads_x.g0_state_free
 
+    def test_misdeclared_state_free_caught(self):
+        # y*|x| reads x only where y != 0, so the g0 check alone passes it
+        def ev(t, x, y, z):
+            return np.asarray(y) * np.abs(x[..., 0])
+
+        lying = Generator(name="lying", eval=ev, lipschitz_z=0.0)
+        want = (
+            r"^lying: state-free g\(t, x, y, z\) violated at t=0\.0, x=\[\S+\], y=\S+, "
+            r"z=\[\S+\], g=\S+, g_origin=-?0\.0: \S+ not <= 1\.000000e-10$"
+        )
+        with pytest.raises(ValidationError, match=want):
+            check_generator_metadata(lying, seed=0, n_samples=4000)
+        honest = Generator(name="honest", eval=ev, lipschitz_z=0.0, state_dependent=True)
+        check_generator_metadata(honest, seed=0, n_samples=4000)
+
 
 class TestProblemAndConfig:
     def test_problem_validation(self):
@@ -584,6 +640,12 @@ class TestProblemAndConfig:
         counts = dict(n_paths=10, n_steps=10)
         with pytest.raises(ValidationError, match=rf"^{key} must be an integer, got {value!r}$"):
             ExperimentConfig(seed=0, **{**counts, key: value})
+
+    def test_float_seed_refused(self):
+        # seed 1.5 keyed the same Philox stream as seed 1
+        with pytest.raises(ValidationError, match=r"^seed must be an integer, got 1\.5$"):
+            ExperimentConfig(seed=1.5, n_paths=10, n_steps=10)
+        assert ExperimentConfig(seed=np.uint64(2**63), n_paths=10, n_steps=10).seed == 2**63
 
     def test_numpy_integer_counts_accepted(self):
         cfg = ExperimentConfig(
@@ -726,6 +788,29 @@ REFUSALS = {
         ),
         NumericalError,
         "non-finite FD row at time_index=99, x=-0.875: u=nan",
+    ),
+    "envelope_g0": (
+        # a NaN g0 used to size the lattice with U = nan
+        lambda: convergence_curve(
+            Generator(name="nan", eval=lambda t, x, y, z: np.nan * np.asarray(y), lipschitz_z=0.0),
+            1.0, 0.5, np.array([0.25, 0.5]), [1.0],
+        ),
+        NumericalError,
+        "non-finite g0 at t=0.5, x=[0.25 0.5 ]: g0=nan",
+    ),
+    "quotient_state_free": (
+        # y*|x| declared state-free: refused at the first path whose
+        # realized time-t state moves g
+        lambda: convergence_study(
+            Generator(
+                name="lying", eval=lambda t, x, y, z: np.asarray(y) * np.abs(x[..., 0]),
+                lipschitz_z=0.0,
+            ),
+            0.5, 0.0, 1.0, 0.0, [0.1, 0.05], ExperimentConfig(seed=0, n_paths=200, n_steps=50),
+        ),
+        HypothesisError,
+        r"lying: g declared state-free differs between the realized state and x at path=0, "
+        r"state=\[-1\.\d+\]: \S+ not <= 0\.000000e\+00",
     ),
 }
 

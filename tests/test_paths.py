@@ -40,6 +40,12 @@ class TestTimeGrid:
         with pytest.raises(ValidationError):
             TimeGrid(0.0, 1.0, 0)
 
+    def test_fractional_step_count_refused(self):
+        # TimeGrid(0, 1, 2.5) built the nodes [0, .4, .8, 1], a short last step
+        with pytest.raises(ValidationError, match=r"^n_steps must be an integer, got 2\.5$"):
+            TimeGrid(0.0, 1.0, 2.5)
+        assert TimeGrid(0.0, 1.0, np.int64(4)).times().size == 5
+
     @pytest.mark.parametrize(
         "t_start, t_end",
         [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (math.nan, 1.0),
@@ -118,6 +124,17 @@ class TestSampling:
             sample_brownian(grid, 10, 0, seed=0)
         with pytest.raises(ValidationError):
             sample_brownian(grid, 10, 1, seed=-1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", 1.5), ("seed", True), ("M", 10.0), ("d", 1.0)],
+        ids=["seed-float", "seed-bool", "M-float", "d-float"],
+    )
+    def test_seed_and_sizes_must_be_integers(self, key, value):
+        # seed 1.5 and seed True both drew exactly seed 1's paths
+        args = {"M": 10, "d": 1, "seed": 1, key: value}
+        with pytest.raises(ValidationError, match=rf"^{key} must be an integer, got {value!r}$"):
+            sample_brownian(TimeGrid(0.0, 1.0, 4), **args)
 
     def test_seed_must_fit_the_philox_key_word(self):
         # the seed is one uint64 word of each block's key: 2**64 used to

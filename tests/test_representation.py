@@ -557,6 +557,33 @@ class TestProbeRule:
             convergence_study(g, 0.1, 0.0, 0.0, 0.0, [math.inf, 0.1], _cfg())
         assert calls == []
 
+    def test_false_state_free_declaration_refused_before_the_stop_pass(self, monkeypatch):
+        # y*|x| at x = 0 is 0 on every path: undeclared, the study read its
+        # quotients (.17/.12 at M = 5000) against a target mean of 0
+        def ev(t, x, y, z):
+            return np.asarray(y) * np.abs(x[..., 0])
+
+        passes = []
+
+        def spy(*args, **kwargs):
+            passes.append(kwargs["barrier"])
+            return paths.stopping_indices(*args, **kwargs)
+
+        monkeypatch.setattr(representation, "stopping_indices", spy)
+        lying = Generator(name="lying", eval=ev, lipschitz_z=0.0)
+        point = (0.0, 1.0, 0.0, [0.1, 0.05], _cfg(M=2000, n=50))
+        with pytest.raises(HypothesisError, match=r"^HYPOTHESIS_FAIL lying: g declared state-free"):
+            convergence_study(lying, 0.5, *point)
+        assert passes == []
+        # at t = 0 the realized state is x itself, which nothing refuses
+        convergence_study(lying, 0.0, *point)
+        # declared, the driver is probed at the realized state
+        honest = Generator(name="honest", eval=ev, lipschitz_z=0.0, state_dependent=True)
+        report = convergence_study(honest, 0.5, *point)
+        assert len(passes) == 2
+        assert report.target_mean == pytest.approx(math.sqrt(0.5 * 2 / math.pi), abs=0.05)
+        assert report.quotient_means[-1] == pytest.approx(report.target_mean, abs=0.1)
+
     @pytest.mark.parametrize("t", [math.nan, -0.5, math.inf])
     def test_study_and_quotient_refuse_a_bad_t_before_any_draw(self, monkeypatch, t):
         # NaN would fail later in TimeGrid without naming t; a t < 0 would

@@ -915,7 +915,10 @@ class TestClosedFormStep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_misdeclared_slope_refused_at_the_first_step(self):
         stress = builtin_generator("stress", delta=0.1)
-        lying = Generator(name="lying", eval=stress.eval, lipschitz_z=1.0, y_slope=-1.0)
+        # it reads x, so it declares that truthfully: only its slope lies
+        lying = Generator(
+            name="lying", eval=stress.eval, lipschitz_z=1.0, state_dependent=True, y_slope=-1.0
+        )
         M, N = 256, 10
         grid = TimeGrid(0.0, 1.0, N)
         fw, batch = _brownian_forward(grid, M, 1, seed=8)
