@@ -6,10 +6,16 @@ of the driving Brownian motion or of a forward diffusion), so evaluation is a
 pure function and safe to call concurrently.  It has to be: a study with
 K >= 2 windows (convergence_study) calls the driver from several threads at
 once, so a driver must keep no mutable state and must not write to its
-arguments.  Evaluations broadcast over a
-leading batch axis: t is a float, x has shape (..., n), y has shape (...),
-z has shape (..., d), and the result has shape (...).  For d == 1, z may be
-passed as a bare scalar.
+arguments.
+
+Generator.__call__ is the one driver contract.  t is a float, x has shape
+(..., n), y shape (...) and z shape (..., d); for d == 1, z may be a bare
+scalar.  eval receives x, y and z as float arrays, and every caller gets
+back a float array of the batch shape, np.broadcast_shapes(x.shape[:-1],
+y.shape, z.shape[:-1]): eval's value as it is when it has that shape, else
+a read-only broadcast view of it (a scalar value, for one).  A value that
+does not broadcast to the batch shape raises ValidationError "<name>: g
+returned shape (...) for a batch of shape (...)".
 """
 
 from __future__ import annotations
@@ -113,10 +119,10 @@ def _entropy_kernel(delta: float):
 
 
 def _check_alpha(alpha) -> float:
-    """alpha as a float; a truncation radius that is not >= 0, NaN included, raises."""
+    """alpha as a float; a truncation radius that is not finite and >= 0, NaN included, raises."""
     alpha = float(alpha)
-    if not alpha >= 0:
-        raise ValidationError(f"truncation radius alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise ValidationError(f"truncation radius alpha must be finite and >= 0, got {alpha}")
     return alpha
 
 
@@ -139,7 +145,11 @@ class Generator:
     name : str
         Identifier used in reports and CSV manifests.
     eval : callable
-        g(t, x, y, z) -> array, broadcasting over a leading batch axis.
+        g(t, x, y, z) -> array, broadcasting over a leading batch axis.  It
+        receives x, y and z as float arrays; calling the Generator returns
+        its value as a float array of the batch shape, which may be a
+        read-only view (module docstring); a value that does not
+        broadcast to it raises ValidationError.
     lipschitz_z : float
         Constant lambda with |g(t,x,y,z1) - g(t,x,y,z2)| <= lambda*|z1 - z2|.
     monotonicity_modulus : callable or None
@@ -196,7 +206,15 @@ class Generator:
             object.__setattr__(self, "y_slope", float(self.y_slope))
 
     def __call__(self, t, x, y, z):
-        return self.eval(t, x, y, z)
+        x, y, z = np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(z, dtype=float)
+        shape = np.broadcast_shapes(x.shape[:-1], y.shape, z.shape[:-1])
+        value = np.asarray(self.eval(t, x, y, z), dtype=float)
+        try:
+            return value if value.shape == shape else np.broadcast_to(value, shape)
+        except ValueError:
+            raise ValidationError(
+                f"{self.name}: g returned shape {value.shape} for a batch of shape {shape}"
+            ) from None
 
 
 def _linear_generator(a: float, b, c: float) -> Generator:
@@ -205,7 +223,6 @@ def _linear_generator(a: float, b, c: float) -> Generator:
     b = np.atleast_1d(np.asarray(b, dtype=float))
 
     def ev(t, x, y, z):
-        z = np.asarray(z, dtype=float)
         if z.ndim == 0:
             if b.size == 1:
                 zb = z * b[0]
@@ -223,7 +240,7 @@ def _linear_generator(a: float, b, c: float) -> Generator:
             raise ValidationError(
                 f"linear generator: b has size {b.size} but z has {z.shape[-1]} coordinate(s)"
             )
-        return a * np.asarray(y, dtype=float) + zb + c
+        return a * y + zb + c
 
     return Generator(
         name="linear",
@@ -240,7 +257,7 @@ def _z_abs_generator(scale: float) -> Generator:
     scale = float(scale)
 
     def ev(t, x, y, z):
-        return scale * _norm_last(z) + 0.0 * np.asarray(y, dtype=float)
+        return scale * _norm_last(z) + 0.0 * y
 
     return Generator(
         name="z_abs",
@@ -260,7 +277,6 @@ def _stress_generator(delta: float) -> Generator:
     h = _entropy_kernel(_check_delta(delta))
 
     def ev(t, x, y, z):
-        y = np.asarray(y, dtype=float)
         expo = y * _norm_last(x)
         # two reductions pass a clean call; the exact count runs only when
         # they fail, a NaN included (negated <= and >= fail on NaN, and
@@ -311,7 +327,7 @@ def _stress_generator(delta: float) -> Generator:
 
 def _negative_exponential_generator() -> Generator:
     def ev(t, x, y, z):
-        return -np.asarray(y, dtype=float)
+        return -y
 
     return Generator(
         name="negative_exponential",
@@ -494,7 +510,9 @@ class BSDEProblem:
 
     terminal maps the full discrete forward path, shape (M, N+1, n), to the
     terminal values, shape (M,).  Path functionals are therefore allowed,
-    not just functions of the final state.
+    not just functions of the final state.  The ends must be finite with
+    t_start < t_end, and dimension_d an integer >= 1; any others raise
+    ValidationError.
     """
 
     generator: Generator
@@ -504,10 +522,12 @@ class BSDEProblem:
     terminal: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if not self.t_start < self.t_end:
+        # as in TimeGrid: the width is finite only for finite ends; NaN fails the <
+        if not (self.t_start < self.t_end and math.isfinite(self.t_end - self.t_start)):
             raise ValidationError(
-                f"need t_start < t_end, got [{self.t_start}, {self.t_end}]"
+                f"need finite t_start < t_end, got [{self.t_start}, {self.t_end}]"
             )
+        _require_integer("dimension_d", self.dimension_d)
         if self.dimension_d < 1:
             raise ValidationError(f"dimension_d must be >= 1, got {self.dimension_d}")
 

@@ -45,8 +45,8 @@ def empirical_growth_bound(g: Generator, alpha, t, x, g0: float | None = None) -
     alpha = _check_alpha(alpha)
     y = np.linspace(-alpha, alpha, 2048)
     if g0 is None:
-        g0 = float(np.asarray(g(t, x, 0.0, 0.0), dtype=float))
-    vals = np.asarray(g(t, x, y, 0.0), dtype=float)
+        g0 = float(g(t, x, 0.0, 0.0))
+    vals = g(t, x, y, 0.0)
     return float(np.max(np.abs(vals - g0)))
 
 
@@ -81,13 +81,13 @@ def sandwich_check(
     alpha = _check_alpha(alpha)
     res = convergence_curve(g, alpha, t, x, [n], u_resolution)[0]
     y = np.asarray(y_samples, dtype=float)
-    vals = np.asarray(g(t, x, q_trunc(y, alpha), 0.0), dtype=float)
+    vals = g(t, x, q_trunc(y, alpha), 0.0)
     pen = n * np.abs(y)
     viol = np.maximum(res.lower - pen - vals, vals - (res.upper + pen))
 
     # local Lipschitz estimate of y |-> g(t,x,q_alpha(y),0) from a fine grid
     yy = np.linspace(-alpha, alpha, 2048) if alpha > 0 else np.zeros(2)
-    gg = np.asarray(g(t, x, q_trunc(yy, alpha), 0.0), dtype=float)
+    gg = g(t, x, q_trunc(yy, alpha), 0.0)
     dy = np.diff(yy)
     lip = float(np.max(np.abs(np.diff(gg)) / np.where(dy > 0, dy, 1.0))) if alpha > 0 else 0.0
     tol = 10.0 * u_resolution * (n + lip)
@@ -115,8 +115,10 @@ def convergence_curve(
     value, so both optimizers lie inside.  Its lattice u_resolution*(-k..k),
     k = ceil(U/u_resolution), is a centred slice of the smallest slope's, so
     g is scanned once per curve; a lattice with more points than numpy can
-    index (U = inf included) raises ValidationError.  A g(t, x, 0, 0) that
-    is not finite raises NumericalError "non-finite g0" first.
+    index (U = inf included) raises ValidationError, as do an alpha that is
+    not finite and >= 0 and a u_resolution that is not finite and > 0.  A
+    g(t, x, 0, 0) that is not finite raises NumericalError "non-finite g0"
+    first.
 
     The lower sequence is nondecreasing, the upper nonincreasing, and the
     combined column shrinks toward 0 (within grid tolerance) once n passes
@@ -130,10 +132,11 @@ def convergence_curve(
         raise ValidationError("n_list must be strictly increasing")
     if not n_list[0] > 0:
         raise ValidationError(f"penalty slope n must be > 0, got {n_list[0]}")
-    if not u_resolution > 0:
-        raise ValidationError(f"u_resolution must be > 0, got {u_resolution}")
+    # an infinite resolution would scan the one point inf * 0 = NaN
+    if not 0 < u_resolution < np.inf:
+        raise ValidationError(f"u_resolution must be > 0 and finite, got {u_resolution}")
     alpha = _check_alpha(alpha)
-    g0 = np.asarray(g(t, x, 0.0, 0.0), dtype=float)
+    g0 = g(t, x, 0.0, 0.0)
     # a NaN g0 would size the lattice with U = NaN; [x] shows x whole
     _require_finite({"g0": g0}, NumericalError, "non-finite g0", t=t, x=[x])
     g0 = float(g0)
@@ -151,7 +154,7 @@ def convergence_curve(
         )
     k_max = int(np.ceil(U / u_resolution))
     u = u_resolution * np.arange(-k_max, k_max + 1)
-    vals = np.broadcast_to(np.asarray(g(t, x, q_trunc(u, alpha), 0.0), dtype=float), u.shape)
+    vals = g(t, x, q_trunc(u, alpha), 0.0)
     rows = []
     for n in n_list:
         U = reach / n

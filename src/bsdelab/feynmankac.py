@@ -24,7 +24,7 @@ import numpy as np
 from .core import ExperimentConfig, Generator, _mean_se, _over_time, builtin_generator
 from .core import _require_finite, _require_le
 from .errors import NumericalError, ValidationError
-from .paths import TimeGrid, WindowStack, euler_maruyama, sample_brownian
+from .paths import TimeGrid, WindowStack, _coefficient, euler_maruyama, sample_brownian
 from .representation import _stopped_solve
 from .solver import _sweep
 
@@ -38,7 +38,8 @@ class PDEProblem:
     generator receives the spatial state through its x argument.  growth_L
     and growth_p declare |phi(x)| + |g(t,x,0,0)| <= L*(1 + |x|^p), verified
     when built (growth_check), so a problem that exists satisfies its
-    declared bound.
+    declared bound.  T, x_lo, x_hi, growth_L and growth_p must be finite,
+    checked first; a value that is not raises ValidationError.
     """
 
     drift: Callable
@@ -52,6 +53,10 @@ class PDEProblem:
     x_hi: float
 
     def __post_init__(self):
+        # before growth_check, which a non-finite bound or box defeats
+        for name in ("T", "x_lo", "x_hi", "growth_L", "growth_p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_lo < self.x_hi:
             raise ValidationError(f"need x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
         if not self.T > 0:
@@ -61,9 +66,13 @@ class PDEProblem:
         growth_check(self)
 
 
-def _coef(f, t, x: np.ndarray) -> np.ndarray:
-    """Coefficient f(t, x) for states x of shape (..., 1), as an array of shape (...)."""
-    return np.broadcast_to(np.asarray(f(t, x), dtype=float), x.shape)[..., 0]
+def _coef(name: str, f, t, x: np.ndarray) -> np.ndarray:
+    """Coefficient f(t, x) for states x of shape (..., 1), as an array of shape (...).
+
+    A value that does not broadcast to x's shape raises ValidationError
+    (paths._coefficient).
+    """
+    return _coefficient(name, f(t, x), x.shape)[..., 0]
 
 
 def growth_check(problem: PDEProblem) -> None:
@@ -247,8 +256,8 @@ def fd_reference(
         # sigma may vary in time: the checks run on every level, and only
         # here, on the interior; the two ends feed the boundary values
         t = times[j]
-        b_all = _coef(problem.drift, t, xs[:, None])
-        s_all = _coef(problem.sigma, t, xs[:, None])
+        b_all = _coef("drift", problem.drift, t, xs[:, None])
+        s_all = _coef("sigma", problem.sigma, t, xs[:, None])
         bv, sv = b_all[1:-1], s_all[1:-1]
         at = dict(time_index=j, t=t, x=xi_int)
         # first, since a NaN sigma would pass the CFL test
@@ -272,12 +281,7 @@ def fd_reference(
         lo_o, di_o, up_o, _, s_o = coeffs
         Lv = lo_o * v[:-2] + di_o * v[1:-1] + up_o * v[2:]
         dxv = (v[2:] - v[:-2]) / (2 * h)
-        gv = np.broadcast_to(
-            np.asarray(
-                g(t_old, xi_int[:, None], v[1:-1], (s_o[1:-1] * dxv)[:, None]), dtype=float
-            ),
-            xi_int.shape,
-        )
+        gv = g(t_old, xi_int[:, None], v[1:-1], (s_o[1:-1] * dxv)[:, None])
         rhs = v[1:-1] + (1 - theta) * k_eff * Lv + k_eff * gv
 
         # level j's coefficients are the old ones of the step to level j - 1
@@ -396,17 +400,15 @@ def proof_generator(problem: PDEProblem, phi: TestFunction) -> Generator:
     g = problem.generator
 
     def ev(t, x, y, z):
-        x2 = np.asarray(x, dtype=float)
-        if x2.ndim == 0:
-            x2 = x2.reshape(1, 1)
-        x1 = x2[..., 0]
-        bv = _coef(problem.drift, t, x2)
-        sv = _coef(problem.sigma, t, x2)
+        # a 0-d x is one state of one coordinate
+        x = np.atleast_1d(x)
+        x1 = x[..., 0]
+        bv = _coef("drift", problem.drift, t, x)
+        sv = _coef("sigma", problem.sigma, t, x)
         lphi = phi.dt(t, x1) + 0.5 * sv * sv * phi.dxx(t, x1) + bv * phi.dx(t, x1)
-        z = np.asarray(z, dtype=float)
         shift = sv * phi.dx(t, x1)
         zz = z + (shift[..., None] if z.ndim else shift)
-        return lphi + np.asarray(g(t, x2, np.asarray(y, dtype=float) + phi.value(t, x1), zz), dtype=float)
+        return lphi + g(t, x, y + phi.value(t, x1), zz)
 
     return Generator(
         name="touch_probe",
@@ -489,15 +491,15 @@ def viscosity_touch_check(
 
     x_arr = np.asarray(x, dtype=float)
     xs2 = x_arr.reshape(1, 1)
-    bv = float(_coef(problem.drift, t, xs2)[0])
-    sv = float(_coef(problem.sigma, t, xs2)[0])
+    bv = float(_coef("drift", problem.drift, t, xs2)[0])
+    sv = float(_coef("sigma", problem.sigma, t, xs2)[0])
     u_tx = u_source(t, x)
     z_dir = sv * float(phi.dx(t, x_arr))
     direct = (
         float(phi.dt(t, x_arr))
         + 0.5 * sv * sv * float(phi.dxx(t, x_arr))
         + bv * float(phi.dx(t, x_arr))
-        + float(np.asarray(problem.generator(t, xs2, np.array([u_tx]), np.array([[z_dir]])), dtype=float)[0])
+        + float(problem.generator(t, xs2, np.array([u_tx]), np.array([[z_dir]]))[0])
     )
 
     G = proof_generator(problem, phi)

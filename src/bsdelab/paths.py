@@ -362,6 +362,21 @@ def sample_brownian(grid: TimeGrid, M: int, d: int, seed: int) -> BrownianBatch:
     return BrownianBatch(grid=grid, increments=np.swapaxes(incr, 0, 1))
 
 
+def _coefficient(name: str, value, shape: tuple) -> np.ndarray:
+    """A forward coefficient's value as a float array broadcast to shape.
+
+    Only the shape is checked: a value that does not broadcast raises
+    ValidationError naming the coefficient, the value's shape and shape.
+    """
+    value = np.asarray(value, dtype=float)
+    try:
+        return np.broadcast_to(value, shape)
+    except ValueError:
+        raise ValidationError(
+            f"{name} returned shape {value.shape}, which does not broadcast to {shape}"
+        ) from None
+
+
 def euler_maruyama(
     grid: TimeGrid,
     drift: Callable,
@@ -372,8 +387,11 @@ def euler_maruyama(
     """Simulate X_{i+1} = X_i + b(t_i, X_i)*dt + sigma(t_i, X_i)*dB_i.
 
     drift(t, x) must broadcast to (M, n) for x of shape (M, n); diffusion may
-    return a scalar, an (M, n)-shaped array (diagonal n == d case), or a full
-    (M, n, d) matrix.  x0 is a scalar or an n-vector.  A non-finite state
+    return a scalar or a value that broadcasts to (M, n), both for n == d
+    (the diagonal case), or a 3-d value that broadcasts to the full (M, n, d)
+    matrix, d the batch's own; any other shape raises ValidationError
+    naming the coefficient, its shape and the shape expected, and no value
+    is read for it.  x0 is a scalar or an n-vector.  A non-finite state
     raises NumericalError naming "step=i, path=m" at its first path, then
     the state (core._require_finite).  The states are a transposed view of
     an (n_steps+1, M, n) buffer.  batch must be drawn on grid itself;
@@ -391,17 +409,16 @@ def euler_maruyama(
     states[0] = x0
     for i in range(n_steps):
         xi = states[i]
-        bi = np.broadcast_to(np.asarray(drift(times[i], xi), dtype=float), (M, n))
+        bi = _coefficient("drift", drift(times[i], xi), (M, n))
         sig = np.asarray(diffusion(times[i], xi), dtype=float)
-        dB = incr[i]
-        if sig.ndim != 3 and n != d:
+        full = sig.ndim == 3
+        if not full and n != d:
             raise ValidationError(f"diagonal diffusion needs n == d, got n={n}, d={d}")
+        sig = _coefficient("diffusion", sig, (M, n, d) if full else (M, n))
+        dB = incr[i]
         # an overflow is reported below with its step and path
         with np.errstate(over="ignore", invalid="ignore"):
-            if sig.ndim == 3:
-                inc = np.einsum("mnd,md->mn", sig, dB)
-            else:
-                inc = np.broadcast_to(sig, (M, n)) * dB
+            inc = np.einsum("mnd,md->mn", sig, dB) if full else sig * dB
             nxt = xi + bi * dt + inc
         _require_finite({"x": nxt}, NumericalError, "non-finite state", step=i + 1, path=_INDEX)
         states[i + 1] = nxt
@@ -473,10 +490,7 @@ def stopping_indices(
             # a state-free g0 is read on every path once, then on path 0
             n_at = 1 if free and k > 1 else M
             x = batch.state(w, row[:n_at], x_scratch[:n_at])
-            g0 = np.broadcast_to(
-                np.asarray(g(times[k - 1], x, zeros[:n_at], zeros_z[:n_at]), dtype=float),
-                (n_at,),
-            )
+            g0 = g(times[k - 1], x, zeros[:n_at], zeros_z[:n_at])
             witness = dict(window=w, step=k - 1, path=_INDEX)
             # a NaN g0 would make the integral NaN and switch the stop off
             _require_finite({"g0": g0}, NumericalError, "non-finite g0", **witness)

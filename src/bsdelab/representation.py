@@ -185,8 +185,7 @@ def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
             base = realized
         else:
             # a driver declared state-free must not see the realized state
-            g_x = np.asarray(g(t, base, y_M, z_M), dtype=float)
-            gap = np.abs(np.asarray(g(t, realized, y_M, z_M), dtype=float) - g_x)
+            gap = np.abs(g(t, realized, y_M, z_M) - g(t, base, y_M, z_M))
             message = f"{g.name}: g declared state-free differs between the realized state and x"
             _require_le(gap, 0.0, HypothesisError, message, path=_INDEX, state=realized)
     grids = [TimeGrid(t, t + eps, config.n_steps) for eps in eps_schedule]
@@ -195,7 +194,9 @@ def _quotient_cells(g, t, x, y, z, eps_schedule, config, barrier, draw=None):
         g, windows, y, z, config, barrier, anchor=base if randomize_base else None
     )
 
-    targets = np.broadcast_to(np.asarray(g(t, base, y_M, z_M), dtype=float), (M,))
+    # one read-only view the cells share
+    targets = g(t, base, y_M, z_M).view()
+    targets.flags.writeable = False
     cells = []
     for eps, y_w, tele_w, frac in zip(eps_schedule, y_t, telescoped, frac_stopped):
         per_path = (y_w - y) / eps

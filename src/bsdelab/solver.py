@@ -218,7 +218,7 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
             raise PicardError(
                 f"no unique root at step t={t_i}: y_slope*dt = {a * np.max(dt_eff):.6g} >= 1"
             )
-        gv = np.asarray(g(t_i, x_i, base, z_i), dtype=float) / denom
+        gv = g(t_i, x_i, base, z_i) / denom
         y = gv * dt_eff
         y += base
         return y, 1, 0, gv
@@ -229,7 +229,7 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
     scratch = np.empty(np.shape(base))
     iters = 0
     for _ in range(config.picard_max):
-        gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
+        gv = g(t_i, x_i, y, z_i)
         f = y - base
         f -= np.multiply(gv, dt_eff, out=scratch)
         iters += 1
@@ -252,7 +252,7 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
         if dy.max() <= tol and -dy.min() <= tol:
             return y, iters, 0, gv
 
-    gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
+    gv = g(t_i, x_i, y, z_i)
     resid = y - base - gv * dt_eff
     # negated <= keeps NaN residuals (diverged iterates) in the bad set
     bad = ~(np.abs(resid) <= tol)
@@ -266,7 +266,7 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
     db = dt_eff[idx] if np.ndim(dt_eff) else np.full(idx.size, dt_eff)
 
     def f(v):
-        return v - bb - np.asarray(g(t_i, xb, v, zb), dtype=float) * db
+        return v - bb - g(t_i, xb, v, zb) * db
 
     r = np.maximum(1.0, np.abs(bb))
     lo, hi = bb - r, bb + r
@@ -302,8 +302,9 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
             f"bisection stalled at step t={t_i}, path {m}, width={np.max(hi - lo):.3e}"
         )
     y[idx] = mid
-    gv = np.array(np.broadcast_to(gv, y.shape))
-    gv[idx] = np.asarray(g(t_i, xb, y[idx], zb), dtype=float)
+    # a copy: the driver's value may be a read-only view
+    gv = np.array(gv)
+    gv[idx] = g(t_i, xb, y[idx], zb)
     return y, iters, int(idx.size), gv
 
 
@@ -466,7 +467,7 @@ def _sweep(
             # the closed-form root of a declared driver against g itself; the
             # allowance adds rounding at the scale of the step's terms, which
             # exceeds picard_tol once |y| >~ 1e6
-            gy = np.asarray(g(times[w][i], x_w, y, z), dtype=float) * dt_eff
+            gy = g(times[w][i], x_w, y, z) * dt_eff
             resid = np.abs(y - ey - gy)
             ulps = 16 * np.finfo(float).eps * (1.0 + np.abs(g.y_slope * dt_eff))
             rounding = (np.abs(y) + np.abs(ey) + np.abs(gy)) * ulps

@@ -360,6 +360,45 @@ class TestBuiltinGenerators:
             builtin_generator("negative_exponential", a=1.0)
 
 
+class TestDriverContract:
+    """Generator.__call__ hands every caller a float array of the batch shape."""
+
+    @settings(max_examples=10, deadline=None)
+    # + 0.0 turns -0.0 into the +0.0 that linear's 0*y + 0*z + c gives
+    @given(c=st.floats(-1.0, 1.0).map(lambda c: c + 0.0))
+    def test_scalar_value_gives_the_bits_of_the_builtin(self, c):
+        # eval returns the Python float c, which __call__ alone broadcasts
+        config = ExperimentConfig(seed=0, n_paths=200, n_steps=50)
+
+        def run(g):
+            study = convergence_study(g, 0.5, 0.0, 1.0, 0.0, [0.1, 0.05], config)
+            return _solve(g), study, _fd(g=g)
+
+        const = Generator(name="const", eval=lambda t, x, y, z: c, lipschitz_z=0.0, y_slope=0.0)
+        linear = builtin_generator("linear", c=c)
+        (sol, study, field), (sol_l, study_l, field_l) = run(const), run(linear)
+        assert sol.Y.tobytes() == sol_l.Y.tobytes()
+        assert sol.telescoped.tobytes() == sol_l.telescoped.tobytes()
+        assert repr(study) == repr(study_l)
+        assert field.u.tobytes() == field_l.u.tobytes()
+
+    def test_eval_gets_float_arrays_and_its_value_of_the_batch_shape_back(self):
+        seen = []
+
+        def ev(t, x, y, z):
+            seen.extend((x, y, z))
+            return y
+
+        y = np.arange(3.0)
+        assert Generator(name="own", eval=ev, lipschitz_z=0.0)(0.0, [[0], [1], [2]], y, 0) is y
+        assert [v.dtype for v in seen] == [float] * 3
+        # a scalar value comes back as a read-only broadcast of the batch shape
+        out = Generator(name="const", eval=lambda t, x, y, z: 1.5, lipschitz_z=0.0)(
+            0.0, np.zeros((3, 2)), np.zeros(3), np.zeros((3, 1))
+        )
+        assert out.shape == (3,) and out.dtype == float and not out.flags.writeable
+
+
 def _late(early, late):
     """A driver that is early(y, z) for t <= 0.8 and late(y, z) after, z of size 1."""
     return lambda t, x, y, z: (early if t <= 0.8 else late)(np.asarray(y), np.asarray(z)[..., 0])
@@ -617,6 +656,18 @@ class TestProblemAndConfig:
         with pytest.raises(ValidationError):
             BSDEProblem(g, 0.0, 1.0, 0, lambda s: s[:, -1, 0])
 
+    @pytest.mark.parametrize("ends", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_problem_ends_must_be_finite(self, ends):
+        # t_start = -inf used to build a problem
+        with pytest.raises(ValidationError, match=r"^need finite t_start < t_end, got \["):
+            BSDEProblem(builtin_generator("linear"), *ends, 1, lambda s: s[:, -1, 0])
+
+    @pytest.mark.parametrize("d", [1.5, True, "1"])
+    def test_problem_dimension_must_be_an_integer(self, d):
+        # dimension_d = 1.5 used to build a problem
+        with pytest.raises(ValidationError, match=rf"^dimension_d must be an integer, got {d!r}$"):
+            BSDEProblem(builtin_generator("linear"), 0.0, 1.0, d, lambda s: s[:, -1, 0])
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(seed=0, n_paths=0, n_steps=10)
@@ -685,6 +736,10 @@ def _fd(drift=lambda t, x: 0.0, sigma=lambda t, x: 1.0, g=None, k=1e-2, theta=0.
         x_hi=1.0,
     )
     return fd_reference(problem, h=0.125, k=k, theta=theta)
+
+
+# g as an (M, 1) column, where the contract wants the batch shape (M,)
+_COLUMN = Generator(name="column", eval=lambda t, x, y, z: (-y)[..., None], lipschitz_z=0.0)
 
 
 def _near_one(value):
@@ -811,6 +866,58 @@ REFUSALS = {
         HypothesisError,
         r"lying: g declared state-free differs between the realized state and x at path=0, "
         r"state=\[-1\.\d+\]: \S+ not <= 0\.000000e\+00",
+    ),
+    # a driver value that does not broadcast to the batch shape is refused
+    # by Generator.__call__, whichever layer calls it; numpy's error used
+    # to escape, naming neither the driver nor the shape
+    "driver_shape_solve": (
+        lambda: _solve(_COLUMN),
+        ValidationError,
+        "column: g returned shape (64, 1) for a batch of shape (64,)",
+    ),
+    "driver_shape_study": (
+        lambda: convergence_study(
+            _COLUMN, 0.5, 0.0, 1.0, 0.0, [0.1, 0.05],
+            ExperimentConfig(seed=0, n_paths=200, n_steps=50),
+        ),
+        ValidationError,
+        "column: g returned shape (200, 1) for a batch of shape (200,)",
+    ),
+    "driver_shape_envelope": (
+        lambda: convergence_curve(_COLUMN, 1.0, 0.0, np.zeros(1), [1.0]),
+        ValidationError,
+        "column: g returned shape (1,) for a batch of shape ()",
+    ),
+    "driver_shape_metadata": (
+        lambda: check_generator_metadata(_COLUMN, n_samples=4000),
+        ValidationError,
+        "column: g returned shape (2000, 1) for a batch of shape (2000,)",
+    ),
+    "driver_shape_pde": (
+        # the growth check, run when the problem is built, calls g first
+        lambda: _fd(g=_COLUMN),
+        ValidationError,
+        "column: g returned shape (512, 1) for a batch of shape (512,)",
+    ),
+    # the forward coefficients are checked by shape where they enter
+    "euler_drift_shape": (
+        # (M,) for n = 1 used to fail in numpy's broadcast
+        lambda: euler_maruyama(
+            TimeGrid(0.0, 1.0, 4), lambda t, x: x[:, 0], lambda t, x: 1.0, 0.0,
+            sample_brownian(TimeGrid(0.0, 1.0, 4), 8, 1, seed=0),
+        ),
+        ValidationError,
+        "drift returned shape (8,), which does not broadcast to (8, 1)",
+    ),
+    "euler_diffusion_shape": (
+        # an (M, 1, 2) matrix on a d = 1 batch used to pass: einsum spread
+        # the size-1 d axis, and the states were those of sigma = 2
+        lambda: euler_maruyama(
+            TimeGrid(0.0, 1.0, 4), lambda t, x: 0.0, lambda t, x: np.ones((8, 1, 2)), 0.0,
+            sample_brownian(TimeGrid(0.0, 1.0, 4), 8, 1, seed=0),
+        ),
+        ValidationError,
+        "diffusion returned shape (8, 1, 2), which does not broadcast to (8, 1, 1)",
     ),
 }
 

@@ -112,7 +112,10 @@ class TestEnvelopeStructure:
         assert e2.lower <= g0 <= e2.upper
         assert e2.upper <= e1.upper + 1e-12
 
-    @pytest.mark.parametrize("n, u_resolution", [(math.nan, 1e-4), (1.0, math.nan)])
+    # u_resolution = inf made the lattice inf * 0 = NaN, every row NaN
+    @pytest.mark.parametrize(
+        "n, u_resolution", [(math.nan, 1e-4), (1.0, math.nan), (1.0, math.inf)]
+    )
     def test_non_finite_scan_inputs_rejected(self, n, u_resolution):
         g = builtin_generator("linear", a=-2.0)
         with pytest.raises(ValidationError, match="must be > 0"):
@@ -234,13 +237,13 @@ class TestCurve:
         with pytest.raises(ValidationError, match=witness):
             convergence_curve(g, alpha, 0.0, np.zeros(1), [1.0], u_resolution=u_resolution)
 
-    @pytest.mark.parametrize("alpha", [math.nan, -1.0])
+    @pytest.mark.parametrize("alpha", [math.nan, -1.0, math.inf])
     @pytest.mark.parametrize(
         "entry", ["q_trunc", "empirical_growth_bound", "convergence_curve", "sandwich_check"]
     )
     def test_bad_truncation_radius_rejected(self, entry, alpha):
-        # a NaN radius used to give NaN values (q_trunc,
-        # empirical_growth_bound) or the lattice-size message
+        # a NaN or infinite radius used to give NaN values (q_trunc,
+        # empirical_growth_bound) or the lattice-size message with U=nan
         g = builtin_generator("linear", a=-2.0)
         x = np.zeros(1)
         calls = {
@@ -249,7 +252,7 @@ class TestCurve:
             "convergence_curve": lambda: convergence_curve(g, alpha, 0.0, x, [1.0]),
             "sandwich_check": lambda: sandwich_check(g, alpha, 1.0, 0.0, x, [0.5]),
         }
-        with pytest.raises(ValidationError, match=f"alpha must be >= 0, got {alpha}"):
+        with pytest.raises(ValidationError, match=f"alpha must be finite and >= 0, got {alpha}"):
             calls[entry]()
 
     @pytest.mark.parametrize("name, kw", [("stress", {"delta": 0.1}), ("linear", {"a": -2.0, "c": 0.3})])

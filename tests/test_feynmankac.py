@@ -686,7 +686,48 @@ class TestProofGenerator:
         assert np.allclose(vals, 0.0, atol=1e-12)
 
 
+def _problem(**kw):
+    return PDEProblem(**{
+        "drift": lambda t, x: 0.0, "sigma": lambda t, x: 1.0,
+        "generator": builtin_generator("linear"), "phi": np.cos, "growth_L": 2.0,
+        "growth_p": 1.0, "T": 1.0, "x_lo": -1.0, "x_hi": 1.0, **kw,
+    })
+
+
 class TestProblemValidation:
+    @pytest.mark.parametrize(
+        "key, value",
+        [("T", math.inf), ("x_lo", -math.inf), ("x_hi", math.inf), ("x_hi", math.nan),
+         ("growth_L", math.inf), ("growth_p", math.inf)],
+    )
+    def test_problem_data_must_be_finite(self, key, value):
+        # T = inf built and fd_reference raised OverflowError; x_hi = inf
+        # was refused as "growth bound violated at t=0.0, x=nan"
+        with pytest.raises(ValidationError, match=rf"^{key} must be finite, got {value}$"):
+            _problem(**{key: value})
+
+    def test_infinite_growth_constant_is_not_a_declaration(self):
+        # growth_L = inf accepted phi = exp(x^2), which L = 2 refuses
+        square_exp = lambda x: np.exp(np.asarray(x) ** 2)
+        with pytest.raises(ValidationError, match="^growth bound violated at "):
+            _problem(phi=square_exp, x_lo=-3.0, x_hi=3.0)
+        with pytest.raises(ValidationError, match=r"^growth_L must be finite, got inf$"):
+            _problem(phi=square_exp, x_lo=-3.0, x_hi=3.0, growth_L=math.inf)
+
+    @pytest.mark.parametrize("run", ["mc_solution", "fd_reference"])
+    def test_misshapen_drift_refused(self, run):
+        # a drift of shape (M,) for states (M, 1) failed in numpy's broadcast
+        p = _problem(drift=lambda t, x: 0.0 * x[..., 0])
+        # 64 paths, or the 17 nodes of [-1, 1] at h = 0.125
+        calls = {
+            "mc_solution": (lambda: mc_solution(p, 0.0, 0.0, _cfg(M=64, n=10)), 64),
+            "fd_reference": (lambda: fd_reference(p, h=0.125, k=1e-2), 17),
+        }
+        thunk, rows = calls[run]
+        want = f"drift returned shape ({rows},), which does not broadcast to ({rows}, 1)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            thunk()
+
     def test_domain_and_horizon(self):
         with pytest.raises(ValidationError):
             PDEProblem(
