@@ -168,8 +168,10 @@ columns:
   mean_y, sd_y   sample mean / standard deviation of the solved Y at t
   mean_z_J       sample mean of the J-th martingale-integrand coordinate
                  (nan on the terminal row, where no regression happens)
-  picard_iters   implicit-step iterations (generator evaluations before any
-                 bisection) at this step (nan on last row)
+  picard_iters   implicit-step iterations: generator evaluations of the
+                 step's slowest path before any bisection; each path stops
+                 on its own, and once at most half the paths still move
+                 those iterate alone (nan on last row)
   cond           condition number of the regression design (nan on last row)
 """,
     "envelope": """\

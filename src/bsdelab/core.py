@@ -13,9 +13,12 @@ Generator.__call__ is the one driver contract.  t is a float, x has shape
 scalar.  eval receives x, y and z as float arrays, and every caller gets
 back a float array of the batch shape, np.broadcast_shapes(x.shape[:-1],
 y.shape, z.shape[:-1]): eval's value as it is when it has that shape, else
-a read-only broadcast view of it (a scalar value, for one).  A value that
-does not broadcast to the batch shape raises ValidationError "<name>: g
-returned shape (...) for a batch of shape (...)".
+a read-only broadcast view of it (a scalar value, for one).  Arguments
+whose batch shapes do not broadcast together raise ValidationError
+"<name>: the batch shapes of x (...), y (...) and z (...) do not
+broadcast" before eval is called, and a value that does not broadcast to
+the batch shape raises ValidationError "<name>: g returned shape (...)
+for a batch of shape (...)".
 """
 
 from __future__ import annotations
@@ -148,8 +151,9 @@ class Generator:
         g(t, x, y, z) -> array, broadcasting over a leading batch axis.  It
         receives x, y and z as float arrays; calling the Generator returns
         its value as a float array of the batch shape, which may be a
-        read-only view (module docstring); a value that does not
-        broadcast to it raises ValidationError.
+        read-only view (module docstring); arguments whose batch shapes
+        do not broadcast, or a value that does not broadcast to the batch
+        shape, raise ValidationError.
     lipschitz_z : float
         Constant lambda with |g(t,x,y,z1) - g(t,x,y,z2)| <= lambda*|z1 - z2|.
     monotonicity_modulus : callable or None
@@ -181,7 +185,8 @@ class Generator:
     eval must be pure: a study with K >= 2 windows calls it from several
     threads at once, so it keeps no mutable state and writes to none of
     its arguments.  A warning it raises (the stress driver's exponent
-    clamp) reaches the caller's warning filters from any thread.
+    clamp) reaches the caller's warning filters from any thread; the
+    clamp warning names the line that called the Generator.
     """
 
     name: str
@@ -207,7 +212,13 @@ class Generator:
 
     def __call__(self, t, x, y, z):
         x, y, z = np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(z, dtype=float)
-        shape = np.broadcast_shapes(x.shape[:-1], y.shape, z.shape[:-1])
+        try:
+            shape = np.broadcast_shapes(x.shape[:-1], y.shape, z.shape[:-1])
+        except ValueError:
+            raise ValidationError(
+                f"{self.name}: the batch shapes of x {x.shape}, y {y.shape} and z {z.shape} "
+                "do not broadcast"
+            ) from None
         value = np.asarray(self.eval(t, x, y, z), dtype=float)
         try:
             return value if value.shape == shape else np.broadcast_to(value, shape)
@@ -289,7 +300,8 @@ def _stress_generator(delta: float) -> Generator:
                 f"stress generator exponent clamped to +-{EXP_CLAMP} on "
                 f"{clipped} evaluation(s)",
                 RuntimeWarning,
-                stacklevel=2,
+                # past Generator.__call__, to the line that evaluated g
+                stacklevel=3,
             )
             expo = np.clip(expo, -EXP_CLAMP, EXP_CLAMP)
         # -exp + h + |z| accumulated in one buffer of the broadcast shape,

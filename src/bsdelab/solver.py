@@ -6,11 +6,15 @@ regression on the current state, then the implicit one-step equation
 y = E_i[Y_{i+1}] + g(t_i, x_i, y, z_i)*dt is solved pathwise.  A driver that
 declares itself affine in y (Generator.y_slope) is solved in closed form;
 any other by a safeguarded secant iteration, falling back to bisection
-where the iteration fails.  The implicit step is used because the
-generator is only assumed monotone in y; the map y - g*dt is strictly
-increasing whenever dt times the local slope stays below 1, so its secant
-slopes are positive (a non-positive or non-finite one falls back to the
-damped fixed-point step) and bisection brackets its root.
+where the iteration fails.  The secant stops per path: the whole batch
+iterates until at most half its paths still move by more than
+picard_tol, then those stragglers iterate alone, compacting again by the
+same rule, while the others keep their values.  The implicit step is
+used because the generator is only assumed monotone in y; the map
+y - g*dt is strictly increasing whenever dt times the local slope stays
+below 1, so its secant slopes are positive (a non-positive or non-finite
+one falls back to the damped fixed-point step) and bisection brackets its
+root.
 
 The regression at each step projects the targets onto the span of the
 design through the eigendecomposition of its Gram matrix, plus one step of
@@ -176,7 +180,10 @@ class SolutionBatch:
     y-slope of g.
     diagnostics carries per-step arrays of regression condition numbers
     (cond), basis ranks (rank), implicit-step iteration counts
-    (picard_iters), bisection-fallback path counts (bisection_paths) and
+    (picard_iters: the generator evaluations of the step's slowest path,
+    as each path stops on its own and, once at most half of the paths
+    still move, the rest iterate without them), bisection-fallback path
+    counts (bisection_paths) and
     regression steps that fell back from the Gram projector to lstsq
     (regression_fallbacks, 0 or 1 each).
     """
@@ -200,15 +207,26 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
     g(y)*dt_eff from y0 = base.  Its first step is the undamped fixed-point
     step y1 = base + g(base)*dt_eff.  Where a secant slope is not finite or
     not positive the damped step (slope 2, i.e.
-    y + (base + g*dt_eff - y)/2) is taken instead.  The iteration stops
-    once every path moves by at most picard_tol, measured as the change of
-    y after rounding.  Paths still unconverged after picard_max
-    evaluations are finished by bisection, which stops a path at width
-    picard_tol or where its bracket is two adjacent doubles.
+    y + (base + g*dt_eff - y)/2) is taken instead.  A path stops once
+    its step moves it by at most picard_tol, measured as the change of y
+    after rounding.  The whole batch iterates, as one array, until the
+    first evaluation after which at most half of its paths still move:
+    the paths within picard_tol then keep their y and gv, written to the
+    batch's arrays by index, and only the still-moving ones (their x, z,
+    base, dt_eff, y, residual and step gathered once) iterate on, compacting
+    again by the same rule, until none moves.  A step where every path
+    stops at the same evaluation does the arithmetic of one whole-batch
+    loop.  Paths still unconverged after picard_max evaluations are
+    written back and finished, on the whole batch, by bisection, which
+    stops a path at width picard_tol or where its bracket is two adjacent
+    doubles.  A path whose bracket still grows after 60 doublings raises
+    PicardError naming it and its residual.
 
-    Returns (y, iters, n_fallback, gv).  gv is the generator value of the
-    last evaluation: at the iterate before y when the iteration converged,
-    at y itself otherwise, and at y by the affine identity in closed form.
+    Returns (y, iters, n_fallback, gv).  iters is the number of
+    evaluations of the slowest path.  gv is each path's generator value
+    of its last evaluation: at the iterate before y where the iteration
+    converged, at y itself otherwise, and at y by the affine identity in
+    closed form.
     """
     a = g.y_slope
     if a is not None:
@@ -224,14 +242,19 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
         return y, 1, 0, gv
 
     tol = config.picard_tol
+    # the paths still iterating, with their x, z, base and dt_eff: the whole
+    # batch until at most half of them move, then the stragglers alone;
+    # live maps them into y_full and gv_full, which hold the final values
+    live = None
+    x, z, b, dt = x_i, z_i, base, dt_eff
     y = base
     f_prev = dy = None
     scratch = np.empty(np.shape(base))
     iters = 0
     for _ in range(config.picard_max):
-        gv = g(t_i, x_i, y, z_i)
-        f = y - base
-        f -= np.multiply(gv, dt_eff, out=scratch)
+        gv = g(t_i, x, y, z)
+        f = y - b
+        f -= np.multiply(gv, dt, out=scratch)
         iters += 1
         # y_next = y + (-f/s) is computed as y - f/s, bitwise the same
         if f_prev is None:
@@ -247,11 +270,35 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
         y_next = y - quot
         dy = np.subtract(y_next, y, out=dy)
         y, f_prev = y_next, f
-        # NaN propagates through max and min and fails the test; a step
-        # whose largest move is too large skips the min
-        if dy.max() <= tol and -dy.min() <= tol:
-            return y, iters, 0, gv
+        # a path whose step is not <= tol still moves, a NaN step included;
+        # scratch is free once y_next is formed
+        settled = np.abs(dy, out=scratch) <= tol
+        n_moving = settled.size - np.count_nonzero(settled)
+        if not n_moving:
+            if live is None:
+                return y, iters, 0, gv
+            y_full[live] = y
+            gv_full[live] = gv
+            return y_full, iters, 0, gv_full
+        if 2 * n_moving > settled.size:
+            continue
+        # the settled paths are final; the rest go on alone
+        keep = np.flatnonzero(~settled)
+        if live is None:
+            # y is the iteration's own array; gv may be a read-only view
+            y_full, gv_full, live = y, np.array(gv), keep
+        else:
+            y_full[live] = y
+            gv_full[live] = gv
+            live = live[keep]
+        x, z, b, y, f_prev, dy = x[keep], z[keep], b[keep], y[keep], f_prev[keep], dy[keep]
+        if np.ndim(dt):
+            dt = dt[keep]
+        scratch = np.empty(keep.size)
 
+    if live is not None:
+        y_full[live] = y
+        y = y_full
     gv = g(t_i, x_i, y, z_i)
     resid = y - base - gv * dt_eff
     # negated <= keeps NaN residuals (diverged iterates) in the bad set
@@ -277,7 +324,8 @@ def _picard_step(g, t_i, x_i, base, z_i, dt_eff, config):
         r = np.where(grow, 2.0 * r, r)
         lo, hi = bb - r, bb + r
     else:
-        m = int(idx[0])
+        # the first path whose bracket still grows
+        m = int(idx[np.argmax(grow)])
         raise PicardError(
             f"no bisection bracket at step t={t_i}, path {m}, residual={resid[m]:.3e}"
         )

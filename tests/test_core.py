@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -347,6 +348,13 @@ class TestBuiltinGenerators:
         assert np.isfinite(out[0])
         assert out[0] <= -math.exp(EXP_CLAMP) + _entropy_kernel(0.1)(30.0)
 
+    def test_stress_clamp_warning_names_the_calling_line(self):
+        g = builtin_generator("stress", delta=0.1)
+        with pytest.warns(RuntimeWarning, match="clamped") as hits:
+            line = sys._getframe().f_lineno + 1
+            g(0.0, np.array([[3.0]]), np.array([30.0]), np.zeros((1, 1)))
+        assert [(w.filename, w.lineno) for w in hits] == [(__file__, line)]
+
     def test_negative_exponential(self):
         g = builtin_generator("negative_exponential")
         assert g(0.0, None, np.array([2.0]), None)[0] == -2.0
@@ -397,6 +405,12 @@ class TestDriverContract:
             0.0, np.zeros((3, 2)), np.zeros(3), np.zeros((3, 1))
         )
         assert out.shape == (3,) and out.dtype == float and not out.flags.writeable
+
+    def test_arguments_that_do_not_broadcast_refused(self):
+        g = builtin_generator("linear", a=-1.0)
+        want = r"^linear: the batch shapes of x \(4, 1\), y \(3,\) and z \(4, 1\) do not broadcast$"
+        with pytest.raises(ValidationError, match=want):
+            g(0.0, np.zeros((4, 1)), np.zeros(3), np.zeros((4, 1)))
 
 
 def _late(early, late):

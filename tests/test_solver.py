@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -653,14 +654,36 @@ class TestPicardFallback:
         with pytest.raises(PicardError):
             solve_bsde(problem, fw, batch, cfg)
 
+    def test_no_bracket_names_the_path_whose_bracket_grows(self):
+        # one evaluation leaves both paths to bisection; path 0's bracket
+        # is found at once, while path 1's g = 1e20*(2 + sin y) keeps
+        # v - base - g*dt negative past the largest bracket, 2^60
+        def ev(t, x, y, z):
+            return np.where(x[..., 0] == 0.0, 3.0 * np.sin(4.0 * y), 1e20 * (2.0 + np.sin(y)))
+
+        g = Generator(name="split", eval=ev, lipschitz_z=0.0, state_dependent=True)
+        x, z = np.array([[0.0], [1.0]]), np.zeros((2, 1))
+        base, dt = np.full(2, 0.3), 0.05
+        # path 1's own residual at its one iterate, -3.228e+18
+        y1 = base + ev(0.0, x, base, z) * dt
+        resid = y1 - base - ev(0.0, x, y1, z) * dt
+        want = f"no bisection bracket at step t=0.0, path 1, residual={resid[1]:.3e}"
+        cfg = ExperimentConfig(seed=0, n_paths=2, n_steps=1, picard_max=1)
+        with pytest.raises(PicardError, match=f"^{re.escape(want)}$"):
+            _picard_step(g, 0.0, x, base, z, dt, cfg)
+
 
 def _picard_step_allocating(g, t_i, x_i, base, z_i, dt_eff, config):
-    # the implicit step before its in-place secant update (a fresh array
-    # per operation, np.where for the slope, np.abs for the stop test),
-    # kept as its exact oracle; only the error messages are shortened
+    # the implicit step with a fresh array per operation (np.where for the
+    # slope, np.abs for the stop test) and its per-path stopping rule
+    # restated with masks over the whole batch: every evaluation sees every
+    # path, and a path that is no longer active keeps its y, gv, residual
+    # and step; kept as the exact oracle of the in-place, compacting loop;
+    # only the error messages are shortened
     tol = config.picard_tol
+    active = np.ones(np.shape(base), dtype=bool)
     y = base
-    f_prev = dy = None
+    gv_kept = f_prev = dy = None
     iters = 0
     for _ in range(config.picard_max):
         gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
@@ -673,10 +696,16 @@ def _picard_step_allocating(g, t_i, x_i, base, z_i, dt_eff, config):
                 s = (f - f_prev) / dy
             step = -f / np.where((s > 0) & (s < np.inf), s, 2.0)
         y_next = y + step
-        dy = y_next - y
-        y, f_prev = y_next, f
-        if np.max(np.abs(dy)) <= tol:
-            return y, iters, 0, gv
+        gv_kept = gv if gv_kept is None else np.where(active, gv, gv_kept)
+        f_prev = f if f_prev is None else np.where(active, f, f_prev)
+        dy = y_next - y if dy is None else np.where(active, y_next - y, dy)
+        y = np.where(active, y_next, y)
+        moving = active & ~(np.abs(dy) <= tol)
+        if not np.any(moving):
+            return y, iters, 0, gv_kept
+        # at most half the active paths move: the others are final
+        if 2 * np.count_nonzero(moving) <= np.count_nonzero(active):
+            active = moving
 
     gv = np.asarray(g(t_i, x_i, y, z_i), dtype=float)
     resid = y - base - gv * dt_eff
@@ -723,10 +752,14 @@ def _picard_step_allocating(g, t_i, x_i, base, z_i, dt_eff, config):
     return y, iters, int(idx.size), gv
 
 
-def _step_against_allocating(driver, per_path_dt, picard_max, dt, seed):
-    """Run _picard_step and its oracle on one draw; assert equal, return n_fallback."""
+def _secant_draw(driver, per_path_dt, dt, seed, M=64, slow=0):
+    """(g, x, base, z, dt_eff) of one implicit step that g takes by secant.
+
+    slow paths (drawn among the M) take 20 times the step dt, so they
+    iterate longer than the rest; the affine driver has none, as its
+    secant lands on the root at the second evaluation whatever the step.
+    """
     rng = np.random.default_rng(seed)
-    M = 64
     if driver == "affine":
         a = rng.uniform(-20.0, 0.5) / dt
         b, c = rng.normal(size=2)
@@ -748,6 +781,15 @@ def _step_against_allocating(driver, per_path_dt, picard_max, dt, seed):
     x = rng.uniform(-1.0, 1.0, (M, 1))
     z = rng.normal(size=(M, 1))
     dt_eff = np.where(rng.random(M) < 0.25, 0.0, dt) if per_path_dt else dt
+    if slow and driver != "affine":
+        dt_eff = np.broadcast_to(dt_eff, (M,)).copy()
+        dt_eff[rng.choice(M, min(slow, M), replace=False)] *= 20.0
+    return g, x, base, z, dt_eff
+
+
+def _step_against_allocating(driver, per_path_dt, picard_max, dt, seed, M=64, slow=0):
+    """Run _picard_step and its oracle on one draw; assert equal, return n_fallback."""
+    g, x, base, z, dt_eff = _secant_draw(driver, per_path_dt, dt, seed, M, slow)
     cfg = ExperimentConfig(seed=0, n_paths=M, n_steps=1, picard_max=picard_max)
     base0 = base.copy()
     y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt_eff, cfg)
@@ -763,8 +805,11 @@ def _step_against_allocating(driver, per_path_dt, picard_max, dt, seed):
 
 
 class TestInPlaceSecant:
-    """_picard_step against the allocating loop it replaced, bit for bit."""
+    """_picard_step against the allocating, masked loop, bit for bit."""
 
+    # a stress path at 20 times the step can reach an iterate whose
+    # exponent the driver clamps; the warning is the driver's, on both sides
+    @pytest.mark.filterwarnings("ignore:stress generator exponent clamped:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(
         driver=st.sampled_from(["affine", "stress", "wavy"]),
@@ -772,15 +817,79 @@ class TestInPlaceSecant:
         picard_max=st.sampled_from([1, 2, 3, 50]),
         dt=st.floats(1e-3, 0.2),
         seed=st.integers(0, 2**32 - 1),
+        M=st.integers(1, 2000),
+        slow=st.integers(0, 8),
     )
-    def test_matches_allocating_loop(self, driver, per_path_dt, picard_max, dt, seed):
-        _step_against_allocating(driver, per_path_dt, picard_max, dt, seed)
+    # stragglers that compact again and again (5 and 6 times)
+    @example(driver="stress", per_path_dt=True, picard_max=50, dt=0.1, seed=3, M=2000, slow=4)
+    @example(driver="wavy", per_path_dt=False, picard_max=50, dt=0.05, seed=1, M=1500, slow=8)
+    # a clamped exponent after the last evaluation
+    @example(driver="stress", per_path_dt=False, picard_max=2, dt=0.171875, seed=4582, M=26, slow=3)
+    def test_matches_allocating_loop(self, driver, per_path_dt, picard_max, dt, seed, M, slow):
+        _step_against_allocating(driver, per_path_dt, picard_max, dt, seed, M, slow)
 
     @pytest.mark.parametrize("driver", ["affine", "stress", "wavy"])
     @pytest.mark.parametrize("per_path_dt", [False, True])
     def test_bisection_paths_match(self, driver, per_path_dt):
         # one evaluation leaves every path with a dt_eff > 0 unconverged
         assert _step_against_allocating(driver, per_path_dt, 1, 0.05, seed=9) > 0
+
+
+class TestPerPathStopping:
+    """The secant step's stragglers iterate alone once at most half the
+    paths move; each is written back to its own path."""
+
+    @pytest.mark.filterwarnings("ignore:stress generator exponent clamped:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        driver=st.sampled_from(["affine", "stress", "wavy"]),
+        per_path_dt=st.booleans(),
+        picard_max=st.sampled_from([1, 2, 3, 50]),
+        dt=st.floats(1e-3, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+        M=st.integers(1, 2000),
+        slow=st.integers(0, 8),
+    )
+    @example(driver="stress", per_path_dt=True, picard_max=50, dt=0.1, seed=3, M=2000, slow=4)
+    def test_permutation_equivariant(self, driver, per_path_dt, picard_max, dt, seed, M, slow):
+        # permute the paths, solve, un-permute: the same bits
+        g, x, base, z, dt_eff = _secant_draw(driver, per_path_dt, dt, seed, M, slow)
+        cfg = ExperimentConfig(seed=0, n_paths=M, n_steps=1, picard_max=picard_max)
+        perm = np.random.default_rng(seed).permutation(M)
+        dt_perm = dt_eff[perm] if np.ndim(dt_eff) else dt_eff
+        y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt_eff, cfg)
+        y_perm, iters_perm, n_perm, gv_perm = _picard_step(
+            g, 0.0, x[perm], base[perm], z[perm], dt_perm, cfg
+        )
+        assert (iters_perm, n_perm) == (iters, n_fallback)
+        assert np.array_equal(y_perm, y[perm])
+        assert np.array_equal(gv_perm, gv[perm])
+
+    def test_one_slow_path_iterates_alone(self):
+        # wavy g = 3 sin(4y): at dt = 0.01 the secant settles every path in
+        # five evaluations; at dt = 1 y - g*dt is not monotone, and the one
+        # path there takes damped steps for longer
+        sizes = []
+
+        def ev(t, x, y, z):
+            sizes.append(y.size)
+            return 3.0 * np.sin(4.0 * y)
+
+        g = Generator(name="wavy", eval=ev, lipschitz_z=0.0)
+        M = 1000
+        base = np.random.default_rng(3).uniform(-2.0, 2.0, M)
+        dt_eff = np.full(M, 0.01)
+        dt_eff[M // 2] = 1.0
+        x, z = np.zeros((M, 1)), np.zeros((M, 1))
+        cfg = ExperimentConfig(seed=0, n_paths=M, n_steps=1)
+        y, iters, n_fallback, gv = _picard_step(g, 0.0, x, base, z, dt_eff, cfg)
+        assert n_fallback == 0 and iters > 5
+        assert sum(sizes) < iters * M
+        assert sizes[-1] == 1
+        # gv is g at the iterate y_prev before y, so the residual is
+        # (s - 1)*(y_prev - y) for the last step's slope s in (0, 13]
+        resid = np.abs(y - base - gv * dt_eff)
+        assert np.all(resid <= 12.0 * cfg.picard_tol)
 
 
 class TestImplicitStepProperties:
